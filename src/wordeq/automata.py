@@ -291,14 +291,6 @@ def dfa_is_empty(d: Dfa) -> tuple[bool, str | None]:
 # automaton back to an expression (used for complementing regexes)
 
 
-def _opt_alt(a: Regex | None, b: Regex | None) -> Regex | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return re_alt(a, b)
-
-
 def _opt_seq(*parts: Regex | None) -> Regex | None:
     if any(p is None for p in parts):
         return None

@@ -6,13 +6,15 @@ over a corpus, and ``encode-2cm`` prints the universal sentence for a
 two-counter machine and input word.
 
 Exit codes: 0 sat / success, 1 unsat (or no bounded model), 2 unsupported
-or out of budget, 3 usage or input errors.
+or out of budget, 3 usage or input errors, 4 internal error (a crash,
+reported with its traceback, never mistaken for a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .bench import analyze_corpus
@@ -171,6 +173,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, WordeqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -335,12 +335,14 @@ def lia_sat(rows: list[Row], node_cap: int = 10**6) -> dict[LinVar, int] | None:
     # back-substitute eliminated columns, then rebuild variable values
     for j, const, terms in reversed(elims):
         v = const + sum(t * solution.get(k, 0) for k, t in terms.items())
-        assert v >= 0
+        if v < 0:
+            raise AssertionError(f"back-substitution gave column {j} the value {v}")
         solution[j] = v
     model: dict[LinVar, int] = {}
     for v in variables:
         model[v] = sum(sign * solution.get(j, 0) for j, sign in cols_of[v])
     for r in rows:
         total = sum(c * model[v] for v, c in r.coeffs.items())
-        assert total == r.bound if r.relation == "eq" else total <= r.bound
+        if not (total == r.bound if r.relation == "eq" else total <= r.bound):
+            raise AssertionError(f"the model violates the row {r}")
     return model

@@ -75,10 +75,6 @@ def side_vars(s: Side) -> set[str]:
     return {it.name for it in s if isinstance(it, VarItem)}
 
 
-def side_params(s: Side) -> set[str]:
-    return {it.param for it in s if isinstance(it, Power)}
-
-
 # ---------------------------------------------------------------------------
 # results
 
@@ -95,7 +91,8 @@ class SolvedForm:
 
 @dataclass(frozen=True)
 class Unsat:
-    reason: str = "no solution"
+    """No solution exists: for an equation system here, and for a whole
+    formula as the verdict ``solver`` re-exports."""
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,6 @@ class _State:
                         size += len(it.word)
         return (len(vs), len(ps), size)
 
-
-_Dead = tuple[str]  # ("dead reason",) is awkward; use tagged tuples below
 
 # A rule returns None (not applicable) or one of:
 #   ("again", None)            applied in place, rescan
@@ -549,20 +544,20 @@ _BUDGETED = (_rule_straddle, _rule_peel)
 
 
 def _step(st: _State, gen: NameGen) -> _Step | None:
+    # a rule that returns None leaves the state as it was, so one measure
+    # serves every trial
+    before = st.measure()
     for rule in _RULES:
         for idx in range(len(st.pending)):
-            before = None
-            if rule not in _BUDGETED:
-                before = st.measure()
             res = rule(st, idx, gen)
             if res is None:
                 continue
-            if before is not None:
-                # every unbudgeted step must shrink the system
-                if res[0] == "again":
-                    assert st.measure() < before
-                elif res[0] == "branch":
-                    assert all(c.measure() < before for c in res[1])
+            # every unbudgeted step must shrink the system
+            if rule not in _BUDGETED and (
+                (res[0] == "again" and not st.measure() < before)
+                or (res[0] == "branch" and not all(c.measure() < before for c in res[1]))
+            ):
+                raise AssertionError(f"{rule.__name__} did not shrink the system")
             return res
     return None
 

@@ -1,49 +1,64 @@
 """The satisfiability pipeline for word equations with length and
 regular-expression constraints.
 
-Every disjunct of the input's disjunctive normal form is processed as a
-conjunction of positive atoms (negations are eliminated first): the word
-equations are rewritten into solved forms, each solved form contributes
-its implied length rows, length atoms translate to further rows, and each
-membership atom constrains the power parameters of the constrained term
-through exact automaton walks.  The resulting integer systems go to the
-linear solver; a model there is turned back into concrete words and
-re-checked against the original formula before being reported.
+One decision loop serves both entry points.  Every disjunct of the
+input's disjunctive normal form is processed as a conjunction of positive
+atoms (negations are eliminated first): the word equations are rewritten
+into solved forms, each solved form contributes its implied length rows,
+length atoms translate to further rows, and a membership encoder turns
+the membership atoms into a disjunction of row groups.  Each group, with
+the shared rows, goes to the linear solver.
 
-``check_sat_length_abstraction`` is a deliberately weakened variant that
-replaces the exact membership analysis with the regex's length set.  It
-can claim "sat" for unsatisfiable inputs — it exists to demonstrate why
-the exact parameter analysis is necessary — so it only reports a verdict
-string and never a model.
+The loop is parameterised by that encoder alone:
+
+* ``_regex_row_groups`` (``check_sat``) constrains the power parameters
+  of each constrained term through exact automaton walks.  A model of the
+  rows is turned back into concrete words and re-checked against the
+  original formula before being reported.
+* ``_length_row_groups`` (``check_sat_length_abstraction``) keeps only
+  the regex's length set.  This deliberately weakened arm can claim "sat"
+  for unsatisfiable inputs — it exists to demonstrate why the exact
+  parameter analysis is necessary — so it only reports a verdict string
+  and never a model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
-from .automata import UPSet, param_membership, regex_to_dfa, upset_intersect, upset_is_empty
+from .automata import (
+    UPSet,
+    length_set,
+    param_membership,
+    regex_to_dfa,
+    upset_intersect,
+    upset_is_empty,
+)
 from .errors import LetterOutsideAlphabet, ResourceExhausted
 from .lengths import (
+    LinVar,
     Row,
     implied_length_constraints,
     int_var,
     param_var,
+    paramword_length,
     part_var,
     translate_len_atom,
     upset_rows,
 )
 from .lia import lia_sat
-from .normalize import Atom, eliminate_negations, to_dnf
-from .paramwords import ParamWord, Unfixed, has_unfixed, instantiate, params_of, parts_of
+from .normalize import eliminate_negations, to_dnf
+from .paramwords import has_unfixed, instantiate, params_of, parts_of
 from .semantics import Assignment, eval_formula
 from .solved_form import (
     OutOfFragment,
     SolvedForm,
+    Unsat,
     apply_solved_form,
     to_solved_form,
 )
-from .solved_form import Unsat as EqUnsat
 from .terms import Formula, InRe, LenLeq, NameGen, WordEq, formula_letters, free_vars
 
 
@@ -57,16 +72,15 @@ class Sat:
 
 
 @dataclass(frozen=True)
-class Unsat:
-    pass
-
-
-@dataclass(frozen=True)
 class Unsupported:
     reason: str
 
 
 Verdict = Sat | Unsat | Unsupported
+
+# membership atoms under a solved form -> row groups (a disjunction; empty
+# when some atom can never hold) or an unsupported-reason
+Encoder = Callable[[list[InRe], SolvedForm, str, NameGen], list[list[Row]] | str]
 
 
 def _regex_row_groups(
@@ -74,10 +88,8 @@ def _regex_row_groups(
     sf: SolvedForm,
     alphabet: str,
     gen: NameGen,
-) -> list[list[Row]] | None | str:
-    """Row groups (a disjunction) encoding all membership atoms under a
-    solved form.  None means some atom can never hold; a string is an
-    unsupported-reason."""
+) -> list[list[Row]] | str:
+    """Exact encoder: the power parameters each regex admits."""
     per_atom_boxes: list[list[dict[str, UPSet]]] = []
     for atom in atoms:
         pw = apply_solved_form(sf, atom.term)
@@ -86,7 +98,7 @@ def _regex_row_groups(
             return f"membership constraint over unfixed parts ({parts})"
         boxes = param_membership(pw, regex_to_dfa(atom.regex, alphabet))
         if not boxes:
-            return None
+            return []
         per_atom_boxes.append(boxes)
 
     groups: list[list[Row]] = []
@@ -113,18 +125,82 @@ def _regex_row_groups(
             groups.append([row for group in combo for row in group])
         if len(groups) > 20_000:
             raise ResourceExhausted("too many membership branches")
-    if not groups:
-        return None
     return groups
+
+
+def _length_row_groups(
+    atoms: list[InRe],
+    sf: SolvedForm,
+    alphabet: str,
+    gen: NameGen,
+) -> list[list[Row]]:
+    """Length-only encoder: the term's length lies in the regex's length
+    set.  Letter positions are forgotten, so this only over-approximates."""
+    groups: list[list[Row]] = [[]]
+    for atom in atoms:
+        coeffs, const = paramword_length(apply_solved_form(sf, atom.term))
+        lengths = length_set(regex_to_dfa(atom.regex, alphabet))
+        alts = upset_rows(coeffs, const, lengths, gen)
+        if not alts:
+            return []
+        groups = [g + alt for g in groups for alt in alts]
+    return groups
+
+
+def _decide(
+    phi: Formula,
+    alphabet: str,
+    encode: Encoder,
+    accept: Callable[[SolvedForm, dict[LinVar, int]], Sat | None],
+) -> Verdict:
+    """The decision loop.  ``accept`` turns a model of one branch's rows
+    into a Sat verdict, or None to keep searching."""
+    stray = formula_letters(phi) - set(alphabet)
+    if stray:
+        raise LetterOutsideAlphabet(
+            f"formula uses letters outside the alphabet: {sorted(stray)}"
+        )
+    svars, ivars = free_vars(phi)
+    gen = NameGen(svars | ivars)
+    blocked: str | None = None
+    try:
+        for conjunct in to_dnf(phi):
+            for atoms in eliminate_negations(conjunct, alphabet, gen):
+                eqs = [a for a in atoms if isinstance(a, WordEq)]
+                lens = [a for a in atoms if isinstance(a, LenLeq)]
+                res = [a for a in atoms if isinstance(a, InRe)]
+                solved = to_solved_form(eqs, variables=svars, gen=gen)
+                if isinstance(solved, Unsat):
+                    continue
+                if isinstance(solved, OutOfFragment):
+                    blocked = blocked or solved.reason
+                    continue
+                for sf in solved:
+                    rows = implied_length_constraints(sf)
+                    rows.extend(translate_len_atom(a) for a in lens)
+                    groups = encode(res, sf, alphabet, gen)
+                    if isinstance(groups, str):
+                        blocked = blocked or groups
+                        continue
+                    for extra in groups:
+                        model = lia_sat(rows + extra)
+                        sat = None if model is None else accept(sf, model)
+                        if sat is not None:
+                            return sat
+    except ResourceExhausted as exc:
+        return Unsupported(str(exc))
+    if blocked is not None:
+        return Unsupported(blocked)
+    return Unsat()
 
 
 def _build_model(
     sf: SolvedForm,
-    lia_model,
+    lia_model: dict[LinVar, int],
     svars: set[str],
     ivars: set[str],
     alphabet: str,
-) -> tuple[dict[str, str], dict[str, int]] | None:
+) -> Sat | None:
     params: dict[str, int] = {}
     part_words: dict[str, str] = {}
     for _, pw in sf.bindings:
@@ -138,15 +214,10 @@ def _build_model(
     mapping = sf.mapping()
     strings = {v: instantiate(mapping[v], params, part_words) for v in svars}
     ints = {n: lia_model.get(int_var(n), 0) for n in ivars}
-    return strings, ints
+    return Sat(strings, ints)
 
 
-def check_sat(
-    phi: Formula,
-    alphabet: str,
-    budget: int = 8,
-    max_branches: int = 10_000,
-) -> Verdict:
+def check_sat(phi: Formula, alphabet: str) -> Verdict:
     """Decide the formula over words in the given alphabet.
 
     Sound for both answers: a Sat verdict carries a model that was
@@ -154,75 +225,16 @@ def check_sat(
     refuted.  Inputs outside the supported fragment (or beyond the
     rewriting budgets) come back Unsupported instead of a guess.
     """
-    stray = formula_letters(phi) - set(alphabet)
-    if stray:
-        raise LetterOutsideAlphabet(
-            f"formula uses letters outside the alphabet: {sorted(stray)}"
-        )
     svars, ivars = free_vars(phi)
-    gen = NameGen(svars | ivars)
-    blocked: str | None = None
-    try:
-        disjuncts = to_dnf(phi)
-        for conjunct in disjuncts:
-            for atoms in eliminate_negations(conjunct, alphabet, gen):
-                outcome = _check_conjunct(atoms, svars, ivars, alphabet, gen, budget, max_branches)
-                if isinstance(outcome, Sat):
-                    assert eval_formula(phi, outcome.assignment())
-                    return outcome
-                if isinstance(outcome, Unsupported) and blocked is None:
-                    blocked = outcome.reason
-    except ResourceExhausted as exc:
-        return Unsupported(str(exc))
-    if blocked is not None:
-        return Unsupported(blocked)
-    return Unsat()
-
-
-def _check_conjunct(
-    atoms: list[Atom],
-    svars: set[str],
-    ivars: set[str],
-    alphabet: str,
-    gen: NameGen,
-    budget: int,
-    max_branches: int,
-) -> Verdict:
-    eqs = [a for a in atoms if isinstance(a, WordEq)]
-    lens = [a for a in atoms if isinstance(a, LenLeq)]
-    res = [a for a in atoms if isinstance(a, InRe)]
-
-    solved = to_solved_form(eqs, variables=svars, gen=gen, budget=budget, max_branches=max_branches)
-    if isinstance(solved, EqUnsat):
-        return Unsat()
-    if isinstance(solved, OutOfFragment):
-        return Unsupported(solved.reason)
-
-    blocked: str | None = None
-    conjunct_svars = svars | {v for eq in eqs for v in free_vars(eq)[0]}
-    for sf in solved:
-        base_rows = implied_length_constraints(sf)
-        base_rows.extend(translate_len_atom(a) for a in lens)
-        groups = _regex_row_groups(res, sf, alphabet, gen)
-        if groups is None:
-            continue
-        if isinstance(groups, str):
-            if blocked is None:
-                blocked = groups
-            continue
-        for extra in groups:
-            model = lia_sat(base_rows + extra)
-            if model is None:
-                continue
-            built = _build_model(sf, model, conjunct_svars, ivars, alphabet)
-            if built is None:
-                continue
-            strings, ints = built
-            visible = {v: strings[v] for v in svars}
-            return Sat(visible, ints)
-    if blocked is not None:
-        return Unsupported(blocked)
-    return Unsat()
+    verdict = _decide(
+        phi,
+        alphabet,
+        _regex_row_groups,
+        lambda sf, model: _build_model(sf, model, svars, ivars, alphabet),
+    )
+    if isinstance(verdict, Sat) and not eval_formula(phi, verdict.assignment()):
+        raise AssertionError(f"the model {verdict} does not satisfy the formula")
+    return verdict
 
 
 def check_sat_length_abstraction(phi: Formula, alphabet: str) -> str:
@@ -233,48 +245,5 @@ def check_sat_length_abstraction(phi: Formula, alphabet: str) -> str:
     and no model is produced.  This exists as the control arm showing
     what the exact parameter analysis adds.
     """
-    from .automata import length_set
-    from .lengths import paramword_length
-
-    stray = formula_letters(phi) - set(alphabet)
-    if stray:
-        raise LetterOutsideAlphabet(
-            f"formula uses letters outside the alphabet: {sorted(stray)}"
-        )
-    svars, ivars = free_vars(phi)
-    gen = NameGen(svars | ivars)
-    blocked = False
-    try:
-        for conjunct in to_dnf(phi):
-            for atoms in eliminate_negations(conjunct, alphabet, gen):
-                eqs = [a for a in atoms if isinstance(a, WordEq)]
-                lens = [a for a in atoms if isinstance(a, LenLeq)]
-                res = [a for a in atoms if isinstance(a, InRe)]
-                solved = to_solved_form(eqs, variables=svars, gen=gen)
-                if isinstance(solved, EqUnsat):
-                    continue
-                if isinstance(solved, OutOfFragment):
-                    blocked = True
-                    continue
-                for sf in solved:
-                    rows = implied_length_constraints(sf)
-                    rows.extend(translate_len_atom(a) for a in lens)
-                    groups: list[list[Row]] = [[]]
-                    feasible = True
-                    for atom in res:
-                        pw = apply_solved_form(sf, atom.term)
-                        coeffs, const = paramword_length(pw)
-                        lengths = length_set(regex_to_dfa(atom.regex, alphabet))
-                        alts = upset_rows(coeffs, const, lengths, gen)
-                        if not alts:
-                            feasible = False
-                            break
-                        groups = [g + alt for g in groups for alt in alts]
-                    if not feasible:
-                        continue
-                    for extra in groups:
-                        if lia_sat(rows + extra) is not None:
-                            return "sat"
-    except ResourceExhausted:
-        return "unsupported"
-    return "unsupported" if blocked else "unsat"
+    verdict = _decide(phi, alphabet, _length_row_groups, lambda sf, model: Sat({}, {}))
+    return {Sat: "sat", Unsat: "unsat", Unsupported: "unsupported"}[type(verdict)]

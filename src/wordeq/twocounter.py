@@ -31,10 +31,9 @@ from typing import Iterator, Sequence
 
 from .errors import ResourceExhausted, WordeqError
 from .normalize import to_dnf
-from .solved_form import Const, Side, VarItem, side, _match_pattern
+from .solved_form import Const, Side, VarItem, side, term_to_side, _match_pattern
 from .terms import (
     And,
-    Concat,
     Formula,
     Lit,
     Not,
@@ -468,18 +467,6 @@ class NoCounterexampleUpTo:
     max_len: int
 
 
-def _term_side(t: StrTerm) -> Side:
-    if isinstance(t, Lit):
-        return side((Const(t.word),)) if t.word else ()
-    if isinstance(t, Var):
-        return (VarItem(t.name),)
-    assert isinstance(t, Concat)
-    items: list[Const | VarItem] = []
-    for p in t.parts:
-        items.extend(_term_side(p))
-    return side(tuple(items))
-
-
 _Eq = tuple[Side, Side, bool]  # lhs, rhs, positive
 
 
@@ -573,7 +560,7 @@ def _compiled_body(s: Sentence) -> list[list[_Eq]]:
         eqs: list[_Eq] = []
         for lit in literals:
             assert isinstance(lit.atom, WordEq), "sentence bodies hold equations only"
-            eqs.append((_term_side(lit.atom.lhs), _term_side(lit.atom.rhs), lit.positive))
+            eqs.append((term_to_side(lit.atom.lhs), term_to_side(lit.atom.rhs), lit.positive))
         conjuncts.append(eqs)
     return conjuncts
 

@@ -45,6 +45,21 @@ def test_solve_missing_file(capsys):
     assert err.startswith("error:")
 
 
+def test_crash_exits_4_not_unsat(capsys, tmp_path):
+    body = '(= X "a")'
+    for _ in range(5000):
+        body = f"(and {body})"
+    deep = tmp_path / "deep.eq"
+    deep.write_text(
+        f'(set-alphabet "ab")\n(declare-const X String)\n(assert {body})\n(check-sat)\n'
+    )
+    code, out, err = run(capsys, "solve", str(deep))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
+    assert "Traceback" in err
+
+
 def test_usage_errors_exit_3(capsys):
     assert main([]) == 3
     capsys.readouterr()

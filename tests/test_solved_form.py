@@ -3,7 +3,10 @@
 import random
 from itertools import product
 
+import pytest
+
 from helpers import _template_equation
+from wordeq import solved_form
 from wordeq.paramwords import Const, ParamWord, Power, Unfixed, instantiate, param_word, parts_of
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.solved_form import (
@@ -204,6 +207,13 @@ def test_forms_cover_long_solutions_too():
     )
     assert got == want
     assert ("ababa",) in got
+
+
+def test_rule_that_does_not_shrink_is_caught(monkeypatch):
+    # the measure-decrease invariant is what makes unbudgeted rewriting stop
+    monkeypatch.setattr(solved_form, "_RULES", (lambda st, idx, gen: ("again", None),))
+    with pytest.raises(AssertionError, match="did not shrink"):
+        to_solved_form([WordEq(concat(Var("X"), Lit("a")), concat(Lit("a"), Var("X")))])
 
 
 def test_branch_budget_reports_out_of_fragment():

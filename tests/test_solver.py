@@ -1,10 +1,15 @@
 """End-to-end satisfiability pipeline."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import random_formula_el
+import wordeq
+from helpers import random_formula_el, random_formula_elr
 from wordeq.errors import LetterOutsideAlphabet
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.solver import (
@@ -82,6 +87,7 @@ def test_crossed_equation_unsupported():
     res = check_sat(phi, "ab")
     assert isinstance(res, Unsupported)
     assert res.reason == "no rule applies to the system"
+    assert check_sat_length_abstraction(phi, "ab") == "unsupported"
 
 
 def test_exact_beats_length_only_abstraction():
@@ -103,6 +109,21 @@ def test_length_abstraction_agrees_when_lengths_decide():
     assert isinstance(check_sat(phi, "ab"), Unsat)
 
 
+def test_length_abstraction_over_approximates():
+    # the length rows are implied by the exact rows, so every exact Sat is
+    # a length-only "sat" (and a length-only "unsat" is never an exact Sat)
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(300):
+        phi = random_formula_elr(rng)
+        exact = check_sat(phi, "ab")
+        abstract = check_sat_length_abstraction(phi, "ab")
+        if isinstance(exact, Sat):
+            assert abstract == "sat"
+        seen.add((type(exact).__name__, abstract))
+    assert {("Sat", "sat"), ("Unsat", "sat"), ("Unsat", "unsat")} <= seen
+
+
 def test_sat_model_always_evaluates():
     rng = random.Random(701)
     sats = 0
@@ -112,7 +133,31 @@ def test_sat_model_always_evaluates():
         if isinstance(res, Sat):
             sats += 1
             assert eval_formula(phi, res.assignment())
+        # without membership atoms the two encoders emit the same rows
+        kind = {Sat: "sat", Unsat: "unsat", Unsupported: "unsupported"}[type(res)]
+        assert check_sat_length_abstraction(phi, "ab") == kind
     assert sats >= 40
+
+
+def test_failed_recheck_raises_under_optimize():
+    # the re-check must not be an assert that python -O strips
+    script = (
+        "import wordeq.solver as s\n"
+        "from wordeq.terms import Lit, Var, WordEq\n"
+        "s.eval_formula = lambda phi, assignment: False\n"
+        "print(s.check_sat(WordEq(Var('X'), Lit('a')), 'ab'))\n"
+    )
+    src = str(Path(wordeq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "AssertionError" in proc.stderr
 
 
 def test_disjunction_picks_live_branch():
