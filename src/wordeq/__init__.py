@@ -9,7 +9,6 @@ two-counter machines to universally quantified word-equation sentences.
 """
 
 from .errors import (
-    AlphabetMismatch,
     CoefficientOverflow,
     LetterOutsideAlphabet,
     ResourceExhausted,
@@ -60,7 +59,6 @@ from .twocounter import (
 )
 
 __all__ = [
-    "AlphabetMismatch",
     "And",
     "Accepted",
     "Assignment",

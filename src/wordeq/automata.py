@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .errors import AlphabetMismatch, LetterOutsideAlphabet, UnfixedPartPresent
+from .errors import LetterOutsideAlphabet, UnfixedPartPresent
 from .paramwords import Const, ParamWord, Power, Unfixed
 from .terms import (
     Regex,
@@ -228,65 +228,6 @@ def dfa_complement(d: Dfa) -> Dfa:
     )
 
 
-def dfa_intersect(a: Dfa, b: Dfa) -> Dfa:
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"{a.alphabet!r} vs {b.alphabet!r}")
-    ids: dict[tuple[int, int], int] = {(a.initial, b.initial): 0}
-    order = [(a.initial, b.initial)]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        qa, qb = order[i]
-        row = []
-        for k in range(len(a.alphabet)):
-            tgt = (a.transitions[qa][k], b.transitions[qb][k])
-            if tgt not in ids:
-                ids[tgt] = len(order)
-                order.append(tgt)
-            row.append(ids[tgt])
-        rows.append(row)
-        i += 1
-    accepting = frozenset(
-        ids[p] for p in order if p[0] in a.accepting and p[1] in b.accepting
-    )
-    return Dfa(
-        alphabet=a.alphabet,
-        transitions=tuple(tuple(r) for r in rows),
-        initial=0,
-        accepting=accepting,
-    )
-
-
-def dfa_is_empty(d: Dfa) -> tuple[bool, str | None]:
-    """(emptiness, witness).  The witness is the shortest accepted word,
-    lexicographically least in alphabet order among the shortest."""
-    if d.initial in d.accepting:
-        return False, ""
-    parents: dict[int, tuple[int, str]] = {}
-    seen = {d.initial}
-    frontier = [d.initial]
-    while frontier:
-        nxt: list[int] = []
-        for q in frontier:
-            for k, ch in enumerate(d.alphabet):
-                t = d.transitions[q][k]
-                if t in seen:
-                    continue
-                seen.add(t)
-                parents[t] = (q, ch)
-                if t in d.accepting:
-                    path = [ch]
-                    cur = q
-                    while cur != d.initial:
-                        p, c = parents[cur]
-                        path.append(c)
-                        cur = p
-                    return False, "".join(reversed(path))
-                nxt.append(t)
-        frontier = nxt
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # automaton back to an expression (used for complementing regexes)
 
@@ -346,16 +287,6 @@ class UPSet:
 
     progs: frozenset[tuple[int, int]]
 
-    def members_upto(self, bound: int) -> set[int]:
-        out: set[int] = set()
-        for o, p in self.progs:
-            if p == 0:
-                if o <= bound:
-                    out.add(o)
-            else:
-                out.update(range(o, bound + 1, p))
-        return out
-
 
 def _prog_member(n: int, prog: tuple[int, int]) -> bool:
     o, p = prog
@@ -388,10 +319,6 @@ def upset(pairs) -> UPSet:
 
 def upset_member(s: UPSet, n: int) -> bool:
     return any(_prog_member(n, prog) for prog in s.progs)
-
-
-def upset_union(a: UPSet, b: UPSet) -> UPSet:
-    return upset(a.progs | b.progs)
 
 
 def upset_is_empty(s: UPSet) -> bool:

@@ -17,7 +17,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .bench import analyze_corpus
+from .corpus import analyze_corpus
 from .errors import ResourceExhausted, WordeqError
 from .oracle import NoModelUpTo, SatWith, brute_force_sat
 from .parser import ParseError, parse_2cm, parse_problem

@@ -13,17 +13,13 @@ class LetterOutsideAlphabet(WordeqError):
     """A literal uses a letter not in the declared alphabet."""
 
 
-class AlphabetMismatch(WordeqError):
-    """Two automata with different alphabets were combined."""
-
-
 class UnfixedPartPresent(WordeqError):
     """A parametric word with unfixed parts reached an operation
     that is only defined for fully fixed words."""
 
 
 class ResourceExhausted(WordeqError):
-    """A search exceeded its configured node budget."""
+    """A search or expansion ran out of one of its limits."""
 
 
 class CoefficientOverflow(WordeqError):

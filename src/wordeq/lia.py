@@ -23,6 +23,9 @@ from .lengths import LinVar, Row
 
 _INT64 = 2**63 - 1
 
+# The most branch-and-bound nodes one call explores.
+MAX_NODES = 10**6
+
 _ColRow = tuple[dict[int, int], int]  # sparse coeffs over columns, bound
 
 
@@ -224,7 +227,7 @@ def _small_model_bound(les: list[_ColRow], ncols: int) -> int:
     return (ncols + 2) * ((m + 2) * amax) ** (2 * m + 3)
 
 
-def lia_sat(rows: list[Row], node_cap: int = 10**6) -> dict[LinVar, int] | None:
+def lia_sat(rows: list[Row]) -> dict[LinVar, int] | None:
     """A nonnegative-integer model of the rows (``int`` kind ranging over
     all integers), or None when none exists."""
     _validate(rows)
@@ -290,7 +293,7 @@ def lia_sat(rows: list[Row], node_cap: int = 10**6) -> dict[LinVar, int] | None:
         nodes = 0
         while stack:
             nodes += 1
-            if nodes > node_cap:
+            if nodes > MAX_NODES:
                 raise ResourceExhausted("integer search exceeded its node budget")
             box = stack.pop()
             rows_here = list(base_les)

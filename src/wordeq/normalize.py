@@ -12,6 +12,7 @@ Negated atoms are rewritten into positive ones:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .automata import dfa_complement, dfa_to_regex, regex_to_dfa
 from .errors import ResourceExhausted
@@ -34,11 +35,21 @@ from .terms import (
 
 Atom = WordEq | LenLeq | InRe
 
+# The most disjuncts ``to_dnf`` builds for a formula, and the most positive
+# conjunctions ``eliminate_negations`` builds for one of them.
+MAX_DISJUNCTS = 100_000
+
 
 @dataclass(frozen=True)
 class Literal:
     atom: Atom
     positive: bool
+
+
+def _within_limit(size: int, reason: str) -> None:
+    """Called with the size of a disjunction before it is built."""
+    if size > MAX_DISJUNCTS:
+        raise ResourceExhausted(reason)
 
 
 def _nnf(phi: Formula, positive: bool) -> Formula:
@@ -53,24 +64,27 @@ def _nnf(phi: Formula, positive: bool) -> Formula:
     return phi if positive else Not(phi)
 
 
-def to_dnf(phi: Formula, max_disjuncts: int = 100_000) -> list[list[Literal]]:
-    """Disjunction of conjunctions of literals, equivalent to ``phi``."""
+def to_dnf(phi: Formula) -> list[list[Literal]]:
+    """Disjunction of conjunctions of literals, equivalent to ``phi``.
+
+    Raises ResourceExhausted, before building it, when some disjunction
+    along the way would have more than ``MAX_DISJUNCTS`` members.
+    """
 
     def walk(f: Formula) -> list[list[Literal]]:
         if isinstance(f, Or):
             out: list[list[Literal]] = []
             for p in f.parts:
-                out.extend(walk(p))
-                if len(out) > max_disjuncts:
-                    raise ResourceExhausted("disjunctive normal form too large")
+                branch = walk(p)
+                _within_limit(len(out) + len(branch), "disjunctive normal form too large")
+                out.extend(branch)
             return out
         if isinstance(f, And):
             acc: list[list[Literal]] = [[]]
             for p in f.parts:
                 branch = walk(p)
+                _within_limit(len(acc) * len(branch), "disjunctive normal form too large")
                 acc = [c + d for c in acc for d in branch]
-                if len(acc) > max_disjuncts:
-                    raise ResourceExhausted("disjunctive normal form too large")
             return acc
         if isinstance(f, Not):
             assert isinstance(f.inner, (WordEq, LenLeq, InRe))
@@ -109,7 +123,8 @@ def eliminate_negations(
 
     The result is a disjunction: the conjunction of the input literals is
     satisfiable (over words in the given alphabet) iff some returned
-    conjunction of positive atoms is.
+    conjunction of positive atoms is.  More than ``MAX_DISJUNCTS`` of them
+    raise ResourceExhausted before any is built.
     """
     alternatives: list[list[list[Atom]]] = []
     for lit in conjunct:
@@ -132,6 +147,7 @@ def eliminate_negations(
             assert isinstance(atom, WordEq)
             alternatives.append(_negate_word_eq(atom, alphabet, gen))
 
+    _within_limit(prod(map(len, alternatives)), "negation elimination too large")
     out: list[list[Atom]] = [[]]
     for alts in alternatives:
         out = [acc + choice for acc in out for choice in alts]

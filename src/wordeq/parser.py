@@ -56,6 +56,11 @@ from .terms import (
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
+# The deepest parenthesis nesting read.  The parser and the layers behind
+# it (normalization, evaluation, printing) recurse once per level, so
+# deeper input is a ParseError rather than a crash.
+MAX_DEPTH = 256
+
 
 class ParseError(WordeqError):
     def __init__(self, message: str, line: int, col: int) -> None:
@@ -157,11 +162,13 @@ def read_sexprs(text: str) -> list[SExpr]:
     tokens = list(tokenize(text))
     pos = 0
 
-    def read_one() -> SExpr:
+    def read_one(depth: int) -> SExpr:
         nonlocal pos
         tok = tokens[pos]
         pos += 1
         if tok.kind == "(":
+            if depth >= MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.line, tok.col)
             items: list[SExpr] = []
             while True:
                 if pos >= len(tokens):
@@ -169,14 +176,14 @@ def read_sexprs(text: str) -> list[SExpr]:
                 if tokens[pos].kind == ")":
                     pos += 1
                     return SList(tuple(items), tok.line, tok.col)
-                items.append(read_one())
+                items.append(read_one(depth + 1))
         if tok.kind == ")":
             raise ParseError("unexpected closing parenthesis", tok.line, tok.col)
         return SAtom(tok)
 
     out: list[SExpr] = []
     while pos < len(tokens):
-        out.append(read_one())
+        out.append(read_one(0))
     return out
 
 

@@ -24,9 +24,11 @@ The rules, tried in this order on every pending equation:
 * peel: a power at the head of a side splits into "zero repetitions"
   and "one repetition unrolled", re-parameterizing globally
 
-Straddling and peeling can grow the system, so they draw from a budget;
-every other step strictly shrinks the measure (variables, parameters,
-symbols).  An exhausted budget reports OutOfFragment rather than looping.
+Straddling and peeling can grow the system, so they draw from a budget
+of ``GROWTH_BUDGET`` steps per branch; every other step strictly shrinks
+the measure (variables, parameters, symbols).  An exhausted budget, more
+than ``MAX_BRANCHES`` branch states, or more than ``MAX_GROUND_MATCHES``
+ways to ground an equation report OutOfFragment rather than looping.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ class VarItem:
 
 Item = Const | Power | VarItem
 Side = tuple[Item, ...]
+
+# straddle and peel steps along any one branch
+GROWTH_BUDGET = 8
+# branch states one call explores
+MAX_BRANCHES = 10_000
+# ways to match a pattern side against a constant side
+MAX_GROUND_MATCHES = 1024
 
 
 def side(items: Iterable[Item]) -> Side:
@@ -443,16 +452,16 @@ def _match_pattern(
     """All ways to match a pattern side against a constant word.
 
     Repeated variables and parameters must match consistently.  Returns
-    None when more than ``cap`` matches would be enumerated.
+    None when there are more than ``cap`` matches.
     """
     out: list[tuple[dict[str, str], dict[str, int]]] = []
     n = len(word)
 
     def bt(pos: int, idx: int, venv: dict[str, str], penv: dict[str, int]) -> bool:
-        if len(out) > cap:
-            return False
         if idx == len(items):
             if pos == n:
+                if len(out) == cap:
+                    return False
                 out.append((dict(venv), dict(penv)))
             return True
         it = items[idx]
@@ -497,7 +506,7 @@ def _rule_ground(st: _State, idx: int, gen: NameGen) -> _Step | None:
         if not all(isinstance(it, Const) for it in b):
             continue
         word = b[0].word if b else ""
-        matches = _match_pattern(a, word, cap=1024)
+        matches = _match_pattern(a, word, MAX_GROUND_MATCHES)
         if matches is None:
             return ("oof", "ground matching has too many cases")
         if not matches:
@@ -576,15 +585,11 @@ def to_solved_form(
     eqs: Iterable[WordEq],
     variables: Iterable[str] = (),
     gen: NameGen | None = None,
-    budget: int = 8,
-    max_branches: int = 10_000,
 ) -> list[SolvedForm] | Unsat | OutOfFragment:
     """Solve a conjunction of word equations.
 
     ``variables`` may list names that must appear in every solved form
-    even when no equation mentions them.  ``budget`` bounds the
-    straddle/peel steps along any one branch; ``max_branches`` bounds the
-    total number of branch states explored.
+    even when no equation mentions them.
     """
     all_vars: set[str] = set(variables)
     pending: list[tuple[Side, Side]] = []
@@ -597,13 +602,13 @@ def to_solved_form(
     else:
         gen.reserve(all_vars)
 
-    stack = [_State(pending, {}, budget)]
+    stack = [_State(pending, {}, GROWTH_BUDGET)]
     solved: list[SolvedForm] = []
     explored = 0
     while stack:
         st = stack.pop()
         explored += 1
-        if explored > max_branches:
+        if explored > MAX_BRANCHES:
             return OutOfFragment("branch budget exhausted")
         verdict: _Step | None = ("again", None)
         while verdict is not None and verdict[0] == "again":

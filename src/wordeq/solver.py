@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Callable
 
 from .automata import (
@@ -78,6 +79,10 @@ class Unsupported:
 
 Verdict = Sat | Unsat | Unsupported
 
+# The most row groups the membership atoms under one solved form may expand
+# into; an encoder raises ResourceExhausted before building more.
+MAX_MEMBERSHIP_GROUPS = 20_000
+
 # membership atoms under a solved form -> row groups (a disjunction; empty
 # when some atom can never hold) or an unsupported-reason
 Encoder = Callable[[list[InRe], SolvedForm, str, NameGen], list[list[Row]] | str]
@@ -121,10 +126,10 @@ def _regex_row_groups(
             upset_rows({param_var(p): 1}, 0, s, gen)
             for p, s in sorted(merged.items())
         ]
+        if len(groups) + prod(map(len, per_param)) > MAX_MEMBERSHIP_GROUPS:
+            raise ResourceExhausted("too many membership branches")
         for combo in product(*per_param):
             groups.append([row for group in combo for row in group])
-        if len(groups) > 20_000:
-            raise ResourceExhausted("too many membership branches")
     return groups
 
 
@@ -143,6 +148,8 @@ def _length_row_groups(
         alts = upset_rows(coeffs, const, lengths, gen)
         if not alts:
             return []
+        if len(groups) * len(alts) > MAX_MEMBERSHIP_GROUPS:
+            raise ResourceExhausted("too many membership branches")
         groups = [g + alt for g in groups for alt in alts]
     return groups
 
@@ -154,7 +161,12 @@ def _decide(
     accept: Callable[[SolvedForm, dict[LinVar, int]], Sat | None],
 ) -> Verdict:
     """The decision loop.  ``accept`` turns a model of one branch's rows
-    into a Sat verdict, or None to keep searching."""
+    into a Sat verdict, or None to keep searching.
+
+    A branch that leaves the fragment or runs out of a limit is blocked:
+    the others still run, and the verdict is Unsupported only when none
+    of them is Sat and some branch was blocked.
+    """
     stray = formula_letters(phi) - set(alphabet)
     if stray:
         raise LetterOutsideAlphabet(
@@ -162,33 +174,46 @@ def _decide(
         )
     svars, ivars = free_vars(phi)
     gen = NameGen(svars | ivars)
-    blocked: str | None = None
     try:
-        for conjunct in to_dnf(phi):
-            for atoms in eliminate_negations(conjunct, alphabet, gen):
-                eqs = [a for a in atoms if isinstance(a, WordEq)]
-                lens = [a for a in atoms if isinstance(a, LenLeq)]
-                res = [a for a in atoms if isinstance(a, InRe)]
-                solved = to_solved_form(eqs, variables=svars, gen=gen)
-                if isinstance(solved, Unsat):
-                    continue
-                if isinstance(solved, OutOfFragment):
-                    blocked = blocked or solved.reason
-                    continue
-                for sf in solved:
-                    rows = implied_length_constraints(sf)
-                    rows.extend(translate_len_atom(a) for a in lens)
-                    groups = encode(res, sf, alphabet, gen)
-                    if isinstance(groups, str):
-                        blocked = blocked or groups
-                        continue
-                    for extra in groups:
-                        model = lia_sat(rows + extra)
-                        sat = None if model is None else accept(sf, model)
-                        if sat is not None:
-                            return sat
+        conjuncts = to_dnf(phi)
     except ResourceExhausted as exc:
         return Unsupported(str(exc))
+    blocked: str | None = None
+    for conjunct in conjuncts:
+        try:
+            branches = eliminate_negations(conjunct, alphabet, gen)
+        except ResourceExhausted as exc:
+            blocked = blocked or str(exc)
+            continue
+        for atoms in branches:
+            eqs = [a for a in atoms if isinstance(a, WordEq)]
+            lens = [a for a in atoms if isinstance(a, LenLeq)]
+            res = [a for a in atoms if isinstance(a, InRe)]
+            solved = to_solved_form(eqs, variables=svars, gen=gen)
+            if isinstance(solved, Unsat):
+                continue
+            if isinstance(solved, OutOfFragment):
+                blocked = blocked or solved.reason
+                continue
+            for sf in solved:
+                rows = implied_length_constraints(sf)
+                rows.extend(translate_len_atom(a) for a in lens)
+                try:
+                    groups = encode(res, sf, alphabet, gen)
+                except ResourceExhausted as exc:
+                    groups = str(exc)
+                if isinstance(groups, str):
+                    blocked = blocked or groups
+                    continue
+                for extra in groups:
+                    try:
+                        model = lia_sat(rows + extra)
+                    except ResourceExhausted as exc:
+                        blocked = blocked or str(exc)
+                        continue
+                    sat = None if model is None else accept(sf, model)
+                    if sat is not None:
+                        return sat
     if blocked is not None:
         return Unsupported(blocked)
     return Unsat()
@@ -222,8 +247,8 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
 
     Sound for both answers: a Sat verdict carries a model that was
     re-checked by evaluation, an Unsat verdict means every branch was
-    refuted.  Inputs outside the supported fragment (or beyond the
-    rewriting budgets) come back Unsupported instead of a guess.
+    refuted.  Inputs outside the supported fragment (or beyond one of the
+    limits) come back Unsupported instead of a guess.
     """
     svars, ivars = free_vars(phi)
     verdict = _decide(

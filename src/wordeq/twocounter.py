@@ -52,13 +52,16 @@ class NondeterministicDelta(WordeqError):
     """Two rules share the same (state, letter, zero-tests) key."""
 
 
-class MissingTransition(WordeqError):
-    """No rule applies to a reached configuration (strict simulation only)."""
-
-
 class EncodingCapExceeded(WordeqError):
     """The machine is too large for the sentence encoding."""
 
+
+# defect clauses in an encoded sentence
+MAX_CLAUSES = 100_000
+# calls of the witness search behind one bounded validity check
+SEARCH_NODES = 50_000_000
+# ways to match one equation against a ground word in that search
+MAX_WITNESS_MATCHES = 100_000
 
 TRACKS = ("in", "stor1", "stor2")
 MOVES = ("L", "R")
@@ -130,7 +133,6 @@ def simulate(
     m: TwoCounterMachine,
     word: tuple[str, ...] | list[str],
     max_steps: int = 10_000,
-    raise_on_stuck: bool = False,
 ) -> Accepted | Rejected | StillRunning:
     """Run the machine on a nonempty input word."""
     w = tuple(word)
@@ -155,8 +157,6 @@ def simulate(
         )
         row = m.delta.get(key)
         if row is None:
-            if raise_on_stuck:
-                raise MissingTransition(f"no rule for {key}")
             return Rejected(steps=step, reason=f"no rule for {key}")
         q2, track, move = row
         d = 1 if move == "R" else -1
@@ -232,9 +232,7 @@ def _clamp(x: int, lo: int, hi: int) -> int:
     return min(max(x, lo), hi)
 
 
-def encode(
-    m: TwoCounterMachine, word: tuple[str, ...] | list[str], cap: int = 100_000
-) -> Sentence:
+def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
     """Build the sentence whose counterexamples are the accepting run encodings.
 
     The body is a disjunction of defect clauses over the universal S.  A string
@@ -272,6 +270,14 @@ def encode(
 
     # Malformed counter block: a 'b' may never follow a 'c'.
     bad_block = disj(WordEq(S, Lit("")), WordEq(S, concat(S1, c, b, S4)))
+
+    # Each of the 4 |sigma0| contexts below adds at most max(|sigma0|, 5)
+    # step defects.
+    clauses = len(bad_start) + len(bad_end) + 2 + 4 * len(sigma0) * max(len(sigma0), 5)
+    if clauses > MAX_CLAUSES:
+        raise EncodingCapExceeded(
+            f"up to {clauses} defect clauses exceed the limit of {MAX_CLAUSES}"
+        )
 
     # Step defects.  For every configuration context (state, head, zero-tests)
     # anchor the current block as letter + b-run + c-run; U and V stand for
@@ -351,10 +357,6 @@ def encode(
                                 ),
                             )
                         )
-
-    clauses = len(bad_start) + len(bad_end) + 2 + len(violations)
-    if clauses > cap:
-        raise EncodingCapExceeded(f"{clauses} defect clauses exceed the cap of {cap}")
 
     step_defects = conj(
         disj(*violations),
@@ -530,7 +532,7 @@ def _conjunct_sat(
             if target is None:
                 continue
             rest = pending[:i] + pending[i + 1 :]
-            matches = _match_pattern(pattern, target, cap=100_000)
+            matches = _match_pattern(pattern, target, MAX_WITNESS_MATCHES)
             if matches is None:
                 raise ResourceExhausted("pattern match cap exceeded")
             for venv, penv in matches:
@@ -565,24 +567,22 @@ def _compiled_body(s: Sentence) -> list[list[_Eq]]:
     return conjuncts
 
 
-def is_counterexample(s: Sentence, word: str, node_budget: int = 50_000_000) -> bool:
+def is_counterexample(s: Sentence, word: str) -> bool:
     """Does the word defeat every existential witness choice?"""
     assert len(s.universals) == 1, "one universal variable is supported"
     conjuncts = _compiled_body(s)
-    budget = [node_budget]
+    budget = [SEARCH_NODES]
     env = {s.universals[0]: word}
     return not any(
         _conjunct_sat(eqs, env, s.alphabet, len(word), budget) for eqs in conjuncts
     )
 
 
-def _counterexamples(
-    s: Sentence, max_len: int, limit: int | None, node_budget: int
-) -> list[str]:
+def _counterexamples(s: Sentence, max_len: int, limit: int | None) -> list[str]:
     assert len(s.universals) == 1, "one universal variable is supported"
     universal = s.universals[0]
     conjuncts = _compiled_body(s)
-    budget = [node_budget]
+    budget = [SEARCH_NODES]
     found: list[str] = []
     for word in _iter_words(s.alphabet, max_len):
         env = {universal: word}
@@ -597,7 +597,7 @@ def _counterexamples(
 
 
 def bounded_validity_check(
-    s: Sentence, max_len: int, node_budget: int = 50_000_000
+    s: Sentence, max_len: int
 ) -> Counterexample | NoCounterexampleUpTo:
     """Search for a universal value of length <= max_len with no witness.
 
@@ -605,14 +605,12 @@ def bounded_validity_check(
     length of the universal value; in the encoded sentences every witness
     is a piece of it.
     """
-    found = _counterexamples(s, max_len, limit=1, node_budget=node_budget)
+    found = _counterexamples(s, max_len, limit=1)
     if found:
         return Counterexample(found[0])
     return NoCounterexampleUpTo(max_len)
 
 
-def enumerate_counterexamples(
-    s: Sentence, max_len: int, node_budget: int = 50_000_000
-) -> list[str]:
+def enumerate_counterexamples(s: Sentence, max_len: int) -> list[str]:
     """All counterexamples up to the length bound, shortest first."""
-    return _counterexamples(s, max_len, limit=None, node_budget=node_budget)
+    return _counterexamples(s, max_len, limit=None)

@@ -16,7 +16,7 @@ from wordeq.automata import (
     regex_to_dfa,
     upset_member,
 )
-from wordeq.bench import analyze_corpus, generate_corpus
+from wordeq.corpus import analyze_corpus, generate_corpus
 from wordeq.errors import ResourceExhausted
 from wordeq.lengths import (
     Row,

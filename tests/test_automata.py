@@ -9,8 +9,6 @@ from helpers import accepted_lengths_bfs, matches_by_derivative, random_regex, r
 from wordeq.automata import (
     Dfa,
     dfa_complement,
-    dfa_intersect,
-    dfa_is_empty,
     dfa_to_regex,
     length_set,
     param_membership,
@@ -20,9 +18,8 @@ from wordeq.automata import (
     upset_intersect,
     upset_is_empty,
     upset_member,
-    upset_union,
 )
-from wordeq.errors import AlphabetMismatch, LetterOutsideAlphabet, UnfixedPartPresent
+from wordeq.errors import LetterOutsideAlphabet, UnfixedPartPresent
 from wordeq.paramwords import Const, Power, Unfixed, instantiate, param_word
 from wordeq.terms import ReConcat, ReEpsilon, ReLit, ReStar, ReUnion
 
@@ -31,6 +28,10 @@ def words_upto(sigma: str, n: int):
     for ln in range(n + 1):
         for tup in product(sigma, repeat=ln):
             yield "".join(tup)
+
+
+def members_upto(s, bound: int) -> set[int]:
+    return {n for n in range(bound + 1) if upset_member(s, n)}
 
 
 def test_regex_match_golden():
@@ -88,51 +89,13 @@ def test_complement_flips_membership():
             assert c.accepts(w) == (not d.accepts(w))
 
 
-def test_intersect_is_conjunction():
-    rng = random.Random(104)
-    for _ in range(40):
-        d1 = regex_to_dfa(random_regex(rng, "ab", 2), "ab")
-        d2 = regex_to_dfa(random_regex(rng, "ab", 2), "ab")
-        d = dfa_intersect(d1, d2)
-        for w in words_upto("ab", 5):
-            assert d.accepts(w) == (d1.accepts(w) and d2.accepts(w))
-
-
-def test_intersect_rejects_mismatched_alphabets():
-    d1 = regex_to_dfa(ReLit("a"), "ab")
-    d2 = regex_to_dfa(ReLit("a"), "ac")
-    with pytest.raises(AlphabetMismatch):
-        dfa_intersect(d1, d2)
-
-
-def test_is_empty_witness_is_shortest():
-    d = regex_to_dfa(ReConcat((ReStar(ReLit("a")), ReLit("ba"))), "ab")
-    empty, w = dfa_is_empty(d)
-    assert not empty and w == "ba"
-    # a ∩ b is empty
-    e = dfa_intersect(regex_to_dfa(ReLit("a"), "ab"), regex_to_dfa(ReLit("b"), "ab"))
-    assert dfa_is_empty(e) == (True, None)
-
-
-def test_is_empty_witness_verified():
-    rng = random.Random(105)
-    for _ in range(60):
-        d = regex_to_dfa(random_regex(rng, "ab", 3), "ab")
-        empty, w = dfa_is_empty(d)
-        if empty:
-            assert all(not d.accepts(u) for u in words_upto("ab", 6))
-        else:
-            assert d.accepts(w)
-            assert all(not d.accepts(u) for u in words_upto("ab", len(w) - 1))
-
-
 def test_dfa_to_regex_roundtrip():
     rng = random.Random(106)
     for _ in range(40):
         d = regex_to_dfa(random_regex(rng, "ab", 2), "ab")
         r = dfa_to_regex(d)
         if r is None:
-            assert dfa_is_empty(d)[0]
+            assert upset_is_empty(length_set(d))
             continue
         for w in words_upto("ab", 5):
             assert regex_match(r, w) == d.accepts(w), (r, w)
@@ -166,26 +129,21 @@ def test_upset_ops_match_membership():
         a = upset([(rng.randint(0, 6), rng.choice((0, 1, 2, 3, 4))) for _ in range(rng.randint(0, 3))])
         b = upset([(rng.randint(0, 6), rng.choice((0, 1, 2, 3, 4))) for _ in range(rng.randint(0, 3))])
         inter = upset_intersect(a, b)
-        union = upset_union(a, b)
         for n in range(40):
             am, bm = upset_member(a, n), upset_member(b, n)
             assert upset_member(inter, n) == (am and bm)
-            assert upset_member(union, n) == (am or bm)
-        assert inter.members_upto(40) == {
-            n for n in range(41) if upset_member(inter, n)
-        }
 
 
 def test_length_set_golden():
     # (ab|ba)(ab)*a accepts exactly the odd lengths >= 3
     r = ReConcat((ReUnion((ReLit("ab"), ReLit("ba"))), ReStar(ReLit("ab")), ReLit("a")))
     s = length_set(regex_to_dfa(r, "ab"))
-    assert s.members_upto(11) == {3, 5, 7, 9, 11}
+    assert members_upto(s, 11) == {3, 5, 7, 9, 11}
     # a* accepts every length
-    assert length_set(regex_to_dfa(ReStar(ReLit("a")), "a")).members_upto(20) == set(range(21))
+    assert members_upto(length_set(regex_to_dfa(ReStar(ReLit("a")), "a")), 20) == set(range(21))
     # the empty language has no lengths
-    e = dfa_intersect(regex_to_dfa(ReLit("a"), "ab"), regex_to_dfa(ReLit("b"), "ab"))
-    assert upset_is_empty(length_set(e))
+    universal = regex_to_dfa(ReStar(ReUnion((ReLit("a"), ReLit("b")))), "ab")
+    assert upset_is_empty(length_set(dfa_complement(universal)))
 
 
 def test_length_set_vs_reachability():
@@ -193,7 +151,7 @@ def test_length_set_vs_reachability():
     for _ in range(80):
         d = regex_to_dfa(random_regex(rng, "ab", 3), "ab")
         s = length_set(d)
-        assert s.members_upto(30) == accepted_lengths_bfs(d, 30)
+        assert members_upto(s, 30) == accepted_lengths_bfs(d, 30)
 
 
 def test_param_membership_golden():

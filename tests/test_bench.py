@@ -1,6 +1,6 @@
 """Tests for corpus statistics over problem files."""
 
-from wordeq.bench import CorpusStats, FileStats, analyze_corpus, analyze_file, generate_corpus
+from wordeq.corpus import CorpusStats, FileStats, analyze_corpus, analyze_file, generate_corpus
 
 MIXED = """\
 (set-alphabet "ab")

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
+from wordeq import cli
 from wordeq.cli import main
+from wordeq.parser import MAX_DEPTH
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -45,19 +48,78 @@ def test_solve_missing_file(capsys):
     assert err.startswith("error:")
 
 
-def test_crash_exits_4_not_unsat(capsys, tmp_path):
-    body = '(= X "a")'
-    for _ in range(5000):
-        body = f"(and {body})"
-    deep = tmp_path / "deep.eq"
-    deep.write_text(
-        f'(set-alphabet "ab")\n(declare-const X String)\n(assert {body})\n(check-sat)\n'
-    )
-    code, out, err = run(capsys, "solve", str(deep))
+def test_crash_exits_4_not_unsat(capsys, monkeypatch):
+    def crash(phi, alphabet):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_sat", crash)
+    code, out, err = run(capsys, "solve", str(SAMPLES / "conjugate.eq"))
     assert code == 4
     assert out == ""
-    assert err.startswith("internal error: RecursionError")
+    assert err.startswith("internal error: RuntimeError: boom")
     assert "Traceback" in err
+
+
+def _nested_problem(path: Path, depth: int) -> Path:
+    """A problem whose assert nests ``depth`` parentheses deep, alternating
+    ``and`` and ``or`` so that no layer flattens the nesting away."""
+    body = '(= X "a")'
+    for i in range(depth - 2):
+        body = f'({"and" if i % 2 else "or"} (= X "a") {body})'
+    path.write_text(
+        f'(set-alphabet "ab")\n(declare-const X String)\n(assert {body})\n(check-sat)\n'
+    )
+    return path
+
+
+def test_nesting_at_the_limit_solves(capsys, tmp_path):
+    code, out, _ = run(capsys, "solve", str(_nested_problem(tmp_path / "deep.eq", MAX_DEPTH)))
+    assert code == 0
+    assert out == "sat\n"
+
+
+def test_nesting_past_the_limit_exits_3(capsys, tmp_path):
+    deep = _nested_problem(tmp_path / "deep.eq", MAX_DEPTH + 1)
+    code, out, err = run(capsys, "solve", str(deep))
+    assert code == 3
+    assert out == ""
+    # the innermost connective holds the first parenthesis one level too deep
+    col = deep.read_text().splitlines()[2].index('(= X "a") (= X "a")') + 1
+    assert err == f"error: line 3, column {col}: nesting deeper than {MAX_DEPTH}\n"
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_expansions_fail_closed_before_they_allocate(tmp_path):
+    header = '(set-alphabet "ab")\n' + "".join(
+        f"(declare-const {v}{i} String)\n" for v in "XYZ" for i in range(12)
+    )
+
+    def block(v):  # an or of 9 ands of 4 ors of 10 atoms: 9 * 10^4 disjuncts
+        ors = " ".join(
+            "(or " + " ".join(f'(= {v}{i} "{"a" * n}")' for n in range(10)) + ")"
+            for i in range(4)
+        )
+        return f"(or {' '.join([f'(and {ors})'] * 9)})"
+
+    dnf = tmp_path / "dnf.eq"
+    dnf.write_text(header + f"(assert (and {block('X')} {block('Y')}))\n(check-sat)\n")
+    # twelve negated equations: 4^12 positive branches
+    negs = " ".join(f'(not (= (str.++ Z{i} "ab") (str.++ "ba" Z{i})))' for i in range(12))
+    neg = tmp_path / "neg.eq"
+    neg.write_text(header + f"(assert (and {negs}))\n(check-sat)\n")
+    for path, reason in ((dnf, "disjunctive normal form"), (neg, "negation elimination")):
+        done = subprocess.run(
+            [sys.executable, "-m", "wordeq", "solve", str(path)],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_memory,
+            timeout=10,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == f"unsupported: {reason} too large\n"
 
 
 def test_usage_errors_exit_3(capsys):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from helpers import random_regex, random_word
+from wordeq import normalize
 from wordeq.errors import ResourceExhausted
 from wordeq.normalize import Literal, eliminate_negations, to_dnf
 from wordeq.semantics import Assignment, eval_formula
@@ -98,7 +99,8 @@ def test_to_dnf_equivalent():
             assert eval_formula(phi, a) == eval_formula(psi, a), phi
 
 
-def test_to_dnf_size_cap():
+def test_to_dnf_size_cap(monkeypatch):
+    monkeypatch.setattr(normalize, "MAX_DISJUNCTS", 1000)
     # (a1 | b1) & ... & (an | bn) explodes to 2^n disjuncts
     big = conj(
         *[
@@ -107,7 +109,12 @@ def test_to_dnf_size_cap():
         ]
     )
     with pytest.raises(ResourceExhausted):
-        to_dnf(big, max_disjuncts=1000)
+        to_dnf(big)
+    # each negated equation over "ab" has four positive alternatives: 4^5 > 1000
+    negated = [Literal(WordEq(Var(f"X{i}"), Lit("a")), False) for i in range(5)]
+    assert len(eliminate_negations(negated[:4], "ab", NameGen())) == 4**4
+    with pytest.raises(ResourceExhausted):
+        eliminate_negations(negated, "ab", NameGen())
 
 
 def test_eliminate_negations_length():

@@ -216,9 +216,10 @@ def test_rule_that_does_not_shrink_is_caught(monkeypatch):
         to_solved_form([WordEq(concat(Var("X"), Lit("a")), concat(Lit("a"), Var("X")))])
 
 
-def test_branch_budget_reports_out_of_fragment():
+def test_branch_budget_reports_out_of_fragment(monkeypatch):
+    monkeypatch.setattr(solved_form, "MAX_BRANCHES", 1)
     eqs = [
         WordEq(concat(Var("X"), Lit("a"), Var("Y")), concat(Var("Y"), Lit("a"), Var("X")))
     ]
-    res = to_solved_form(eqs, max_branches=1)
+    res = to_solved_form(eqs)
     assert isinstance(res, OutOfFragment)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wordeq import twocounter
 from wordeq.errors import ResourceExhausted
 from wordeq.terms import Concat, Lit, Not, Var, WordEq, concat, conj, disj, free_vars
 from wordeq.twocounter import (
@@ -11,7 +12,6 @@ from wordeq.twocounter import (
     Counterexample,
     EncodingCapExceeded,
     MachineId,
-    MissingTransition,
     NoCounterexampleUpTo,
     NondeterministicDelta,
     Rejected,
@@ -112,12 +112,6 @@ def test_simulate_zoo_verdicts():
     assert "no rule" in r5.reason
 
 
-def test_simulate_raise_on_stuck():
-    z5, w5 = zoo()[4]
-    with pytest.raises(MissingTransition):
-        simulate(z5, w5, raise_on_stuck=True)
-
-
 def test_simulate_detects_revisited_configuration():
     # Two states bounce the clamped head; the start configuration recurs.
     m = TwoCounterMachine(
@@ -215,14 +209,15 @@ def test_encode_body_contains_expected_clauses():
     )
 
 
-def test_encode_rejects_bad_inputs():
+def test_encode_rejects_bad_inputs(monkeypatch):
     z1, _ = zoo()[0]
     with pytest.raises(AssertionError):
         encode(z1, ())
     with pytest.raises(AssertionError):
         encode(z1, ("z",))
+    monkeypatch.setattr(twocounter, "MAX_CLAUSES", 3)
     with pytest.raises(EncodingCapExceeded):
-        encode(z1, ("a",), cap=3)
+        encode(z1, ("a",))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +249,12 @@ def test_tautological_body_has_no_counterexamples():
     assert bounded_validity_check(s, 3) == NoCounterexampleUpTo(3)
 
 
-def test_node_budget_exhaustion():
+def test_node_budget_exhaustion(monkeypatch):
     z3, w3 = zoo()[2]
     s = encode(z3, w3)
+    monkeypatch.setattr(twocounter, "SEARCH_NODES", 10)
     with pytest.raises(ResourceExhausted):
-        bounded_validity_check(s, 4, node_budget=10)
+        bounded_validity_check(s, 4)
 
 
 def _updown_machine() -> tuple[TwoCounterMachine, tuple[str, ...], str]:
