@@ -1,16 +1,33 @@
 """Exact integer feasibility for conjunctions of linear rows.
 
-The search is complete: preprocessing removes divisibility-infeasible
-equalities and tightens inequalities by their coefficient gcd, unit
-equalities are eliminated by exact substitution, and the rest goes to
-branch-and-bound over an exact-rational phase-1 simplex (Bland's rule, so
-every LP call terminates).  Ceiling branches beyond the small-model bound
-are pruned, which keeps the tree finite without giving up completeness;
-a node budget turns pathological instances into ResourceExhausted instead
-of a silent wrong answer.
-
 All unknowns are nonnegative except ``int``-kind variables, which are
 internally split into a difference of two nonnegative columns.
+
+The search is complete.  Every row is normalised once: equalities whose
+coefficient gcd does not divide the bound are refuted and inequalities
+are tightened by their gcd.  Equalities with a +-1 coefficient are then
+eliminated by exact substitution, and only the rows a substitution
+touched are normalised again.
+
+The remaining rows split into independent blocks, the connected
+components of the rows over their columns; the two columns of a split
+unknown always share a block.  Each block is decided on its own by
+branch and bound, and the first infeasible block refutes the call.
+Ceiling branches beyond the block's small-model bound are pruned, which
+keeps the tree finite without giving up completeness; ``MAX_NODES``
+bounds the nodes of one call, summed over its blocks, and turns
+pathological instances into ResourceExhausted instead of a silent wrong
+answer.
+
+A block keeps one bounded-variable simplex across all of its nodes
+(Dutertre and de Moura, *A Fast Linear-Arithmetic Solver for DPLL(T)*,
+CAV 2006).  The tableau is built once, with sparse rows and one slack
+per row; a structural column lies in [0, inf), a pinned split column in
+[0, 0], and a slack is <= b for an inequality and = b for an equality.
+A node only moves the column bounds to its box and repairs the current
+basis.  The repair pivots by Bland's rule (the smallest violating basic
+variable, then the smallest eligible nonbasic one), so it terminates.
+Arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -23,10 +40,13 @@ from .lengths import LinVar, Row
 
 _INT64 = 2**63 - 1
 
-# The most branch-and-bound nodes one call explores.
+# The most branch-and-bound nodes one call explores, summed over its blocks.
 MAX_NODES = 10**6
 
 _ColRow = tuple[dict[int, int], int]  # sparse coeffs over columns, bound
+_Box = dict[int, tuple[int, int | None]]  # per-column integer bounds
+# columns, equalities, inequalities and split pairs of one block
+_Block = tuple[list[int], list[_ColRow], list[_ColRow], list[tuple[int, int]]]
 
 
 def _validate(rows: list[Row]) -> None:
@@ -38,57 +58,52 @@ def _validate(rows: list[Row]) -> None:
             raise CoefficientOverflow(f"bound {row.bound} exceeds 64 bits")
 
 
-def _row_gcd(coeffs: dict[int, int]) -> int:
-    g = 0
-    for c in coeffs.values():
-        g = gcd(g, abs(c))
-    return g
-
-
 class _Infeasible(Exception):
     pass
 
 
-def _normalize(
-    eqs: list[_ColRow], les: list[_ColRow]
-) -> tuple[list[_ColRow], list[_ColRow]]:
-    out_eqs: list[_ColRow] = []
-    for coeffs, b in eqs:
-        coeffs = {j: c for j, c in coeffs.items() if c != 0}
-        if not coeffs:
-            if b != 0:
-                raise _Infeasible
-            continue
-        g = _row_gcd(coeffs)
-        if b % g != 0:
+def _normalize(row: _ColRow, eq: bool) -> _ColRow | None:
+    """The row, which has no zero coefficients, divided by their gcd, or
+    None when it has no coefficients and holds; raises _Infeasible when it
+    cannot hold."""
+    coeffs, b = row
+    if not coeffs:
+        if b != 0 if eq else b < 0:
             raise _Infeasible
-        out_eqs.append(({j: c // g for j, c in coeffs.items()}, b // g))
-    out_les: list[_ColRow] = []
-    for coeffs, b in les:
-        coeffs = {j: c for j, c in coeffs.items() if c != 0}
-        if not coeffs:
-            if b < 0:
-                raise _Infeasible
-            continue
-        g = _row_gcd(coeffs)
-        # floor division tightens: g*x <= b  <=>  x <= floor(b/g)
-        out_les.append(({j: c // g for j, c in coeffs.items()}, b // g))
-    return out_eqs, out_les
+        return None
+    g = gcd(*coeffs.values())
+    if g == 1:
+        return row
+    if eq and b % g != 0:
+        raise _Infeasible
+    # floor division tightens: g*x <= b  <=>  x <= floor(b/g)
+    return {j: c // g for j, c in coeffs.items()}, b // g
+
+
+def _normalize_all(rows: list[_ColRow], eq: bool) -> list[_ColRow]:
+    return [r for r in (_normalize(row, eq) for row in rows) if r is not None]
 
 
 def _substitute(
-    row: _ColRow, j: int, const: int, terms: dict[int, int]
-) -> _ColRow:
-    coeffs, b = row
-    if j not in coeffs:
-        return row
-    cj = coeffs[j]
-    out = {k: c for k, c in coeffs.items() if k != j}
-    for k, t in terms.items():
-        out[k] = out.get(k, 0) + cj * t
-        if out[k] == 0:
-            del out[k]
-    return out, b - cj * const
+    rows: list[_ColRow], j: int, const: int, terms: dict[int, int], eq: bool
+) -> list[_ColRow]:
+    """The rows with x_j = const + terms substituted; a row that mentions
+    x_j is normalised again, the others are kept as they are."""
+    out: list[_ColRow] = []
+    for row in rows:
+        coeffs, b = row
+        if j in coeffs:
+            cj = coeffs[j]
+            sub = {k: c for k, c in coeffs.items() if k != j}
+            for k, t in terms.items():
+                sub[k] = sub.get(k, 0) + cj * t
+                if sub[k] == 0:
+                    del sub[k]
+            row = _normalize((sub, b - cj * const), eq)
+            if row is None:
+                continue
+        out.append(row)
+    return out
 
 
 def _eliminate_units(
@@ -96,12 +111,14 @@ def _eliminate_units(
 ) -> tuple[list[_ColRow], list[_ColRow], list[tuple[int, int, dict[int, int]]]]:
     """Remove equalities with a +-1 coefficient by exact substitution.
 
-    Returns the reduced system plus the eliminations (column, constant,
-    terms) in the order they were applied; back-substitute in reverse.
+    Returns the reduced, normalised system plus the eliminations (column,
+    constant, terms) in the order they were applied; back-substitute in
+    reverse.
     """
+    eqs = _normalize_all(eqs, True)
+    les = _normalize_all(les, False)
     elims: list[tuple[int, int, dict[int, int]]] = []
     while True:
-        eqs, les = _normalize(eqs, les)
         pick = None
         for i, (coeffs, b) in enumerate(eqs):
             units = [j for j, c in coeffs.items() if abs(c) == 1]
@@ -115,106 +132,107 @@ def _eliminate_units(
         a = coeffs[j]  # x_j = a*b - sum a*c_k x_k   (a is +-1)
         const = a * b
         terms = {k: -a * c for k, c in coeffs.items() if k != j}
-        eqs = [_substitute(r, j, const, terms) for r in eqs]
-        les = [_substitute(r, j, const, terms) for r in les]
+        eqs = _substitute(eqs, j, const, terms, True)
+        les = _substitute(les, j, const, terms, False)
         # x_j >= 0 must survive the elimination
-        les.append(({k: -t for k, t in terms.items()}, const))
+        les.extend(_normalize_all([({k: -t for k, t in terms.items()}, const)], False))
         elims.append((j, const, terms))
 
 
-def _simplex_feasible(
-    les: list[_ColRow], cols: list[int]
-) -> dict[int, Fraction] | None:
-    """Phase-1 simplex; a vertex of the relaxation or None."""
-    col_pos = {j: k for k, j in enumerate(cols)}
-    n = len(cols)
-    m = len(les)
-    width = n + m  # structural + slack; artificials appended as needed
-    tableau: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    basis: list[int] = []
-    art_cols: list[int] = []
-    for i, (coeffs, b) in enumerate(les):
-        row = [Fraction(0)] * width
-        for j, c in coeffs.items():
-            row[col_pos[j]] = Fraction(c)
-        row[n + i] = Fraction(1)
-        if b >= 0:
-            tableau.append(row)
-            rhs.append(Fraction(b))
-            basis.append(n + i)
-        else:
-            tableau.append([-x for x in row])
-            rhs.append(Fraction(-b))
-            basis.append(-1)  # placeholder, artificial added below
-    for i in range(m):
-        if basis[i] != -1:
-            continue
-        for r in range(m):
-            tableau[r].append(Fraction(1) if r == i else Fraction(0))
-        art_cols.append(width)
-        basis[i] = width
-        width += 1
+class _Simplex:
+    """A bounded-variable simplex over one block.
 
-    art_set = set(art_cols)
-    obj = [Fraction(0)] * width
-    obj_rhs = Fraction(0)
-    for i in range(m):
-        if basis[i] in art_set:
-            for k in range(width):
-                obj[k] += tableau[i][k]
-            obj_rhs += rhs[i]
-    for k in art_cols:
-        obj[k] = Fraction(0)
+    The variables are the block's columns and, numbered after them, one
+    slack per row; Bland's rule orders them by number.  ``rows`` holds one
+    sparse row per basic variable, expressing it over the nonbasic ones;
+    ``value`` satisfies every row, and every nonbasic variable lies within
+    its bounds.
+    """
 
-    dead: set[int] = set()
-    while True:
-        enter = -1
-        for k in range(width):
-            if k in dead or k in art_set and k not in set(basis):
+    def __init__(self, cols: list[int], eqs: list[_ColRow], les: list[_ColRow]) -> None:
+        self.lo: dict[int, int | None] = dict.fromkeys(cols, 0)
+        self.hi: dict[int, int | None] = dict.fromkeys(cols)
+        self.value: dict[int, Fraction] = dict.fromkeys(cols, Fraction(0))
+        # coefficients start as ints and become Fractions as pivots divide
+        self.rows: dict[int, dict[int, Fraction | int]] = {}
+        slack = cols[-1]
+        for rows, eq in ((eqs, True), (les, False)):
+            for coeffs, b in rows:
+                slack += 1
+                self.lo[slack] = b if eq else None
+                self.hi[slack] = b
+                self.value[slack] = Fraction(0)
+                self.rows[slack] = dict(coeffs)
+
+    def set_bounds(self, j: int, lo: int, hi: int | None) -> None:
+        """Bound column j to [lo, hi]; a nonbasic column moves inside."""
+        self.lo[j] = lo
+        self.hi[j] = hi
+        if j in self.rows:
+            return
+        v = self.value[j]
+        if v < lo:
+            self._move(j, lo)
+        elif hi is not None and v > hi:
+            self._move(j, hi)
+
+    def _move(self, j: int, v: int) -> None:
+        """Set nonbasic variable j to v and update the basic ones."""
+        d = v - self.value[j]
+        for i, row in self.rows.items():
+            a = row.get(j)
+            if a is not None:
+                self.value[i] += a * d
+        self.value[j] = Fraction(v)
+
+    def check(self) -> bool:
+        """Repair the basis until every variable is within its bounds
+        (True) or some row shows that the bounds are infeasible (False)."""
+        lo, hi, value = self.lo, self.hi, self.value
+        while True:
+            for i in sorted(self.rows):
+                if lo[i] is not None and value[i] < lo[i]:
+                    target, raise_it = lo[i], True
+                    break
+                if hi[i] is not None and value[i] > hi[i]:
+                    target, raise_it = hi[i], False
+                    break
+            else:
+                return True
+            row = self.rows[i]
+            for j in sorted(row):
+                if (row[j] > 0) == raise_it:  # x_i moves with x_j
+                    if hi[j] is None or value[j] < hi[j]:
+                        break
+                elif lo[j] is None or value[j] > lo[j]:
+                    break
+            else:
+                return False
+            self._pivot(i, j, target)
+
+    def _pivot(self, i: int, j: int, target: int) -> None:
+        """Make basic i nonbasic at ``target`` and nonbasic j basic."""
+        row = self.rows.pop(i)
+        inv = 1 / Fraction(row.pop(j))
+        theta = (target - self.value[i]) * inv
+        self.value[i] = Fraction(target)
+        self.value[j] += theta
+        # x_j = (x_i - sum_k row[k] x_k) / row[j]
+        solved = {i: inv}
+        for k, c in row.items():
+            solved[k] = -c * inv
+        for r, other in self.rows.items():
+            c = other.pop(j, None)
+            if c is None:
                 continue
-            if obj[k] > 0:
-                enter = k
-                break
-        if enter == -1:
-            break
-        leave = -1
-        best: Fraction | None = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave == -1:
-            # the phase-1 objective is bounded below, so this cannot happen
-            raise AssertionError("unbounded phase-1 pivot")
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-                rhs[i] -= f * rhs[leave]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tableau[leave])]
-            obj_rhs -= f * rhs[leave]
-        if basis[leave] in art_set:
-            dead.add(basis[leave])
-        basis[leave] = enter
-
-    if obj_rhs != 0:
-        return None
-    values: dict[int, Fraction] = {}
-    for i in range(m):
-        if basis[i] < n:
-            values[cols[basis[i]]] = rhs[i]
-    return values
+            self.value[r] += c * theta
+            for k, d in solved.items():
+                x = other.get(k, 0) + c * d
+                if x:
+                    other[k] = x
+                else:
+                    other.pop(k, None)
+        self.rows[j] = solved
 
 
 def _small_model_bound(les: list[_ColRow], ncols: int) -> int:
@@ -225,6 +243,82 @@ def _small_model_bound(les: list[_ColRow], ncols: int) -> int:
         amax = max(amax, abs(b))
     m = len(les)
     return (ncols + 2) * ((m + 2) * amax) ** (2 * m + 3)
+
+
+def _blocks(
+    eqs: list[_ColRow], les: list[_ColRow], pairs: list[tuple[int, int]]
+) -> list[_Block]:
+    """The connected components of the rows over their columns, in the
+    order of their smallest column."""
+    parent: dict[int, int] = {}
+
+    def find(j: int) -> int:
+        parent.setdefault(j, j)
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for coeffs, _ in eqs + les:
+        first, *rest = coeffs
+        root = find(first)
+        for k in rest:
+            parent[find(k)] = root
+    pairs = [(jp, jm) for jp, jm in pairs if jp in parent and jm in parent]
+    for jp, jm in pairs:
+        parent[find(jm)] = find(jp)
+
+    blocks: dict[int, _Block] = {}
+    for j in sorted(parent):
+        blocks.setdefault(find(j), ([], [], [], []))[0].append(j)
+    for part, rows in ((1, eqs), (2, les)):
+        for row in rows:
+            blocks[find(next(iter(row[0])))][part].append(row)
+    for pair in pairs:
+        blocks[find(pair[0])][3].append(pair)
+    return list(blocks.values())
+
+
+def _solve_block(
+    cols: list[int],
+    eqs: list[_ColRow],
+    les: list[_ColRow],
+    pairs: list[tuple[int, int]],
+    nodes: int,
+) -> tuple[dict[int, int] | None, int]:
+    """Branch and bound over one block: an integer point of its rows (or
+    None) and the node count, carried on from ``nodes``."""
+    ubound = _small_model_bound(les + eqs + eqs, len(cols))  # eq = two les
+    lp = _Simplex(cols, eqs, les)
+    # Every row keeps opposite coefficients on the two columns of a split
+    # integer unknown, so any solution shifts down to one with
+    # min(plus, minus) = 0.  Pinning one column per pair to zero keeps the
+    # search complete and removes the (+1, +1) ray along which column
+    # branching would never separate a fractional difference.
+    stack: list[_Box] = [{}]
+    for jp, jm in pairs:
+        stack = [{**box, pin: (0, 0)} for box in stack for pin in (jp, jm)]
+    while stack:
+        nodes += 1
+        if nodes > MAX_NODES:
+            raise ResourceExhausted("integer search exceeded its node budget")
+        box = stack.pop()
+        if any(lo > ubound or (hi is not None and lo > hi) for lo, hi in box.values()):
+            continue
+        for j in cols:
+            lp.set_bounds(j, *box.get(j, (0, None)))
+        if not lp.check():
+            continue
+        frac = next((j for j in cols if lp.value[j].denominator != 1), None)
+        if frac is None:
+            return {j: int(lp.value[j]) for j in cols}, nodes
+        val = lp.value[frac]
+        floor_v = val.numerator // val.denominator
+        lo, hi = box.get(frac, (0, None))
+        stack.append({**box, frac: (max(lo, floor_v + 1), hi)})
+        # explored first: prefer small values
+        stack.append({**box, frac: (lo, floor_v if hi is None else min(hi, floor_v))})
+    return None, nodes
 
 
 def lia_sat(rows: list[Row]) -> dict[LinVar, int] | None:
@@ -251,8 +345,9 @@ def lia_sat(rows: list[Row]) -> dict[LinVar, int] | None:
     for r in rows:
         coeffs: dict[int, int] = {}
         for v, c in r.coeffs.items():
-            for j, sign in cols_of[v]:
-                coeffs[j] = coeffs.get(j, 0) + c * sign
+            if c:
+                for j, sign in cols_of[v]:
+                    coeffs[j] = sign * c
         (eqs if r.relation == "eq" else les).append((coeffs, r.bound))
 
     try:
@@ -260,80 +355,14 @@ def lia_sat(rows: list[Row]) -> dict[LinVar, int] | None:
     except _Infeasible:
         return None
 
-    base_les = list(les)
-    for coeffs, b in eqs:
-        base_les.append((coeffs, b))
-        base_les.append(({j: -c for j, c in coeffs.items()}, -b))
-    live_cols = sorted({j for coeffs, _ in base_les for j in coeffs})
-    ubound = _small_model_bound(base_les, len(live_cols)) if live_cols else 0
-
-    solution: dict[int, int] | None = None
-    if not live_cols:
-        solution = {}
-    else:
-        # Every row keeps opposite coefficients on the two columns of a
-        # split integer unknown, so any solution shifts down to one with
-        # min(plus, minus) = 0.  Pinning one column per pair to zero keeps
-        # the search complete and removes the (+1, +1) ray along which
-        # column branching would never separate a fractional difference.
-        live = set(live_cols)
-        split_pairs = [
-            (cols[0][0], cols[1][0])
-            for v, cols in cols_of.items()
-            if v.kind == "int" and cols[0][0] in live and cols[1][0] in live
-        ]
-        roots: list[dict[int, tuple[int, int | None]]] = [{}]
-        for jp, jm in split_pairs:
-            roots = [
-                {**box, pin: (0, 0)} for box in roots for pin in (jp, jm)
-            ]
-
-        # branch and bound; nodes carry per-column integer bounds
-        stack = roots
-        nodes = 0
-        while stack:
-            nodes += 1
-            if nodes > MAX_NODES:
-                raise ResourceExhausted("integer search exceeded its node budget")
-            box = stack.pop()
-            rows_here = list(base_les)
-            infeasible_box = False
-            for j, (lo, hi) in box.items():
-                if lo > ubound or (hi is not None and lo > hi):
-                    infeasible_box = True
-                    break
-                if lo > 0:
-                    rows_here.append(({j: -1}, -lo))
-                if hi is not None:
-                    rows_here.append(({j: 1}, hi))
-            if infeasible_box:
-                continue
-            vertex = _simplex_feasible(rows_here, live_cols)
-            if vertex is None:
-                continue
-            frac = None
-            for j in live_cols:
-                val = vertex.get(j, Fraction(0))
-                if val.denominator != 1:
-                    frac = (j, val)
-                    break
-            if frac is None:
-                solution = {
-                    j: int(vertex.get(j, Fraction(0))) for j in live_cols
-                }
-                break
-            j, val = frac
-            floor_v = val.numerator // val.denominator
-            lo, hi = box.get(j, (0, None))
-            up = dict(box)
-            up[j] = (max(lo, floor_v + 1), hi)
-            down = dict(box)
-            down[j] = (lo, floor_v if hi is None else min(hi, floor_v))
-            stack.append(up)
-            stack.append(down)  # explored first: prefer small values
-
-    if solution is None:
-        return None
+    pairs = [(cols[0][0], cols[1][0]) for cols in cols_of.values() if len(cols) == 2]
+    solution: dict[int, int] = {}
+    nodes = 0
+    for block in _blocks(eqs, les, pairs):
+        found, nodes = _solve_block(*block, nodes)
+        if found is None:
+            return None
+        solution.update(found)
 
     # back-substitute eliminated columns, then rebuild variable values
     for j, const, terms in reversed(elims):

@@ -29,6 +29,7 @@ from itertools import product
 from math import prod
 from typing import Callable
 
+from . import parser
 from .automata import (
     UPSet,
     length_set,
@@ -60,7 +61,18 @@ from .solved_form import (
     apply_solved_form,
     to_solved_form,
 )
-from .terms import Formula, InRe, LenLeq, NameGen, WordEq, formula_letters, free_vars
+from .terms import (
+    And,
+    Formula,
+    InRe,
+    LenLeq,
+    NameGen,
+    Not,
+    Or,
+    WordEq,
+    formula_letters,
+    free_vars,
+)
 
 
 @dataclass(frozen=True)
@@ -107,30 +119,47 @@ def _regex_row_groups(
         per_atom_boxes.append(boxes)
 
     groups: list[list[Row]] = []
-    for choice in product(*per_atom_boxes):
-        merged: dict[str, UPSet] = {}
-        dead = False
-        for box in choice:
-            for param, s in box.items():
-                cur = merged.get(param)
-                s2 = s if cur is None else upset_intersect(cur, s)
-                if upset_is_empty(s2):
-                    dead = True
-                    break
-                merged[param] = s2
-            if dead:
-                break
-        if dead:
-            continue
-        per_param = [
-            upset_rows({param_var(p): 1}, 0, s, gen)
-            for p, s in sorted(merged.items())
-        ]
-        if len(groups) + prod(map(len, per_param)) > MAX_MEMBERSHIP_GROUPS:
-            raise ResourceExhausted("too many membership branches")
-        for combo in product(*per_param):
-            groups.append([row for group in combo for row in group])
+    # Depth first over one box per atom, in the order of their product:
+    # prefixes[k] merges the boxes chosen for atoms 0..k-1 and picks[k] is
+    # the next box of atom k to try, so each prefix is intersected once
+    # and a dead one is never extended.
+    prefixes: list[dict[str, UPSet]] = [{}]
+    picks = [0]
+    while prefixes:
+        k = len(prefixes) - 1
+        if k < len(per_atom_boxes):
+            if picks[k] < len(per_atom_boxes[k]):
+                merged = _merge_box(prefixes[k], per_atom_boxes[k][picks[k]])
+                picks[k] += 1
+                if merged is not None:
+                    prefixes.append(merged)
+                    picks.append(0)
+                continue
+        else:
+            per_param = [
+                upset_rows({param_var(p): 1}, 0, s, gen)
+                for p, s in sorted(prefixes[k].items())
+            ]
+            if len(groups) + prod(map(len, per_param)) > MAX_MEMBERSHIP_GROUPS:
+                raise ResourceExhausted("too many membership branches")
+            for combo in product(*per_param):
+                groups.append([row for group in combo for row in group])
+        prefixes.pop()
+        picks.pop()
     return groups
+
+
+def _merge_box(prefix: dict[str, UPSet], box: dict[str, UPSet]) -> dict[str, UPSet] | None:
+    """The prefix's parameter sets intersected with the box's, or None
+    when some parameter is left with no value."""
+    merged = dict(prefix)
+    for param, s in box.items():
+        cur = merged.get(param)
+        s2 = s if cur is None else upset_intersect(cur, s)
+        if upset_is_empty(s2):
+            return None
+        merged[param] = s2
+    return merged
 
 
 def _length_row_groups(
@@ -154,19 +183,39 @@ def _length_row_groups(
     return groups
 
 
+def _too_deep(phi: Formula) -> bool:
+    """Whether some path from the root passes more than ``parser.MAX_DEPTH``
+    formula nodes.  Iterative, so it is safe on any input; every other
+    walk over the formula recurses and runs only after this check."""
+    stack = [(phi, 1)]
+    while stack:
+        f, depth = stack.pop()
+        if depth > parser.MAX_DEPTH:
+            return True
+        if isinstance(f, Not):
+            stack.append((f.inner, depth + 1))
+        elif isinstance(f, (And, Or)):
+            stack.extend((p, depth + 1) for p in f.parts)
+    return False
+
+
 def _decide(
     phi: Formula,
     alphabet: str,
     encode: Encoder,
-    accept: Callable[[SolvedForm, dict[LinVar, int]], Sat | None],
+    accept: Callable[[SolvedForm, dict[LinVar, int], set[str], set[str], str], Sat | None],
 ) -> Verdict:
     """The decision loop.  ``accept`` turns a model of one branch's rows
+    (with the formula's string and integer variables and the alphabet)
     into a Sat verdict, or None to keep searching.
 
     A branch that leaves the fragment or runs out of a limit is blocked:
     the others still run, and the verdict is Unsupported only when none
-    of them is Sat and some branch was blocked.
+    of them is Sat and some branch was blocked.  A formula nested deeper
+    than the parser accepts is Unsupported before any recursive walk.
     """
+    if _too_deep(phi):
+        return Unsupported(f"formula nested deeper than {parser.MAX_DEPTH}")
     stray = formula_letters(phi) - set(alphabet)
     if stray:
         raise LetterOutsideAlphabet(
@@ -211,7 +260,7 @@ def _decide(
                     except ResourceExhausted as exc:
                         blocked = blocked or str(exc)
                         continue
-                    sat = None if model is None else accept(sf, model)
+                    sat = None if model is None else accept(sf, model, svars, ivars, alphabet)
                     if sat is not None:
                         return sat
     if blocked is not None:
@@ -250,13 +299,7 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
     refuted.  Inputs outside the supported fragment (or beyond one of the
     limits) come back Unsupported instead of a guess.
     """
-    svars, ivars = free_vars(phi)
-    verdict = _decide(
-        phi,
-        alphabet,
-        _regex_row_groups,
-        lambda sf, model: _build_model(sf, model, svars, ivars, alphabet),
-    )
+    verdict = _decide(phi, alphabet, _regex_row_groups, _build_model)
     if isinstance(verdict, Sat) and not eval_formula(phi, verdict.assignment()):
         raise AssertionError(f"the model {verdict} does not satisfy the formula")
     return verdict
@@ -270,5 +313,5 @@ def check_sat_length_abstraction(phi: Formula, alphabet: str) -> str:
     and no model is produced.  This exists as the control arm showing
     what the exact parameter analysis adds.
     """
-    verdict = _decide(phi, alphabet, _length_row_groups, lambda sf, model: Sat({}, {}))
+    verdict = _decide(phi, alphabet, _length_row_groups, lambda *_: Sat({}, {}))
     return {Sat: "sat", Unsat: "unsat", Unsupported: "unsupported"}[type(verdict)]

@@ -1,11 +1,13 @@
 """Integer feasibility over length rows."""
 
 import random
+from itertools import product
 
 import pytest
 
 from helpers import box_has_solution
-from wordeq.errors import CoefficientOverflow
+import wordeq.lia as lia
+from wordeq.errors import CoefficientOverflow, ResourceExhausted
 from wordeq.lengths import LinVar, Row, int_var, len_var, param_var
 from wordeq.lia import lia_sat
 
@@ -150,3 +152,157 @@ def test_differential_against_box_enumeration():
         assert (model is None) == (box is None), rows
         if model is not None:
             verify(rows, model)
+
+
+# ---------------------------------------------------------------------------
+# independent blocks and the kept simplex
+
+
+def frobenius_rows(targets):
+    """6|A_j| + 10|B_j| + 15|C_j| = c_j: one block per target.  29 is the
+    Frobenius number of 6, 10 and 15; 31 needs branching to be solved."""
+    return [
+        Row({x(f"A{j}"): 6, x(f"B{j}"): 10, x(f"C{j}"): 15}, "eq", c)
+        for j, c in enumerate(targets)
+    ]
+
+
+@pytest.mark.parametrize(
+    "targets, sat",
+    [((31, 31, 29), False), ((29, 31, 31), False), ((31, 31, 31), True)],
+)
+def test_multi_component_frobenius(targets, sat):
+    rows = frobenius_rows(targets)
+    model = lia_sat(rows)
+    assert (model is not None) == sat
+    if model is not None:
+        verify(rows, model)
+
+
+def nodes_needed(rows, monkeypatch):
+    """The smallest node limit under which lia_sat decides the rows."""
+    for limit in range(1, 10_000):
+        monkeypatch.setattr(lia, "MAX_NODES", limit)
+        try:
+            return limit, lia_sat(rows)
+        except ResourceExhausted:
+            continue
+    raise AssertionError("no node limit up to 10 000 decides the rows")
+
+
+def test_node_limit_counts_nodes_summed_over_blocks(monkeypatch):
+    first, second = ([row] for row in frobenius_rows((31, 31)))
+    need_first, model_first = nodes_needed(first, monkeypatch)
+    need_second, model_second = nodes_needed(second, monkeypatch)
+    assert need_first > 1 and need_second > 1  # both blocks branch
+    assert model_first is not None and model_second is not None
+
+    joint = first + second
+    monkeypatch.setattr(lia, "MAX_NODES", need_first + need_second)
+    model = lia_sat(joint)
+    assert model is not None
+    verify(joint, model)
+    monkeypatch.setattr(lia, "MAX_NODES", need_first + need_second - 1)
+    with pytest.raises(ResourceExhausted):
+        lia_sat(joint)
+
+
+def enumerate_block(rows, unknowns, cap):
+    """First point with every nonnegative unknown in [0, cap] and every
+    int unknown in [-cap, cap] that satisfies the rows, or None."""
+    ranges = [range(-cap if v.kind == "int" else 0, cap + 1) for v in unknowns]
+    for point in product(*ranges):
+        val = dict(zip(unknowns, point))
+        if all(
+            (total == r.bound if r.relation == "eq" else total <= r.bound)
+            for r in rows
+            for total in [sum(c * val[v] for v, c in r.coeffs.items())]
+        ):
+            return val
+    return None
+
+
+def test_blocks_differential_against_box_enumeration():
+    # 2-3 blocks on disjoint unknowns, each unknown capped so that the
+    # box scan of each block is complete; the system is feasible exactly
+    # when every block is
+    rng = random.Random(603)
+    kinds = [len_var, param_var, part_var_maker, int_var]
+    cap = 3
+    sats = 0
+    for case in range(300):
+        nblocks = rng.randint(2, 3)
+        total = rng.randint(max(4, nblocks), 6)
+        sizes = [1] * nblocks
+        for _ in range(total - nblocks):
+            sizes[rng.randrange(nblocks)] += 1
+        blocks = []
+        for b, size in enumerate(sizes):
+            unknowns = [rng.choice(kinds)(f"u{b}_{k}") for k in range(size)]
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                coeffs = {v: rng.randint(-3, 3) for v in unknowns if rng.random() < 0.8}
+                coeffs = {v: c for v, c in coeffs.items() if c}
+                if coeffs:
+                    rows.append(Row(coeffs, rng.choice(("eq", "le")), rng.randint(-6, 6)))
+            for v in unknowns:
+                rows.append(Row({v: 1}, "le", cap))
+                if v.kind == "int":
+                    rows.append(Row({v: -1}, "le", cap))
+            blocks.append((rows, unknowns))
+        joint = [row for rows, _ in blocks for row in rows]
+        rng.shuffle(joint)
+        want = all(enumerate_block(rows, unknowns, cap) is not None for rows, unknowns in blocks)
+        model = lia_sat(joint)
+        assert (model is not None) == want, (case, joint)
+        if model is not None:
+            sats += 1
+            verify(joint, model)
+    assert 30 < sats < 270  # both verdicts are exercised
+
+
+def test_degenerate_rows_against_box_enumeration():
+    # duplicated rows and zero right-hand sides give ties and zero-length
+    # pivots, which Bland's rule must step through without cycling
+    rng = random.Random(604)
+    cap = 4
+    for case in range(200):
+        unknowns = [
+            rng.choice((len_var, param_var, int_var))(f"v{k}") for k in range(rng.randint(2, 4))
+        ]
+        rows = []
+        for _ in range(rng.randint(2, 4)):
+            coeffs = {v: rng.choice((-3, -2, 2, 3)) for v in unknowns if rng.random() < 0.7}
+            if not coeffs:
+                continue
+            row = Row(coeffs, rng.choice(("eq", "le", "le")), 0 if rng.random() < 0.7 else rng.randint(-5, 5))
+            rows.extend([row] * rng.randint(1, 3))
+        for v in unknowns:
+            rows.append(Row({v: 1}, "le", cap))
+            if v.kind == "int":
+                rows.append(Row({v: -1}, "le", cap))
+        want = enumerate_block(rows, unknowns, cap)
+        model = lia_sat(rows)
+        assert (model is None) == (want is None), (case, rows)
+        if model is not None:
+            verify(rows, model)
+
+
+def test_degenerate_hand_built_systems():
+    a, b, c = x("a"), x("b"), x("c")
+    # 2a = 3b twice, with a cone of zero-bound rows through the origin and
+    # a row that pushes away from it: a = 3k, b = 2k, c in [2b/3, a] ...
+    cone = [
+        Row({a: 2, b: -3}, "eq", 0),
+        Row({a: 2, b: -3}, "eq", 0),
+        Row({b: 2, c: -3}, "le", 0),
+        Row({b: 2, c: -3}, "le", 0),
+        Row({c: 2, a: -2}, "le", 0),
+    ]
+    rows = cone + [Row({a: -2, c: -2}, "le", -13)]
+    model = lia_sat(rows)
+    assert model is not None
+    verify(rows, model)
+    # ... and only the origin once a is also capped below 3
+    assert lia_sat(cone + [Row({a: 2}, "le", 5), Row({b: -2, c: -2}, "le", -1)]) is None
+    assert lia_sat(cone + [Row({a: 2}, "le", 5)]) == {a: 0, b: 0, c: 0}

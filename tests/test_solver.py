@@ -4,22 +4,29 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import wordeq
 from helpers import random_formula_el, random_formula_elr
-from wordeq.errors import LetterOutsideAlphabet
+from wordeq.automata import param_membership, regex_to_dfa, upset_intersect, upset_is_empty
+from wordeq.errors import LetterOutsideAlphabet, ResourceExhausted
+from wordeq.lengths import param_var, upset_rows
+from wordeq.paramwords import params_of
 from wordeq.semantics import Assignment, eval_formula
+from wordeq.solved_form import apply_solved_form, to_solved_form
 from wordeq.solver import (
     Sat,
     Unsat,
     Unsupported,
+    _regex_row_groups,
     check_sat,
     check_sat_length_abstraction,
 )
 from wordeq.terms import (
+    NameGen,
     InRe,
     IntVar,
     Len,
@@ -35,6 +42,10 @@ from wordeq.terms import (
     concat,
     conj,
     disj,
+    re_alt,
+    re_lit,
+    re_seq,
+    re_star,
     sum_of,
 )
 
@@ -256,3 +267,84 @@ def test_unsat_stays_unsat_under_weaker_caps():
         verdicts.append(isinstance(res, Sat))
     assert verdicts == sorted(verdicts)  # False... then True...
     assert verdicts[2] is False and verdicts[3] is True
+
+
+def _alternating(depth):
+    """An alternating or/and chain with ``depth`` formula nodes on its
+    longest path, built through the API (no parser depth check)."""
+    atom = WordEq(Var("X"), Lit("a"))
+    phi = atom
+    for i in range(depth - 1):
+        phi = (conj if i % 2 else disj)(atom, phi)
+    return phi
+
+
+def test_api_formula_nested_too_deep_is_unsupported():
+    phi = _alternating(1500)
+    assert check_sat(phi, "ab") == Unsupported("formula nested deeper than 256")
+    assert check_sat_length_abstraction(phi, "ab") == "unsupported"
+
+
+def test_api_formula_at_the_nesting_limit_solves():
+    from wordeq.parser import MAX_DEPTH
+
+    phi = _alternating(MAX_DEPTH)
+    assert isinstance(check_sat(phi, "ab"), Sat)
+    assert check_sat_length_abstraction(phi, "ab") == "sat"
+    assert check_sat(_alternating(MAX_DEPTH + 1), "ab") == Unsupported(
+        f"formula nested deeper than {MAX_DEPTH}"
+    )
+
+
+def _product_row_groups(atoms, sf, alphabet, gen):
+    """Reference encoder: the product of every atom's boxes, each full
+    combination intersected from scratch, dead ones dropped at the end."""
+    per_atom_boxes = [
+        param_membership(apply_solved_form(sf, a.term), regex_to_dfa(a.regex, alphabet))
+        for a in atoms
+    ]
+    groups = []
+    for choice in product(*per_atom_boxes):
+        merged = {}
+        for box in choice:
+            for param, s in box.items():
+                merged[param] = upset_intersect(merged[param], s) if param in merged else s
+        if any(upset_is_empty(s) for s in merged.values()):
+            continue
+        per_param = [upset_rows({param_var(p): 1}, 0, s, gen) for p, s in sorted(merged.items())]
+        for combo in product(*per_param):
+            groups.append([row for group in combo for row in group])
+    return groups
+
+
+def test_membership_groups_match_the_product_reference(monkeypatch):
+    import wordeq.solver as solver
+
+    def residues(k, rs):  # (ab)^i a with i mod k in rs
+        return re_alt(*(re_seq(re_lit("ab" * r), re_star(re_lit("ab" * k)), re_lit("a")) for r in rs))
+
+    x0, x1 = Var("X0"), Var("X1")
+    eqs = [WordEq(concat(Lit("ab"), v), concat(v, Lit("ba"))) for v in (x0, x1)]
+    # the first atom leaves only even exponents of X0, so half of the
+    # prefixes die at the second atom and are never extended
+    atoms = [
+        InRe(x0, residues(2, [0])),
+        InRe(x0, residues(2, [0, 1])),
+        InRe(x1, residues(2, [0, 1])),
+        InRe(x0, residues(3, [0, 1, 2])),
+        InRe(concat(x0, x1), re_seq(re_star(re_lit("ab")), re_lit("a"), re_star(re_lit("ab")), re_lit("a"))),
+    ]
+    (sf,) = to_solved_form(eqs, variables={"X0", "X1"}, gen=NameGen({"X0", "X1"}))
+    taken = {"X0", "X1"} | {p for _, pw in sf.bindings for p in params_of(pw)}
+    got = _regex_row_groups(atoms, sf, "ab", NameGen(taken))
+    want = _product_row_groups(atoms, sf, "ab", NameGen(taken))
+    assert want
+    assert repr(got) == repr(want)
+    # the group limit is checked before each combination's groups are added
+    monkeypatch.setattr(solver, "MAX_MEMBERSHIP_GROUPS", len(want))
+    assert len(_regex_row_groups(atoms, sf, "ab", NameGen(taken))) == len(want)
+    monkeypatch.setattr(solver, "MAX_MEMBERSHIP_GROUPS", len(want) - 1)
+    with pytest.raises(ResourceExhausted):
+        _regex_row_groups(atoms, sf, "ab", NameGen(taken))
+    # no atoms: one empty group
+    assert _regex_row_groups([], sf, "ab", NameGen(taken)) == [[]]
