@@ -4,12 +4,16 @@ A parametric word denotes a family of concrete words.  ``Power("ab", "i")``
 stands for (ab)^i with i ranging over the nonnegative integers, and
 ``Unfixed("y")`` stands for an arbitrary word substituted consistently at
 every occurrence of the same part id.
+
+The same blocks, as a plain tuple, are the sides of the equations that
+``solved_form`` rewrites: there an unfixed part is a variable not yet
+solved, and ``substitute`` is how a solved variable is replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import UnfixedPartPresent
 
@@ -39,22 +43,46 @@ class Unfixed:
 
 
 Block = Union[Const, Power, Unfixed]
+Blocks = tuple[Block, ...]
 
 
 @dataclass(frozen=True)
 class ParamWord:
-    blocks: tuple[Block, ...]
+    blocks: Blocks
 
 
-def param_word(blocks: list[Block] | tuple[Block, ...]) -> ParamWord:
-    """Normalize: merge adjacent constants, drop empty pieces."""
+def merge_blocks(blocks: Iterable[Block]) -> Blocks:
+    """The normal form of a block sequence: adjacent constants merged."""
     merged: list[Block] = []
     for b in blocks:
         if isinstance(b, Const) and merged and isinstance(merged[-1], Const):
             merged[-1] = Const(merged[-1].word + b.word)
         else:
             merged.append(b)
-    return ParamWord(tuple(merged))
+    return tuple(merged)
+
+
+def param_word(blocks: Iterable[Block]) -> ParamWord:
+    return ParamWord(merge_blocks(blocks))
+
+
+def const_blocks(word: str) -> Blocks:
+    """A constant word as blocks: one constant, or none for the empty word."""
+    return (Const(word),) if word else ()
+
+
+def substitute(blocks: Blocks, env: Mapping[str, Blocks]) -> Blocks:
+    """Replace each unfixed part that ``env`` binds by its blocks, then
+    normalize.  The same tuple comes back when no bound part occurs."""
+    if not any(isinstance(b, Unfixed) and b.part in env for b in blocks):
+        return blocks
+    out: list[Block] = []
+    for b in blocks:
+        if isinstance(b, Unfixed) and b.part in env:
+            out.extend(env[b.part])
+        else:
+            out.append(b)
+    return merge_blocks(out)
 
 
 def params_of(w: ParamWord) -> list[str]:

@@ -4,21 +4,26 @@ A solved form maps every variable to a parametric word built from
 constants, integer-parameter powers and unfixed parts.  ``to_solved_form``
 returns a finite list of solved forms whose instances are exactly the
 solutions of the input system, the ``Unsat`` marker when there are none,
-or ``OutOfFragment`` when the system falls outside the shapes the rules
+or ``OutOfFragment`` when some branch falls outside the shapes the rules
 cover (or exceeds the rewriting budget).
+
+Each side of an equation being rewritten is a tuple of parametric-word
+blocks (``paramwords``): its unfixed parts are the variables not yet
+solved, so a binding is ``paramwords.substitute`` and a finished branch
+reads its solved form straight off its bindings.
 
 The rules, tried in this order on every pending equation:
 
-* tidy: normalize sides, drop trivial equations, refute constant clashes
+* tidy: drop trivial equations, refute constant clashes
 * empty side: the other side is forced letterless (variables to the
   empty word, power parameters to zero)
 * strip: cancel a shared first/last item, or shared constant affixes
 * bind: ``X = w`` with ``X`` not in ``w`` binds ``X`` and substitutes
 * commute: ``X u = v X`` with constant ``u``, ``v`` solves into
   ``X = v^i p`` for each split ``v = p q`` with ``q p = u``
-* straddle: ``X u = v Y`` (and its mirror) either pushes ``X`` past
-  ``v`` using one shared fresh variable or grounds both sides at each
-  feasible boundary inside ``v``
+* straddle: ``X u = v Y`` either pushes ``X`` past ``v`` using one
+  shared fresh variable or grounds both sides at each feasible boundary
+  inside ``v``; ``u X = Y v`` is the same equation read as ``Y v = u X``
 * ground: an all-constant side is matched against the pattern on the
   other side by finite backtracking
 * peel: a power at the head of a side splits into "zero repetitions"
@@ -26,9 +31,12 @@ The rules, tried in this order on every pending equation:
 
 Straddling and peeling can grow the system, so they draw from a budget
 of ``GROWTH_BUDGET`` steps per branch; every other step strictly shrinks
-the measure (variables, parameters, symbols).  An exhausted budget, more
-than ``MAX_BRANCHES`` branch states, or more than ``MAX_GROUND_MATCHES``
-ways to ground an equation report OutOfFragment rather than looping.
+the measure (variables, parameters, symbols).  A branch that exhausts
+its budget, needs more than ``MAX_GROUND_MATCHES`` ways to ground an
+equation, or meets no applicable rule is blocked: the other branches
+still run, and the result is an ``OutOfFragment`` that carries the solved
+forms they found.  More than ``MAX_BRANCHES`` branch states stop the
+whole call the same way.
 """
 
 from __future__ import annotations
@@ -37,17 +45,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import UnmappedVariable
-from .paramwords import Block, Const, ParamWord, Power, Unfixed, param_word
-from .terms import Concat, Lit, NameGen, StrTerm, Var, WordEq, str_term_vars
-
-
-@dataclass(frozen=True)
-class VarItem:
-    name: str
-
-
-Item = Const | Power | VarItem
-Side = tuple[Item, ...]
+from .paramwords import (
+    Blocks,
+    Const,
+    ParamWord,
+    Power,
+    Unfixed,
+    const_blocks,
+    merge_blocks,
+    substitute,
+)
+from .terms import Lit, NameGen, StrTerm, Var, WordEq, str_term_vars
 
 # straddle and peel steps along any one branch
 GROWTH_BUDGET = 8
@@ -57,31 +65,17 @@ MAX_BRANCHES = 10_000
 MAX_GROUND_MATCHES = 1024
 
 
-def side(items: Iterable[Item]) -> Side:
-    """Normalize a sequence of items: merge adjacent constants."""
-    out: list[Item] = []
-    for it in items:
-        if isinstance(it, Const) and out and isinstance(out[-1], Const):
-            out[-1] = Const(out[-1].word + it.word)
-        else:
-            out.append(it)
-    return tuple(out)
-
-
-def term_to_side(t: StrTerm) -> Side:
+def term_to_side(t: StrTerm) -> Blocks:
+    """A term as blocks, each variable an unfixed part of its own name."""
     if isinstance(t, Lit):
-        return (Const(t.word),) if t.word else ()
+        return const_blocks(t.word)
     if isinstance(t, Var):
-        return (VarItem(t.name),)
-    assert isinstance(t, Concat)
-    items: list[Item] = []
-    for p in t.parts:
-        items.extend(term_to_side(p))
-    return side(items)
+        return (Unfixed(t.name),)
+    return merge_blocks(b for p in t.parts for b in term_to_side(p))
 
 
-def side_vars(s: Side) -> set[str]:
-    return {it.name for it in s if isinstance(it, VarItem)}
+def side_vars(s: Blocks) -> set[str]:
+    return {b.part for b in s if isinstance(b, Unfixed)}
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +100,12 @@ class Unsat:
 
 @dataclass(frozen=True)
 class OutOfFragment:
+    """Some branch left the rules' shapes or ran out of a limit, for the
+    first-met ``reason``.  ``forms`` are the solved forms the other
+    branches found: their instances are solutions, but maybe not all."""
+
     reason: str
+    forms: tuple[SolvedForm, ...]
 
 
 def is_solved_equation(eq: WordEq) -> bool:
@@ -114,34 +113,14 @@ def is_solved_equation(eq: WordEq) -> bool:
     return isinstance(eq.lhs, Var) and eq.lhs.name not in str_term_vars(eq.rhs)
 
 
-def side_to_paramword(s: Side) -> ParamWord:
-    blocks: list[Block] = []
-    for it in s:
-        if isinstance(it, VarItem):
-            blocks.append(Unfixed(it.name))
-        else:
-            blocks.append(it)
-    return param_word(blocks)
-
-
 def apply_solved_form(sf: SolvedForm, t: StrTerm) -> ParamWord:
     """The parametric word a term denotes under a solved form."""
-    m = sf.mapping()
-
-    def blocks(term: StrTerm) -> list[Block]:
-        if isinstance(term, Lit):
-            return [Const(term.word)] if term.word else []
-        if isinstance(term, Var):
-            if term.name not in m:
-                raise UnmappedVariable(f"no binding for {term.name!r}")
-            return list(m[term.name].blocks)
-        assert isinstance(term, Concat)
-        out: list[Block] = []
-        for p in term.parts:
-            out.extend(blocks(p))
-        return out
-
-    return param_word(blocks(t))
+    env = {v: w.blocks for v, w in sf.bindings}
+    s = term_to_side(t)
+    for b in s:
+        if isinstance(b, Unfixed) and b.part not in env:
+            raise UnmappedVariable(f"no binding for {b.part!r}")
+    return ParamWord(substitute(s, env))
 
 
 def render_solved_form(sf: SolvedForm) -> str:
@@ -170,8 +149,8 @@ class _State:
 
     def __init__(
         self,
-        pending: list[tuple[Side, Side]],
-        bindings: dict[str, Side],
+        pending: list[tuple[Blocks, Blocks]],
+        bindings: dict[str, Blocks],
         budget: int,
     ) -> None:
         self.pending = pending
@@ -183,41 +162,33 @@ class _State:
 
     # -- global rewrites ----------------------------------------------------
 
-    def _map_items(self, fn: Callable[[Item], Iterable[Item]]) -> None:
-        def apply(s: Side) -> Side:
-            out: list[Item] = []
-            for it in s:
-                out.extend(fn(it))
-            return side(out)
+    def _rewrite(self, fn: Callable[[Blocks], Blocks]) -> None:
+        self.pending = [(fn(l), fn(r)) for l, r in self.pending]
+        self.bindings = {v: fn(s) for v, s in self.bindings.items()}
 
-        self.pending = [(apply(l), apply(r)) for l, r in self.pending]
-        self.bindings = {v: apply(s) for v, s in self.bindings.items()}
-
-    def bind(self, name: str, value: Side) -> None:
+    def bind(self, name: str, value: Blocks) -> None:
         assert name not in self.bindings
         assert name not in side_vars(value), "occurs check"
-        self._map_items(
-            lambda it: value if isinstance(it, VarItem) and it.name == name else (it,)
-        )
+        env = {name: value}
+        self._rewrite(lambda s: substitute(s, env))
         self.bindings[name] = value
 
-    def set_param(self, param: str, k: int) -> None:
-        def fn(it: Item) -> Iterable[Item]:
-            if isinstance(it, Power) and it.param == param:
-                return (Const(it.base * k),) if k > 0 else ()
-            return (it,)
+    def _map_powers(self, param: str, fn: Callable[[Power], Blocks]) -> None:
+        def apply(s: Blocks) -> Blocks:
+            return merge_blocks(
+                b2
+                for b in s
+                for b2 in (fn(b) if isinstance(b, Power) and b.param == param else (b,))
+            )
 
-        self._map_items(fn)
+        self._rewrite(apply)
+
+    def set_param(self, param: str, k: int) -> None:
+        self._map_powers(param, lambda p: const_blocks(p.base * k))
 
     def unroll_param(self, param: str, fresh: str) -> None:
         """Re-parameterize i = fresh + 1: each power gains one base copy."""
-
-        def fn(it: Item) -> Iterable[Item]:
-            if isinstance(it, Power) and it.param == param:
-                return (Const(it.base), Power(it.base, fresh))
-            return (it,)
-
-        self._map_items(fn)
+        self._map_powers(param, lambda p: (Const(p.base), Power(p.base, fresh)))
 
     def measure(self) -> tuple[int, int, int]:
         vs: set[str] = set()
@@ -226,8 +197,8 @@ class _State:
         for l, r in self.pending:
             for s in (l, r):
                 for it in s:
-                    if isinstance(it, VarItem):
-                        vs.add(it.name)
+                    if isinstance(it, Unfixed):
+                        vs.add(it.part)
                         size += 1
                     elif isinstance(it, Power):
                         ps.add(it.param)
@@ -246,10 +217,10 @@ _Step = tuple[str, object]
 
 
 def _tidy(st: _State) -> str | None:
-    """Normalize and drop trivial equations; report constant clashes."""
-    out: list[tuple[Side, Side]] = []
+    """Drop trivial equations; report constant clashes.  Every side is
+    kept normalized by the rewrites that build it."""
+    out: list[tuple[Blocks, Blocks]] = []
     for l, r in st.pending:
-        l, r = side(l), side(r)
         if l == r:
             continue
         if all(isinstance(i, Const) for i in l) and all(
@@ -270,9 +241,9 @@ def _rule_empty(st: _State, idx: int, gen: NameGen) -> _Step | None:
         return ("dead", "a constant equals the empty word")
     st.pending.pop(idx)
     for it in other:
-        if isinstance(it, VarItem):
-            if it.name not in st.bindings:
-                st.bind(it.name, ())
+        if isinstance(it, Unfixed):
+            if it.part not in st.bindings:
+                st.bind(it.part, ())
         else:
             assert isinstance(it, Power)
             st.set_param(it.param, 0)
@@ -294,12 +265,11 @@ def _rule_strip(st: _State, idx: int, gen: NameGen) -> _Step | None:
         st.pending[idx] = (l[1:], r[1:])
         return ("again", None)
     if isinstance(l[0], Const) and isinstance(r[0], Const):
-        k = _common_prefix_len(l[0].word, r[0].word)
+        a, b = l[0].word, r[0].word
+        k = _common_prefix_len(a, b)
         if k == 0:
             return ("dead", "leading letters clash")
-        nl = side((Const(l[0].word[k:]),) + l[1:]) if l[0].word[k:] else l[1:]
-        nr = side((Const(r[0].word[k:]),) + r[1:]) if r[0].word[k:] else r[1:]
-        st.pending[idx] = (nl, nr)
+        st.pending[idx] = (const_blocks(a[k:]) + l[1:], const_blocks(b[k:]) + r[1:])
         return ("again", None)
     if l[-1] == r[-1]:
         st.pending[idx] = (l[:-1], r[:-1])
@@ -309,9 +279,7 @@ def _rule_strip(st: _State, idx: int, gen: NameGen) -> _Step | None:
         k = _common_prefix_len(a[::-1], b[::-1])
         if k == 0:
             return ("dead", "trailing letters clash")
-        nl = side(l[:-1] + (Const(a[:-k]),)) if a[:-k] else l[:-1]
-        nr = side(r[:-1] + (Const(b[:-k]),)) if b[:-k] else r[:-1]
-        st.pending[idx] = (nl, nr)
+        st.pending[idx] = (l[:-1] + const_blocks(a[:-k]), r[:-1] + const_blocks(b[:-k]))
         return ("again", None)
     return None
 
@@ -321,31 +289,31 @@ def _rule_bind(st: _State, idx: int, gen: NameGen) -> _Step | None:
     for own, other in ((l, r), (r, l)):
         if (
             len(own) == 1
-            and isinstance(own[0], VarItem)
-            and own[0].name not in side_vars(other)
+            and isinstance(own[0], Unfixed)
+            and own[0].part not in side_vars(other)
         ):
             st.pending.pop(idx)
-            st.bind(own[0].name, other)
+            st.bind(own[0].part, other)
             return ("again", None)
+    return None
+
+
+def _var_const_shape(a: Blocks, b: Blocks) -> tuple[str, str, str, str] | None:
+    """(X, u, v, Y) when ``a`` is X u and ``b`` is v Y, u and v constants."""
+    if len(a) == len(b) == 2 and isinstance(a[0], Unfixed) and isinstance(b[1], Unfixed):
+        if isinstance(a[1], Const) and isinstance(b[0], Const):
+            return a[0].part, a[1].word, b[0].word, b[1].part
     return None
 
 
 def _rule_commute(st: _State, idx: int, gen: NameGen) -> _Step | None:
     l, r = st.pending[idx]
     for a, b in ((l, r), (r, l)):
-        if not (
-            len(a) == 2
-            and isinstance(a[0], VarItem)
-            and isinstance(a[1], Const)
-            and len(b) == 2
-            and isinstance(b[0], Const)
-            and isinstance(b[1], VarItem)
-            and a[0].name == b[1].name
-        ):
+        shape = _var_const_shape(a, b)
+        if shape is None or shape[0] != shape[3]:
             continue
         # X u = v X: solutions X = v^i p over splits v = p q with q p = u
-        x = a[0].name
-        u, v = a[1].word, b[0].word
+        x, u, v, _ = shape
         splits = [j for j in range(len(v) + 1) if v[j:] + v[:j] == u]
         if 0 in splits and len(v) in splits:
             splits.remove(len(v))  # v^i v is already covered by v^i
@@ -355,99 +323,47 @@ def _rule_commute(st: _State, idx: int, gen: NameGen) -> _Step | None:
         for j in splits:
             child = st.copy()
             child.pending.pop(idx)
-            items: list[Item] = [Power(v, gen.fresh("i"))]
-            if v[:j]:
-                items.append(Const(v[:j]))
-            child.bind(x, tuple(items))
+            child.bind(x, (Power(v, gen.fresh("i")),) + const_blocks(v[:j]))
             children.append(child)
         return ("branch", children)
     return None
 
 
-def _straddle_children(
-    st: _State,
-    idx: int,
-    gen: NameGen,
-    x: str,
-    u: str,
-    v: str,
-    y: str,
-    mirrored: bool,
-) -> _Step | None:
-    """Common body for X u = v Y (and the mirrored u X = Y v).
-
-    In the plain form, either |X| >= |v| (X = v W, Y = W u for one shared
-    fresh W) or X stops at some boundary j inside v, which grounds both
-    variables.  The mirrored form swaps the roles symmetrically.
-    """
-    children = []
-    long_child = st.copy()
-    if long_child.budget <= 0:
-        return ("oof", "straddle budget exhausted")
-    long_child.budget -= 1
-    long_child.pending.pop(idx)
-    w = gen.fresh("W")
-    if not mirrored:
-        long_child.bind(x, (Const(v), VarItem(w)))
-        long_child.bind(y, (VarItem(w), Const(u)))
-    else:
-        long_child.bind(y, (Const(u), VarItem(w)))
-        long_child.bind(x, (VarItem(w), Const(v)))
-    children.append(long_child)
-    anchor = v if not mirrored else u
-    tail = u if not mirrored else v
-    for j in range(max(0, len(anchor) - len(tail)), len(anchor)):
-        need = len(anchor) - j
-        if anchor[j:] != tail[:need]:
-            continue
-        child = st.copy()
-        child.pending.pop(idx)
-        first = anchor[:j]
-        second = tail[need:]
-        if not mirrored:
-            child.bind(x, (Const(first),) if first else ())
-            child.bind(y, (Const(second),) if second else ())
-        else:
-            child.bind(y, (Const(first),) if first else ())
-            child.bind(x, (Const(second),) if second else ())
-        children.append(child)
-    return ("branch", children)
-
-
 def _rule_straddle(st: _State, idx: int, gen: NameGen) -> _Step | None:
+    """X u = v Y with X and Y distinct: either |X| >= |v| (X = v W,
+    Y = W u for one shared fresh W) or X stops at some boundary j inside
+    v, which grounds both variables.  The loop over both side orders also
+    meets u X = Y v, as Y v = u X."""
     l, r = st.pending[idx]
     for a, b in ((l, r), (r, l)):
-        if (
-            len(a) == 2
-            and isinstance(a[0], VarItem)
-            and isinstance(a[1], Const)
-            and len(b) == 2
-            and isinstance(b[0], Const)
-            and isinstance(b[1], VarItem)
-            and a[0].name != b[1].name
-        ):
-            # X u = v Y
-            return _straddle_children(
-                st, idx, gen, a[0].name, a[1].word, b[0].word, b[1].name, False
-            )
-        if (
-            len(a) == 2
-            and isinstance(a[0], Const)
-            and isinstance(a[1], VarItem)
-            and len(b) == 2
-            and isinstance(b[0], VarItem)
-            and isinstance(b[1], Const)
-            and a[1].name != b[0].name
-        ):
-            # u X = Y v
-            return _straddle_children(
-                st, idx, gen, a[1].name, a[0].word, b[1].word, b[0].name, True
-            )
+        shape = _var_const_shape(a, b)
+        if shape is None or shape[0] == shape[3]:
+            continue
+        x, u, v, y = shape
+        if st.budget <= 0:
+            return ("oof", "straddle budget exhausted")
+        long_child = st.copy()
+        long_child.budget -= 1
+        long_child.pending.pop(idx)
+        w = Unfixed(gen.fresh("W"))
+        long_child.bind(x, (Const(v), w))
+        long_child.bind(y, (w, Const(u)))
+        children = [long_child]
+        for j in range(max(0, len(v) - len(u)), len(v)):
+            need = len(v) - j
+            if v[j:] != u[:need]:
+                continue
+            child = st.copy()
+            child.pending.pop(idx)
+            child.bind(x, const_blocks(v[:j]))
+            child.bind(y, const_blocks(u[need:]))
+            children.append(child)
+        return ("branch", children)
     return None
 
 
 def _match_pattern(
-    items: Side, word: str, cap: int
+    items: Blocks, word: str, cap: int
 ) -> list[tuple[dict[str, str], dict[str, int]]] | None:
     """All ways to match a pattern side against a constant word.
 
@@ -469,14 +385,14 @@ def _match_pattern(
             if word.startswith(it.word, pos):
                 return bt(pos + len(it.word), idx + 1, venv, penv)
             return True
-        if isinstance(it, VarItem):
-            if it.name in venv:
-                seg = venv[it.name]
+        if isinstance(it, Unfixed):
+            if it.part in venv:
+                seg = venv[it.part]
                 if word.startswith(seg, pos):
                     return bt(pos + len(seg), idx + 1, venv, penv)
                 return True
             for stop in range(pos, n + 1):
-                if not bt(stop, idx + 1, {**venv, it.name: word[pos:stop]}, penv):
+                if not bt(stop, idx + 1, {**venv, it.part: word[pos:stop]}, penv):
                     return False
             return True
         assert isinstance(it, Power)
@@ -516,7 +432,7 @@ def _rule_ground(st: _State, idx: int, gen: NameGen) -> _Step | None:
             child = st.copy()
             child.pending.pop(idx)
             for name, seg in venv.items():
-                child.bind(name, (Const(seg),) if seg else ())
+                child.bind(name, const_blocks(seg))
             for param, k in penv.items():
                 child.set_param(param, k)
             children.append(child)
@@ -572,13 +488,10 @@ def _step(st: _State, gen: NameGen) -> _Step | None:
 
 
 def _resolve(st: _State, variables: Iterable[str]) -> SolvedForm:
-    out = []
-    for v in sorted(set(variables)):
-        if v in st.bindings:
-            out.append((v, side_to_paramword(st.bindings[v])))
-        else:
-            out.append((v, ParamWord((Unfixed(v),))))
-    return SolvedForm(tuple(out))
+    """An unbound variable is its own unfixed part."""
+    return SolvedForm(
+        tuple((v, ParamWord(st.bindings.get(v, (Unfixed(v),)))) for v in sorted(set(variables)))
+    )
 
 
 def to_solved_form(
@@ -592,7 +505,7 @@ def to_solved_form(
     even when no equation mentions them.
     """
     all_vars: set[str] = set(variables)
-    pending: list[tuple[Side, Side]] = []
+    pending: list[tuple[Blocks, Blocks]] = []
     for eq in eqs:
         l, r = term_to_side(eq.lhs), term_to_side(eq.rhs)
         all_vars |= side_vars(l) | side_vars(r)
@@ -604,14 +517,15 @@ def to_solved_form(
 
     stack = [_State(pending, {}, GROWTH_BUDGET)]
     solved: list[SolvedForm] = []
+    blocked: str | None = None
     explored = 0
     while stack:
         st = stack.pop()
         explored += 1
         if explored > MAX_BRANCHES:
-            return OutOfFragment("branch budget exhausted")
-        verdict: _Step | None = ("again", None)
-        while verdict is not None and verdict[0] == "again":
+            return OutOfFragment("branch budget exhausted", tuple(solved))
+        verdict: _Step = ("again", None)
+        while verdict[0] == "again":
             clash = _tidy(st)
             if clash is not None:
                 verdict = ("dead", clash)
@@ -622,14 +536,14 @@ def to_solved_form(
                     solved.append(sf)
                 verdict = ("dead", "")  # branch finished
                 break
-            verdict = _step(st, gen)
-        if verdict is None:
-            return OutOfFragment("no rule applies to the system")
+            verdict = _step(st, gen) or ("oof", "no rule applies to the system")
         kind, payload = verdict
         if kind == "oof":
-            return OutOfFragment(str(payload))
-        if kind == "branch":
+            blocked = blocked or str(payload)
+        elif kind == "branch":
             stack.extend(payload)  # type: ignore[arg-type]
+    if blocked is not None:
+        return OutOfFragment(blocked, tuple(solved))
     if solved:
         return solved
     return Unsat()

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 from . import parser
 from .automata import (
@@ -63,12 +63,18 @@ from .solved_form import (
 )
 from .terms import (
     And,
+    Concat,
     Formula,
     InRe,
+    Len,
     LenLeq,
     NameGen,
     Not,
     Or,
+    ReConcat,
+    ReStar,
+    ReUnion,
+    Sum,
     WordEq,
     formula_letters,
     free_vars,
@@ -183,20 +189,31 @@ def _length_row_groups(
     return groups
 
 
+# the nodes each kind of node holds; variables, constants and regex
+# words hold none
+_CHILDREN: dict[type, Callable[[Any], Iterable[object]]] = {
+    **dict.fromkeys((And, Or, Concat, ReConcat, ReUnion), lambda n: n.parts),
+    **dict.fromkeys((Not, ReStar), lambda n: (n.inner,)),
+    **dict.fromkeys((LenLeq, Len), lambda n: (n.term,)),
+    WordEq: lambda n: (n.lhs, n.rhs),
+    InRe: lambda n: (n.term, n.regex),
+    Sum: lambda n: [term for _, term in n.items],
+}
+
+
 def _too_deep(phi: Formula) -> bool:
     """Whether some path from the root passes more than ``parser.MAX_DEPTH``
-    formula nodes.  Iterative, so it is safe on any input; every other
-    walk over the formula recurses and runs only after this check."""
-    stack = [(phi, 1)]
-    while stack:
-        f, depth = stack.pop()
-        if depth > parser.MAX_DEPTH:
-            return True
-        if isinstance(f, Not):
-            stack.append((f.inner, depth + 1))
-        elif isinstance(f, (And, Or)):
-            stack.extend((p, depth + 1) for p in f.parts)
-    return False
+    nodes that hold other nodes (connectives, atoms, terms, regexes), as
+    the parser counts parentheses.  One level at a time, without
+    recursion, so it is safe on any input; every other walk over formulas,
+    terms and regexes recurses and runs only after this check."""
+    level: list[object] = [phi]
+    for _ in range(parser.MAX_DEPTH + 1):
+        level = [node for node in level if type(node) in _CHILDREN]
+        if not level:
+            return False
+        level = [kid for node in level for kid in _CHILDREN[type(node)](node)]
+    return True
 
 
 def _decide(
@@ -211,8 +228,9 @@ def _decide(
 
     A branch that leaves the fragment or runs out of a limit is blocked:
     the others still run, and the verdict is Unsupported only when none
-    of them is Sat and some branch was blocked.  A formula nested deeper
-    than the parser accepts is Unsupported before any recursive walk.
+    of them is Sat and some branch was blocked; the solved forms that a
+    partly blocked rewriting still found are decided too.  A formula nested
+    deeper than the parser accepts is Unsupported before any recursive walk.
     """
     if _too_deep(phi):
         return Unsupported(f"formula nested deeper than {parser.MAX_DEPTH}")
@@ -243,7 +261,7 @@ def _decide(
                 continue
             if isinstance(solved, OutOfFragment):
                 blocked = blocked or solved.reason
-                continue
+                solved = solved.forms
             for sf in solved:
                 rows = implied_length_constraints(sf)
                 rows.extend(translate_len_atom(a) for a in lens)

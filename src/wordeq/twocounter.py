@@ -31,7 +31,8 @@ from typing import Iterator, Sequence
 
 from .errors import ResourceExhausted, WordeqError
 from .normalize import to_dnf
-from .solved_form import Const, Side, VarItem, side, term_to_side, _match_pattern
+from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
+from .solved_form import term_to_side, _match_pattern
 from .terms import (
     And,
     Formula,
@@ -469,23 +470,10 @@ class NoCounterexampleUpTo:
     max_len: int
 
 
-_Eq = tuple[Side, Side, bool]  # lhs, rhs, positive
+_Eq = tuple[Blocks, Blocks, bool]  # lhs, rhs, positive
 
 
-def _subst(s: Side, env: dict[str, str]) -> Side:
-    if not any(isinstance(it, VarItem) and it.name in env for it in s):
-        return s
-    items: list[Const | VarItem] = []
-    for it in s:
-        if isinstance(it, VarItem) and it.name in env:
-            if env[it.name]:
-                items.append(Const(env[it.name]))
-        else:
-            items.append(it)
-    return side(tuple(items))
-
-
-def _ground(s: Side) -> str | None:
+def _ground(s: Blocks) -> str | None:
     if len(s) == 0:
         return ""
     if len(s) == 1 and isinstance(s[0], Const):
@@ -503,22 +491,20 @@ def _iter_words(alphabet: str, max_len: int) -> Iterator[str]:
 
 
 def _conjunct_sat(
-    eqs: list[_Eq], env: dict[str, str], alphabet: str, bound: int, budget: list[int]
+    eqs: list[_Eq], env: dict[str, Blocks], alphabet: str, bound: int, budget: list[int]
 ) -> bool:
-    """Does some assignment of words of length <= bound satisfy the conjunct?"""
+    """Does some assignment of words of length <= bound satisfy the conjunct
+    with the words of ``env`` put in?  A deeper call gets equations that
+    hold every earlier word already, and only the words it adds."""
     budget[0] -= 1
     if budget[0] <= 0:
         raise ResourceExhausted("bounded validity check budget exceeded")
     pending: list[_Eq] = []
     for lhs, rhs, positive in eqs:
-        ls, rs = _subst(lhs, env), _subst(rhs, env)
+        ls, rs = substitute(lhs, env), substitute(rhs, env)
         lg, rg = _ground(ls), _ground(rs)
-        if positive and lg is not None and rg is not None:
-            if lg != rg:
-                return False
-            continue
-        if not positive and lg is not None and rg is not None:
-            if lg == rg:
+        if lg is not None and rg is not None:
+            if (lg == rg) != positive:
                 return False
             continue
         pending.append((ls, rs, positive))
@@ -537,21 +523,22 @@ def _conjunct_sat(
                 raise ResourceExhausted("pattern match cap exceeded")
             for venv, penv in matches:
                 assert not penv
-                if _conjunct_sat(rest, {**env, **venv}, alphabet, bound, budget):
+                words = {name: const_blocks(w) for name, w in venv.items()}
+                if _conjunct_sat(rest, words, alphabet, bound, budget):
                     return True
             return False
     # No equation has a constant side: enumerate the first unbound variable.
     names: list[str] = []
     for lhs, rhs, _ in pending:
         for it in lhs + rhs:
-            if isinstance(it, VarItem) and it.name not in names:
-                names.append(it.name)
+            if isinstance(it, Unfixed) and it.part not in names:
+                names.append(it.part)
     # Identical sides can never be told apart, so a lone negation on them fails.
     if all(not positive and lhs == rhs for lhs, rhs, positive in pending):
         return False
     name = names[0]
     for word in _iter_words(alphabet, bound):
-        if _conjunct_sat(pending, {**env, name: word}, alphabet, bound, budget):
+        if _conjunct_sat(pending, {name: const_blocks(word)}, alphabet, bound, budget):
             return True
     return False
 
@@ -572,7 +559,7 @@ def is_counterexample(s: Sentence, word: str) -> bool:
     assert len(s.universals) == 1, "one universal variable is supported"
     conjuncts = _compiled_body(s)
     budget = [SEARCH_NODES]
-    env = {s.universals[0]: word}
+    env = {s.universals[0]: const_blocks(word)}
     return not any(
         _conjunct_sat(eqs, env, s.alphabet, len(word), budget) for eqs in conjuncts
     )
@@ -585,7 +572,7 @@ def _counterexamples(s: Sentence, max_len: int, limit: int | None) -> list[str]:
     budget = [SEARCH_NODES]
     found: list[str] = []
     for word in _iter_words(s.alphabet, max_len):
-        env = {universal: word}
+        env = {universal: const_blocks(word)}
         witnessed = any(
             _conjunct_sat(eqs, env, s.alphabet, len(word), budget) for eqs in conjuncts
         )

@@ -103,6 +103,23 @@ def test_verdict_kind_survives(transform):
     assert kinds == {"Sat", "Unsat", "Unsupported"}
 
 
+def duplicate_first_conjunct(phi):
+    first = phi.parts[0] if isinstance(phi, And) else phi
+    return conj(first, phi)
+
+
+def test_duplicating_a_conjunct_keeps_every_sat():
+    # Rewriting does not see that u v^i = v^i u holds when u and v are
+    # powers of one word, so a copied equation can block its own
+    # rewriting branch and an Unsat may turn Unsupported.  The branches
+    # it does not block still count, so a Sat stays Sat.
+    rng = random.Random(2024)
+    for i in range(300):
+        phi = (random_formula_el if i % 2 else random_formula_elr)(rng)
+        before, after = kind(phi), kind(duplicate_first_conjunct(phi))
+        assert after == before or (before, after) == ("Unsat", "Unsupported"), phi
+
+
 def _blow():
     """Five unary words, each in a language split into eight residues
     mod 8: 8^5 membership groups under the one solved form."""

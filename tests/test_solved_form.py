@@ -170,7 +170,16 @@ def test_apply_solved_form():
     assert w == param_word([Const("b"), Power("a", "i"), Const("b")])
 
 
-def test_exact_solution_sets_on_random_systems():
+def mirror(t):
+    """The term read backwards."""
+    if isinstance(t, Lit):
+        return Lit(t.word[::-1])
+    if isinstance(t, Var):
+        return t
+    return concat(*(mirror(p) for p in reversed(t.parts)))
+
+
+def check_random_systems(transform):
     # the union of solved-form instances equals the brute-force solution set
     rng = random.Random(401)
     oof = 0
@@ -179,7 +188,7 @@ def test_exact_solution_sets_on_random_systems():
         names: set[str] = set()
         for _ in range(rng.randint(1, 2)):
             eq, vs = _template_equation(rng, "ab")
-            eqs.append(eq)
+            eqs.append(transform(eq))
             names.update(vs)
         res = to_solved_form(eqs, variables=names)
         order = sorted(names)
@@ -198,6 +207,16 @@ def test_exact_solution_sets_on_random_systems():
     assert oof <= 10
 
 
+def test_exact_solution_sets_on_random_systems():
+    check_random_systems(lambda eq: eq)
+
+
+def test_exact_solution_sets_on_mirrored_systems():
+    # the templates build X u = v Y but never u X = Y v; read backwards,
+    # every straddle takes that shape
+    check_random_systems(lambda eq: WordEq(mirror(eq.lhs), mirror(eq.rhs)))
+
+
 def test_forms_cover_long_solutions_too():
     # abX = Xba solutions of every length up to 9 are hit exactly
     (sf,) = solve(WordEq(concat(Lit("ab"), Var("X")), concat(Var("X"), Lit("ba"))))
@@ -214,6 +233,20 @@ def test_rule_that_does_not_shrink_is_caught(monkeypatch):
     monkeypatch.setattr(solved_form, "_RULES", (lambda st, idx, gen: ("again", None),))
     with pytest.raises(AssertionError, match="did not shrink"):
         to_solved_form([WordEq(concat(Var("X"), Lit("a")), concat(Lit("a"), Var("X")))])
+
+
+def test_blocked_branch_keeps_the_forms_of_the_others():
+    # aY = Ya twice: peeling the second copy never ends, so those branches
+    # run out of the growth budget, but Y = "" is found before that
+    eq = WordEq(concat(Lit("a"), Var("Y")), concat(Var("Y"), Lit("a")))
+    res = solve(eq, eq)
+    assert isinstance(res, OutOfFragment)
+    assert res.reason == "peel budget exhausted"
+    assert res.forms
+    for sf in res.forms:
+        for (y,) in sf_solutions(sf, "ab", 4):
+            assert y == "a" * len(y)
+    assert ("",) in set().union(*(sf_solutions(sf, "ab", 4) for sf in res.forms))
 
 
 def test_branch_budget_reports_out_of_fragment(monkeypatch):

@@ -26,6 +26,7 @@ from wordeq.solver import (
     check_sat_length_abstraction,
 )
 from wordeq.terms import (
+    Concat,
     NameGen,
     InRe,
     IntVar,
@@ -37,6 +38,7 @@ from wordeq.terms import (
     ReLit,
     ReStar,
     ReUnion,
+    Sum,
     Var,
     WordEq,
     concat,
@@ -294,6 +296,66 @@ def test_api_formula_at_the_nesting_limit_solves():
     assert check_sat(_alternating(MAX_DEPTH + 1), "ab") == Unsupported(
         f"formula nested deeper than {MAX_DEPTH}"
     )
+
+
+def _deep_regex(n):
+    """n regex operators deep, a star outermost when n is even."""
+    r = ReLit("a")
+    for i in range(n):
+        r = ReStar(r) if i % 2 else ReConcat((ReLit("a"), r))
+    return r
+
+
+def _deep_concat(n):
+    t = Var("X")
+    for i in range(n):
+        t = Concat((Lit("ab"[i % 2]), t))
+    return t
+
+
+def _deep_sum(n):
+    """n - 1 sums around one length term."""
+    t = Len(Var("X"))
+    for _ in range(n - 1):
+        t = Sum(((1, t),))
+    return t
+
+
+# formulas built through the API whose longest path holds ``depth`` nodes
+# that hold other nodes, most of them inside one atom
+DEEP_ATOMS = {
+    "regex": lambda depth: conj(
+        WordEq(Var("X"), Lit("")), InRe(Var("X"), _deep_regex(depth - 2))
+    ),
+    "concat": lambda depth: WordEq(Var("Y"), _deep_concat(depth - 1)),
+    "sum": lambda depth: LenLeq(_deep_sum(depth - 1), 3),
+}
+
+
+@pytest.mark.parametrize("build", DEEP_ATOMS.values(), ids=DEEP_ATOMS.keys())
+def test_api_terms_and_regexes_nested_too_deep_are_unsupported(build):
+    phi = build(1500)
+    assert check_sat(phi, "ab") == Unsupported("formula nested deeper than 256")
+    assert check_sat_length_abstraction(phi, "ab") == "unsupported"
+
+
+@pytest.mark.parametrize("build", DEEP_ATOMS.values(), ids=DEEP_ATOMS.keys())
+def test_api_terms_and_regexes_at_the_nesting_limit_solve(build):
+    from wordeq.parser import MAX_DEPTH
+
+    assert isinstance(check_sat(build(MAX_DEPTH), "ab"), Sat)
+    assert check_sat_length_abstraction(build(MAX_DEPTH), "ab") == "sat"
+    assert check_sat(build(MAX_DEPTH + 1), "ab") == Unsupported(
+        f"formula nested deeper than {MAX_DEPTH}"
+    )
+
+
+def test_blocked_rewriting_branch_leaves_the_others_decided():
+    # aY = Ya twice: peeling the copy runs out of the growth budget, but
+    # the branch with Y = "" has already given a solved form
+    eq = WordEq(concat(Lit("a"), Var("Y")), concat(Var("Y"), Lit("a")))
+    res = check_sat(conj(eq, eq, LenLeq(Len(Var("Y")), 0)), "ab")
+    assert res == Sat({"Y": ""}, {})
 
 
 def _product_row_groups(atoms, sf, alphabet, gen):
