@@ -15,9 +15,17 @@ unknown always share a block.  Each block is decided on its own by
 branch and bound, and the first infeasible block refutes the call.
 Ceiling branches beyond the block's small-model bound are pruned, which
 keeps the tree finite without giving up completeness; ``MAX_NODES``
-bounds the nodes of one call, summed over its blocks, and turns
-pathological instances into ResourceExhausted instead of a silent wrong
-answer.
+bounds the nodes of one call, summed over its blocks and groups, and
+turns pathological instances into ResourceExhausted instead of a silent
+wrong answer.
+
+A call may also take a disjunction of row groups that all share its
+rows.  The shared rows are normalised, eliminated, split and solved once,
+and an infeasible shared block refutes the call before any group is
+pulled.  Each group, pulled one at a time, gets the shared eliminations
+substituted in; then only its rows and the shared blocks they touch are
+eliminated and searched again, while the untouched blocks keep their
+shared solution.  The first group with a model ends the call.
 
 A block keeps one bounded-variable simplex across all of its nodes
 (Dutertre and de Moura, *A Fast Linear-Arithmetic Solver for DPLL(T)*,
@@ -34,13 +42,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
 
 from .errors import CoefficientOverflow, ResourceExhausted
 from .lengths import LinVar, Row
 
 _INT64 = 2**63 - 1
 
-# The most branch-and-bound nodes one call explores, summed over its blocks.
+# The most branch-and-bound nodes one call explores, summed over its blocks
+# and groups.
 MAX_NODES = 10**6
 
 _ColRow = tuple[dict[int, int], int]  # sparse coeffs over columns, bound
@@ -321,25 +331,25 @@ def _solve_block(
     return None, nodes
 
 
-def lia_sat(rows: list[Row]) -> dict[LinVar, int] | None:
-    """A nonnegative-integer model of the rows (``int`` kind ranging over
-    all integers), or None when none exists."""
-    _validate(rows)
-
-    # columns: one per nonnegative unknown, two per free integer unknown
-    variables = sorted(
-        {v for r in rows for v in r.coeffs}, key=lambda v: (v.kind, v.name)
-    )
-    cols_of: dict[LinVar, list[tuple[int, int]]] = {}
-    ncols = 0
-    for v in variables:
+def _add_columns(rows: list[Row], cols_of: dict[LinVar, list[tuple[int, int]]], ncols: int) -> int:
+    """Give each unknown of the rows that has no columns yet its columns,
+    numbered from ``ncols`` in (kind, name) order: one per nonnegative
+    unknown, two per free integer one.  Returns the new column count."""
+    new = {v for r in rows for v in r.coeffs if v not in cols_of}
+    for v in sorted(new, key=lambda v: (v.kind, v.name)):
         if v.kind == "int":
             cols_of[v] = [(ncols, 1), (ncols + 1, -1)]
             ncols += 2
         else:
             cols_of[v] = [(ncols, 1)]
             ncols += 1
+    return ncols
 
+
+def _column_rows(
+    rows: list[Row], cols_of: dict[LinVar, list[tuple[int, int]]]
+) -> tuple[list[_ColRow], list[_ColRow]]:
+    """The rows over columns, as equalities and inequalities."""
     eqs: list[_ColRow] = []
     les: list[_ColRow] = []
     for r in rows:
@@ -349,30 +359,100 @@ def lia_sat(rows: list[Row]) -> dict[LinVar, int] | None:
                 for j, sign in cols_of[v]:
                     coeffs[j] = sign * c
         (eqs if r.relation == "eq" else les).append((coeffs, r.bound))
+    return eqs, les
 
+
+def _solve_blocks(
+    eqs: list[_ColRow], les: list[_ColRow], pairs: list[tuple[int, int]], nodes: int
+) -> tuple[list[tuple[list[int], dict[int, int]]] | None, int]:
+    """Each block's columns and integer point, or None when some block
+    has none, and the node count, carried on from ``nodes``."""
+    solved = []
+    for block in _blocks(eqs, les, pairs):
+        found, nodes = _solve_block(*block, nodes)
+        if found is None:
+            return None, nodes
+        solved.append((block, found))
+    return solved, nodes
+
+
+def lia_sat(
+    rows: list[Row], groups: Iterable[list[Row]] = ([],)
+) -> dict[LinVar, int] | None:
+    """A nonnegative-integer model (``int`` kind ranging over all
+    integers) of the rows and of the first group of rows that has one
+    with them, or None when no group has one.
+
+    The groups are a disjunction that all share ``rows``.  The shared rows
+    are eliminated and their blocks solved once; when one of those blocks
+    is infeasible, no group is pulled from ``groups`` at all.  Each group
+    is then decided with only the shared blocks its rows touch.
+    """
+    _validate(rows)
+    cols_of: dict[LinVar, list[tuple[int, int]]] = {}
+    ncols = _add_columns(rows, cols_of, 0)
+    eqs, les = _column_rows(rows, cols_of)
     try:
         eqs, les, elims = _eliminate_units(eqs, les)
     except _Infeasible:
         return None
-
     pairs = [(cols[0][0], cols[1][0]) for cols in cols_of.values() if len(cols) == 2]
-    solution: dict[int, int] = {}
-    nodes = 0
-    for block in _blocks(eqs, les, pairs):
-        found, nodes = _solve_block(*block, nodes)
-        if found is None:
-            return None
-        solution.update(found)
+    shared, nodes = _solve_blocks(eqs, les, pairs, 0)
+    if shared is None:
+        return None
+    block_of = {j: i for i, (block, _) in enumerate(shared) for j in block[0]}
 
-    # back-substitute eliminated columns, then rebuild variable values
+    for group in groups:
+        if not group:  # the shared rows alone, already solved
+            solution = {j: v for _, found in shared for j, v in found.items()}
+            return _model(solution, elims, cols_of, rows)
+        _validate(group)
+        group_cols = dict(cols_of)
+        _add_columns(group, group_cols, ncols)
+        geqs, gles = _column_rows(group, group_cols)
+        try:
+            for j, const, terms in elims:
+                geqs = _substitute(geqs, j, const, terms, True)
+                gles = _substitute(gles, j, const, terms, False)
+            touched = {block_of[j] for row in geqs + gles for j in row[0] if j in block_of}
+            for i in sorted(touched):
+                _, block_eqs, block_les, _ = shared[i][0]
+                geqs += block_eqs
+                gles += block_les
+            geqs, gles, group_elims = _eliminate_units(geqs, gles)
+        except _Infeasible:
+            continue
+        group_pairs = [(c[0][0], c[1][0]) for c in group_cols.values() if len(c) == 2]
+        solved, nodes = _solve_blocks(geqs, gles, group_pairs, nodes)
+        if solved is None:
+            continue
+        solution = {
+            j: v
+            for i, (_, found) in enumerate(shared)
+            if i not in touched
+            for j, v in found.items()
+        }
+        for _, found in solved:
+            solution.update(found)
+        return _model(solution, elims + group_elims, group_cols, rows + group)
+    return None
+
+
+def _model(
+    solution: dict[int, int],
+    elims: list[tuple[int, int, dict[int, int]]],
+    cols_of: dict[LinVar, list[tuple[int, int]]],
+    rows: list[Row],
+) -> dict[LinVar, int]:
+    """Back-substitute the eliminations, given in the order they were
+    applied, latest first; rebuild the unknowns' values and check them
+    against the rows."""
     for j, const, terms in reversed(elims):
         v = const + sum(t * solution.get(k, 0) for k, t in terms.items())
         if v < 0:
             raise AssertionError(f"back-substitution gave column {j} the value {v}")
         solution[j] = v
-    model: dict[LinVar, int] = {}
-    for v in variables:
-        model[v] = sum(sign * solution.get(j, 0) for j, sign in cols_of[v])
+    model = {v: sum(sign * solution.get(j, 0) for j, sign in cols) for v, cols in cols_of.items()}
     for r in rows:
         total = sum(c * model[v] for v, c in r.coeffs.items())
         if not (total == r.bound if r.relation == "eq" else total <= r.bound):

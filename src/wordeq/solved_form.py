@@ -167,8 +167,10 @@ class _State:
         self.bindings = {v: fn(s) for v, s in self.bindings.items()}
 
     def bind(self, name: str, value: Blocks) -> None:
-        assert name not in self.bindings
-        assert name not in side_vars(value), "occurs check"
+        if name in self.bindings:
+            raise AssertionError(f"{name} is bound twice")
+        if name in side_vars(value):
+            raise AssertionError(f"occurs check: {name} occurs in its own value")
         env = {name: value}
         self._rewrite(lambda s: substitute(s, env))
         self.bindings[name] = value

@@ -6,8 +6,10 @@ input's disjunctive normal form is processed as a conjunction of positive
 atoms (negations are eliminated first): the word equations are rewritten
 into solved forms, each solved form contributes its implied length rows,
 length atoms translate to further rows, and a membership encoder turns
-the membership atoms into a disjunction of row groups.  Each group, with
-the shared rows, goes to the linear solver.
+the membership atoms into a disjunction of row groups.  Those rows are
+shared by every group, so each solved form is one call to the linear
+solver: it decides the shared rows once and pulls the groups one at a
+time, and the encoder builds each group only when it is pulled.
 
 The loop is parameterised by that encoder alone:
 
@@ -26,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import parser
 from .automata import (
@@ -38,7 +39,7 @@ from .automata import (
     upset_intersect,
     upset_is_empty,
 )
-from .errors import LetterOutsideAlphabet, ResourceExhausted
+from .errors import LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
 from .lengths import (
     LinVar,
     Row,
@@ -97,13 +98,14 @@ class Unsupported:
 
 Verdict = Sat | Unsat | Unsupported
 
-# The most row groups the membership atoms under one solved form may expand
-# into; an encoder raises ResourceExhausted before building more.
+# The most row groups the integer solver may pull from the membership
+# atoms under one solved form; an encoder raises ResourceExhausted before
+# building one more.
 MAX_MEMBERSHIP_GROUPS = 20_000
 
-# membership atoms under a solved form -> row groups (a disjunction; empty
-# when some atom can never hold) or an unsupported-reason
-Encoder = Callable[[list[InRe], SolvedForm, str, NameGen], list[list[Row]] | str]
+# membership atoms under a solved form -> their row groups (a disjunction;
+# none when some atom can never hold), built only as they are pulled
+Encoder = Callable[[list[InRe], SolvedForm, str, NameGen], Iterator[list[Row]]]
 
 
 def _regex_row_groups(
@@ -111,20 +113,21 @@ def _regex_row_groups(
     sf: SolvedForm,
     alphabet: str,
     gen: NameGen,
-) -> list[list[Row]] | str:
-    """Exact encoder: the power parameters each regex admits."""
+) -> Iterator[list[Row]]:
+    """Exact encoder: the power parameters each regex admits.  A
+    membership over unfixed parts raises UnfixedPartPresent when the
+    first group is pulled."""
     per_atom_boxes: list[list[dict[str, UPSet]]] = []
     for atom in atoms:
         pw = apply_solved_form(sf, atom.term)
         if has_unfixed(pw):
             parts = ", ".join(parts_of(pw))
-            return f"membership constraint over unfixed parts ({parts})"
+            raise UnfixedPartPresent(f"membership constraint over unfixed parts ({parts})")
         boxes = param_membership(pw, regex_to_dfa(atom.regex, alphabet))
         if not boxes:
-            return []
+            return
         per_atom_boxes.append(boxes)
-
-    groups: list[list[Row]] = []
+    built = 0
     # Depth first over one box per atom, in the order of their product:
     # prefixes[k] merges the boxes chosen for atoms 0..k-1 and picks[k] is
     # the next box of atom k to try, so each prefix is intersected once
@@ -146,13 +149,13 @@ def _regex_row_groups(
                 upset_rows({param_var(p): 1}, 0, s, gen)
                 for p, s in sorted(prefixes[k].items())
             ]
-            if len(groups) + prod(map(len, per_param)) > MAX_MEMBERSHIP_GROUPS:
-                raise ResourceExhausted("too many membership branches")
             for combo in product(*per_param):
-                groups.append([row for group in combo for row in group])
+                built += 1
+                if built > MAX_MEMBERSHIP_GROUPS:
+                    raise ResourceExhausted("too many membership branches")
+                yield [row for group in combo for row in group]
         prefixes.pop()
         picks.pop()
-    return groups
 
 
 def _merge_box(prefix: dict[str, UPSet], box: dict[str, UPSet]) -> dict[str, UPSet] | None:
@@ -173,20 +176,21 @@ def _length_row_groups(
     sf: SolvedForm,
     alphabet: str,
     gen: NameGen,
-) -> list[list[Row]]:
+) -> Iterator[list[Row]]:
     """Length-only encoder: the term's length lies in the regex's length
     set.  Letter positions are forgotten, so this only over-approximates."""
-    groups: list[list[Row]] = [[]]
+    per_atom_alts: list[list[list[Row]]] = []
     for atom in atoms:
         coeffs, const = paramword_length(apply_solved_form(sf, atom.term))
         lengths = length_set(regex_to_dfa(atom.regex, alphabet))
         alts = upset_rows(coeffs, const, lengths, gen)
         if not alts:
-            return []
-        if len(groups) * len(alts) > MAX_MEMBERSHIP_GROUPS:
+            return
+        per_atom_alts.append(alts)
+    for built, combo in enumerate(product(*per_atom_alts), 1):
+        if built > MAX_MEMBERSHIP_GROUPS:
             raise ResourceExhausted("too many membership branches")
-        groups = [g + alt for g in groups for alt in alts]
-    return groups
+        yield [row for alt in combo for row in alt]
 
 
 # the nodes each kind of node holds; variables, constants and regex
@@ -220,11 +224,16 @@ def _decide(
     phi: Formula,
     alphabet: str,
     encode: Encoder,
-    accept: Callable[[SolvedForm, dict[LinVar, int], set[str], set[str], str], Sat | None],
+    accept: Callable[[SolvedForm, dict[LinVar, int], set[str], set[str], str], Sat],
 ) -> Verdict:
-    """The decision loop.  ``accept`` turns a model of one branch's rows
-    (with the formula's string and integer variables and the alphabet)
-    into a Sat verdict, or None to keep searching.
+    """The decision loop.  ``accept`` turns a model of one solved form's
+    rows (with the formula's string and integer variables and the
+    alphabet) into a Sat verdict.
+
+    Each solved form makes one ``lia_sat`` call: its shared rows (the
+    implied length rows and the length atoms) with the encoder's row
+    groups, which are built only as the integer solver pulls them, so a
+    solved form whose shared rows clash never builds one.
 
     A branch that leaves the fragment or runs out of a limit is blocked:
     the others still run, and the verdict is Unsupported only when none
@@ -265,22 +274,16 @@ def _decide(
             for sf in solved:
                 rows = implied_length_constraints(sf)
                 rows.extend(translate_len_atom(a) for a in lens)
+                if not alphabet:  # every word over the empty alphabet is empty
+                    parts = {p for _, pw in sf.bindings for p in parts_of(pw)}
+                    rows.extend(Row({part_var(p): 1}, "eq", 0) for p in sorted(parts))
                 try:
-                    groups = encode(res, sf, alphabet, gen)
-                except ResourceExhausted as exc:
-                    groups = str(exc)
-                if isinstance(groups, str):
-                    blocked = blocked or groups
+                    model = lia_sat(rows, encode(res, sf, alphabet, gen))
+                except (ResourceExhausted, UnfixedPartPresent) as exc:
+                    blocked = blocked or str(exc)
                     continue
-                for extra in groups:
-                    try:
-                        model = lia_sat(rows + extra)
-                    except ResourceExhausted as exc:
-                        blocked = blocked or str(exc)
-                        continue
-                    sat = None if model is None else accept(sf, model, svars, ivars, alphabet)
-                    if sat is not None:
-                        return sat
+                if model is not None:
+                    return accept(sf, model, svars, ivars, alphabet)
     if blocked is not None:
         return Unsupported(blocked)
     return Unsat()
@@ -292,17 +295,15 @@ def _build_model(
     svars: set[str],
     ivars: set[str],
     alphabet: str,
-) -> Sat | None:
+) -> Sat:
     params: dict[str, int] = {}
     part_words: dict[str, str] = {}
     for _, pw in sf.bindings:
         for p in params_of(pw):
             params[p] = lia_model.get(param_var(p), 0)
         for part in parts_of(pw):
-            n = lia_model.get(part_var(part), 0)
-            if n > 0 and not alphabet:
-                return None  # no word of positive length exists
-            part_words[part] = alphabet[0] * n if alphabet else ""
+            # over the empty alphabet every part's length is pinned to 0
+            part_words[part] = alphabet[:1] * lia_model.get(part_var(part), 0)
     mapping = sf.mapping()
     strings = {v: instantiate(mapping[v], params, part_words) for v in svars}
     ints = {n: lia_model.get(int_var(n), 0) for n in ivars}

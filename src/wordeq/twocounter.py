@@ -522,7 +522,8 @@ def _conjunct_sat(
             if matches is None:
                 raise ResourceExhausted("pattern match cap exceeded")
             for venv, penv in matches:
-                assert not penv
+                if penv:
+                    raise AssertionError("a sentence equation matched with power parameters")
                 words = {name: const_blocks(w) for name, w in venv.items()}
                 if _conjunct_sat(rest, words, alphabet, bound, budget):
                     return True
@@ -556,7 +557,8 @@ def _compiled_body(s: Sentence) -> list[list[_Eq]]:
 
 def is_counterexample(s: Sentence, word: str) -> bool:
     """Does the word defeat every existential witness choice?"""
-    assert len(s.universals) == 1, "one universal variable is supported"
+    if len(s.universals) != 1:
+        raise ValueError("one universal variable is supported")
     conjuncts = _compiled_body(s)
     budget = [SEARCH_NODES]
     env = {s.universals[0]: const_blocks(word)}
@@ -566,7 +568,8 @@ def is_counterexample(s: Sentence, word: str) -> bool:
 
 
 def _counterexamples(s: Sentence, max_len: int, limit: int | None) -> list[str]:
-    assert len(s.universals) == 1, "one universal variable is supported"
+    if len(s.universals) != 1:
+        raise ValueError("one universal variable is supported")
     universal = s.universals[0]
     conjuncts = _compiled_body(s)
     budget = [SEARCH_NODES]

@@ -29,6 +29,20 @@ def test_solve_sat_prints_model(capsys):
     assert m.group(1) in ("aba", "ababa")
 
 
+def test_solve_length_formula_over_the_empty_alphabet(capsys, tmp_path):
+    # X = "" and m = -1 satisfy it; a model with |X| > 0 has no words
+    path = tmp_path / "empty.smt2"
+    path.write_text(
+        '(set-alphabet "")\n'
+        "(declare-const X String)\n"
+        "(declare-const m Int)\n"
+        "(assert (<= (+ (* -1 (str.len X)) (* 3 m)) -2))\n"
+        "(check-sat)\n"
+    )
+    code, out, _ = run(capsys, "solve", str(path))
+    assert (code, out) == (0, "sat\n")
+
+
 def test_solve_unsat(capsys):
     code, out, _ = run(capsys, "solve", str(SAMPLES / "chained_unsat.eq"))
     assert code == 1

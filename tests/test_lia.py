@@ -306,3 +306,111 @@ def test_degenerate_hand_built_systems():
     # ... and only the origin once a is also capped below 3
     assert lia_sat(cone + [Row({a: 2}, "le", 5), Row({b: -2, c: -2}, "le", -1)]) is None
     assert lia_sat(cone + [Row({a: 2}, "le", 5)]) == {a: 0, b: 0, c: 0}
+
+
+# ---------------------------------------------------------------------------
+# shared rows and lazily pulled groups
+
+
+def random_rows(rng, unknowns, count):
+    rows = []
+    for _ in range(count):
+        coeffs = {v: rng.randint(-3, 3) for v in rng.sample(unknowns, rng.randint(1, len(unknowns)))}
+        coeffs = {v: c for v, c in coeffs.items() if c}
+        if coeffs:
+            rows.append(Row(coeffs, rng.choice(("eq", "le")), rng.randint(-6, 6)))
+    return rows
+
+
+def decided(call):
+    """The call's result, or "exhausted" when it runs out of nodes."""
+    try:
+        return call()
+    except ResourceExhausted:
+        return "exhausted"
+
+
+def test_groups_differential_against_one_call_per_group(monkeypatch):
+    # the groups mix the shared unknowns with their own, so they touch
+    # some shared blocks and leave others alone.  The systems are
+    # unbounded, and branch and bound can run along a ray of one of them
+    # until the node limit, lowered here to keep such a case short
+    monkeypatch.setattr(lia, "MAX_NODES", 3000)
+    rng = random.Random(605)
+    kinds = [len_var, param_var, part_var_maker, int_var]
+    seen = set()
+    for case in range(400):
+        shared = [rng.choice(kinds)(f"s{k}") for k in range(rng.randint(2, 5))]
+        rows = random_rows(rng, shared, rng.randint(1, 4))
+        groups = []
+        for g in range(rng.randint(0, 4)):
+            own = [
+                rng.choice((LinVar("ap", f"k{g}_{k}"), int_var(f"n{g}_{k}")))
+                for k in range(rng.randint(0, 2))
+            ]
+            unknowns = rng.sample(shared, rng.randint(1, 2)) + own
+            groups.append(random_rows(rng, unknowns, rng.randint(1, 2)))
+        pulled = []
+
+        def pull():
+            for g in groups:
+                pulled.append(g)
+                yield g
+
+        alone = decided(lambda: lia_sat(rows))
+        model = decided(lambda: lia_sat(rows, pull()))
+        if alone is None or alone == "exhausted":
+            # the shared rows are decided first, exactly as on their own
+            assert (model, pulled) == (alone, []), (case, rows)
+            seen.add(f"shared rows {alone or 'refuted'}")
+            continue
+        refs = [decided(lambda: lia_sat(rows + g)) for g in groups]
+        if "exhausted" in refs:
+            continue  # the reference cannot tell
+        first = next((i for i, ref in enumerate(refs) if ref is not None), None)
+        if first is None:
+            assert (model, pulled) == (None, groups), (case, rows, groups)
+            seen.add("every group refuted")
+        else:
+            assert pulled == groups[: first + 1], (case, rows, groups)
+            verify(rows + groups[first], model)
+            seen.add("sat at a later group" if first else "sat at the first group")
+    assert seen == {
+        "shared rows refuted",
+        "shared rows exhausted",
+        "every group refuted",
+        "sat at a later group",
+        "sat at the first group",
+    }
+
+
+def test_groups_are_not_pulled_after_a_shared_clash():
+    def exploding():
+        raise AssertionError("a group was pulled")
+        yield []
+
+    # refuted by normalisation, by elimination and by branch and bound
+    assert lia_sat([Row({x(): 2}, "eq", 1)], exploding()) is None
+    assert lia_sat([Row({x(): 1, x("y"): 1}, "eq", 2), Row({x(): 1}, "le", -1)], exploding()) is None
+    assert lia_sat(frobenius_rows((31, 29)), exploding()) is None
+    with pytest.raises(AssertionError, match="a group was pulled"):
+        lia_sat(frobenius_rows((31,)), exploding())
+    # no group at all: the shared rows hold, but nothing else
+    assert lia_sat(frobenius_rows((31,)), []) is None
+    assert lia_sat([], [[Row({x(): 1}, "le", -1)], [Row({x(): 1}, "eq", 4)]]) == {x(): 4}
+
+
+def test_node_limit_counts_nodes_summed_over_groups(monkeypatch):
+    # a shared Frobenius block and two groups that each add another one:
+    # the first group's is infeasible, the second group's is not
+    shared, first, second = ([row] for row in frobenius_rows((31, 29, 31)))
+    need_shared, _ = nodes_needed(shared, monkeypatch)
+    need_first, _ = nodes_needed(first, monkeypatch)
+    need_second, _ = nodes_needed(second, monkeypatch)
+    need = need_shared + need_first + need_second
+    monkeypatch.setattr(lia, "MAX_NODES", need)
+    model = lia_sat(shared, [first, second])
+    verify(shared + second, model)
+    monkeypatch.setattr(lia, "MAX_NODES", need - 1)
+    with pytest.raises(ResourceExhausted):
+        lia_sat(shared, [first, second])

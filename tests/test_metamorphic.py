@@ -15,6 +15,8 @@ from wordeq.terms import (
     And,
     InRe,
     IntVar,
+    Len,
+    LenLeq,
     Lit,
     Or,
     ReConcat,
@@ -135,7 +137,14 @@ def _blow():
 def test_limit_blocks_only_its_own_disjunct(monkeypatch):
     # a lower limit keeps the test fast; 8^5 groups exceed the real one too
     monkeypatch.setattr(solver, "MAX_MEMBERSHIP_GROUPS", 1000)
-    blow = _blow()
+    # the first group (every X_k = "") has a model, so no other is built
+    assert check_sat(_blow(), "ab") == Sat({f"X{k}": "" for k in range(5)}, {})
+    # X0 also in (a^8)*a and len(X0) <= 0: the shared rows hold, but every
+    # one of the 8^4 groups left is refuted
+    x0 = Var("X0")
+    blow = conj(
+        _blow(), InRe(x0, ReConcat((ReStar(ReLit("a" * 8)), ReLit("a")))), LenLeq(Len(x0), 0)
+    )
     assert check_sat(blow, "ab") == Unsupported("too many membership branches")
     other = WordEq(Var("Y"), Lit("b"))
     for phi in (disj(blow, other), disj(other, blow)):

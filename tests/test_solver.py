@@ -14,6 +14,7 @@ from helpers import random_formula_el, random_formula_elr
 from wordeq.automata import param_membership, regex_to_dfa, upset_intersect, upset_is_empty
 from wordeq.errors import LetterOutsideAlphabet, ResourceExhausted
 from wordeq.lengths import param_var, upset_rows
+from wordeq.lia import lia_sat
 from wordeq.paramwords import params_of
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.solved_form import apply_solved_form, to_solved_form
@@ -171,6 +172,72 @@ def test_failed_recheck_raises_under_optimize():
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert "AssertionError" in proc.stderr
+
+
+def test_invariant_checks_raise_under_optimize():
+    # the binding checks of the rewriting and the witness search's checks
+    # must not be asserts that python -O strips
+    script = (
+        "import wordeq.twocounter as t\n"
+        "from wordeq.paramwords import Unfixed\n"
+        "from wordeq.solved_form import _State\n"
+        "from wordeq.terms import Lit, Var, WordEq, concat\n"
+        "def expect(exc, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except exc as e:\n"
+        "        print(type(e).__name__, e)\n"
+        "expect(AssertionError, lambda: _State([], {'X': ()}, 0).bind('X', ()))\n"
+        "expect(AssertionError, lambda: _State([], {}, 0).bind('X', (Unfixed('X'),)))\n"
+        "body = WordEq(Var('S'), concat(Var('Y'), Lit('a')))\n"
+        "two = t.Sentence(('S', 'T'), ('Y',), body, 'a', ())\n"
+        "expect(ValueError, lambda: t.is_counterexample(two, 'a'))\n"
+        "expect(ValueError, lambda: t.enumerate_counterexamples(two, 1))\n"
+        "t._match_pattern = lambda pattern, target, cap: [({}, {'i': 1})]\n"
+        "one = t.Sentence(('S',), ('Y',), body, 'a', ())\n"
+        "expect(AssertionError, lambda: t.is_counterexample(one, 'a'))\n"
+    )
+    src = str(Path(wordeq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "AssertionError X is bound twice",
+        "AssertionError occurs check: X occurs in its own value",
+        "ValueError one universal variable is supported",
+        "ValueError one universal variable is supported",
+        "AssertionError a sentence equation matched with power parameters",
+    ]
+
+
+def test_empty_alphabet_length_formulas_against_small_integers():
+    # every word over "" is empty, so a length-only formula holds exactly
+    # when its integer rows hold with every length 0
+    rng = random.Random(6)
+    reach = 12
+    points = list(product(range(-reach, reach + 1), repeat=2))
+    kinds = set()
+    for _ in range(300):
+        rows = [
+            ([rng.choice([-3, -2, -1, 0, 1, 2, 3]) for _ in range(4)], rng.randint(-4, 4))
+            for _ in range(rng.randint(1, 3))
+        ]
+        terms = (Len(Var("X")), Len(Var("Y")), IntVar("m"), IntVar("n"))
+        phi = conj(*(LenLeq(sum_of(*zip(cs, terms)), b) for cs, b in rows))
+        found = any(all(cs[2] * m + cs[3] * n <= b for cs, b in rows) for m, n in points)
+        verdict = check_sat(phi, "")
+        kinds.add(type(verdict))
+        if isinstance(verdict, Sat):
+            ints = [verdict.ints.get(name, 0) for name in ("m", "n")]
+            assert found or max(map(abs, ints)) > reach, phi
+        else:
+            assert verdict == Unsat() and not found, phi
+    assert kinds == {Sat, Unsat}
 
 
 def test_disjunction_picks_live_branch():
@@ -358,6 +425,33 @@ def test_blocked_rewriting_branch_leaves_the_others_decided():
     assert res == Sat({"Y": ""}, {})
 
 
+def _residues(k, rs):
+    """(ab)^i a with i mod k in rs."""
+    return re_alt(*(re_seq(re_lit("ab" * r), re_star(re_lit("ab" * k)), re_lit("a")) for r in rs))
+
+
+@pytest.mark.parametrize("unsat", [False, True], ids=["sat", "unsat"])
+def test_membership_product_is_one_integer_call(unsat, monkeypatch):
+    # X_j = (ab)^i_j a, each i_j split mod 2 and mod 3: 6561 row groups
+    # under one solved form.  The shared rows say sum |X_j| = c with every
+    # |X_j| odd, so an odd c refutes the form before any group is built,
+    # and an even c is sat at the first group
+    import wordeq.solver as solver
+
+    calls = []
+    monkeypatch.setattr(solver, "lia_sat", lambda *args: calls.append(args) or lia_sat(*args))
+    xs = [Var(f"X{j}") for j in range(4)]
+    parts = []
+    for x in xs:
+        parts.append(WordEq(concat(Lit("ab"), x), concat(x, Lit("ba"))))
+        parts += [InRe(x, _residues(2, range(2))), InRe(x, _residues(3, range(3)))]
+    total = sum_of(*[(1, Len(x)) for x in xs])
+    c = 25 if unsat else 24
+    verdict = check_sat(conj(*parts, LenLeq(total, c), LenLeq(sum_of((-1, total)), -c)), "ab")
+    assert isinstance(verdict, Unsat if unsat else Sat)
+    assert len(calls) == 1
+
+
 def _product_row_groups(atoms, sf, alphabet, gen):
     """Reference encoder: the product of every atom's boxes, each full
     combination intersected from scratch, dead ones dropped at the end."""
@@ -382,31 +476,28 @@ def _product_row_groups(atoms, sf, alphabet, gen):
 def test_membership_groups_match_the_product_reference(monkeypatch):
     import wordeq.solver as solver
 
-    def residues(k, rs):  # (ab)^i a with i mod k in rs
-        return re_alt(*(re_seq(re_lit("ab" * r), re_star(re_lit("ab" * k)), re_lit("a")) for r in rs))
-
     x0, x1 = Var("X0"), Var("X1")
     eqs = [WordEq(concat(Lit("ab"), v), concat(v, Lit("ba"))) for v in (x0, x1)]
     # the first atom leaves only even exponents of X0, so half of the
     # prefixes die at the second atom and are never extended
     atoms = [
-        InRe(x0, residues(2, [0])),
-        InRe(x0, residues(2, [0, 1])),
-        InRe(x1, residues(2, [0, 1])),
-        InRe(x0, residues(3, [0, 1, 2])),
+        InRe(x0, _residues(2, [0])),
+        InRe(x0, _residues(2, [0, 1])),
+        InRe(x1, _residues(2, [0, 1])),
+        InRe(x0, _residues(3, [0, 1, 2])),
         InRe(concat(x0, x1), re_seq(re_star(re_lit("ab")), re_lit("a"), re_star(re_lit("ab")), re_lit("a"))),
     ]
     (sf,) = to_solved_form(eqs, variables={"X0", "X1"}, gen=NameGen({"X0", "X1"}))
     taken = {"X0", "X1"} | {p for _, pw in sf.bindings for p in params_of(pw)}
-    got = _regex_row_groups(atoms, sf, "ab", NameGen(taken))
+    got = list(_regex_row_groups(atoms, sf, "ab", NameGen(taken)))
     want = _product_row_groups(atoms, sf, "ab", NameGen(taken))
     assert want
     assert repr(got) == repr(want)
-    # the group limit is checked before each combination's groups are added
+    # the group limit is checked before each group is built
     monkeypatch.setattr(solver, "MAX_MEMBERSHIP_GROUPS", len(want))
-    assert len(_regex_row_groups(atoms, sf, "ab", NameGen(taken))) == len(want)
+    assert len(list(_regex_row_groups(atoms, sf, "ab", NameGen(taken)))) == len(want)
     monkeypatch.setattr(solver, "MAX_MEMBERSHIP_GROUPS", len(want) - 1)
     with pytest.raises(ResourceExhausted):
-        _regex_row_groups(atoms, sf, "ab", NameGen(taken))
+        list(_regex_row_groups(atoms, sf, "ab", NameGen(taken)))
     # no atoms: one empty group
-    assert _regex_row_groups([], sf, "ab", NameGen(taken)) == [[]]
+    assert list(_regex_row_groups([], sf, "ab", NameGen(taken))) == [[]]
