@@ -14,10 +14,9 @@ components of the rows over their columns; the two columns of a split
 unknown always share a block.  Each block is decided on its own by
 branch and bound, and the first infeasible block refutes the call.
 Ceiling branches beyond the block's small-model bound are pruned, which
-keeps the tree finite without giving up completeness; ``MAX_NODES``
-bounds the nodes of one call, summed over its blocks and groups, and
-turns pathological instances into ResourceExhausted instead of a silent
-wrong answer.
+keeps the tree finite without giving up completeness, and so is a node
+where some equality, with the columns its box pins moved to the bound,
+has a bound that the gcd of its other coefficients does not divide.
 
 A call may also take a disjunction of row groups that all share its
 rows.  The shared rows are normalised, eliminated, split and solved once,
@@ -26,6 +25,15 @@ pulled.  Each group, pulled one at a time, gets the shared eliminations
 substituted in; then only its rows and the shared blocks they touch are
 eliminated and searched again, while the untouched blocks keep their
 shared solution.  The first group with a model ends the call.
+
+``MAX_NODES`` bounds the nodes one call counts, summed over its blocks
+and groups, and turns pathological instances into ResourceExhausted
+instead of a silent wrong answer.  A search that runs out is not
+counted and is not final: a shared block that runs out stays open, and
+only a group whose rows touch it can decide it; a group that runs out,
+or leaves an open block alone and is not refuted, is undecided, and the
+later groups still run.  The call raises ResourceExhausted only when
+no group has a model and some group is undecided.
 
 A block keeps one bounded-variable simplex across all of its nodes
 (Dutertre and de Moura, *A Fast Linear-Arithmetic Solver for DPLL(T)*,
@@ -49,8 +57,8 @@ from .lengths import LinVar, Row
 
 _INT64 = 2**63 - 1
 
-# The most branch-and-bound nodes one call explores, summed over its blocks
-# and groups.
+# The most branch-and-bound nodes one call counts, summed over its blocks
+# and groups; a search that runs out is not counted.
 MAX_NODES = 10**6
 
 _ColRow = tuple[dict[int, int], int]  # sparse coeffs over columns, bound
@@ -289,6 +297,23 @@ def _blocks(
     return list(blocks.values())
 
 
+def _divisible(eqs: list[_ColRow], box: _Box) -> bool:
+    """Whether every equality, with the columns the box pins moved to its
+    bound, still has a bound divisible by the gcd of its other
+    coefficients (an equality with none left must hold exactly)."""
+    for coeffs, b in eqs:
+        g = 0
+        for j, c in coeffs.items():
+            lo, hi = box.get(j, (0, None))
+            if lo == hi:
+                b -= c * lo
+            else:
+                g = gcd(g, c)
+        if b % g != 0 if g else b != 0:
+            return False
+    return True
+
+
 def _solve_block(
     cols: list[int],
     eqs: list[_ColRow],
@@ -314,6 +339,8 @@ def _solve_block(
             raise ResourceExhausted("integer search exceeded its node budget")
         box = stack.pop()
         if any(lo > ubound or (hi is not None and lo > hi) for lo, hi in box.values()):
+            continue
+        if not _divisible(eqs, box):
             continue
         for j in cols:
             lp.set_bounds(j, *box.get(j, (0, None)))
@@ -386,7 +413,9 @@ def lia_sat(
     The groups are a disjunction that all share ``rows``.  The shared rows
     are eliminated and their blocks solved once; when one of those blocks
     is infeasible, no group is pulled from ``groups`` at all.  Each group
-    is then decided with only the shared blocks its rows touch.
+    is then decided with only the shared blocks its rows touch.  Raises
+    ResourceExhausted when no group has a model and some group was left
+    undecided by the node limit.
     """
     _validate(rows)
     cols_of: dict[LinVar, list[tuple[int, int]]] = {}
@@ -397,15 +426,25 @@ def lia_sat(
     except _Infeasible:
         return None
     pairs = [(cols[0][0], cols[1][0]) for cols in cols_of.values() if len(cols) == 2]
-    shared, nodes = _solve_blocks(eqs, les, pairs, 0)
-    if shared is None:
-        return None
+    # each shared block with its integer point, or None while it is open
+    shared: list[tuple[_Block, dict[int, int] | None]] = []
+    nodes = 0
+    for block in _blocks(eqs, les, pairs):
+        try:
+            found, nodes = _solve_block(*block, nodes)
+        except ResourceExhausted:
+            # Not final: its nodes are not counted, and a group whose rows
+            # constrain the block searches it again with them.
+            shared.append((block, None))
+            continue
+        if found is None:
+            return None
+        shared.append((block, found))
     block_of = {j: i for i, (block, _) in enumerate(shared) for j in block[0]}
+    opened = {i for i, (_, found) in enumerate(shared) if found is None}
 
+    undecided = False
     for group in groups:
-        if not group:  # the shared rows alone, already solved
-            solution = {j: v for _, found in shared for j, v in found.items()}
-            return _model(solution, elims, cols_of, rows)
         _validate(group)
         group_cols = dict(cols_of)
         _add_columns(group, group_cols, ncols)
@@ -423,8 +462,16 @@ def lia_sat(
         except _Infeasible:
             continue
         group_pairs = [(c[0][0], c[1][0]) for c in group_cols.values() if len(c) == 2]
-        solved, nodes = _solve_blocks(geqs, gles, group_pairs, nodes)
+        try:
+            solved, nodes = _solve_blocks(geqs, gles, group_pairs, nodes)
+        except ResourceExhausted:
+            undecided = True  # not counted either; the later groups still run
+            continue
         if solved is None:
+            continue
+        if opened - touched:
+            # an open block its rows leave alone would only run out again
+            undecided = True
             continue
         solution = {
             j: v
@@ -435,6 +482,8 @@ def lia_sat(
         for _, found in solved:
             solution.update(found)
         return _model(solution, elims + group_elims, group_cols, rows + group)
+    if undecided:
+        raise ResourceExhausted("integer search exceeded its node budget")
     return None
 
 

@@ -103,6 +103,12 @@ Verdict = Sat | Unsat | Unsupported
 # building one more.
 MAX_MEMBERSHIP_GROUPS = 20_000
 
+
+class _UnfixedMembership(UnfixedPartPresent):
+    """A membership atom over unfixed parts, which blocks its branch;
+    any other UnfixedPartPresent is an internal error and propagates."""
+
+
 # membership atoms under a solved form -> their row groups (a disjunction;
 # none when some atom can never hold), built only as they are pulled
 Encoder = Callable[[list[InRe], SolvedForm, str, NameGen], Iterator[list[Row]]]
@@ -115,14 +121,14 @@ def _regex_row_groups(
     gen: NameGen,
 ) -> Iterator[list[Row]]:
     """Exact encoder: the power parameters each regex admits.  A
-    membership over unfixed parts raises UnfixedPartPresent when the
+    membership over unfixed parts raises _UnfixedMembership when the
     first group is pulled."""
     per_atom_boxes: list[list[dict[str, UPSet]]] = []
     for atom in atoms:
         pw = apply_solved_form(sf, atom.term)
         if has_unfixed(pw):
             parts = ", ".join(parts_of(pw))
-            raise UnfixedPartPresent(f"membership constraint over unfixed parts ({parts})")
+            raise _UnfixedMembership(f"membership constraint over unfixed parts ({parts})")
         boxes = param_membership(pw, regex_to_dfa(atom.regex, alphabet))
         if not boxes:
             return
@@ -279,7 +285,7 @@ def _decide(
                     rows.extend(Row({part_var(p): 1}, "eq", 0) for p in sorted(parts))
                 try:
                     model = lia_sat(rows, encode(res, sf, alphabet, gen))
-                except (ResourceExhausted, UnfixedPartPresent) as exc:
+                except (ResourceExhausted, _UnfixedMembership) as exc:
                     blocked = blocked or str(exc)
                     continue
                 if model is not None:

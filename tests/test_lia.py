@@ -334,9 +334,12 @@ def test_groups_differential_against_one_call_per_group(monkeypatch):
     # the groups mix the shared unknowns with their own, so they touch
     # some shared blocks and leave others alone.  The systems are
     # unbounded, and branch and bound can run along a ray of one of them
-    # until the node limit, lowered here to keep such a case short
-    monkeypatch.setattr(lia, "MAX_NODES", 3000)
-    rng = random.Random(605)
+    # until the node limit, lowered here to keep such a case short.  A
+    # group the call leaves undecided may have a model, so the call may
+    # end at a later group than the first one that has one; the draw
+    # holds shared rows that run out and are then decided with a group
+    monkeypatch.setattr(lia, "MAX_NODES", 1000)
+    rng = random.Random(4)
     kinds = [len_var, param_var, part_var_maker, int_var]
     seen = set()
     for case in range(400):
@@ -359,25 +362,29 @@ def test_groups_differential_against_one_call_per_group(monkeypatch):
 
         alone = decided(lambda: lia_sat(rows))
         model = decided(lambda: lia_sat(rows, pull()))
-        if alone is None or alone == "exhausted":
-            # the shared rows are decided first, exactly as on their own
-            assert (model, pulled) == (alone, []), (case, rows)
-            seen.add(f"shared rows {alone or 'refuted'}")
+        if alone is None:
+            # the shared rows are refuted before any group is pulled
+            assert (model, pulled) == (None, []), (case, rows)
+            seen.add("shared rows refuted")
             continue
         refs = [decided(lambda: lia_sat(rows + g)) for g in groups]
-        if "exhausted" in refs:
-            continue  # the reference cannot tell
-        first = next((i for i, ref in enumerate(refs) if ref is not None), None)
-        if first is None:
-            assert (model, pulled) == (None, groups), (case, rows, groups)
-            seen.add("every group refuted")
+        if model == "exhausted" or model is None:
+            # every group was pulled, and none that the call refuted has
+            # a model
+            assert pulled == groups, (case, rows, groups)
+            if model is None:
+                assert not any(isinstance(ref, dict) for ref in refs), (case, rows, groups)
+                seen.add("every group refuted")
         else:
-            assert pulled == groups[: first + 1], (case, rows, groups)
-            verify(rows + groups[first], model)
-            seen.add("sat at a later group" if first else "sat at the first group")
+            # the call ends at the first group it finds a model for
+            verify(rows + pulled[-1], model)
+            assert refs[len(pulled) - 1] is not None, (case, rows, groups)
+            seen.add("sat at a later group" if len(pulled) > 1 else "sat at the first group")
+        if alone == "exhausted" and model != "exhausted":
+            seen.add("shared rows exhausted, the call decides")
     assert seen == {
         "shared rows refuted",
-        "shared rows exhausted",
+        "shared rows exhausted, the call decides",
         "every group refuted",
         "sat at a later group",
         "sat at the first group",
@@ -414,3 +421,31 @@ def test_node_limit_counts_nodes_summed_over_groups(monkeypatch):
     monkeypatch.setattr(lia, "MAX_NODES", need - 1)
     with pytest.raises(ResourceExhausted):
         lia_sat(shared, [first, second])
+
+
+def test_a_shared_block_that_runs_out_is_left_open(monkeypatch):
+    # 6|A| + 10|B| + 15|C| = 31 runs out on its own; a group that pins
+    # |A| and |B| decides it, a group that only says |C| = 0 refutes it
+    # (6|A| + 10|B| = 31 has no solution), and a group that leaves it
+    # alone leaves it undecided
+    shared = frobenius_rows((31,))
+    need, _ = nodes_needed(shared, monkeypatch)
+    monkeypatch.setattr(lia, "MAX_NODES", need - 1)
+    with pytest.raises(ResourceExhausted):
+        lia_sat(shared)
+    with pytest.raises(ResourceExhausted):
+        lia_sat(shared, [[Row({x("D"): 1}, "eq", 2)]])
+    pin = [Row({x("A0"): 1}, "eq", 1), Row({x("B0"): 1}, "eq", 1)]
+    model = lia_sat(shared, [[], pin])
+    verify(shared + pin, model)
+    assert lia_sat(shared, [[Row({x("C0"): 1}, "eq", 0)]]) is None
+
+
+def test_a_group_that_runs_out_leaves_the_later_groups_decided(monkeypatch):
+    costly = frobenius_rows((31,))
+    need, _ = nodes_needed(costly, monkeypatch)
+    monkeypatch.setattr(lia, "MAX_NODES", need - 1)
+    cheap = [Row({x("D"): 1}, "eq", 2)]
+    assert lia_sat([], [costly, cheap]) == {x("D"): 2}
+    with pytest.raises(ResourceExhausted):
+        lia_sat([], [costly, [Row({x("D"): 1}, "le", -1)]])

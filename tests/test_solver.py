@@ -12,7 +12,7 @@ import pytest
 import wordeq
 from helpers import random_formula_el, random_formula_elr
 from wordeq.automata import param_membership, regex_to_dfa, upset_intersect, upset_is_empty
-from wordeq.errors import LetterOutsideAlphabet, ResourceExhausted
+from wordeq.errors import LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
 from wordeq.lengths import param_var, upset_rows
 from wordeq.lia import lia_sat
 from wordeq.paramwords import params_of
@@ -450,6 +450,42 @@ def test_membership_product_is_one_integer_call(unsat, monkeypatch):
     verdict = check_sat(conj(*parts, LenLeq(total, c), LenLeq(sum_of((-1, total)), -c)), "ab")
     assert isinstance(verdict, Unsat if unsat else Sat)
     assert len(calls) == 1
+
+
+def test_membership_product_sat_only_at_its_last_group(monkeypatch):
+    # the same product over three X_j, with every |X_j| <= 11 and their
+    # sum >= 33: only i_j = 5 (odd, 2 mod 3) fits, the last of the 729
+    # groups, so every group before it is refuted within the one call
+    import wordeq.solver as solver
+
+    calls = []
+    monkeypatch.setattr(solver, "lia_sat", lambda *args: calls.append(args) or lia_sat(*args))
+    xs = [Var(f"X{j}") for j in range(3)]
+    parts = []
+    for x in xs:
+        parts.append(WordEq(concat(Lit("ab"), x), concat(x, Lit("ba"))))
+        parts += [InRe(x, _residues(2, range(2))), InRe(x, _residues(3, range(3)))]
+        parts.append(LenLeq(Len(x), 11))
+    parts.append(LenLeq(sum_of(*[(-1, Len(x)) for x in xs]), -33))
+    verdict = check_sat(conj(*parts), "ab")
+    assert verdict == Sat({x.name: "ab" * 5 + "a" for x in xs}, {})
+    assert len(calls) == 1
+
+
+def test_only_memberships_over_unfixed_parts_block_their_branch(monkeypatch):
+    import wordeq.solver as solver
+
+    x, y = Var("X"), Var("Y")
+    phi = conj(WordEq(x, concat(y, Lit("a"))), InRe(x, re_star(re_lit("a"))))
+    assert check_sat(phi, "ab") == Unsupported("membership constraint over unfixed parts (Y)")
+
+    def broken(*args):
+        raise UnfixedPartPresent("membership is undefined for unfixed parts")
+
+    # the same error from a layer below the encoder's own check is a bug
+    monkeypatch.setattr(solver, "param_membership", broken)
+    with pytest.raises(UnfixedPartPresent, match="undefined"):
+        check_sat(conj(WordEq(x, Lit("aa")), InRe(x, re_star(re_lit("a")))), "ab")
 
 
 def _product_row_groups(atoms, sf, alphabet, gen):
