@@ -57,6 +57,15 @@ class EncodingCapExceeded(WordeqError):
     """The machine is too large for the sentence encoding."""
 
 
+class MalformedMachine(WordeqError):
+    """A machine, a configuration or an input word is not well formed."""
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise MalformedMachine(message)
+
+
 # defect clauses in an encoded sentence
 MAX_CLAUSES = 100_000
 # calls of the witness search behind one bounded validity check
@@ -80,20 +89,26 @@ class TwoCounterMachine:
     rules: tuple[tuple[DeltaKey, DeltaVal], ...]
 
     def __post_init__(self) -> None:
-        assert len(set(self.states)) == len(self.states)
-        assert len(set(self.input_alphabet)) == len(self.input_alphabet)
-        assert self.initial in self.states
-        assert self.finals <= set(self.states)
+        _check(len(set(self.states)) == len(self.states), "states must be distinct")
+        _check(
+            len(set(self.input_alphabet)) == len(self.input_alphabet),
+            "input letters must be distinct",
+        )
+        _check(self.initial in self.states, f"initial state {self.initial!r} is not declared")
+        _check(self.finals <= set(self.states), "final states must be declared")
         seen: set[DeltaKey] = set()
         letters = set(self.input_alphabet) | {"end"}
         for (q, a, t1, t2), (q2, track, move) in self.rules:
             if (q, a, t1, t2) in seen:
                 raise NondeterministicDelta(f"duplicate rule for {(q, a, t1, t2)}")
             seen.add((q, a, t1, t2))
-            assert q in self.states and q2 in self.states
-            assert a in letters
-            assert t1 in ("Z", "b") and t2 in ("Z", "c")
-            assert track in TRACKS and move in MOVES
+            _check(
+                q in self.states and q2 in self.states,
+                f"rule for {(q, a, t1, t2)} uses an undeclared state",
+            )
+            _check(a in letters, f"rule letter {a!r} is not in the input alphabet")
+            _check(t1 in ("Z", "b") and t2 in ("Z", "c"), "zero-test tags are Z|b and Z|c")
+            _check(track in TRACKS and move in MOVES, "rule actions are in|stor1|stor2 and L|R")
 
     @cached_property
     def delta(self) -> dict[DeltaKey, DeltaVal]:
@@ -110,7 +125,10 @@ class MachineId:
     counter2: int
 
     def __post_init__(self) -> None:
-        assert self.head >= 0 and self.counter1 >= 0 and self.counter2 >= 0
+        _check(
+            self.head >= 0 and self.counter1 >= 0 and self.counter2 >= 0,
+            "head position and counters must be nonnegative",
+        )
 
 
 @dataclass(frozen=True)
@@ -130,6 +148,11 @@ class StillRunning:
     steps: int
 
 
+def _check_input(m: TwoCounterMachine, w: tuple[str, ...]) -> None:
+    _check(len(w) >= 1, "the input word must be nonempty")
+    _check(all(a in m.input_alphabet for a in w), "the input word is not over the input alphabet")
+
+
 def simulate(
     m: TwoCounterMachine,
     word: tuple[str, ...] | list[str],
@@ -137,8 +160,7 @@ def simulate(
 ) -> Accepted | Rejected | StillRunning:
     """Run the machine on a nonempty input word."""
     w = tuple(word)
-    assert len(w) >= 1, "the input word must be nonempty"
-    assert all(a in m.input_alphabet for a in w)
+    _check_input(m, w)
     config = MachineId(m.initial, 0, 0, 0)
     seen = {config}
     history = [config]
@@ -190,7 +212,7 @@ def id_letters(
     m: TwoCounterMachine, word_len: int
 ) -> tuple[dict[tuple[str, int], str], tuple[tuple[str, str, int], ...]]:
     """Assign one letter per (state, head position) pair, plus a legend."""
-    assert word_len >= 1
+    _check(word_len >= 1, "the input word must be nonempty")
     pairs = [(q, h) for q in m.states for h in range(word_len)]
     if len(pairs) > len(_LETTER_POOL):
         raise EncodingCapExceeded(
@@ -209,7 +231,7 @@ def encode_history(
     mapping, _ = id_letters(m, len(w))
     out = []
     for c in history:
-        assert c.head < len(w)
+        _check(c.head < len(w), f"head position {c.head} is past the input word")
         out.append(mapping[(c.state, c.head)] + "b" * c.counter1 + "c" * c.counter2)
     return "".join(out)
 
@@ -243,8 +265,7 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
     transition rules, and the final block is an accepting configuration.
     """
     w = tuple(word)
-    assert len(w) >= 1, "the input word must be nonempty"
-    assert all(a in m.input_alphabet for a in w)
+    _check_input(m, w)
     n = len(w)
     mapping, legend = id_letters(m, n)
     sigma0 = [mapping[(q, h)] for q in m.states for h in range(n)]
@@ -409,9 +430,8 @@ def positivize(s: Sentence) -> Sentence:
         lhs, rhs = eq.lhs, eq.rhs
         if isinstance(rhs, Var) and isinstance(lhs, Lit):
             lhs, rhs = rhs, lhs
-        assert isinstance(lhs, Var) and isinstance(rhs, Lit), (
-            "only variable-vs-constant negations occur in encoded bodies"
-        )
+        if not (isinstance(lhs, Var) and isinstance(rhs, Lit)):
+            raise ValueError('only negations of the form not (X = "u") are supported')
         u = rhs.word
         h = pick_helper(taken | {lhs.name})
         options: list[Formula] = [WordEq(lhs, Lit(u[:k])) for k in range(len(u))]
@@ -428,11 +448,13 @@ def positivize(s: Sentence) -> Sentence:
         if isinstance(phi, WordEq):
             return phi
         if isinstance(phi, Not):
-            assert isinstance(phi.inner, WordEq)
+            if not isinstance(phi.inner, WordEq):
+                raise ValueError('only negations of the form not (X = "u") are supported')
             return complement(phi.inner, active)
         if isinstance(phi, Or):
             return Or(tuple(rewrite(p, active) for p in phi.parts))
-        assert isinstance(phi, And)
+        if not isinstance(phi, And):
+            raise ValueError("sentence bodies hold equations only")
         parts = list(phi.parts)
         var_sets = [_formula_str_vars(p) for p in parts]
         out = []
@@ -471,6 +493,27 @@ class NoCounterexampleUpTo:
 
 
 _Eq = tuple[Blocks, Blocks, bool]  # lhs, rhs, positive
+# The constants c0, ..., ck of a linear pattern c0 X1 c1 ... Xk ck, where
+# the Xi are distinct existentials; one constant means no variable.
+_Linear = tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class _Body:
+    """A sentence body in disjunctive normal form, its conjuncts split by
+    how a value of the universal is tested against them.
+
+    A linear conjunct is one positive equation ``S = c0 X1 c1 ... Xk ck``.
+    It has a witness exactly when the word matches the pattern, and the
+    witness is made of pieces of the word, so it is within the bound.  A
+    pattern that ends in a variable (``closed``) matches every extension
+    of a word it matches.
+    """
+
+    universal: str
+    closed: list[_Linear]
+    anchored: list[_Linear]
+    generic: list[list[_Eq]]
 
 
 def _ground(s: Blocks) -> str | None:
@@ -544,42 +587,135 @@ def _conjunct_sat(
     return False
 
 
-def _compiled_body(s: Sentence) -> list[list[_Eq]]:
-    conjuncts = []
+def _linear(eq: _Eq, universal: str) -> _Linear | None:
+    """The constants of ``S = c0 X1 c1 ... Xk ck``, or None when the
+    equation is not of that form."""
+    lhs, rhs, positive = eq
+    alone = (Unfixed(universal),)
+    if rhs == alone:
+        lhs, rhs = rhs, lhs
+    if not positive or lhs != alone:
+        return None
+    parts = [""]
+    seen: set[str] = set()
+    for it in rhs:
+        if isinstance(it, Const):
+            parts[-1] += it.word
+            continue
+        if not isinstance(it, Unfixed) or it.part == universal or it.part in seen:
+            return None
+        seen.add(it.part)
+        # Adjacent variables match what one variable matches.
+        if len(parts) == 1 or parts[-1]:
+            parts.append("")
+    return tuple(parts)
+
+
+def _matches(pattern: _Linear, word: str) -> bool:
+    """Does the word match the linear pattern?  Each variable occurs once,
+    so the leftmost place of each inner constant is as good as any."""
+    if len(pattern) == 1:
+        return word == pattern[0]
+    if not word.startswith(pattern[0]):
+        return False
+    pos = len(pattern[0])
+    for piece in pattern[1:-1]:
+        pos = word.find(piece, pos)
+        if pos < 0:
+            return False
+        pos += len(piece)
+    return word.endswith(pattern[-1], pos)
+
+
+def _compiled_body(s: Sentence) -> _Body:
+    if len(s.universals) != 1:
+        raise ValueError("one universal variable is supported")
+    universal = s.universals[0]
+    # The DNF repeats each atom object across conjuncts: compile it once.
+    sides: dict[int, tuple[Blocks, Blocks]] = {}
+
+    closed: list[_Linear] = []
+    anchored: list[_Linear] = []
+    generic: list[list[_Eq]] = []
     for literals in to_dnf(s.body):
         eqs: list[_Eq] = []
         for lit in literals:
-            assert isinstance(lit.atom, WordEq), "sentence bodies hold equations only"
-            eqs.append((term_to_side(lit.atom.lhs), term_to_side(lit.atom.rhs), lit.positive))
-        conjuncts.append(eqs)
-    return conjuncts
+            if not isinstance(lit.atom, WordEq):
+                raise ValueError("sentence bodies hold equations only")
+            key = id(lit.atom)
+            if key not in sides:
+                sides[key] = (term_to_side(lit.atom.lhs), term_to_side(lit.atom.rhs))
+            eqs.append((*sides[key], lit.positive))
+        pattern = _linear(eqs[0], universal) if len(eqs) == 1 else None
+        if pattern is None:
+            generic.append(eqs)
+        elif len(pattern) > 1 and pattern[-1] == "":
+            closed.append(pattern)
+        else:
+            anchored.append(pattern)
+    return _Body(
+        universal, list(dict.fromkeys(closed)), list(dict.fromkeys(anchored)), generic
+    )
+
+
+def _witnessed(body: _Body, word: str, alphabet: str, budget: list[int]) -> bool:
+    """Does a conjunct that is not extension-closed have a witness?"""
+    if any(_matches(p, word) for p in body.anchored):
+        return True
+    env = {body.universal: const_blocks(word)}
+    return any(
+        _conjunct_sat(eqs, env, alphabet, len(word), budget) for eqs in body.generic
+    )
 
 
 def is_counterexample(s: Sentence, word: str) -> bool:
     """Does the word defeat every existential witness choice?"""
-    if len(s.universals) != 1:
-        raise ValueError("one universal variable is supported")
-    conjuncts = _compiled_body(s)
-    budget = [SEARCH_NODES]
-    env = {s.universals[0]: const_blocks(word)}
-    return not any(
-        _conjunct_sat(eqs, env, s.alphabet, len(word), budget) for eqs in conjuncts
-    )
+    body = _compiled_body(s)
+    if any(_matches(p, word) for p in body.closed):
+        return False
+    return not _witnessed(body, word, s.alphabet, [SEARCH_NODES])
+
+
+def _unpruned(closed: list[_Linear], alphabet: str, length: int) -> Iterator[str]:
+    """The words of one length that have no prefix a closed pattern
+    matches, in alphabet order.
+
+    The prefixes are walked depth first and no extension of a matched one
+    is visited.  The walk keeps one prefix and one letter iterator per
+    depth, never a list of the words of one length, and it does not recurse.
+    """
+    if any(_matches(p, "") for p in closed):
+        return
+    if length == 0:
+        yield ""
+        return
+    prefix = ""
+    letters = [iter(alphabet)]  # the letters still to try at each depth
+    while letters:
+        letter = next(letters[-1], None)
+        if letter is None:
+            letters.pop()
+            prefix = prefix[:-1]
+            continue
+        word = prefix + letter
+        if any(_matches(p, word) for p in closed):
+            continue
+        if len(word) == length:
+            yield word
+        else:
+            prefix = word
+            letters.append(iter(alphabet))
 
 
 def _counterexamples(s: Sentence, max_len: int, limit: int | None) -> list[str]:
-    if len(s.universals) != 1:
-        raise ValueError("one universal variable is supported")
-    universal = s.universals[0]
-    conjuncts = _compiled_body(s)
+    """The words with no witness, shortest first, letters in alphabet order."""
+    body = _compiled_body(s)
     budget = [SEARCH_NODES]
     found: list[str] = []
-    for word in _iter_words(s.alphabet, max_len):
-        env = {universal: const_blocks(word)}
-        witnessed = any(
-            _conjunct_sat(eqs, env, s.alphabet, len(word), budget) for eqs in conjuncts
-        )
-        if not witnessed:
+    for length in range(max_len + 1):
+        for word in _unpruned(body.closed, s.alphabet, length):
+            if _witnessed(body, word, s.alphabet, budget):
+                continue
             found.append(word)
             if limit is not None and len(found) >= limit:
                 return found

@@ -189,7 +189,7 @@ def test_invariant_checks_raise_under_optimize():
         "        print(type(e).__name__, e)\n"
         "expect(AssertionError, lambda: _State([], {'X': ()}, 0).bind('X', ()))\n"
         "expect(AssertionError, lambda: _State([], {}, 0).bind('X', (Unfixed('X'),)))\n"
-        "body = WordEq(Var('S'), concat(Var('Y'), Lit('a')))\n"
+        "body = WordEq(Var('S'), concat(Var('Y'), Var('Y'), Lit('a')))\n"
         "two = t.Sentence(('S', 'T'), ('Y',), body, 'a', ())\n"
         "expect(ValueError, lambda: t.is_counterexample(two, 'a'))\n"
         "expect(ValueError, lambda: t.enumerate_counterexamples(two, 1))\n"

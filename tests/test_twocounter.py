@@ -1,17 +1,38 @@
 """Tests for two-counter machines and their sentence encoding."""
 
+import inspect
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wordeq
 from wordeq import twocounter
 from wordeq.errors import ResourceExhausted
-from wordeq.terms import Concat, Lit, Not, Var, WordEq, concat, conj, disj, free_vars
+from wordeq.normalize import to_dnf
+from wordeq.paramwords import const_blocks
+from wordeq.solved_form import term_to_side
+from wordeq.terms import (
+    Concat,
+    Lit,
+    Not,
+    StrTerm,
+    Var,
+    WordEq,
+    concat,
+    conj,
+    disj,
+    free_vars,
+)
 from wordeq.twocounter import (
     Accepted,
     Counterexample,
     EncodingCapExceeded,
     MachineId,
+    MalformedMachine,
     NoCounterexampleUpTo,
     NondeterministicDelta,
     Rejected,
@@ -45,30 +66,77 @@ def test_duplicate_rule_key_rejected():
 
 
 def test_malformed_machines_rejected():
-    with pytest.raises(AssertionError):  # unknown track
+    with pytest.raises(MalformedMachine):  # unknown track
         TwoCounterMachine(
             ("q0",), ("a",), "q0", frozenset(),
             ((("q0", "a", "Z", "Z"), ("q0", "stor3", "R")),),
         )
-    with pytest.raises(AssertionError):  # rule letter outside the alphabet
+    with pytest.raises(MalformedMachine):  # rule letter outside the alphabet
         TwoCounterMachine(
             ("q0",), ("a",), "q0", frozenset(),
             ((("q0", "x", "Z", "Z"), ("q0", "in", "R")),),
         )
-    with pytest.raises(AssertionError):  # successor state unknown
+    with pytest.raises(MalformedMachine):  # successor state unknown
         TwoCounterMachine(
             ("q0",), ("a",), "q0", frozenset(),
             ((("q0", "a", "Z", "Z"), ("q9", "in", "R")),),
         )
-    with pytest.raises(AssertionError):  # initial state unknown
+    with pytest.raises(MalformedMachine):  # initial state unknown
         TwoCounterMachine(("q0",), ("a",), "q7", frozenset(), ())
 
 
 def test_machine_id_requires_nonnegative_fields():
-    with pytest.raises(AssertionError):
+    with pytest.raises(MalformedMachine):
         MachineId("q0", -1, 0, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(MalformedMachine):
         MachineId("q0", 0, 0, -2)
+
+
+def test_machine_and_sentence_checks_raise_under_optimize():
+    # the checks on machines, input words and sentence shapes must not be
+    # asserts that python -O strips
+    script = (
+        "from wordeq import twocounter as t\n"
+        "from wordeq.terms import InRe, Lit, Not, Var, WordEq, concat, re_lit\n"
+        "def expect(exc, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except exc as e:\n"
+        "        print(type(e).__name__, e)\n"
+        "rule = (('q0', 'a', 'Z', 'Z'), ('nowhere', 'in', 'L'))\n"
+        "expect(t.MalformedMachine, lambda: t.TwoCounterMachine(\n"
+        "    ('q0',), ('a',), 'qX', frozenset({'qY'}), (rule,)))\n"
+        "expect(t.MalformedMachine, lambda: t.TwoCounterMachine(\n"
+        "    ('q0',), ('a',), 'q0', frozenset(), (rule,)))\n"
+        "expect(t.MalformedMachine, lambda: t.MachineId('q0', 0, -1, 0))\n"
+        "m = t.TwoCounterMachine(('q0',), ('a',), 'q0', frozenset(), ())\n"
+        "expect(t.MalformedMachine, lambda: t.simulate(m, ()))\n"
+        "expect(t.MalformedMachine, lambda: t.encode(m, ('z',)))\n"
+        "neg = Not(WordEq(concat(Var('S'), Lit('a')), Lit('ab')))\n"
+        "expect(ValueError, lambda: t.positivize(t.Sentence(('S',), ('X',), neg, 'ab', ())))\n"
+        "member = t.Sentence(('S',), (), InRe(Var('S'), re_lit('a')), 'ab', ())\n"
+        "expect(ValueError, lambda: t.positivize(member))\n"
+        "expect(ValueError, lambda: t.enumerate_counterexamples(member, 1))\n"
+    )
+    src = str(Path(wordeq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "MalformedMachine initial state 'qX' is not declared",
+        "MalformedMachine rule for ('q0', 'a', 'Z', 'Z') uses an undeclared state",
+        "MalformedMachine head position and counters must be nonnegative",
+        "MalformedMachine the input word must be nonempty",
+        "MalformedMachine the input word is not over the input alphabet",
+        'ValueError only negations of the form not (X = "u") are supported',
+        "ValueError sentence bodies hold equations only",
+        "ValueError sentence bodies hold equations only",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +193,9 @@ def test_simulate_detects_revisited_configuration():
 
 def test_simulate_requires_nonempty_word():
     z1, _ = zoo()[0]
-    with pytest.raises(AssertionError):
+    with pytest.raises(MalformedMachine):
         simulate(z1, ())
-    with pytest.raises(AssertionError):
+    with pytest.raises(MalformedMachine):
         simulate(z1, ("b",))  # letter outside the input alphabet
 
 
@@ -211,9 +279,9 @@ def test_encode_body_contains_expected_clauses():
 
 def test_encode_rejects_bad_inputs(monkeypatch):
     z1, _ = zoo()[0]
-    with pytest.raises(AssertionError):
+    with pytest.raises(MalformedMachine):
         encode(z1, ())
-    with pytest.raises(AssertionError):
+    with pytest.raises(MalformedMachine):
         encode(z1, ("z",))
     monkeypatch.setattr(twocounter, "MAX_CLAUSES", 3)
     with pytest.raises(EncodingCapExceeded):
@@ -255,6 +323,118 @@ def test_node_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(twocounter, "SEARCH_NODES", 10)
     with pytest.raises(ResourceExhausted):
         bounded_validity_check(s, 4)
+
+
+def _reference_counterexamples(s: Sentence, max_len: int) -> list[str]:
+    """The search without pruning: every word, every conjunct through the
+    generic witness search."""
+    conjuncts = [
+        [(term_to_side(l.atom.lhs), term_to_side(l.atom.rhs), l.positive) for l in lits]
+        for lits in to_dnf(s.body)
+    ]
+    budget = [twocounter.SEARCH_NODES]
+    found = []
+    for word in twocounter._iter_words(s.alphabet, max_len):
+        env = {s.universals[0]: const_blocks(word)}
+        if not any(
+            twocounter._conjunct_sat(eqs, env, s.alphabet, len(word), budget)
+            for eqs in conjuncts
+        ):
+            found.append(word)
+    return found
+
+
+def _assert_search_matches_reference(s: Sentence, max_len: int, each_word: bool = True) -> None:
+    reference = _reference_counterexamples(s, max_len)
+    for bound in range(max_len + 1):
+        expected = [w for w in reference if len(w) <= bound]
+        assert enumerate_counterexamples(s, bound) == expected, (s.body, bound)
+        first = Counterexample(expected[0]) if expected else NoCounterexampleUpTo(bound)
+        assert bounded_validity_check(s, bound) == first, (s.body, bound)
+    if each_word:
+        for word in twocounter._iter_words(s.alphabet, max_len):
+            assert is_counterexample(s, word) == (word in reference), (s.body, word)
+
+
+def _kinds(s: Sentence) -> tuple[int, int, int]:
+    body = twocounter._compiled_body(s)
+    return len(body.closed), len(body.anchored), len(body.generic)
+
+
+def test_pruned_search_matches_reference_on_the_zoo():
+    for m, w in zoo():
+        s = encode(m, w)
+        for sentence in (s, positivize(s)):
+            _assert_search_matches_reference(sentence, 4, each_word=False)
+
+
+def test_pruned_search_matches_reference_per_conjunct_class():
+    S, X, Y = Var("S"), Var("X"), Var("Y")
+    a, b, ab = Lit("a"), Lit("b"), Lit("ab")
+    cases = [
+        (WordEq(S, Lit("")), (0, 1, 0)),
+        (WordEq(S, ab), (0, 1, 0)),
+        (WordEq(ab, S), (0, 1, 0)),
+        (WordEq(S, X), (1, 0, 0)),
+        (WordEq(S, concat(X, ab)), (0, 1, 0)),
+        (WordEq(S, concat(a, X, b, Y)), (1, 0, 0)),
+        (WordEq(S, concat(X, Y, a)), (0, 1, 0)),
+        (WordEq(S, concat(X, a, Y, a)), (0, 1, 0)),
+        (WordEq(S, concat(X, a, Y, b, Var("Z"))), (1, 0, 0)),
+        (WordEq(S, concat(X, X)), (0, 0, 1)),
+        (WordEq(S, S), (0, 0, 1)),
+        (WordEq(S, concat(S, X)), (0, 0, 1)),
+        (Not(WordEq(S, concat(X, a))), (0, 0, 1)),
+        (conj(WordEq(S, concat(X, a)), WordEq(X, concat(b, Y))), (0, 0, 1)),
+        (disj(WordEq(S, concat(a, X)), WordEq(S, concat(X, ab))), (1, 1, 0)),
+    ]
+    for body, kinds in cases:
+        s = Sentence(("S",), ("X", "Y", "Z"), body, "ab", ())
+        assert _kinds(s) == kinds, body
+        _assert_search_matches_reference(s, 4)
+
+
+def test_prefix_walk_depth_does_not_use_the_stack():
+    # only words b^n avoid the closed pattern, so the walk reaches the bound
+    body = WordEq(Var("S"), concat(Var("X"), Lit("a"), Var("Y")))
+    s = Sentence(("S",), ("X", "Y"), body, "ab", ())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        found = enumerate_counterexamples(s, 100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == ["b" * n for n in range(101)]
+
+
+def _random_term(rng: random.Random, names, longest: int) -> StrTerm:
+    picked = rng.choices(names, k=rng.randint(0, longest))
+    return concat(*(Var(n) if n in "SXYZ" else Lit(n) for n in picked))
+
+
+def _random_sentence(rng: random.Random) -> Sentence:
+    conjuncts = []
+    for _ in range(rng.randint(1, 3)):
+        eqs = []
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.6:
+                eq = WordEq(Var("S"), _random_term(rng, ["X", "Y", "Z", "a", "b", "ab"], 5))
+            else:
+                eq = WordEq(_random_term(rng, "SXYab", 3), _random_term(rng, "SXYab", 3))
+            eqs.append(Not(eq) if rng.random() < 0.2 else eq)
+        conjuncts.append(conj(*eqs))
+    return Sentence(("S",), ("X", "Y", "Z"), disj(*conjuncts), "ab", ())
+
+
+def test_pruned_search_matches_reference_on_random_sentences():
+    rng = random.Random(7)
+    totals = [0, 0, 0]
+    for _ in range(300):
+        s = _random_sentence(rng)
+        totals = [t + k for t, k in zip(totals, _kinds(s))]
+        _assert_search_matches_reference(s, 3)
+    # the draw reaches every conjunct class
+    assert min(totals) > 0, totals
 
 
 def _updown_machine() -> tuple[TwoCounterMachine, tuple[str, ...], str]:
