@@ -7,6 +7,10 @@ Negated atoms are rewritten into positive ones:
   language over the problem alphabet;
 * a negated word equation splits into "lengths differ" plus, for every
   ordered pair of distinct letters, "common prefix then a mismatch".
+
+A conjunction of literals becomes one factor per literal, the list of its
+positive alternatives.  The product of the factors is never built here:
+the solver walks it and skips the parts of it that are already refuted.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from .terms import (
 Atom = WordEq | LenLeq | InRe
 
 # The most disjuncts ``to_dnf`` builds for a formula, and the most positive
-# conjunctions ``eliminate_negations`` builds for one of them.
+# conjunctions the product of ``eliminate_negations``'s factors for one of
+# them may hold.
 MAX_DISJUNCTS = 100_000
 
 
@@ -64,6 +69,12 @@ def _nnf(phi: Formula, positive: bool) -> Formula:
     return phi if positive else Not(phi)
 
 
+def _atom(f: Formula) -> Atom:
+    if not isinstance(f, (WordEq, LenLeq, InRe)):
+        raise TypeError(f"not an atom: {f!r}")
+    return f
+
+
 def to_dnf(phi: Formula) -> list[list[Literal]]:
     """Disjunction of conjunctions of literals, equivalent to ``phi``.
 
@@ -87,10 +98,8 @@ def to_dnf(phi: Formula) -> list[list[Literal]]:
                 acc = [c + d for c in acc for d in branch]
             return acc
         if isinstance(f, Not):
-            assert isinstance(f.inner, (WordEq, LenLeq, InRe))
-            return [[Literal(f.inner, False)]]
-        assert isinstance(f, (WordEq, LenLeq, InRe))
-        return [[Literal(f, True)]]
+            return [[Literal(_atom(f.inner), False)]]
+        return [[Literal(_atom(f), True)]]
 
     return walk(_nnf(phi, True))
 
@@ -118,37 +127,38 @@ def _negate_word_eq(atom: WordEq, alphabet: str, gen: NameGen) -> list[list[Atom
 
 def eliminate_negations(
     conjunct: list[Literal], alphabet: str, gen: NameGen
-) -> list[list[Atom]]:
-    """Turn a conjunction of literals into equivalent positive conjunctions.
+) -> list[list[list[Atom]]]:
+    """Turn a conjunction of literals into factors of positive alternatives.
 
-    The result is a disjunction: the conjunction of the input literals is
-    satisfiable (over words in the given alphabet) iff some returned
-    conjunction of positive atoms is.  More than ``MAX_DISJUNCTS`` of them
-    raise ResourceExhausted before any is built.
+    One factor per literal, in order: the positive conjunctions that may
+    stand for it.  The conjunction of the input literals is satisfiable
+    (over words in the given alphabet) iff some member of the factors'
+    product, its chosen alternatives concatenated, is.  A negated
+    membership of the total language makes the result one factor with no
+    alternative.  A product of more than ``MAX_DISJUNCTS`` members raises
+    ResourceExhausted.
     """
-    alternatives: list[list[list[Atom]]] = []
+    factors: list[list[list[Atom]]] = []
     for lit in conjunct:
         if lit.positive:
-            alternatives.append([[lit.atom]])
+            factors.append([[lit.atom]])
             continue
         atom = lit.atom
         if isinstance(atom, LenLeq):
             # not (t <= c)  <=>  t >= c + 1  <=>  -t <= -c - 1
             flipped = LenLeq(scale(atom.term, -1), -atom.bound - 1)
-            alternatives.append([[flipped]])
+            factors.append([[flipped]])
         elif isinstance(atom, InRe):
             complement = dfa_complement(regex_to_dfa(atom.regex, alphabet))
             r = dfa_to_regex(complement)
             if r is None:
                 # complement empty: the negated membership can never hold
-                return []
-            alternatives.append([[InRe(atom.term, r)]])
+                return [[]]
+            factors.append([[InRe(atom.term, r)]])
+        elif isinstance(atom, WordEq):
+            factors.append(_negate_word_eq(atom, alphabet, gen))
         else:
-            assert isinstance(atom, WordEq)
-            alternatives.append(_negate_word_eq(atom, alphabet, gen))
+            raise TypeError(f"not an atom: {atom!r}")
 
-    _within_limit(prod(map(len, alternatives)), "negation elimination too large")
-    out: list[list[Atom]] = [[]]
-    for alts in alternatives:
-        out = [acc + choice for acc in out for choice in alts]
-    return out
+    _within_limit(prod(map(len, factors)), "negation elimination too large")
+    return factors

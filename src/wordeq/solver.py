@@ -1,15 +1,18 @@
 """The satisfiability pipeline for word equations with length and
 regular-expression constraints.
 
-One decision loop serves both entry points.  Every disjunct of the
-input's disjunctive normal form is processed as a conjunction of positive
-atoms (negations are eliminated first): the word equations are rewritten
-into solved forms, each solved form contributes its implied length rows,
-length atoms translate to further rows, and a membership encoder turns
-the membership atoms into a disjunction of row groups.  Those rows are
-shared by every group, so each solved form is one call to the linear
-solver: it decides the shared rows once and pulls the groups one at a
-time, and the encoder builds each group only when it is pulled.
+One decision loop serves both entry points.  Negation elimination turns
+every disjunct of the input's disjunctive normal form into one factor of
+positive alternatives per literal.  Their product is walked depth first,
+and a prefix of choices whose word equations and length atoms are already
+refuted cuts every branch below it.  Each branch left is a conjunction of
+positive atoms: the word equations are rewritten into solved forms, each
+solved form contributes its implied length rows, length atoms translate
+to further rows, and a membership encoder turns the membership atoms into
+a disjunction of row groups.  Those rows are shared by every group, so
+each solved form is one call to the linear solver: it decides the shared
+rows once and pulls the groups one at a time, and the encoder builds each
+group only when it is pulled.
 
 The loop is parameterised by that encoder alone:
 
@@ -27,6 +30,7 @@ The loop is parameterised by that encoder alone:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator
 
@@ -52,7 +56,7 @@ from .lengths import (
     upset_rows,
 )
 from .lia import lia_sat
-from .normalize import eliminate_negations, to_dnf
+from .normalize import Atom, eliminate_negations, to_dnf
 from .paramwords import has_unfixed, instantiate, params_of, parts_of
 from .semantics import Assignment, eval_formula
 from .solved_form import (
@@ -241,6 +245,10 @@ def _decide(
     groups, which are built only as the integer solver pulls them, so a
     solved form whose shared rows clash never builds one.
 
+    The negation branches of a disjunct come from ``_unrefuted_branches``:
+    a refuted prefix is a sub-conjunction of every branch below it, so
+    those branches are refuted too and are skipped.
+
     A branch that leaves the fragment or runs out of a limit is blocked:
     the others still run, and the verdict is Unsupported only when none
     of them is Sat and some branch was blocked; the solved forms that a
@@ -260,14 +268,15 @@ def _decide(
         conjuncts = to_dnf(phi)
     except ResourceExhausted as exc:
         return Unsupported(str(exc))
+    refuted = partial(_prefix_refuted, svars=svars, alphabet=alphabet)
     blocked: str | None = None
     for conjunct in conjuncts:
         try:
-            branches = eliminate_negations(conjunct, alphabet, gen)
+            factors = eliminate_negations(conjunct, alphabet, gen)
         except ResourceExhausted as exc:
             blocked = blocked or str(exc)
             continue
-        for atoms in branches:
+        for atoms in _unrefuted_branches(factors, refuted):
             eqs = [a for a in atoms if isinstance(a, WordEq)]
             lens = [a for a in atoms if isinstance(a, LenLeq)]
             res = [a for a in atoms if isinstance(a, InRe)]
@@ -278,11 +287,7 @@ def _decide(
                 blocked = blocked or solved.reason
                 solved = solved.forms
             for sf in solved:
-                rows = implied_length_constraints(sf)
-                rows.extend(translate_len_atom(a) for a in lens)
-                if not alphabet:  # every word over the empty alphabet is empty
-                    parts = {p for _, pw in sf.bindings for p in parts_of(pw)}
-                    rows.extend(Row({part_var(p): 1}, "eq", 0) for p in sorted(parts))
+                rows = _shared_rows(sf, lens, alphabet)
                 try:
                     model = lia_sat(rows, encode(res, sf, alphabet, gen))
                 except (ResourceExhausted, _UnfixedMembership) as exc:
@@ -293,6 +298,74 @@ def _decide(
     if blocked is not None:
         return Unsupported(blocked)
     return Unsat()
+
+
+def _shared_rows(sf: SolvedForm, lens: list[LenLeq], alphabet: str) -> list[Row]:
+    """The rows every membership group of a solved form shares: its
+    implied length rows, the length atoms and, over the empty alphabet,
+    a zero length for every unfixed part."""
+    rows = implied_length_constraints(sf)
+    rows.extend(translate_len_atom(a) for a in lens)
+    if not alphabet:  # every word over the empty alphabet is empty
+        parts = {p for _, pw in sf.bindings for p in parts_of(pw)}
+        rows.extend(Row({part_var(p): 1}, "eq", 0) for p in sorted(parts))
+    return rows
+
+
+def _unrefuted_branches(
+    factors: list[list[list[Atom]]], refuted: Callable[[list[Atom]], bool]
+) -> Iterator[list[Atom]]:
+    """The product of the factors in its order, one alternative per factor
+    concatenated in factor order, without the branches below a refuted
+    prefix.
+
+    Depth first over the factors with more than one alternative, the
+    ones in ``split``: prefixes[d] holds the forced atoms (those of every
+    one-alternative factor) and the alternatives chosen at split[:d], and
+    picks[d] is one past the alternative of factor split[d] tried last.
+    A prefix that still has a choice to make is checked once, and no
+    branch below it is built when ``refuted`` holds for it.
+    """
+    if not all(factors):
+        return
+    forced = [a for alts in factors if len(alts) == 1 for a in alts[0]]
+    split = [i for i, alts in enumerate(factors) if len(alts) > 1]
+    prefixes = [forced]
+    picks = [0]
+    while prefixes:
+        d = len(prefixes) - 1
+        if d < len(split):
+            alts = factors[split[d]]
+            if picks[d] < len(alts):
+                prefix = prefixes[d] + alts[picks[d]]
+                picks[d] += 1
+                if d + 1 == len(split) or not refuted(prefix):
+                    prefixes.append(prefix)
+                    picks.append(0)
+                continue
+        else:
+            chosen = dict(zip(split, picks))
+            yield [a for i, alts in enumerate(factors) for a in alts[chosen.get(i, 1) - 1]]
+        prefixes.pop()
+        picks.pop()
+
+
+def _prefix_refuted(atoms: list[Atom], svars: set[str], alphabet: str) -> bool:
+    """Whether the word equations and length atoms among ``atoms`` have no
+    model: rewriting refutes them, or the shared rows of each solved form
+    do.  Leaving the fragment, running out of a limit or a model is not a
+    refutation."""
+    eqs = [a for a in atoms if isinstance(a, WordEq)]
+    lens = [a for a in atoms if isinstance(a, LenLeq)]
+    solved = to_solved_form(eqs, variables=svars)
+    if isinstance(solved, OutOfFragment):
+        return False
+    try:
+        return isinstance(solved, Unsat) or all(
+            lia_sat(_shared_rows(sf, lens, alphabet)) is None for sf in solved
+        )
+    except ResourceExhausted:
+        return False
 
 
 def _build_model(

@@ -32,6 +32,12 @@ from wordeq.terms import (
 )
 
 
+def branches_of(factors):
+    """The product of ``eliminate_negations``'s factors: one positive
+    conjunction per choice of an alternative for each literal."""
+    return [[a for alt in choice for a in alt] for choice in product(*factors)]
+
+
 def dnf_as_formula(disjuncts):
     branches = []
     for lits in disjuncts:
@@ -112,7 +118,7 @@ def test_to_dnf_size_cap(monkeypatch):
         to_dnf(big)
     # each negated equation over "ab" has four positive alternatives: 4^5 > 1000
     negated = [Literal(WordEq(Var(f"X{i}"), Lit("a")), False) for i in range(5)]
-    assert len(eliminate_negations(negated[:4], "ab", NameGen())) == 4**4
+    assert len(branches_of(eliminate_negations(negated[:4], "ab", NameGen()))) == 4**4
     with pytest.raises(ResourceExhausted):
         eliminate_negations(negated, "ab", NameGen())
 
@@ -120,14 +126,14 @@ def test_to_dnf_size_cap(monkeypatch):
 def test_eliminate_negations_length():
     gen = NameGen()
     lit = Literal(LenLeq(Len(Var("X")), 3), False)
-    out = eliminate_negations([lit], "ab", gen)
+    out = branches_of(eliminate_negations([lit], "ab", gen))
     assert out == [[LenLeq(sum_of((-1, Len(Var("X")))), -4)]]
 
 
 def test_eliminate_negations_membership():
     gen = NameGen()
     lit = Literal(InRe(Var("X"), ReStar(ReLit("a"))), False)
-    (branch,) = eliminate_negations([lit], "ab", gen)
+    (branch,) = branches_of(eliminate_negations([lit], "ab", gen))
     (atom,) = branch
     assert isinstance(atom, InRe)
     # complement over {a,b}: needs at least one b
@@ -139,13 +145,13 @@ def test_eliminate_negations_total_language_vanishes():
     # (a|b)* covers everything, so the negated membership has no branches
     gen = NameGen()
     lit = Literal(InRe(Var("X"), ReStar(ReUnion((ReLit("a"), ReLit("b"))))), False)
-    assert eliminate_negations([lit], "ab", gen) == []
+    assert branches_of(eliminate_negations([lit], "ab", gen)) == []
 
 
 def test_eliminate_negations_word_eq_shape():
     gen = NameGen()
     lit = Literal(WordEq(Var("X"), Lit("ab")), False)
-    out = eliminate_negations([lit], "ab", gen)
+    out = branches_of(eliminate_negations([lit], "ab", gen))
     # two length branches plus one mismatch branch per ordered letter pair
     assert len(out) == 2 + 2
     assert all(isinstance(a, (WordEq, LenLeq)) for branch in out for a in branch)
@@ -184,7 +190,7 @@ def test_eliminate_negations_pointwise_exact():
     ]
     for lits in cases:
         gen = NameGen({"X", "Y"})
-        branches = eliminate_negations(lits, "ab", gen)
+        branches = branches_of(eliminate_negations(lits, "ab", gen))
         original = conj(*[l.atom if l.positive else Not(l.atom) for l in lits])
         base_vars = free_vars(original)[0]
         for a in all_assignments(base_vars, 2):
@@ -201,13 +207,13 @@ def test_eliminate_negations_positive_passthrough():
         InRe(Var("X"), ReLit("a")),
     ]
     lits = [Literal(a, True) for a in atoms]
-    assert eliminate_negations(lits, "ab", gen) == [atoms]
+    assert branches_of(eliminate_negations(lits, "ab", gen)) == [atoms]
 
 
 def test_eliminate_negations_fresh_names_avoid_existing():
     gen = NameGen({"X", "P0", "U0", "V0"})
     lit = Literal(WordEq(Var("X"), Lit("a")), False)
-    out = eliminate_negations([lit], "ab", gen)
+    out = branches_of(eliminate_negations([lit], "ab", gen))
     helpers = {
         v for branch in out for a in branch if isinstance(a, WordEq)
         for v in free_vars(a)[0]

@@ -4,20 +4,23 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 import wordeq
-from helpers import random_formula_el, random_formula_elr
+from helpers import _template_equation, random_formula_el, random_formula_elr, random_regex
 from wordeq.automata import param_membership, regex_to_dfa, upset_intersect, upset_is_empty
 from wordeq.errors import LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
-from wordeq.lengths import param_var, upset_rows
+from wordeq.lengths import implied_length_constraints, param_var, translate_len_atom, upset_rows
 from wordeq.lia import lia_sat
+from wordeq.normalize import eliminate_negations, to_dnf
+from wordeq.oracle import NoModelUpTo, brute_force_sat
 from wordeq.paramwords import params_of
 from wordeq.semantics import Assignment, eval_formula
-from wordeq.solved_form import apply_solved_form, to_solved_form
+from wordeq.solved_form import OutOfFragment, apply_solved_form, to_solved_form
 from wordeq.solver import (
     Sat,
     Unsat,
@@ -45,6 +48,7 @@ from wordeq.terms import (
     concat,
     conj,
     disj,
+    free_vars,
     re_alt,
     re_lit,
     re_seq,
@@ -537,3 +541,158 @@ def test_membership_groups_match_the_product_reference(monkeypatch):
         list(_regex_row_groups(atoms, sf, "ab", NameGen(taken)))
     # no atoms: one empty group
     assert list(_regex_row_groups([], sf, "ab", NameGen(taken))) == [[]]
+
+
+def _eager_check_sat(phi, alphabet):
+    """Reference decision loop: the whole negation product is built first
+    and each of its members is rewritten and decided from scratch, in the
+    product's order (the loop ``check_sat`` ran before it walked the
+    product), over a non-empty alphabet."""
+    import wordeq.solver as solver
+
+    svars, ivars = free_vars(phi)
+    gen = NameGen(svars | ivars)
+    blocked = None
+    for conjunct in to_dnf(phi):
+        try:
+            factors = eliminate_negations(conjunct, alphabet, gen)
+        except ResourceExhausted as exc:
+            blocked = blocked or str(exc)
+            continue
+        for choice in product(*factors):
+            atoms = [a for alt in choice for a in alt]
+            eqs = [a for a in atoms if isinstance(a, WordEq)]
+            lens = [a for a in atoms if isinstance(a, LenLeq)]
+            res = [a for a in atoms if isinstance(a, InRe)]
+            solved = to_solved_form(eqs, variables=svars, gen=gen)
+            if isinstance(solved, Unsat):
+                continue
+            if isinstance(solved, OutOfFragment):
+                blocked = blocked or solved.reason
+                solved = solved.forms
+            for sf in solved:
+                rows = implied_length_constraints(sf)
+                rows.extend(translate_len_atom(a) for a in lens)
+                try:
+                    model = lia_sat(rows, _regex_row_groups(res, sf, alphabet, gen))
+                except (ResourceExhausted, solver._UnfixedMembership) as exc:
+                    blocked = blocked or str(exc)
+                    continue
+                if model is not None:
+                    return solver._build_model(sf, model, svars, ivars, alphabet)
+    return Unsupported(blocked) if blocked is not None else Unsat()
+
+
+def _random_negated_formula(rng, memberships=False):
+    """2-3 template equations, each negated with probability 0.6, and 0-2
+    length atoms; with ``memberships`` also 0-2 memberships, each negated
+    with probability 0.6."""
+    parts, used = [], []
+    for _ in range(rng.randint(2, 3)):
+        eq, vs = _template_equation(rng, "ab")
+        parts.append(Not(eq) if rng.random() < 0.6 else eq)
+        used.extend(vs)
+    for _ in range(rng.randint(0, 2)):
+        v = Var(rng.choice(used))
+        if rng.random() < 0.5:
+            parts.append(LenLeq(Len(v), rng.randint(0, 6)))
+        else:
+            parts.append(LenLeq(sum_of((-1, Len(v))), -rng.randint(1, 4)))
+    for _ in range(rng.randint(0, 2) if memberships else 0):
+        atom = InRe(Var(rng.choice(used)), random_regex(rng, "ab", 2))
+        parts.append(Not(atom) if rng.random() < 0.6 else atom)
+    return conj(*parts)
+
+
+def _model(verdict):
+    return sorted(verdict.strings.items()), sorted(verdict.ints.items())
+
+
+def test_negation_walk_matches_the_eager_product():
+    # every Sat keeps its model and every Unsat stays; only a branch that
+    # was blocked below a refuted prefix may turn Unsupported into Unsat
+    rng = random.Random(808)
+    kinds = Counter()
+    for _ in range(300):
+        phi = _random_negated_formula(rng)
+        want, got = _eager_check_sat(phi, "ab"), check_sat(phi, "ab")
+        kinds[type(want).__name__, type(got).__name__] += 1
+        if isinstance(want, Sat):
+            assert isinstance(got, Sat) and _model(got) == _model(want), phi
+        elif isinstance(want, Unsat):
+            assert got == Unsat(), phi
+        elif isinstance(got, Unsat):
+            assert brute_force_sat(phi, "ab", 3) == NoModelUpTo(3), phi
+        else:
+            assert isinstance(got, Unsupported), phi
+    assert kinds["Sat", "Sat"] > 0 and kinds["Unsat", "Unsat"] > 0
+
+
+@pytest.mark.parametrize("unsat", [False, True], ids=["sat", "unsat"])
+def test_negation_prefix_refutes_its_subtree(unsat, monkeypatch):
+    # Y = ab, X_i = w and not(X_i Y = Y X_i) for i < 4: each negation has
+    # four alternatives.  With w = ab every first choice is refuted at
+    # once; with w = a two of each level's choices are, so the walk goes
+    # straight down the live one.  The eager product rewrites 256 and 171
+    # of its members
+    import wordeq.solver as solver
+
+    calls = []
+    monkeypatch.setattr(
+        solver, "to_solved_form", lambda *a, **k: calls.append(a) or to_solved_form(*a, **k)
+    )
+    k, y = 4, Var("Y")
+    parts = [WordEq(y, Lit("ab"))]
+    for i in range(k):
+        x = Var(f"X{i}")
+        parts.append(WordEq(x, Lit("ab" if unsat else "a")))
+        parts.append(Not(WordEq(concat(x, y), concat(y, x))))
+    verdict = check_sat(conj(*parts), "ab")
+    if unsat:
+        assert verdict == Unsat()
+    else:
+        assert verdict == Sat({"Y": "ab", **{f"X{i}": "a" for i in range(k)}}, {})
+    assert len(calls) <= 4 * k
+
+
+def test_negated_atoms_against_the_oracle():
+    # negated equations and negated memberships (the complement path of
+    # negation elimination) end to end: every Sat model holds, and no
+    # Unsat has a small model
+    rng = random.Random(909)
+    kinds = Counter()
+    for _ in range(300):
+        phi = _random_negated_formula(rng, memberships=True)
+        verdict = check_sat(phi, "ab")
+        kinds[type(verdict).__name__] += 1
+        if isinstance(verdict, Sat):
+            assert eval_formula(phi, verdict.assignment()), phi
+        elif isinstance(verdict, Unsat):
+            assert brute_force_sat(phi, "ab", 4) == NoModelUpTo(4), phi
+    assert kinds["Sat"] > 0 and kinds["Unsat"] > 0
+
+
+def test_normalize_checks_raise_under_optimize():
+    # to_dnf and eliminate_negations take atoms only, also under python -O
+    script = (
+        "from wordeq.normalize import Literal, eliminate_negations, to_dnf\n"
+        "from wordeq.terms import NameGen, Not, Var\n"
+        "def expect(exc, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except exc as e:\n"
+        "        print(type(e).__name__, e)\n"
+        "expect(TypeError, lambda: to_dnf(Var('X')))\n"
+        "expect(TypeError, lambda: to_dnf(Not(Var('X'))))\n"
+        "expect(TypeError, lambda: eliminate_negations([Literal(Var('X'), False)], 'ab', NameGen()))\n"
+    )
+    src = str(Path(wordeq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["TypeError not an atom: Var(name='X')"] * 3
