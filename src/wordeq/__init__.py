@@ -21,7 +21,7 @@ from .parser import ParseError, parse_2cm, parse_problem
 from .printer import print_formula, print_model, print_problem
 from .semantics import Assignment, eval_formula
 from .solved_form import OutOfFragment, SolvedForm, to_solved_form
-from .solver import Sat, Unsat, Unsupported, Verdict, check_sat, check_sat_length_abstraction
+from .solver import Sat, Unsat, Unsupported, Verdict, check_sat
 from .terms import (
     And,
     Concat,
@@ -104,7 +104,6 @@ __all__ = [
     "bounded_validity_check",
     "brute_force_sat",
     "check_sat",
-    "check_sat_length_abstraction",
     "encode",
     "encode_history",
     "enumerate_counterexamples",

@@ -128,6 +128,13 @@ def _cmd_encode_2cm(args: argparse.Namespace) -> int:
     return 0
 
 
+def _natural(text: str) -> int:
+    """A bound given on the command line: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordeq",
@@ -142,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="brute-force bounded search")
     p_oracle.add_argument("file")
-    p_oracle.add_argument("--max-len", type=int, required=True)
-    p_oracle.add_argument("--max-int", type=int, default=8)
+    p_oracle.add_argument("--max-len", type=_natural, required=True)
+    p_oracle.add_argument("--max-int", type=_natural, default=8)
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     p_analyze = sub.add_parser("analyze", help="solved-form counts over files")
@@ -154,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encode-2cm", help="emit the sentence for a machine")
     p_enc.add_argument("file")
     p_enc.add_argument("--input", required=True)
-    p_enc.add_argument("--check-bound", type=int, default=None)
+    p_enc.add_argument("--check-bound", type=_natural, default=None)
     p_enc.set_defaults(fn=_cmd_encode_2cm)
     return parser
 

@@ -10,13 +10,15 @@ Negated atoms are rewritten into positive ones:
 
 A conjunction of literals becomes one factor per literal, the list of its
 positive alternatives.  The product of the factors is never built here:
-the solver walks it and skips the parts of it that are already refuted.
+the solver walks it with ``walk_product`` and skips the parts of it that
+are already refuted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .automata import dfa_complement, dfa_to_regex, regex_to_dfa
 from .errors import ResourceExhausted
@@ -38,6 +40,8 @@ from .terms import (
 )
 
 Atom = WordEq | LenLeq | InRe
+Choice = TypeVar("Choice")
+Prefix = TypeVar("Prefix")
 
 # The most disjuncts ``to_dnf`` builds for a formula, and the most positive
 # conjunctions the product of ``eliminate_negations``'s factors for one of
@@ -162,3 +166,39 @@ def eliminate_negations(
 
     _within_limit(prod(map(len, factors)), "negation elimination too large")
     return factors
+
+
+def walk_product(
+    factors: Sequence[Sequence[Choice]],
+    extend: Callable[[Prefix, Choice], Prefix | None],
+    start: Prefix,
+) -> Iterator[Prefix]:
+    """The product of the factors, depth first in its order, folded by
+    ``extend`` from ``start``: one prefix per choice of a member of every
+    factor.
+
+    ``extend(prefix, choice)`` is the prefix after one more choice, taken
+    from the next factor, or None to prune it: no choice below a pruned
+    prefix is made.  The walk keeps one prefix and one iterator per
+    factor and does not recurse, so any number of factors is safe.
+    """
+    if not factors:
+        yield start
+        return
+    prefixes = [start]
+    pending = [iter(factors[0])]  # the choices still to try at each depth
+    while pending:
+        for choice in pending[-1]:
+            prefix = extend(prefixes[-1], choice)
+            if prefix is None:
+                continue
+            if len(pending) == len(factors):
+                yield prefix
+            else:
+                prefixes.append(prefix)
+                pending.append(iter(factors[len(pending)]))
+                break
+        else:
+            pending.pop()
+            prefixes.pop()
+

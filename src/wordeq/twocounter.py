@@ -30,13 +30,14 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ResourceExhausted, WordeqError
-from .normalize import to_dnf
+from .normalize import to_dnf, walk_product
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
 from .solved_form import term_to_side, _match_pattern
 from .terms import (
     And,
     Formula,
     Lit,
+    NameGen,
     Not,
     Or,
     StrTerm,
@@ -413,18 +414,14 @@ def positivize(s: Sentence) -> Sentence:
     or a fresh one appended to the existential block.
     """
     extra: list[str] = []
-    names_in_use = set(s.universals) | set(s.existentials)
+    gen = NameGen(s.universals + s.existentials)
 
     def pick_helper(taken: set[str]) -> Var:
         for name in s.existentials + tuple(extra):
             if name not in taken:
                 return Var(name)
-        name = f"H{len(extra)}"
-        while name in names_in_use:
-            name = f"H{len(extra) + len(names_in_use)}"
-        extra.append(name)
-        names_in_use.add(name)
-        return Var(name)
+        extra.append(gen.fresh("H"))
+        return Var(extra[-1])
 
     def complement(eq: WordEq, taken: set[str]) -> Formula:
         lhs, rhs = eq.lhs, eq.rhs
@@ -681,30 +678,16 @@ def _unpruned(closed: list[_Linear], alphabet: str, length: int) -> Iterator[str
     matches, in alphabet order.
 
     The prefixes are walked depth first and no extension of a matched one
-    is visited.  The walk keeps one prefix and one letter iterator per
-    depth, never a list of the words of one length, and it does not recurse.
+    is visited, so no list of the words of one length is built.
     """
     if any(_matches(p, "") for p in closed):
         return
-    if length == 0:
-        yield ""
-        return
-    prefix = ""
-    letters = [iter(alphabet)]  # the letters still to try at each depth
-    while letters:
-        letter = next(letters[-1], None)
-        if letter is None:
-            letters.pop()
-            prefix = prefix[:-1]
-            continue
+
+    def extend(prefix: str, letter: str) -> str | None:
         word = prefix + letter
-        if any(_matches(p, word) for p in closed):
-            continue
-        if len(word) == length:
-            yield word
-        else:
-            prefix = word
-            letters.append(iter(alphabet))
+        return None if any(_matches(p, word) for p in closed) else word
+
+    yield from walk_product([alphabet] * length, extend, "")
 
 
 def _counterexamples(s: Sentence, max_len: int, limit: int | None) -> list[str]:

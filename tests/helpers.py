@@ -1,4 +1,5 @@
-"""Shared generators and independent reference implementations.
+"""Shared generators, independent reference implementations and the
+length-only control arm.
 
 Reference routines here deliberately avoid the package's own machinery:
 the regex matcher works by derivatives instead of automata, accepted
@@ -11,15 +12,23 @@ from __future__ import annotations
 import random
 from itertools import product
 
+from wordeq.automata import dfa_complement, length_set, regex_to_dfa
 from wordeq.paramwords import Const, ParamWord, Power, Unfixed, param_word
 from wordeq.solved_form import SolvedForm
+from wordeq.solver import Sat, Unsat, check_sat
 from wordeq.twocounter import TwoCounterMachine
 from wordeq.terms import (
+    And,
     Formula,
     InRe,
+    IntConst,
+    IntVar,
     Len,
     LenLeq,
     Lit,
+    NameGen,
+    Not,
+    Or,
     ReConcat,
     ReEpsilon,
     ReLit,
@@ -30,10 +39,12 @@ from wordeq.terms import (
     WordEq,
     concat,
     conj,
+    disj,
     free_vars,
     re_alt,
     re_seq,
     re_star,
+    scale,
     sum_of,
 )
 
@@ -225,6 +236,47 @@ def random_formula_elr(rng: random.Random, sigma: str = "ab") -> Formula:
     r = random_regex(rng, sigma, depth=2)
     cap = LenLeq(Len(Var(v)), rng.randint(2, 8))
     return conj(phi, InRe(Var(v), r), cap)
+
+
+# ---------------------------------------------------------------------------
+# the length-only control arm
+
+
+def length_abstraction(phi: Formula, alphabet: str) -> str:
+    """"sat", "unsat" or "unsupported" for ``phi`` with every membership
+    weakened to "the term's length lies in the language's length set".
+
+    Letter positions are forgotten, so "sat" is not trustworthy: this is
+    the control arm that shows what the exact parameter analysis adds.
+    In negation normal form a negated membership takes the complement's
+    length set; each progression (o, p) becomes len(t) = o + p k with a
+    fresh k >= 0, and an empty set becomes 0 <= -1.
+    """
+    svars, ivars = free_vars(phi)
+    gen = NameGen(svars | ivars)
+
+    def in_lengths(term, dfa) -> Formula:
+        options: list[Formula] = []
+        for o, p in sorted(length_set(dfa).progs):
+            k = IntVar(gen.fresh("k"))
+            offset = sum_of((1, Len(term)), (-p, k))  # must equal o
+            nonnegative = LenLeq(sum_of((-1, k)), 0)
+            options.append(conj(LenLeq(offset, o), LenLeq(scale(offset, -1), -o), nonnegative))
+        return disj(*options) if options else LenLeq(IntConst(0), -1)
+
+    def weaken(f: Formula, positive: bool) -> Formula:
+        if isinstance(f, Not):
+            return weaken(f.inner, not positive)
+        if isinstance(f, (And, Or)):
+            parts = tuple(weaken(p, positive) for p in f.parts)
+            return And(parts) if isinstance(f, And) == positive else Or(parts)
+        if isinstance(f, InRe):
+            dfa = regex_to_dfa(f.regex, alphabet)
+            return in_lengths(f.term, dfa if positive else dfa_complement(dfa))
+        return f if positive else Not(f)
+
+    verdict = check_sat(weaken(phi, True), alphabet)
+    return {Sat: "sat", Unsat: "unsat"}.get(type(verdict), "unsupported")
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,19 @@ def test_usage_errors_exit_3(capsys):
     capsys.readouterr()
 
 
+def test_negative_bounds_are_usage_errors(capsys):
+    conjugate, incdec = str(SAMPLES / "conjugate.eq"), str(SAMPLES / "incdec.2cm")
+    for argv in (
+        ["oracle", conjugate, "--max-len", "-1"],
+        ["oracle", conjugate, "--max-len", "3", "--max-int", "-1"],
+        ["encode-2cm", incdec, "--input", "0", "--check-bound", "-2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "not a nonnegative integer" in err
+
+
 def test_oracle_finds_bounded_model(capsys):
     code, out, _ = run(capsys, "oracle", str(SAMPLES / "conjugate.eq"), "--max-len", "5")
     assert code == 0

@@ -8,7 +8,7 @@ import pytest
 from helpers import random_regex, random_word
 from wordeq import normalize
 from wordeq.errors import ResourceExhausted
-from wordeq.normalize import Literal, eliminate_negations, to_dnf
+from wordeq.normalize import Literal, eliminate_negations, to_dnf, walk_product
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.terms import (
     And,
@@ -220,3 +220,39 @@ def test_eliminate_negations_fresh_names_avoid_existing():
     } - {"X"}
     assert helpers
     assert helpers.isdisjoint({"P0", "U0", "V0"})
+
+
+def _tuples(prefix, choice):
+    return prefix + (choice,)
+
+
+def test_walk_product_without_pruning_is_the_product():
+    factors = [[1, 2], [3], [4, 5, 6], ["x", "y"]]
+    assert list(walk_product(factors, _tuples, ())) == list(product(*factors))
+
+
+def test_walk_product_never_extends_a_pruned_prefix():
+    calls = []
+
+    def extend(prefix, choice):
+        calls.append(prefix + (choice,))
+        return None if choice == 0 else prefix + (choice,)
+
+    factors = [[0, 1, 2]] * 3
+    got = list(walk_product(factors, extend, ()))
+    assert got == [t for t in product(*factors) if 0 not in t]
+    # 3 choices at the root, then 3 below each of the 2 live prefixes at
+    # each depth: 3 + 6 + 12, and nothing below a prefix holding a 0
+    assert len(calls) == 3 + 6 + 12
+    assert not any(0 in c[:-1] for c in calls)
+
+
+def test_walk_product_degenerate_factors():
+    assert list(walk_product([], _tuples, "start")) == ["start"]
+    assert list(walk_product([[1, 2], [], [3]], _tuples, ())) == []
+    assert list(walk_product([[]], _tuples, ())) == []
+
+
+def test_walk_product_does_not_recurse():
+    depth = 10_000
+    assert list(walk_product([[1]] * depth, lambda n, c: n + c, 0)) == [depth]

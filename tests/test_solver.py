@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 import wordeq
-from helpers import _template_equation, random_formula_el, random_formula_elr, random_regex
+from helpers import (
+    _template_equation,
+    length_abstraction,
+    random_formula_el,
+    random_formula_elr,
+    random_regex,
+)
 from wordeq.automata import param_membership, regex_to_dfa, upset_intersect, upset_is_empty
 from wordeq.errors import LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
 from wordeq.lengths import implied_length_constraints, param_var, translate_len_atom, upset_rows
@@ -27,7 +33,6 @@ from wordeq.solver import (
     Unsupported,
     _regex_row_groups,
     check_sat,
-    check_sat_length_abstraction,
 )
 from wordeq.terms import (
     Concat,
@@ -105,7 +110,6 @@ def test_crossed_equation_unsupported():
     res = check_sat(phi, "ab")
     assert isinstance(res, Unsupported)
     assert res.reason == "no rule applies to the system"
-    assert check_sat_length_abstraction(phi, "ab") == "unsupported"
 
 
 def test_exact_beats_length_only_abstraction():
@@ -117,13 +121,13 @@ def test_exact_beats_length_only_abstraction():
         LenLeq(Len(Var("X")), 3),
     )
     assert isinstance(check_sat(phi, "ab"), Unsat)
-    assert check_sat_length_abstraction(phi, "ab") == "sat"
+    assert length_abstraction(phi, "ab") == "sat"
 
 
 def test_length_abstraction_agrees_when_lengths_decide():
     phi = conj(CONJUGATE, LenLeq(Len(Var("X")), 0))
     # |X| must be odd, so the length view alone already refutes this
-    assert check_sat_length_abstraction(phi, "ab") == "unsat"
+    assert length_abstraction(phi, "ab") == "unsat"
     assert isinstance(check_sat(phi, "ab"), Unsat)
 
 
@@ -135,7 +139,7 @@ def test_length_abstraction_over_approximates():
     for _ in range(300):
         phi = random_formula_elr(rng)
         exact = check_sat(phi, "ab")
-        abstract = check_sat_length_abstraction(phi, "ab")
+        abstract = length_abstraction(phi, "ab")
         if isinstance(exact, Sat):
             assert abstract == "sat"
         seen.add((type(exact).__name__, abstract))
@@ -151,9 +155,6 @@ def test_sat_model_always_evaluates():
         if isinstance(res, Sat):
             sats += 1
             assert eval_formula(phi, res.assignment())
-        # without membership atoms the two encoders emit the same rows
-        kind = {Sat: "sat", Unsat: "unsat", Unsupported: "unsupported"}[type(res)]
-        assert check_sat_length_abstraction(phi, "ab") == kind
     assert sats >= 40
 
 
@@ -321,8 +322,6 @@ def test_membership_on_unfixed_part_is_unsupported():
 def test_letters_outside_alphabet_rejected():
     with pytest.raises(LetterOutsideAlphabet):
         check_sat(WordEq(Var("X"), Lit("c")), "ab")
-    with pytest.raises(LetterOutsideAlphabet):
-        check_sat_length_abstraction(WordEq(Var("X"), Lit("c")), "ab")
 
 
 def test_empty_alphabet_degenerate():
@@ -355,7 +354,6 @@ def _alternating(depth):
 def test_api_formula_nested_too_deep_is_unsupported():
     phi = _alternating(1500)
     assert check_sat(phi, "ab") == Unsupported("formula nested deeper than 256")
-    assert check_sat_length_abstraction(phi, "ab") == "unsupported"
 
 
 def test_api_formula_at_the_nesting_limit_solves():
@@ -363,7 +361,7 @@ def test_api_formula_at_the_nesting_limit_solves():
 
     phi = _alternating(MAX_DEPTH)
     assert isinstance(check_sat(phi, "ab"), Sat)
-    assert check_sat_length_abstraction(phi, "ab") == "sat"
+    assert length_abstraction(phi, "ab") == "sat"
     assert check_sat(_alternating(MAX_DEPTH + 1), "ab") == Unsupported(
         f"formula nested deeper than {MAX_DEPTH}"
     )
@@ -407,7 +405,6 @@ DEEP_ATOMS = {
 def test_api_terms_and_regexes_nested_too_deep_are_unsupported(build):
     phi = build(1500)
     assert check_sat(phi, "ab") == Unsupported("formula nested deeper than 256")
-    assert check_sat_length_abstraction(phi, "ab") == "unsupported"
 
 
 @pytest.mark.parametrize("build", DEEP_ATOMS.values(), ids=DEEP_ATOMS.keys())
@@ -415,7 +412,7 @@ def test_api_terms_and_regexes_at_the_nesting_limit_solve(build):
     from wordeq.parser import MAX_DEPTH
 
     assert isinstance(check_sat(build(MAX_DEPTH), "ab"), Sat)
-    assert check_sat_length_abstraction(build(MAX_DEPTH), "ab") == "sat"
+    assert length_abstraction(build(MAX_DEPTH), "ab") == "sat"
     assert check_sat(build(MAX_DEPTH + 1), "ab") == Unsupported(
         f"formula nested deeper than {MAX_DEPTH}"
     )

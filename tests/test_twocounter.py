@@ -535,6 +535,21 @@ def test_positivize_reuses_helper_across_disjuncts():
         assert free_vars(branch)[0] == {"S", "T"}
 
 
+def test_positivize_draws_a_fresh_helper_past_taken_names():
+    # every existential is taken alongside the negation, and the names
+    # H0 and H3 are in use, so the helper is a fresh H1
+    body = conj(
+        WordEq(Var("H0"), Var("S")),
+        WordEq(Var("H3"), Var("S")),
+        Not(WordEq(Var("S"), Lit("a"))),
+    )
+    s = Sentence(("S",), ("H0", "H3"), body, "ab", ())
+    p = positivize(s)
+    assert p.existentials == ("H0", "H3", "H1")
+    assert not isinstance(p.body.parts[2], Not)
+    assert enumerate_counterexamples(p, 3) == enumerate_counterexamples(s, 3) == ["a"]
+
+
 def test_positivize_keeps_zoo_verdicts():
     for m, w in zoo()[:1] + zoo()[2:3]:
         s = encode(m, w)
