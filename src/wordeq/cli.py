@@ -35,7 +35,7 @@ def _full_model(problem, strings: dict[str, str], ints: dict[str, int]) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    problem = parse_problem(Path(args.file).read_text())
+    problem = parse_problem(Path(args.file).read_text(encoding="utf-8"))
     phi = problem.conjunction()
     if phi is None:
         print("sat")
@@ -57,7 +57,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    problem = parse_problem(Path(args.file).read_text())
+    problem = parse_problem(Path(args.file).read_text(encoding="utf-8"))
     phi = problem.conjunction()
     if phi is None:
         print("sat")
@@ -111,7 +111,7 @@ def _split_input(raw: str, alphabet: tuple[str, ...]) -> list[str]:
 
 
 def _cmd_encode_2cm(args: argparse.Namespace) -> int:
-    machine = parse_2cm(Path(args.file).read_text())
+    machine = parse_2cm(Path(args.file).read_text(encoding="utf-8"))
     word = _split_input(args.input, machine.input_alphabet)
     sentence = encode(machine, word)
     for letter, state, head in sentence.legend:
@@ -177,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceExhausted as exc:
         print(f"unsupported: {exc}")
         return 2
-    except (ParseError, WordeqError, OSError) as exc:
+    except (ParseError, WordeqError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

@@ -12,24 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .parser import ParseError, parse_problem
 from .printer import print_problem
 from .solved_form import is_solved_equation
-from .terms import (
-    And,
-    Formula,
-    InRe,
-    LenLeq,
-    Lit,
-    Not,
-    Or,
-    StrTerm,
-    Var,
-    WordEq,
-    concat,
-)
+from .terms import Formula, Lit, StrTerm, Var, WordEq, concat, nodes
 
 
 @dataclass(frozen=True)
@@ -70,29 +58,14 @@ class CorpusStats:
         return self.equations_solved / total if total else 0.0
 
 
-def _word_eqs(phi: Formula) -> Iterable[WordEq]:
-    if isinstance(phi, WordEq):
-        yield phi
-    elif isinstance(phi, Not):
-        yield from _word_eqs(phi.inner)
-    elif isinstance(phi, (And, Or)):
-        for p in phi.parts:
-            yield from _word_eqs(p)
-    else:
-        assert isinstance(phi, (LenLeq, InRe))
-
-
 def analyze_file(path: str | Path) -> FileStats:
     try:
-        problem = parse_problem(Path(path).read_text())
-    except (OSError, ParseError) as exc:
+        problem = parse_problem(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         return FileStats(path=str(path), equations=0, solved=0, error=str(exc))
-    total = solved = 0
-    for phi in problem.asserts:
-        for eq in _word_eqs(phi):
-            total += 1
-            solved += is_solved_equation(eq)
-    return FileStats(path=str(path), equations=total, solved=solved)
+    eqs = [n for phi in problem.asserts for n in nodes(phi) if isinstance(n, WordEq)]
+    solved = sum(map(is_solved_equation, eqs))
+    return FileStats(path=str(path), equations=len(eqs), solved=solved)
 
 
 def analyze_corpus(paths: Sequence[str | Path]) -> CorpusStats:

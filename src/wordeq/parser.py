@@ -452,7 +452,7 @@ def parse_problem(text: str) -> Problem:
 
 def parse_2cm(text: str):
     """Parse the line-based two-counter machine format."""
-    from .twocounter import NondeterministicDelta, TwoCounterMachine
+    from .twocounter import MalformedMachine, NondeterministicDelta, TwoCounterMachine
 
     states: tuple[str, ...] | None = None
     alphabet: tuple[str, ...] | None = None
@@ -522,26 +522,13 @@ def parse_2cm(text: str):
         if val is None:
             raise ParseError(f"missing header {name!r}", 1, 1)
     assert states and alphabet and initial is not None and finals is not None
-    known = set(states)
-    letters = set(alphabet) | {"end"}
-    if initial not in known:
-        raise ParseError(f"initial state {initial!r} is not declared", 1, 1)
-    for f in finals:
-        if f not in known:
-            raise ParseError(f"final state {f!r} is not declared", 1, 1)
-    for (q, a, t1, t2), (q2, track, move) in rules:
-        if q not in known or q2 not in known:
-            raise ParseError(f"rule uses undeclared state {q if q not in known else q2!r}", 1, 1)
-        if a not in letters:
-            raise ParseError(f"rule uses undeclared letter {a!r}", 1, 1)
-        if t1 not in ("Z", "b") or t2 not in ("Z", "c"):
-            raise ParseError("zero-test tags are Z|b and Z|c", 1, 1)
-        if track not in ("in", "stor1", "stor2") or move not in ("L", "R"):
-            raise ParseError("rule actions are in|stor1|stor2 and L|R", 1, 1)
-    return TwoCounterMachine(
-        states=states,
-        input_alphabet=alphabet,
-        initial=initial,
-        finals=frozenset(finals),
-        rules=tuple(rules),
-    )
+    try:
+        return TwoCounterMachine(
+            states=states,
+            input_alphabet=alphabet,
+            initial=initial,
+            finals=frozenset(finals),
+            rules=tuple(rules),
+        )
+    except MalformedMachine as exc:
+        raise ParseError(str(exc), 1, 1) from None

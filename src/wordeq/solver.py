@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from . import parser
 from .automata import (
@@ -55,22 +55,14 @@ from .solved_form import (
     to_solved_form,
 )
 from .terms import (
-    And,
-    Concat,
     Formula,
     InRe,
-    Len,
     LenLeq,
     NameGen,
-    Not,
-    Or,
-    ReConcat,
-    ReStar,
-    ReUnion,
-    Sum,
     WordEq,
     formula_letters,
     free_vars,
+    too_deep,
 )
 
 
@@ -146,33 +138,6 @@ def _merge_box(prefix: dict[str, UPSet], box: dict[str, UPSet]) -> dict[str, UPS
             return None
         merged[param] = s2
     return merged
-
-
-# the nodes each kind of node holds; variables, constants and regex
-# words hold none
-_CHILDREN: dict[type, Callable[[Any], Iterable[object]]] = {
-    **dict.fromkeys((And, Or, Concat, ReConcat, ReUnion), lambda n: n.parts),
-    **dict.fromkeys((Not, ReStar), lambda n: (n.inner,)),
-    **dict.fromkeys((LenLeq, Len), lambda n: (n.term,)),
-    WordEq: lambda n: (n.lhs, n.rhs),
-    InRe: lambda n: (n.term, n.regex),
-    Sum: lambda n: [term for _, term in n.items],
-}
-
-
-def _too_deep(phi: Formula) -> bool:
-    """Whether some path from the root passes more than ``parser.MAX_DEPTH``
-    nodes that hold other nodes (connectives, atoms, terms, regexes), as
-    the parser counts parentheses.  One level at a time, without
-    recursion, so it is safe on any input; every other walk over formulas,
-    terms and regexes recurses and runs only after this check."""
-    level: list[object] = [phi]
-    for _ in range(parser.MAX_DEPTH + 1):
-        level = [node for node in level if type(node) in _CHILDREN]
-        if not level:
-            return False
-        level = [kid for node in level for kid in _CHILDREN[type(node)](node)]
-    return True
 
 
 def _shared_rows(sf: SolvedForm, lens: list[LenLeq], alphabet: str) -> list[Row]:
@@ -277,9 +242,11 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
     the others still run, and the verdict is Unsupported only when none
     of them is Sat and some branch was blocked; the solved forms that a
     partly blocked rewriting still found are decided too.  A formula nested
-    deeper than the parser accepts is Unsupported before any recursive walk.
+    deeper than the parser accepts is Unsupported before any recursive walk:
+    the letter and variable collectors walk without recursion, while
+    normalization, negation elimination and evaluation recurse.
     """
-    if _too_deep(phi):
+    if too_deep(phi, parser.MAX_DEPTH):
         return Unsupported(f"formula nested deeper than {parser.MAX_DEPTH}")
     stray = formula_letters(phi) - set(alphabet)
     if stray:

@@ -9,8 +9,8 @@ structural equality is meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Union
 
 # ---------------------------------------------------------------------------
 # string terms
@@ -221,20 +221,6 @@ def re_star(inner: Regex) -> Regex:
     return ReStar(inner)
 
 
-def regex_letters(r: Regex) -> set[str]:
-    """All letters mentioned by the expression."""
-    if isinstance(r, ReLit):
-        return set(r.word)
-    if isinstance(r, ReEpsilon):
-        return set()
-    if isinstance(r, (ReConcat, ReUnion)):
-        out: set[str] = set()
-        for p in r.parts:
-            out |= regex_letters(p)
-        return out
-    return regex_letters(r.inner)
-
-
 # ---------------------------------------------------------------------------
 # atoms and formulas
 
@@ -309,89 +295,72 @@ def disj(*parts: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# variable collection
+# walking a tree
+
+# the nodes each kind of node holds; variables, constants and regex
+# words hold none
+_CHILDREN: dict[type, Callable[[Any], Iterable[object]]] = {
+    **dict.fromkeys((And, Or, Concat, ReConcat, ReUnion), lambda n: n.parts),
+    **dict.fromkeys((Not, ReStar), lambda n: (n.inner,)),
+    **dict.fromkeys((LenLeq, Len), lambda n: (n.term,)),
+    WordEq: lambda n: (n.lhs, n.rhs),
+    InRe: lambda n: (n.term, n.regex),
+    Sum: lambda n: [term for _, term in n.items],
+}
+
+
+def nodes(root: object) -> Iterator[object]:
+    """Every node of a formula, term or regex, the root included.  Uses
+    an explicit stack, so it is safe at any depth."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            stack.extend(children(node))
+
+
+def too_deep(root: object, limit: int) -> bool:
+    """Whether some path from the root passes more than ``limit`` nodes
+    that hold other nodes (connectives, atoms, terms, regexes), as the
+    parser counts parentheses.  One level at a time, without recursion,
+    so it is safe on any input.  The collectors below walk with ``nodes``
+    and are safe too; normalization, negation elimination and evaluation
+    recurse and run only after this check."""
+    level: list[object] = [root]
+    for _ in range(limit + 1):
+        level = [node for node in level if type(node) in _CHILDREN]
+        if not level:
+            return False
+        level = [kid for node in level for kid in _CHILDREN[type(node)](node)]
+    return True
 
 
 def str_term_vars(t: StrTerm) -> set[str]:
-    if isinstance(t, Lit):
-        return set()
-    if isinstance(t, Var):
-        return {t.name}
-    out: set[str] = set()
-    for p in t.parts:
-        out |= str_term_vars(p)
-    return out
-
-
-def len_term_vars(t: LenTerm) -> tuple[set[str], set[str]]:
-    """(string variables, integer variables) mentioned by a length term."""
-    if isinstance(t, IntConst):
-        return set(), set()
-    if isinstance(t, IntVar):
-        return set(), {t.name}
-    if isinstance(t, Len):
-        return str_term_vars(t.term), set()
-    svars: set[str] = set()
-    ivars: set[str] = set()
-    for _, term in t.items:
-        s, i = len_term_vars(term)
-        svars |= s
-        ivars |= i
-    return svars, ivars
+    return {n.name for n in nodes(t) if isinstance(n, Var)}
 
 
 def free_vars(phi: Formula) -> tuple[set[str], set[str]]:
     """(string variables, integer variables) occurring in the formula."""
-    if isinstance(phi, WordEq):
-        return str_term_vars(phi.lhs) | str_term_vars(phi.rhs), set()
-    if isinstance(phi, LenLeq):
-        return len_term_vars(phi.term)
-    if isinstance(phi, InRe):
-        return str_term_vars(phi.term), set()
-    if isinstance(phi, Not):
-        return free_vars(phi.inner)
     svars: set[str] = set()
     ivars: set[str] = set()
-    for p in phi.parts:
-        s, i = free_vars(p)
-        svars |= s
-        ivars |= i
+    for n in nodes(phi):
+        if isinstance(n, Var):
+            svars.add(n.name)
+        elif isinstance(n, IntVar):
+            ivars.add(n.name)
     return svars, ivars
+
+
+def regex_letters(r: Regex) -> set[str]:
+    """All letters mentioned by the expression."""
+    return {a for n in nodes(r) if isinstance(n, ReLit) for a in n.word}
 
 
 def formula_letters(phi: Formula) -> set[str]:
     """All alphabet letters mentioned anywhere in the formula."""
-
-    def term_letters(t: StrTerm) -> set[str]:
-        if isinstance(t, Lit):
-            return set(t.word)
-        if isinstance(t, Var):
-            return set()
-        out: set[str] = set()
-        for p in t.parts:
-            out |= term_letters(p)
-        return out
-
-    if isinstance(phi, WordEq):
-        return term_letters(phi.lhs) | term_letters(phi.rhs)
-    if isinstance(phi, LenLeq):
-        out = set()
-        stack: list[LenTerm] = [phi.term]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Len):
-                out |= term_letters(t.term)
-            elif isinstance(t, Sum):
-                stack.extend(term for _, term in t.items)
-        return out
-    if isinstance(phi, InRe):
-        return term_letters(phi.term) | regex_letters(phi.regex)
-    if isinstance(phi, Not):
-        return formula_letters(phi.inner)
-    out = set()
-    for p in phi.parts:
-        out |= formula_letters(p)
-    return out
+    return {a for n in nodes(phi) if isinstance(n, (Lit, ReLit)) for a in n.word}
 
 
 class NameGen:

@@ -400,10 +400,6 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
 # removing negations
 
 
-def _formula_str_vars(phi: Formula) -> set[str]:
-    return free_vars(phi)[0]
-
-
 def positivize(s: Sentence) -> Sentence:
     """Replace each negated equation by an equivalent positive disjunction.
 
@@ -453,13 +449,13 @@ def positivize(s: Sentence) -> Sentence:
         if not isinstance(phi, And):
             raise ValueError("sentence bodies hold equations only")
         parts = list(phi.parts)
-        var_sets = [_formula_str_vars(p) for p in parts]
+        var_sets = [free_vars(p)[0] for p in parts]
         out = []
         for i, part in enumerate(parts):
             others = set().union(*(var_sets[j] for j in range(len(parts)) if j != i))
             new = rewrite(part, active | others)
             # A helper introduced here is constrained; siblings must avoid it.
-            var_sets[i] = _formula_str_vars(new)
+            var_sets[i] = free_vars(new)[0]
             out.append(new)
         return And(tuple(out))
 

@@ -10,13 +10,14 @@ are checked by raw box enumeration.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 from wordeq.automata import dfa_complement, length_set, regex_to_dfa
 from wordeq.paramwords import Const, ParamWord, Power, Unfixed, param_word
 from wordeq.solved_form import SolvedForm
 from wordeq.solver import Sat, Unsat, check_sat
-from wordeq.twocounter import TwoCounterMachine
 from wordeq.terms import (
     And,
     Formula,
@@ -25,7 +26,6 @@ from wordeq.terms import (
     IntVar,
     Len,
     LenLeq,
-    Lit,
     NameGen,
     Not,
     Or,
@@ -35,17 +35,25 @@ from wordeq.terms import (
     ReStar,
     ReUnion,
     Regex,
-    Var,
-    WordEq,
-    concat,
     conj,
     disj,
     free_vars,
     re_alt,
     re_seq,
-    re_star,
     scale,
     sum_of,
+)
+
+# The criterion-2 generators and the machine zoo are the benchmark's own
+# (perfbench/gen.py).  The import runs from the tests to the benchmark,
+# so editing a test cannot change what the benchmark measures.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gen import (  # noqa: E402,F401  re-exported to the tests
+    _template_equation,
+    random_formula_el,
+    random_formula_elr,
+    random_regex,
+    zoo,
 )
 
 
@@ -128,21 +136,6 @@ def random_word(rng: random.Random, sigma: str, max_len: int) -> str:
     return "".join(rng.choice(sigma) for _ in range(rng.randint(0, max_len)))
 
 
-def random_regex(rng: random.Random, sigma: str, depth: int = 3) -> Regex:
-    """Canonically constructed, so printing and reparsing is exact."""
-    if depth == 0 or rng.random() < 0.3:
-        word = "".join(rng.choice(sigma) for _ in range(rng.randint(1, 2)))
-        return ReLit(word)
-    kind = rng.randrange(4)
-    if kind == 0:
-        return re_seq(random_regex(rng, sigma, depth - 1), random_regex(rng, sigma, depth - 1))
-    if kind == 1:
-        return re_alt(random_regex(rng, sigma, depth - 1), random_regex(rng, sigma, depth - 1))
-    if kind == 2:
-        return re_star(random_regex(rng, sigma, depth - 1))
-    return ReEpsilon()
-
-
 def random_paramword(rng: random.Random, sigma: str, n_params: int = 2) -> ParamWord:
     blocks = []
     params = [f"i{k}" for k in range(n_params)]
@@ -175,67 +168,6 @@ def random_solved_form(rng: random.Random, sigma: str = "ab") -> SolvedForm:
                 blocks.append(Unfixed(rng.choice(parts)))
         bindings.append((v, param_word(tuple(blocks))))
     return SolvedForm(bindings=tuple(bindings))
-
-
-# ---------------------------------------------------------------------------
-# random formulas the solver can decide
-
-_TEMPLATE_NAMES = ("X", "Y", "Z")
-
-
-def _template_equation(rng: random.Random, sigma: str) -> tuple[Formula, list[str]]:
-    """One equation drawn from shapes the rewriter is known to finish on."""
-    x, y = rng.sample(_TEMPLATE_NAMES, 2)
-    w = lambda lo, hi: "".join(rng.choice(sigma) for _ in range(rng.randint(lo, hi)))
-    kind = rng.randrange(5)
-    if kind == 0:
-        # Definition: X = u Y v.
-        rhs = concat(Lit(w(0, 2)), Var(y), Lit(w(0, 2)))
-        return WordEq(Var(x), rhs), [x, y]
-    if kind == 1:
-        # Both-sided constant equation: u X = X v (u, v same length).
-        u = w(1, 2)
-        v = "".join(rng.sample(u, len(u))) if len(u) > 1 else u
-        return WordEq(concat(Lit(u), Var(x)), concat(Var(x), Lit(v))), [x]
-    if kind == 2:
-        # Straddle: X u = v Y.
-        return WordEq(concat(Var(x), Lit(w(1, 2))), concat(Lit(w(1, 2)), Var(y))), [x, y]
-    if kind == 3:
-        # Ground: X u Y = constant.
-        return (
-            WordEq(concat(Var(x), Lit(w(1, 1)), Var(y)), Lit(w(2, 4))),
-            [x, y],
-        )
-    # Plain constant binding.
-    return WordEq(Var(x), Lit(w(0, 3))), [x]
-
-
-def random_formula_el(rng: random.Random, sigma: str = "ab") -> Formula:
-    """Conjunction of template equations and length constraints."""
-    parts: list[Formula] = []
-    used: list[str] = []
-    for _ in range(rng.randint(1, 2)):
-        eq, vs = _template_equation(rng, sigma)
-        parts.append(eq)
-        used.extend(vs)
-    for _ in range(rng.randint(0, 2)):
-        v = rng.choice(used)
-        if rng.random() < 0.5:
-            parts.append(LenLeq(Len(Var(v)), rng.randint(0, 6)))
-        else:
-            # Lower bound: -len(v) <= -k.
-            parts.append(LenLeq(sum_of((-1, Len(Var(v)))), -rng.randint(1, 4)))
-    return conj(*parts)
-
-
-def random_formula_elr(rng: random.Random, sigma: str = "ab") -> Formula:
-    """Template equations plus a membership constraint and a length cap."""
-    phi = random_formula_el(rng, sigma)
-    svars = sorted(free_vars(phi)[0])
-    v = rng.choice(svars)
-    r = random_regex(rng, sigma, depth=2)
-    cap = LenLeq(Len(Var(v)), rng.randint(2, 8))
-    return conj(phi, InRe(Var(v), r), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -301,39 +233,3 @@ def box_has_solution(rows, cols, lo: int, hi: int):
         if ok:
             return val
     return None
-
-
-# ---------------------------------------------------------------------------
-# the machine zoo
-
-
-def zoo() -> list[tuple[TwoCounterMachine, tuple[str, ...]]]:
-    """Five small machines paired with input words.
-
-    Accepting, looping, and stuck behaviors are all represented; final
-    states have no outgoing rules so accepting histories are unique.
-    """
-    z1 = TwoCounterMachine(  # immediate accept
-        ("q0", "qf"), ("a",), "q0", frozenset({"qf"}),
-        ((("q0", "a", "Z", "Z"), ("qf", "in", "L")),),
-    )
-    z2 = TwoCounterMachine(  # counts up forever
-        ("q0",), ("a",), "q0", frozenset(),
-        ((("q0", "a", "Z", "Z"), ("q0", "stor1", "R")),
-         (("q0", "a", "b", "Z"), ("q0", "stor1", "R"))),
-    )
-    z3 = TwoCounterMachine(  # increment then decrement
-        ("q0", "q1", "qf"), ("0",), "q0", frozenset({"qf"}),
-        ((("q0", "0", "Z", "Z"), ("q1", "stor1", "R")),
-         (("q1", "0", "b", "Z"), ("qf", "stor1", "L"))),
-    )
-    z4 = TwoCounterMachine(  # walks the input right, then back
-        ("q0", "qf"), ("a", "x"), "q0", frozenset({"qf"}),
-        ((("q0", "a", "Z", "Z"), ("q0", "in", "R")),
-         (("q0", "x", "Z", "Z"), ("qf", "in", "L"))),
-    )
-    z5 = TwoCounterMachine(  # strands itself with a nonzero counter
-        ("q0", "q1"), ("a",), "q0", frozenset({"q1"}),
-        ((("q0", "a", "Z", "Z"), ("q1", "stor2", "R")),),
-    )
-    return [(z1, ("a",)), (z2, ("a",)), (z3, ("0",)), (z4, ("a", "x")), (z5, ("a",))]

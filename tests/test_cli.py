@@ -62,6 +62,20 @@ def test_solve_missing_file(capsys):
     assert err.startswith("error:")
 
 
+def test_input_that_is_not_utf8_exits_3(capsys, tmp_path):
+    bad = tmp_path / "bad.eq"
+    bad.write_bytes(b'\xff(set-alphabet "ab")\n')
+    for argv in (
+        ["solve", str(bad)],
+        ["oracle", str(bad), "--max-len", "2"],
+        ["encode-2cm", str(bad), "--input", "a"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("error:") and "utf-8" in err, argv
+
+
 def test_crash_exits_4_not_unsat(capsys, monkeypatch):
     def crash(phi, alphabet):
         raise RuntimeError("boom")
@@ -194,6 +208,20 @@ def test_analyze_table_and_tsv(capsys, tmp_path):
     assert len(rows) == 2
     assert rows[0] == [str(good), "1", "1", "1.0000"]
     assert rows[1][1:] == ["0", "0", "0.0000"]
+
+
+def test_analyze_lists_a_file_that_is_not_utf8_as_failed(capsys, tmp_path):
+    (tmp_path / "good.eq").write_text(
+        '(set-alphabet "ab")\n(declare-const X String)\n'
+        '(assert (= X "ab"))\n(check-sat)\n'
+    )
+    bad = tmp_path / "bad.eq"
+    bad.write_bytes(b"\xff\n")
+    code, out, _ = run(capsys, "analyze", str(tmp_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert any(ln.startswith(str(bad)) and "error:" in ln and "utf-8" in ln for ln in lines)
+    assert "(1 failed)" in lines[-1]
 
 
 def test_encode_2cm_with_counterexample(capsys):

@@ -7,6 +7,7 @@ import pytest
 from wordeq.terms import (
     And,
     Concat,
+    InRe,
     IntConst,
     IntVar,
     Len,
@@ -166,6 +167,42 @@ def test_formula_letters():
         LenLeq(Len(concat(Lit("c"), Var("X"))), 4),
     )
     assert formula_letters(phi) == {"a", "b", "c"}
+
+
+# deeper than the interpreter's recursion limit: the collectors walk
+# without recursion
+DEEP = 100_000
+
+
+def test_collectors_on_a_deep_negation():
+    phi = conj(
+        WordEq(Var("X"), Lit("ab")),
+        LenLeq(sum_of((1, Len(Var("Y"))), (1, IntVar("n"))), 3),
+    )
+    for _ in range(DEEP):
+        phi = Not(phi)
+    assert free_vars(phi) == ({"X", "Y"}, {"n"})
+    assert formula_letters(phi) == {"a", "b"}
+
+
+def test_collectors_on_a_deep_regex():
+    r = ReLit("a")
+    for i in range(DEEP):
+        r = ReStar(r) if i % 2 else ReConcat((ReLit("b"), r))
+    assert regex_letters(r) == {"a", "b"}
+    phi = InRe(Var("X"), r)
+    assert free_vars(phi) == ({"X"}, set())
+    assert formula_letters(phi) == {"a", "b"}
+
+
+def test_collectors_on_a_deep_concatenation():
+    t = Var("X")
+    for i in range(DEEP):
+        t = Concat((Lit("ab"[i % 2]), Var(f"Y{i % 3}"), t))
+    assert str_term_vars(t) == {"X", "Y0", "Y1", "Y2"}
+    phi = WordEq(Var("Z"), t)
+    assert free_vars(phi) == ({"X", "Y0", "Y1", "Y2", "Z"}, set())
+    assert formula_letters(phi) == {"a", "b"}
 
 
 def test_namegen_avoids_taken_names():
