@@ -20,7 +20,7 @@ from pathlib import Path
 from .corpus import analyze_corpus
 from .errors import ResourceExhausted, WordeqError
 from .oracle import NoModelUpTo, SatWith, brute_force_sat
-from .parser import ParseError, parse_2cm, parse_problem
+from .parser import parse_2cm, parse_problem
 from .printer import print_formula, print_model
 from .solver import Sat, Unsat, Unsupported, check_sat
 from .twocounter import Counterexample, bounded_validity_check, encode
@@ -34,8 +34,16 @@ def _full_model(problem, strings: dict[str, str], ints: dict[str, int]) -> str:
     )
 
 
+def _read(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are an input error naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WordeqError(f"{path}: {exc}") from None
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    problem = parse_problem(Path(args.file).read_text(encoding="utf-8"))
+    problem = parse_problem(_read(args.file))
     phi = problem.conjunction()
     if phi is None:
         print("sat")
@@ -57,7 +65,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    problem = parse_problem(Path(args.file).read_text(encoding="utf-8"))
+    problem = parse_problem(_read(args.file))
     phi = problem.conjunction()
     if phi is None:
         print("sat")
@@ -111,7 +119,7 @@ def _split_input(raw: str, alphabet: tuple[str, ...]) -> list[str]:
 
 
 def _cmd_encode_2cm(args: argparse.Namespace) -> int:
-    machine = parse_2cm(Path(args.file).read_text(encoding="utf-8"))
+    machine = parse_2cm(_read(args.file))
     word = _split_input(args.input, machine.input_alphabet)
     sentence = encode(machine, word)
     for letter, state, head in sentence.legend:
@@ -177,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceExhausted as exc:
         print(f"unsupported: {exc}")
         return 2
-    except (ParseError, WordeqError, OSError, UnicodeDecodeError) as exc:
+    except (WordeqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

@@ -64,7 +64,8 @@ def _term_len_interval(
     if isinstance(t, Len):
         ln = _str_len(t.term, lens)
         return ln, ln
-    assert isinstance(t, Sum)
+    if not isinstance(t, Sum):
+        raise TypeError(f"not a length term: {t!r}")
     lo = hi = 0
     for coeff, item in t.items:
         ilo, ihi = _term_len_interval(item, lens, int_bound)
@@ -82,7 +83,8 @@ def _str_len(t: StrTerm, lens: dict[str, int]) -> int:
         return len(t.word)
     if isinstance(t, Var):
         return lens[t.name]
-    assert isinstance(t, Concat)
+    if not isinstance(t, Concat):
+        raise TypeError(f"not a string term: {t!r}")
     return sum(_str_len(p, lens) for p in t.parts)
 
 
@@ -123,7 +125,8 @@ def _profile_value(
             if v is None:
                 out = None
         return out
-    assert isinstance(phi, Or)
+    if not isinstance(phi, Or):
+        raise TypeError(f"not a formula: {phi!r}")
     out = False
     for p in phi.parts:
         v = _profile_value(p, lens, int_bound, re_lengths, alphabet)
@@ -142,7 +145,8 @@ def brute_force_sat(
     node_budget: int = 5_000_000,
 ) -> BoundedVerdict:
     """First satisfying assignment with words over sigma up to len_bound."""
-    assert len(set(sigma)) == len(sigma)
+    if len(set(sigma)) != len(sigma):
+        raise ValueError(f"alphabet letters must be distinct: {sigma!r}")
     svars, ivars = free_vars(phi)
     snames, inames = sorted(svars), sorted(ivars)
     # The length filter needs automata over every letter the formula mentions.

@@ -12,6 +12,14 @@ Problem files are s-expressions::
     (check-sat)
     (get-model)
 
+One compiled pattern splits the text into tokens: parentheses, string
+literals (no newline inside), integer literals (ASCII digits with an
+optional leading ``-``, in the 64-bit range) and symbols; whitespace and
+``;`` comments separate them.  The whole text is tokenized before the
+tree is read, and the tokens themselves are the tree's atoms.  A length
+atom ``(<= l r)`` is read as ``l - r <= 0`` with its constants moved into
+the bound.
+
 Machine files are line based::
 
     states: q0 qf
@@ -20,13 +28,15 @@ Machine files are line based::
     final: qf
     q0 a Z Z -> qf in R
 
-All parse failures carry a line and column.
+All parse failures carry a line and a column.  Only a newline character
+starts a new line, and columns count characters from 1.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import LetterOutsideAlphabet, WordeqError
 from .terms import (
@@ -40,6 +50,7 @@ from .terms import (
     Lit,
     Regex,
     StrTerm,
+    Sum,
     Var,
     WordEq,
     concat,
@@ -85,117 +96,80 @@ class UnknownLetter(ParseError, LetterOutsideAlphabet):
 # tokens and s-expressions
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "(", ")", "int", "string", "symbol"
     value: str
     line: int
     col: int
 
 
-_SPECIAL = set('()";')
+# Some alternative matches at every position, so finditer skips no
+# character.  The unnamed alternatives are whitespace and comments.
+_TOKEN = re.compile(
+    r'(?P<newline>\n)|[^\S\n]+|;[^\n]*|(?P<paren>[()])'
+    r'|"(?P<string>[^"\n]*)"|(?P<unterminated>")'
+    r'|(?P<int>-?[0-9]+(?![^\s()";]))|(?P<symbol>[^\s()";]+)'
+)
 
 
 def tokenize(text: str) -> Iterator[Token]:
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield Token(ch, ch, line, col)
-            col += 1
-            i += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] == "\n":
-                raise ParseError("unterminated string literal", start_line, start_col)
-            yield Token("string", text[i + 1 : j], start_line, start_col)
-            col += j - i + 1
-            i = j + 1
-        else:
-            start_col = col
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in _SPECIAL:
-                j += 1
-            word = text[i:j]
-            kind = "symbol"
-            if word.lstrip("-").isdigit() and word.count("-") <= 1 and not word.startswith("--"):
-                kind = "int"
-                value = int(word)
-                if not INT64_MIN <= value <= INT64_MAX:
-                    raise ParseError("integer literal outside the 64-bit range", line, start_col)
-            yield Token(kind, word, line, start_col)
-            col += j - i
-            i = j
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+            continue
+        col = m.start() - line_start + 1
+        value = m.group(kind)
+        if kind == "paren":
+            kind = value
+        elif kind == "unterminated":
+            raise ParseError("unterminated string literal", line, col)
+        elif kind == "int" and not INT64_MIN <= int(value) <= INT64_MAX:
+            raise ParseError("integer literal outside the 64-bit range", line, col)
+        yield Token(kind, value, line, col)
 
 
-@dataclass(frozen=True)
-class SAtom:
-    token: Token
-
-
-@dataclass(frozen=True)
-class SList:
+class SList(NamedTuple):
     items: tuple["SExpr", ...]
     line: int
     col: int
 
 
-SExpr = SAtom | SList
+SExpr = Token | SList
 
 
 def read_sexprs(text: str) -> list[SExpr]:
     tokens = list(tokenize(text))
-    pos = 0
-
-    def read_one(depth: int) -> SExpr:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        if tok.kind == "(":
-            if depth >= MAX_DEPTH:
-                raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.line, tok.col)
-            items: list[SExpr] = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("unclosed parenthesis", tok.line, tok.col)
-                if tokens[pos].kind == ")":
-                    pos += 1
-                    return SList(tuple(items), tok.line, tok.col)
-                items.append(read_one(depth + 1))
-        if tok.kind == ")":
-            raise ParseError("unexpected closing parenthesis", tok.line, tok.col)
-        return SAtom(tok)
-
     out: list[SExpr] = []
-    while pos < len(tokens):
-        out.append(read_one(0))
+    items = out
+    # the "(" of each open list, with the items of the list around it
+    open_lists: list[tuple[Token, list[SExpr]]] = []
+    for tok in tokens:
+        if tok.kind == "(":
+            if len(open_lists) >= MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.line, tok.col)
+            open_lists.append((tok, items))
+            items = []
+        elif tok.kind == ")":
+            if not open_lists:
+                raise ParseError("unexpected closing parenthesis", tok.line, tok.col)
+            opening, outer = open_lists.pop()
+            outer.append(SList(tuple(items), opening.line, opening.col))
+            items = outer
+        else:
+            items.append(tok)
+    if open_lists:
+        opening = open_lists[-1][0]
+        raise ParseError("unclosed parenthesis", opening.line, opening.col)
     return out
 
 
-def _where(e: SExpr) -> tuple[int, int]:
-    if isinstance(e, SAtom):
-        return e.token.line, e.token.col
-    return e.line, e.col
-
-
 def _head(e: SList) -> str | None:
-    if e.items and isinstance(e.items[0], SAtom) and e.items[0].token.kind == "symbol":
-        return e.items[0].token.value
+    if e.items and isinstance(e.items[0], Token) and e.items[0].kind == "symbol":
+        return e.items[0].value
     return None
 
 
@@ -233,201 +207,174 @@ class _ProblemReader:
         assert self.alphabet is not None
         bad = set(word) - set(self.alphabet)
         if bad:
-            raise UnknownLetter(
-                f"letter {min(bad)!r} is not in the alphabet", *_where(e)
-            )
+            raise UnknownLetter(f"letter {min(bad)!r} is not in the alphabet", e.line, e.col)
         return word
 
     def str_term(self, e: SExpr) -> StrTerm:
-        if isinstance(e, SAtom):
-            tok = e.token
-            if tok.kind == "string":
-                return Lit(self.check_word(tok.value, e))
-            if tok.kind == "symbol":
-                if tok.value in self.str_vars:
-                    return Var(tok.value)
-                if tok.value in self.int_vars:
-                    raise SortError(
-                        f"{tok.value} is an Int variable, not a String", *_where(e)
-                    )
-                raise UndeclaredVariable(f"undeclared variable {tok.value}", *_where(e))
-            raise SortError("expected a string term", *_where(e))
+        if isinstance(e, Token):
+            if e.kind == "string":
+                return Lit(self.check_word(e.value, e))
+            if e.kind == "symbol":
+                if e.value in self.str_vars:
+                    return Var(e.value)
+                if e.value in self.int_vars:
+                    raise SortError(f"{e.value} is an Int variable, not a String", e.line, e.col)
+                raise UndeclaredVariable(f"undeclared variable {e.value}", e.line, e.col)
+            raise SortError("expected a string term", e.line, e.col)
         if _head(e) == "str.++":
             if len(e.items) < 2:
-                raise ParseError("str.++ needs at least one argument", *_where(e))
+                raise ParseError("str.++ needs at least one argument", e.line, e.col)
             return concat(*(self.str_term(x) for x in e.items[1:]))
-        raise SortError("expected a string term", *_where(e))
+        raise SortError("expected a string term", e.line, e.col)
 
     def len_term(self, e: SExpr) -> LenTerm:
-        if isinstance(e, SAtom):
-            tok = e.token
-            if tok.kind == "int":
-                return IntConst(int(tok.value))
-            if tok.kind == "symbol":
-                if tok.value in self.int_vars:
-                    return IntVar(tok.value)
-                if tok.value in self.str_vars:
-                    raise SortError(
-                        f"{tok.value} is a String variable, not an Int", *_where(e)
-                    )
-                raise UndeclaredVariable(f"undeclared variable {tok.value}", *_where(e))
-            raise SortError("expected an integer term", *_where(e))
+        if isinstance(e, Token):
+            if e.kind == "int":
+                return IntConst(int(e.value))
+            if e.kind == "symbol":
+                if e.value in self.int_vars:
+                    return IntVar(e.value)
+                if e.value in self.str_vars:
+                    raise SortError(f"{e.value} is a String variable, not an Int", e.line, e.col)
+                raise UndeclaredVariable(f"undeclared variable {e.value}", e.line, e.col)
+            raise SortError("expected an integer term", e.line, e.col)
         head = _head(e)
         if head == "str.len":
             if len(e.items) != 2:
-                raise ParseError("str.len needs exactly one argument", *_where(e))
+                raise ParseError("str.len needs exactly one argument", e.line, e.col)
             return Len(self.str_term(e.items[1]))
         if head == "+":
             if len(e.items) < 2:
-                raise ParseError("+ needs at least one argument", *_where(e))
+                raise ParseError("+ needs at least one argument", e.line, e.col)
             return sum_of(*((1, self.len_term(x)) for x in e.items[1:]))
         if head == "*":
             if len(e.items) != 3:
-                raise ParseError("* needs a coefficient and a term", *_where(e))
+                raise ParseError("* needs a coefficient and a term", e.line, e.col)
             c = e.items[1]
-            if not (isinstance(c, SAtom) and c.token.kind == "int"):
-                raise SortError("the coefficient of * must be an integer literal", *_where(e))
-            return sum_of((int(c.token.value), self.len_term(e.items[2])))
-        raise SortError("expected an integer term", *_where(e))
+            if not (isinstance(c, Token) and c.kind == "int"):
+                raise SortError("the coefficient of * must be an integer literal", e.line, e.col)
+            return sum_of((int(c.value), self.len_term(e.items[2])))
+        raise SortError("expected an integer term", e.line, e.col)
 
     def regex(self, e: SExpr) -> Regex:
-        if isinstance(e, SAtom):
-            if e.token.kind == "symbol" and e.token.value == "re.epsilon":
+        if isinstance(e, Token):
+            if e.kind == "symbol" and e.value == "re.epsilon":
                 return re_lit("")
-            raise SortError("expected a regular expression", *_where(e))
+            raise SortError("expected a regular expression", e.line, e.col)
         head = _head(e)
         if head == "str.to.re":
             if len(e.items) != 2 or not (
-                isinstance(e.items[1], SAtom) and e.items[1].token.kind == "string"
+                isinstance(e.items[1], Token) and e.items[1].kind == "string"
             ):
-                raise ParseError("str.to.re needs one string literal", *_where(e))
-            return re_lit(self.check_word(e.items[1].token.value, e.items[1]))
+                raise ParseError("str.to.re needs one string literal", e.line, e.col)
+            return re_lit(self.check_word(e.items[1].value, e.items[1]))
         if head == "re.++":
             if len(e.items) < 2:
-                raise ParseError("re.++ needs at least one argument", *_where(e))
+                raise ParseError("re.++ needs at least one argument", e.line, e.col)
             return re_seq(*(self.regex(x) for x in e.items[1:]))
         if head == "re.union":
             if len(e.items) < 2:
-                raise ParseError("re.union needs at least one argument", *_where(e))
+                raise ParseError("re.union needs at least one argument", e.line, e.col)
             return re_alt(*(self.regex(x) for x in e.items[1:]))
         if head == "re.*":
             if len(e.items) != 2:
-                raise ParseError("re.* needs exactly one argument", *_where(e))
+                raise ParseError("re.* needs exactly one argument", e.line, e.col)
             return re_star(self.regex(e.items[1]))
-        raise SortError("expected a regular expression", *_where(e))
+        raise SortError("expected a regular expression", e.line, e.col)
 
     # -- formulas ----------------------------------------------------------
 
-    def _linear(self, t: LenTerm) -> tuple[dict[LenTerm, int], int]:
-        """Split a length term into variable items (in first-seen order)
-        and a constant."""
-        if isinstance(t, IntConst):
-            return {}, t.value
-        if isinstance(t, (IntVar, Len)):
-            return {t: 1}, 0
-        items: dict[LenTerm, int] = {}
-        const = 0
-        for c, sub in t.items:
-            sub_items, sub_const = self._linear(sub)
-            const += c * sub_const
-            for k, v in sub_items.items():
-                items[k] = items.get(k, 0) + c * v
-        return items, const
-
     def formula(self, e: SExpr) -> Formula:
         if not isinstance(e, SList):
-            raise ParseError("expected a formula", *_where(e))
+            raise ParseError("expected a formula", e.line, e.col)
         head = _head(e)
         if head == "=":
             if len(e.items) != 3:
-                raise ParseError("= needs exactly two arguments", *_where(e))
+                raise ParseError("= needs exactly two arguments", e.line, e.col)
             return WordEq(self.str_term(e.items[1]), self.str_term(e.items[2]))
         if head == "<=":
             if len(e.items) != 3:
-                raise ParseError("<= needs exactly two arguments", *_where(e))
-            li, lc = self._linear(self.len_term(e.items[1]))
-            ri, rc = self._linear(self.len_term(e.items[2]))
-            for k, v in ri.items():
-                li[k] = li.get(k, 0) - v
-            term = sum_of(*((c, k) for k, c in li.items()))
-            bound = rc - lc
+                raise ParseError("<= needs exactly two arguments", e.line, e.col)
+            diff = sum_of((1, self.len_term(e.items[1])), (-1, self.len_term(e.items[2])))
+            items = diff.items if isinstance(diff, Sum) else ((1, diff),)
+            bound = -sum(c * t.value for c, t in items if isinstance(t, IntConst))
             if not (INT64_MIN <= bound <= INT64_MAX):
-                raise ParseError("length bound outside the 64-bit range", *_where(e))
-            return LenLeq(term, bound)
+                raise ParseError("length bound outside the 64-bit range", e.line, e.col)
+            return LenLeq(sum_of(*(i for i in items if not isinstance(i[1], IntConst))), bound)
         if head == "str.in.re":
             if len(e.items) != 3:
-                raise ParseError("str.in.re needs a term and a regex", *_where(e))
+                raise ParseError("str.in.re needs a term and a regex", e.line, e.col)
             return InRe(self.str_term(e.items[1]), self.regex(e.items[2]))
         if head in ("and", "or"):
             if len(e.items) < 2:
-                raise ParseError(f"{head} needs at least one argument", *_where(e))
+                raise ParseError(f"{head} needs at least one argument", e.line, e.col)
             parts = [self.formula(x) for x in e.items[1:]]
             return conj(*parts) if head == "and" else disj(*parts)
         if head == "not":
             if len(e.items) != 2:
-                raise ParseError("not needs exactly one argument", *_where(e))
+                raise ParseError("not needs exactly one argument", e.line, e.col)
             return Not(self.formula(e.items[1]))
-        raise ParseError(f"unknown formula head {head!r}", *_where(e))
+        raise ParseError(f"unknown formula head {head!r}", e.line, e.col)
 
     # -- directives ---------------------------------------------------------
 
     def directive(self, e: SExpr) -> None:
         if not isinstance(e, SList) or _head(e) is None:
-            raise ParseError("expected a directive", *_where(e))
+            raise ParseError("expected a directive", e.line, e.col)
         head = _head(e)
         if head == "set-alphabet":
             if len(e.items) != 2 or not (
-                isinstance(e.items[1], SAtom) and e.items[1].token.kind == "string"
+                isinstance(e.items[1], Token) and e.items[1].kind == "string"
             ):
-                raise ParseError("set-alphabet needs one string literal", *_where(e))
+                raise ParseError("set-alphabet needs one string literal", e.line, e.col)
             if self.alphabet is not None:
-                raise ParseError("the alphabet is already set", *_where(e))
-            letters = e.items[1].token.value
+                raise ParseError("the alphabet is already set", e.line, e.col)
+            letters = e.items[1].value
             if len(set(letters)) != len(letters):
-                raise ParseError("alphabet letters must be distinct", *_where(e))
+                raise ParseError("alphabet letters must be distinct", e.line, e.col)
             self.alphabet = letters
             return
         if head == "declare-const":
             if (
                 len(e.items) != 3
-                or not isinstance(e.items[1], SAtom)
-                or e.items[1].token.kind != "symbol"
-                or not isinstance(e.items[2], SAtom)
+                or not isinstance(e.items[1], Token)
+                or e.items[1].kind != "symbol"
+                or not isinstance(e.items[2], Token)
             ):
-                raise ParseError("declare-const needs a name and a sort", *_where(e))
-            name = e.items[1].token.value
-            sort = e.items[2].token.value
+                raise ParseError("declare-const needs a name and a sort", e.line, e.col)
+            name = e.items[1].value
+            sort = e.items[2].value
             if name in self.str_vars or name in self.int_vars:
-                raise ParseError(f"{name} is already declared", *_where(e))
+                raise ParseError(f"{name} is already declared", e.line, e.col)
             if sort == "String":
                 if self.alphabet is None:
                     raise ParseError(
-                        "set-alphabet must come before String declarations", *_where(e)
+                        "set-alphabet must come before String declarations", e.line, e.col
                     )
                 self.str_vars.append(name)
             elif sort == "Int":
                 self.int_vars.append(name)
             else:
-                raise SortError(f"unknown sort {sort}", *_where(e))
+                raise SortError(f"unknown sort {sort}", e.line, e.col)
             return
         if head == "assert":
             if len(e.items) != 2:
-                raise ParseError("assert needs exactly one formula", *_where(e))
+                raise ParseError("assert needs exactly one formula", e.line, e.col)
             if self.alphabet is None:
-                raise ParseError("set-alphabet must come before assertions", *_where(e))
+                raise ParseError("set-alphabet must come before assertions", e.line, e.col)
             self.asserts.append(self.formula(e.items[1]))
             return
         if head == "check-sat":
             if len(e.items) != 1:
-                raise ParseError("check-sat takes no arguments", *_where(e))
+                raise ParseError("check-sat takes no arguments", e.line, e.col)
             self.check_sat = True
             return
         if head == "get-model":
             if len(e.items) != 1:
-                raise ParseError("get-model takes no arguments", *_where(e))
+                raise ParseError("get-model takes no arguments", e.line, e.col)
             self.get_model = True
             return
-        raise ParseError(f"unknown directive {head!r}", *_where(e))
+        raise ParseError(f"unknown directive {head!r}", e.line, e.col)
 
 
 def parse_problem(text: str) -> Problem:

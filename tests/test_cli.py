@@ -74,6 +74,17 @@ def test_input_that_is_not_utf8_exits_3(capsys, tmp_path):
         assert code == 3, argv
         assert out == ""
         assert err.startswith("error:") and "utf-8" in err, argv
+        assert str(bad) in err, argv
+
+
+def test_non_ascii_digits_are_symbols_not_integers(capsys, tmp_path):
+    # "²" passes str.isdigit but not int(); it is an undeclared name, not a crash
+    path = tmp_path / "digits.eq"
+    path.write_text('(set-alphabet "a")\n(declare-const n Int)\n(assert (<= n \u00b2))\n')
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: line 3, column 15: undeclared variable \u00b2\n"
 
 
 def test_crash_exits_4_not_unsat(capsys, monkeypatch):

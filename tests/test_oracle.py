@@ -101,7 +101,7 @@ def test_letters_outside_sigma_never_appear_in_models():
 
 
 def test_sigma_letters_must_be_distinct():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="distinct"):
         brute_force_sat(WordEq(X, X), "aa", 1)
 
 

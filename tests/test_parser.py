@@ -6,6 +6,7 @@ import pytest
 
 from helpers import random_formula_el, random_formula_elr, random_regex
 from wordeq.parser import (
+    MAX_DEPTH,
     ParseError,
     Problem,
     SortError,
@@ -151,6 +152,64 @@ def test_parse_int64_guard():
             f'(set-alphabet "a")\n(declare-const n Int)\n'
             f"(assert (<= (+ {2**62} {2**62} {2**62}) n))"
         )
+
+
+def test_integer_literals_are_ascii():
+    header = '(set-alphabet "a")\n(declare-const n Int)\n'
+    # superscript two passes str.isdigit but not int(); Arabic-Indic three
+    # passes both; neither is an integer literal
+    for word in ("\u00b2", "\u0663", "-\u0663", "1\u00b2"):
+        with pytest.raises(UndeclaredVariable) as e:
+            parse_problem(header + f"(assert (<= n {word}))")
+        assert (e.value.line, e.value.col) == (3, 15)
+        assert str(e.value).endswith(f"undeclared variable {word}")
+    assert [t.kind for t in tokenize("-0 007 --1 1-2 -")] == ["int", "int"] + ["symbol"] * 3
+
+
+def _error_at(text: str) -> tuple[int, int, str]:
+    with pytest.raises(ParseError) as e:
+        parse_problem(text)
+    return e.value.line, e.value.col, str(e.value).split(": ", 1)[1]
+
+
+def test_tokenizer_error_positions():
+    header = '(set-alphabet "ab")\n(declare-const n Int)\n'
+    assert _error_at('(set-alphabet "ab)\n(check-sat)') == (1, 15, "unterminated string literal")
+    assert _error_at(header + '(assert (= "ab') == (3, 12, "unterminated string literal")
+    too_big = "integer literal outside the 64-bit range"
+    assert _error_at(header + f"(assert (<= n {2**63}))") == (3, 15, too_big)
+    assert _error_at(header + f"(assert (<= {-(2**63) - 1} n))") == (3, 13, too_big)
+    assert _error_at(header + "(check-sat))") == (3, 12, "unexpected closing parenthesis")
+    assert _error_at(header + "(assert (and\n  (= n n)") == (3, 9, "unclosed parenthesis")
+    deep = header + " " + "(" * (MAX_DEPTH + 1)
+    assert _error_at(deep) == (3, MAX_DEPTH + 2, f"nesting deeper than {MAX_DEPTH}")
+    # the tokenizer reads the whole text before the tree: a later bad
+    # string wins over an earlier stray parenthesis
+    assert _error_at(') "x') == (1, 3, "unterminated string literal")
+
+
+def test_token_positions_after_whitespace_and_comments():
+    toks = list(tokenize('(a\r\n b)\t(c\u3000d) ; e\n"f"'))
+    assert [(t.value, t.line, t.col) for t in toks] == [
+        ("(", 1, 1),
+        ("a", 1, 2),
+        ("b", 2, 2),
+        (")", 2, 3),
+        ("(", 2, 5),
+        ("c", 2, 6),
+        ("d", 2, 8),
+        (")", 2, 9),
+        ("f", 3, 1),
+    ]
+    assert parse_problem('(set-alphabet "ab") ; no newline after this').alphabet == "ab"
+
+
+def test_length_atom_constants_move_into_the_bound():
+    p = parse_problem(
+        '(set-alphabet "ab")\n(declare-const X String)\n(declare-const n Int)\n'
+        "(assert (<= (+ 3 (str.len X) n 2) (+ n 5)))\n"
+    )
+    assert p.asserts == (LenLeq(Len(Var("X")), 0),)
 
 
 def test_print_parse_roundtrip_random():

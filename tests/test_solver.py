@@ -180,9 +180,10 @@ def test_failed_recheck_raises_under_optimize():
 
 
 def test_invariant_checks_raise_under_optimize():
-    # the binding checks of the rewriting and the witness search's checks
-    # must not be asserts that python -O strips
+    # the binding checks of the rewriting, the witness search's checks and
+    # the oracle's checks must not be asserts that python -O strips
     script = (
+        "import wordeq.oracle as o\n"
         "import wordeq.twocounter as t\n"
         "from wordeq.paramwords import Unfixed\n"
         "from wordeq.solved_form import _State\n"
@@ -201,6 +202,10 @@ def test_invariant_checks_raise_under_optimize():
         "t._match_pattern = lambda pattern, target, cap: [({}, {'i': 1})]\n"
         "one = t.Sentence(('S',), ('Y',), body, 'a', ())\n"
         "expect(AssertionError, lambda: t.is_counterexample(one, 'a'))\n"
+        "expect(ValueError, lambda: o.brute_force_sat(body, 'aa', 1))\n"
+        "expect(TypeError, lambda: o._term_len_interval(None, {}, 1))\n"
+        "expect(TypeError, lambda: o._str_len(None, {}))\n"
+        "expect(TypeError, lambda: o._profile_value(None, {}, 1, {}, 'a'))\n"
     )
     src = str(Path(wordeq.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -217,6 +222,10 @@ def test_invariant_checks_raise_under_optimize():
         "ValueError one universal variable is supported",
         "ValueError one universal variable is supported",
         "AssertionError a sentence equation matched with power parameters",
+        "ValueError alphabet letters must be distinct: 'aa'",
+        "TypeError not a length term: None",
+        "TypeError not a string term: None",
+        "TypeError not a formula: None",
     ]
 
 
