@@ -137,8 +137,9 @@ def _cmd_encode_2cm(args: argparse.Namespace) -> int:
 
 
 def _natural(text: str) -> int:
-    """A bound given on the command line: a nonnegative integer."""
-    if not text.isdecimal():
+    """A bound given on the command line: a nonnegative integer in ASCII
+    digits, as in problem files."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
     return int(text)
 

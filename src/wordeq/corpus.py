@@ -112,7 +112,8 @@ def generate_corpus(
     Each file holds a multiple-of-five equation count so the per-file
     solved share hits the fraction with no rounding drift.
     """
-    assert 0.0 <= solved_fraction <= 1.0
+    if not 0.0 <= solved_fraction <= 1.0:
+        raise ValueError(f"solved_fraction {solved_fraction} is not between 0 and 1")
     rng = random.Random(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

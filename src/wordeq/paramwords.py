@@ -23,7 +23,8 @@ class Const:
     word: str
 
     def __post_init__(self) -> None:
-        assert self.word != "", "empty constant blocks are dropped on construction"
+        if self.word == "":
+            raise ValueError("empty constant blocks are dropped on construction")
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,8 @@ class Power:
     param: str
 
     def __post_init__(self) -> None:
-        assert self.base != "", "a power needs a nonempty base"
+        if self.base == "":
+            raise ValueError("a power needs a nonempty base")
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,8 @@ def instantiate(
             pieces.append(b.word)
         elif isinstance(b, Power):
             n = params[b.param]
-            assert n >= 0, "parameters range over nonnegative integers"
+            if n < 0:
+                raise ValueError("parameters range over nonnegative integers")
             pieces.append(b.base * n)
         else:
             if b.part not in parts:

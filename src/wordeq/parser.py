@@ -340,6 +340,7 @@ class _ProblemReader:
                 or not isinstance(e.items[1], Token)
                 or e.items[1].kind != "symbol"
                 or not isinstance(e.items[2], Token)
+                or e.items[2].kind != "symbol"
             ):
                 raise ParseError("declare-const needs a name and a sort", e.line, e.col)
             name = e.items[1].value

@@ -33,7 +33,8 @@ from .terms import (
 
 
 def _quote(word: str) -> str:
-    assert '"' not in word and "\n" not in word
+    if '"' in word or "\n" in word:
+        raise ValueError(f"a quote or a newline cannot be printed in a word: {word!r}")
     return f'"{word}"'
 
 

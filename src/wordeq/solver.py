@@ -3,10 +3,10 @@ regular-expression constraints.
 
 Negation elimination turns every disjunct of the input's disjunctive
 normal form into one factor of positive alternatives per literal.  Their
-product is walked depth first, and a prefix of choices whose word
-equations and length atoms are already refuted cuts every branch below
-it.  Each branch left is a conjunction of positive atoms: the word
-equations are rewritten into solved forms, each solved form contributes
+product is walked depth first.  A prefix of choices and a whole branch
+are both conjunctions of positive atoms, decided the same way, and a
+refuted prefix cuts every branch below it.  The word equations of such
+a conjunction are rewritten into solved forms, each solved form contributes
 its implied length rows, length atoms translate to further rows, and the
 membership atoms become a disjunction of row groups that constrain the
 power parameters of each constrained term through exact automaton
@@ -20,9 +20,8 @@ against the original formula before being reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import parser
 from .automata import (
@@ -60,9 +59,7 @@ from .terms import (
     LenLeq,
     NameGen,
     WordEq,
-    formula_letters,
-    free_vars,
-    too_deep,
+    scan,
 )
 
 
@@ -81,6 +78,8 @@ class Unsupported:
 
 
 Verdict = Sat | Unsat | Unsupported
+# the alternatives chosen so far in the negation walk, and their verdict
+_Prefix = tuple[list[list[Atom]], Verdict | None]
 
 # The most row groups the integer solver may pull from the membership
 # atoms under one solved form; ResourceExhausted is raised before one
@@ -152,52 +151,40 @@ def _shared_rows(sf: SolvedForm, lens: list[LenLeq], alphabet: str) -> list[Row]
     return rows
 
 
-def _unrefuted_branches(
-    factors: list[list[list[Atom]]], refuted: Callable[[list[Atom]], bool]
-) -> Iterator[list[Atom]]:
-    """The product of the factors in its order, one alternative per factor
-    concatenated in factor order, without the branches below a refuted
-    prefix.
+def _decide(
+    atoms: list[Atom], svars: set[str], ivars: set[str], alphabet: str, gen: NameGen
+) -> Verdict:
+    """Decide a conjunction of positive atoms.
 
-    The walk chooses among the factors that do not have exactly one
-    alternative.  A prefix holds the forced atoms (those of every
-    one-alternative factor) and the alternatives chosen so far; one that
-    still has a choice to make is checked once, and no branch below it is
-    built when ``refuted`` holds for it.
+    Each solved form makes one ``lia_sat`` call: its shared rows with the
+    membership row groups, which are built only as the integer solver
+    pulls them, so a solved form whose shared rows clash never builds
+    one.  The verdict is Sat with the model of the first solved form that
+    has one (not yet re-checked), Unsat when rewriting or the rows of
+    every solved form refute the atoms, and otherwise Unsupported for the
+    first reason that rewriting or a solved form was blocked; the solved
+    forms that a partly blocked rewriting still found are decided too.
     """
-    forced = [a for alts in factors if len(alts) == 1 for a in alts[0]]
-    split = [alts for alts in factors if len(alts) != 1]
-
-    def extend(
-        prefix: tuple[list[Atom], list[list[Atom]]], alt: list[Atom]
-    ) -> tuple[list[Atom], list[list[Atom]]] | None:
-        atoms, chosen = prefix
-        atoms = atoms + alt
-        if len(chosen) + 1 < len(split) and refuted(atoms):
-            return None
-        return atoms, chosen + [alt]
-
-    for _, chosen in walk_product(split, extend, (forced, [])):
-        picks = iter(chosen)
-        yield [a for alts in factors for a in (alts[0] if len(alts) == 1 else next(picks))]
-
-
-def _prefix_refuted(atoms: list[Atom], svars: set[str], alphabet: str) -> bool:
-    """Whether the word equations and length atoms among ``atoms`` have no
-    model: rewriting refutes them, or the shared rows of each solved form
-    do.  Leaving the fragment, running out of a limit or a model is not a
-    refutation."""
     eqs = [a for a in atoms if isinstance(a, WordEq)]
     lens = [a for a in atoms if isinstance(a, LenLeq)]
-    solved = to_solved_form(eqs, variables=svars)
+    res = [a for a in atoms if isinstance(a, InRe)]
+    solved = to_solved_form(eqs, variables=svars, gen=gen)
+    if isinstance(solved, Unsat):
+        return solved
+    blocked = None
     if isinstance(solved, OutOfFragment):
-        return False
-    try:
-        return isinstance(solved, Unsat) or all(
-            lia_sat(_shared_rows(sf, lens, alphabet)) is None for sf in solved
-        )
-    except ResourceExhausted:
-        return False
+        blocked, solved = solved.reason, solved.forms
+    for sf in solved:
+        try:
+            model = lia_sat(
+                _shared_rows(sf, lens, alphabet), _regex_row_groups(res, sf, alphabet, gen)
+            )
+        except (ResourceExhausted, _UnfixedMembership) as exc:
+            blocked = blocked or str(exc)
+            continue
+        if model is not None:
+            return _build_model(sf, model, svars, ivars, alphabet)
+    return Unsat() if blocked is None else Unsupported(blocked)
 
 
 def _build_model(
@@ -229,37 +216,33 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
     refuted.  Inputs outside the supported fragment (or beyond one of the
     limits) come back Unsupported instead of a guess.
 
-    Each solved form makes one ``lia_sat`` call: its shared rows (the
-    implied length rows and the length atoms) with the membership row
-    groups, which are built only as the integer solver pulls them, so a
-    solved form whose shared rows clash never builds one.
-
-    The negation branches of a disjunct come from ``_unrefuted_branches``:
-    a refuted prefix is a sub-conjunction of every branch below it, so
-    those branches are refuted too and are skipped.
+    Each disjunct's negation product is walked depth first over the
+    factors with a choice to make.  ``_decide`` decides every prefix (the
+    atoms of the one-alternative factors and of the choices so far, in
+    factor order) and every branch alike: a refuted prefix is a
+    sub-conjunction of every branch below it, so it cuts them all.
 
     A branch that leaves the fragment or runs out of a limit is blocked:
     the others still run, and the verdict is Unsupported only when none
-    of them is Sat and some branch was blocked; the solved forms that a
-    partly blocked rewriting still found are decided too.  A formula nested
-    deeper than the parser accepts is Unsupported before any recursive walk:
-    the letter and variable collectors walk without recursion, while
-    normalization, negation elimination and evaluation recurse.
+    of them is Sat and some branch was blocked.  A formula nested deeper
+    than the parser accepts is Unsupported before any recursive walk:
+    ``scan`` walks without recursion, while normalization, negation
+    elimination and evaluation recurse.
     """
-    if too_deep(phi, parser.MAX_DEPTH):
+    scanned = scan(phi, parser.MAX_DEPTH)
+    if scanned is None:
         return Unsupported(f"formula nested deeper than {parser.MAX_DEPTH}")
-    stray = formula_letters(phi) - set(alphabet)
+    svars, ivars, letters = scanned
+    stray = letters - set(alphabet)
     if stray:
         raise LetterOutsideAlphabet(
             f"formula uses letters outside the alphabet: {sorted(stray)}"
         )
-    svars, ivars = free_vars(phi)
     gen = NameGen(svars | ivars)
     try:
         conjuncts = to_dnf(phi)
     except ResourceExhausted as exc:
         return Unsupported(str(exc))
-    refuted = partial(_prefix_refuted, svars=svars, alphabet=alphabet)
     blocked: str | None = None
     for conjunct in conjuncts:
         try:
@@ -267,30 +250,25 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
         except ResourceExhausted as exc:
             blocked = blocked or str(exc)
             continue
-        for atoms in _unrefuted_branches(factors, refuted):
-            eqs = [a for a in atoms if isinstance(a, WordEq)]
-            lens = [a for a in atoms if isinstance(a, LenLeq)]
-            res = [a for a in atoms if isinstance(a, InRe)]
-            solved = to_solved_form(eqs, variables=svars, gen=gen)
-            if isinstance(solved, Unsat):
-                continue
-            if isinstance(solved, OutOfFragment):
-                blocked = blocked or solved.reason
-                solved = solved.forms
-            for sf in solved:
-                rows = _shared_rows(sf, lens, alphabet)
-                try:
-                    model = lia_sat(rows, _regex_row_groups(res, sf, alphabet, gen))
-                except (ResourceExhausted, _UnfixedMembership) as exc:
-                    blocked = blocked or str(exc)
-                    continue
-                if model is not None:
-                    verdict = _build_model(sf, model, svars, ivars, alphabet)
-                    if not eval_formula(phi, verdict.assignment()):
-                        raise AssertionError(
-                            f"the model {verdict} does not satisfy the formula"
-                        )
-                    return verdict
-    if blocked is not None:
-        return Unsupported(blocked)
-    return Unsat()
+        split = [alts for alts in factors if len(alts) != 1]
+
+        def decide(chosen: list[list[Atom]]) -> Verdict:
+            picks = iter(chosen)  # a factor not chosen yet gives no atom
+            atoms = [
+                a for alts in factors for a in (alts[0] if len(alts) == 1 else next(picks, ()))
+            ]
+            return _decide(atoms, svars, ivars, alphabet, gen)
+
+        def extend(prefix: _Prefix, alt: list[Atom]) -> _Prefix | None:
+            chosen = prefix[0] + [alt]
+            verdict = decide(chosen)
+            return None if isinstance(verdict, Unsat) else (chosen, verdict)
+
+        for _, verdict in walk_product(split, extend, ([], None if split else decide([]))):
+            if isinstance(verdict, Sat):
+                if not eval_formula(phi, verdict.assignment()):
+                    raise AssertionError(f"the model {verdict} does not satisfy the formula")
+                return verdict
+            if isinstance(verdict, Unsupported):
+                blocked = blocked or verdict.reason
+    return Unsat() if blocked is None else Unsupported(blocked)

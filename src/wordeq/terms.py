@@ -37,7 +37,8 @@ class Concat:
     parts: tuple["StrTerm", ...]
 
     def __post_init__(self) -> None:
-        assert len(self.parts) >= 2, "Concat needs at least two parts"
+        if len(self.parts) < 2:
+            raise ValueError("Concat needs at least two parts")
 
 
 StrTerm = Union[Lit, Var, Concat]
@@ -138,7 +139,8 @@ class ReLit:
     word: str
 
     def __post_init__(self) -> None:
-        assert self.word != "", "use ReEpsilon for the empty word"
+        if self.word == "":
+            raise ValueError("use ReEpsilon for the empty word")
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,8 @@ class ReConcat:
     parts: tuple["Regex", ...]
 
     def __post_init__(self) -> None:
-        assert len(self.parts) >= 2
+        if len(self.parts) < 2:
+            raise ValueError("ReConcat needs at least two parts")
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,8 @@ class ReUnion:
     parts: tuple["Regex", ...]
 
     def __post_init__(self) -> None:
-        assert len(self.parts) >= 2
+        if len(self.parts) < 2:
+            raise ValueError("ReUnion needs at least two parts")
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,8 @@ def re_alt(*parts: Regex) -> Regex:
     for p in flat:
         if p not in seen:
             seen.append(p)
-    assert seen, "union needs at least one branch"
+    if not seen:
+        raise ValueError("union needs at least one branch")
     if len(seen) == 1:
         return seen[0]
     return ReUnion(tuple(seen))
@@ -253,7 +258,8 @@ class And:
     parts: tuple["Formula", ...]
 
     def __post_init__(self) -> None:
-        assert len(self.parts) >= 2
+        if len(self.parts) < 2:
+            raise ValueError("And needs at least two parts")
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,8 @@ class Or:
     parts: tuple["Formula", ...]
 
     def __post_init__(self) -> None:
-        assert len(self.parts) >= 2
+        if len(self.parts) < 2:
+            raise ValueError("Or needs at least two parts")
 
 
 @dataclass(frozen=True)
@@ -279,7 +286,8 @@ def conj(*parts: Formula) -> Formula:
             flat.extend(p.parts)
         else:
             flat.append(p)
-    assert flat
+    if not flat:
+        raise ValueError("conj needs at least one part")
     return flat[0] if len(flat) == 1 else And(tuple(flat))
 
 
@@ -290,7 +298,8 @@ def disj(*parts: Formula) -> Formula:
             flat.extend(p.parts)
         else:
             flat.append(p)
-    assert flat
+    if not flat:
+        raise ValueError("disj needs at least one part")
     return flat[0] if len(flat) == 1 else Or(tuple(flat))
 
 
@@ -321,20 +330,31 @@ def nodes(root: object) -> Iterator[object]:
             stack.extend(children(node))
 
 
-def too_deep(root: object, limit: int) -> bool:
-    """Whether some path from the root passes more than ``limit`` nodes
-    that hold other nodes (connectives, atoms, terms, regexes), as the
-    parser counts parentheses.  One level at a time, without recursion,
-    so it is safe on any input.  The collectors below walk with ``nodes``
-    and are safe too; normalization, negation elimination and evaluation
-    recurse and run only after this check."""
-    level: list[object] = [root]
-    for _ in range(limit + 1):
-        level = [node for node in level if type(node) in _CHILDREN]
-        if not level:
-            return False
-        level = [kid for node in level for kid in _CHILDREN[type(node)](node)]
-    return True
+def scan(root: object, limit: int) -> tuple[set[str], set[str], set[str]] | None:
+    """(string variables, integer variables, letters) of a formula, term
+    or regex, or None when some path from the root passes more than
+    ``limit`` nodes that hold other nodes (connectives, atoms, terms,
+    regexes), as the parser counts parentheses.  One walk on an explicit
+    stack, so it is safe on any input; normalization, negation
+    elimination and evaluation recurse and run only after this check."""
+    svars: set[str] = set()
+    ivars: set[str] = set()
+    letters: set[str] = set()
+    stack = [(root, 0)]  # a node and the number of holders above it
+    while stack:
+        node, depth = stack.pop()
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            if depth == limit:
+                return None
+            stack.extend((kid, depth + 1) for kid in children(node))
+        elif isinstance(node, Var):
+            svars.add(node.name)
+        elif isinstance(node, IntVar):
+            ivars.add(node.name)
+        elif isinstance(node, (Lit, ReLit)):
+            letters.update(node.word)
+    return svars, ivars, letters
 
 
 def str_term_vars(t: StrTerm) -> set[str]:

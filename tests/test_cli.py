@@ -183,6 +183,17 @@ def test_negative_bounds_are_usage_errors(capsys):
         assert "not a nonnegative integer" in err
 
 
+def test_bounds_are_ascii_digits(capsys):
+    # Arabic-Indic three and a fullwidth one are decimal digits to Python,
+    # but not the digits a problem file reads
+    conjugate = str(SAMPLES / "conjugate.eq")
+    for bound in ("\u0663", "\uff11"):
+        code, out, err = run(capsys, "oracle", conjugate, "--max-len", bound)
+        assert code == 3, bound
+        assert out == ""
+        assert "not a nonnegative integer" in err
+
+
 def test_oracle_finds_bounded_model(capsys):
     code, out, _ = run(capsys, "oracle", str(SAMPLES / "conjugate.eq"), "--max-len", "5")
     assert code == 0

@@ -29,9 +29,9 @@ def test_param_word_keeps_nonadjacent_constants():
 
 
 def test_empty_blocks_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Const("")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Power("", "i")
 
 
@@ -65,7 +65,7 @@ def test_instantiate_missing_part_raises():
 
 def test_instantiate_negative_parameter_rejected():
     w = param_word([Power("a", "i")])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         instantiate(w, {"i": -1})
 
 

@@ -125,6 +125,16 @@ def test_parse_error_classes():
         parse_problem(header + '(assert (str.in.re X (str.to.re "c")))')
 
 
+def test_declare_const_sort_is_a_symbol():
+    # a string literal is not the sort String, and an integer is not an
+    # unknown sort: both are a malformed directive
+    for sort in ('"String"', "1"):
+        with pytest.raises(ParseError) as e:
+            parse_problem(f'(set-alphabet "ab")\n(declare-const X {sort})')
+        assert type(e.value) is ParseError
+        assert str(e.value) == "line 2, column 1: declare-const needs a name and a sort"
+
+
 def test_parse_structural_errors():
     with pytest.raises(ParseError):
         parse_problem("(declare-const X String)")  # alphabet not set yet

@@ -99,7 +99,7 @@ def test_print_model_sorted():
 
 
 def test_quote_rejects_unprintable_words():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         print_str_term(Lit('a"b'))
 
 

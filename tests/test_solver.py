@@ -661,6 +661,25 @@ def test_negation_prefix_refutes_its_subtree(unsat, monkeypatch):
     assert len(calls) <= 4 * k
 
 
+def test_memberships_refute_a_prefix(monkeypatch):
+    # Y = ab and Y in ba clash, so the first choice of the first negation
+    # is refuted and no branch is built; a prefix check that leaves the
+    # memberships out refutes nothing and rewrites 16 times
+    import wordeq.solver as solver
+
+    calls = []
+    monkeypatch.setattr(
+        solver, "to_solved_form", lambda *a, **k: calls.append(a) or to_solved_form(*a, **k)
+    )
+    y = Var("Y")
+    parts = [WordEq(y, Lit("ab")), InRe(y, re_lit("ba"))]
+    for i in range(4):
+        x = Var(f"X{i}")
+        parts += [WordEq(x, Lit("a")), Not(WordEq(concat(x, y), concat(y, x)))]
+    assert check_sat(conj(*parts), "ab") == Unsat()
+    assert len(calls) <= 4
+
+
 def test_negated_atoms_against_the_oracle():
     # negated equations and negated memberships (the complement path of
     # negation elimination) end to end: every Sat model holds, and no

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from wordeq.terms import (
+    _CHILDREN,
     And,
     Concat,
     InRe,
@@ -35,6 +36,7 @@ from wordeq.terms import (
     re_star,
     regex_letters,
     scale,
+    scan,
     str_term_vars,
     sum_of,
 )
@@ -75,7 +77,7 @@ def test_concat_never_nests():
 
 
 def test_concat_requires_two_parts():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Concat((Lit("a"),))
 
 
@@ -104,7 +106,7 @@ def test_scale():
 def test_re_lit_empty_is_epsilon():
     assert re_lit("") == ReEpsilon()
     assert re_lit("ab") == ReLit("ab")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ReLit("")
 
 
@@ -140,7 +142,7 @@ def test_conj_disj_flatten():
     assert conj(a) == a
     assert conj(conj(a, b), c) == And((a, b, c))
     assert disj(disj(a, b), c) == Or((a, b, c))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         conj()
 
 
@@ -203,6 +205,54 @@ def test_collectors_on_a_deep_concatenation():
     phi = WordEq(Var("Z"), t)
     assert free_vars(phi) == ({"X", "Y0", "Y1", "Y2", "Z"}, set())
     assert formula_letters(phi) == {"a", "b"}
+
+
+def _too_deep(root, limit):
+    """The depth check that ``scan`` replaced, one level of the tree at a
+    time: whether some path passes more than ``limit`` nodes that hold
+    other nodes."""
+    level = [root]
+    for _ in range(limit + 1):
+        level = [node for node in level if type(node) in _CHILDREN]
+        if not level:
+            return False
+        level = [kid for node in level for kid in _CHILDREN[type(node)](node)]
+    return True
+
+
+def _deep_mixed(depth):
+    """A formula whose longest path holds ``depth`` nodes that hold others,
+    through connectives, a concatenation, a sum and a regex."""
+    x, n = Var("X"), IntVar("n")
+    atoms = [
+        WordEq(x, Concat((Lit("a"), Var("Y")))),
+        LenLeq(Sum(((1, Len(Var("Z"))), (2, n))), 3),
+        InRe(Var("W"), ReStar(ReConcat((ReLit("b"), ReLit("c"))))),
+    ]
+    phi = atoms[0]
+    for i in range(depth - 2):
+        phi = (And if i % 2 else Or)((atoms[i % 3], phi))
+    return phi
+
+
+def test_scan_matches_the_three_walks():
+    phi = _deep_mixed(256)
+    for limit in (255, 256, 257):
+        got = scan(phi, limit)
+        if _too_deep(phi, limit):
+            assert got is None, limit
+        else:
+            assert got == (*free_vars(phi), formula_letters(phi)), limit
+    assert scan(phi, 255) is None and scan(phi, 256) is not None
+    # one deep regex, past the interpreter's recursion limit
+    r = ReLit("a")
+    for i in range(DEEP):
+        r = ReStar(r) if i % 2 else ReConcat((ReLit("b"), r))
+    phi = InRe(Var("X"), r)
+    assert scan(phi, 256) is None and _too_deep(phi, 256)
+    assert scan(phi, DEEP + 1) == ({"X"}, set(), {"a", "b"})
+    assert not _too_deep(phi, DEEP + 1)
+    assert scan(phi, DEEP) is None and _too_deep(phi, DEEP)
 
 
 def test_namegen_avoids_taken_names():
