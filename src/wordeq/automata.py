@@ -4,14 +4,17 @@ solver extracts from them: length sets and parameter-residue constraints.
 A ``Dfa`` is always total (every state has a successor on every letter) and
 epsilon-free, so complement is a flip of the accepting set.  Length sets are
 represented as finite unions of arithmetic progressions (``UPSet``), which
-regular languages are closed under.
+regular languages are closed under; a membership box gives each parameter
+one progression (``Prog``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from math import gcd
+from typing import Callable, TypeVar
 
 from .errors import LetterOutsideAlphabet, UnfixedPartPresent
 from .paramwords import Const, ParamWord, Power, Unfixed
@@ -28,20 +31,10 @@ from .terms import (
     regex_letters,
 )
 
+T = TypeVar("T")
+
 # ---------------------------------------------------------------------------
 # machines
-
-
-@dataclass(frozen=True)
-class Nfa:
-    """Nondeterministic automaton with epsilon moves (construction device)."""
-
-    alphabet: str
-    n_states: int
-    initial: int
-    accepting: frozenset[int]
-    # (state, letter) -> successor states; epsilon edges keyed by ""
-    edges: tuple[tuple[int, str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -54,9 +47,13 @@ class Dfa:
     accepting: frozenset[int]
 
     def __post_init__(self) -> None:
-        assert len(set(self.alphabet)) == len(self.alphabet)
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ValueError(f"alphabet letters must be distinct: {self.alphabet!r}")
         for row in self.transitions:
-            assert len(row) == len(self.alphabet)
+            if len(row) != len(self.alphabet):
+                raise ValueError(
+                    f"a transition row has {len(row)} entries for {len(self.alphabet)} letters"
+                )
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -65,9 +62,6 @@ class Dfa:
     @property
     def n_states(self) -> int:
         return len(self.transitions)
-
-    def step(self, state: int, letter: str) -> int:
-        return self.transitions[state][self._index[letter]]
 
     def walk(self, state: int, word: str) -> int:
         idx = self._index
@@ -86,127 +80,83 @@ class Dfa:
 # regex compilation
 
 
-class _NfaBuilder:
-    def __init__(self) -> None:
-        self.n = 0
-        self.edges: list[tuple[int, str, int]] = []
+@lru_cache(maxsize=4096)
+def regex_to_dfa(r: Regex, alphabet: str) -> Dfa:
+    """Thompson construction, then the subset construction.
 
-    def state(self) -> int:
-        self.n += 1
-        return self.n - 1
-
-    def edge(self, a: int, label: str, b: int) -> None:
-        self.edges.append((a, label, b))
-
-    def build(self, r: Regex) -> tuple[int, int]:
-        """Thompson construction; returns (entry, exit) states."""
-        if isinstance(r, ReEpsilon):
-            a, b = self.state(), self.state()
-            self.edge(a, "", b)
-            return a, b
-        if isinstance(r, ReLit):
-            a = self.state()
-            cur = a
-            for ch in r.word:
-                nxt = self.state()
-                self.edge(cur, ch, nxt)
-                cur = nxt
-            return a, cur
-        if isinstance(r, ReConcat):
-            first_in, cur_out = self.build(r.parts[0])
-            for p in r.parts[1:]:
-                nin, nout = self.build(p)
-                self.edge(cur_out, "", nin)
-                cur_out = nout
-            return first_in, cur_out
-        if isinstance(r, ReUnion):
-            a, b = self.state(), self.state()
-            for p in r.parts:
-                pin, pout = self.build(p)
-                self.edge(a, "", pin)
-                self.edge(pout, "", b)
-            return a, b
-        assert isinstance(r, ReStar)
-        a, b = self.state(), self.state()
-        pin, pout = self.build(r.inner)
-        self.edge(a, "", b)
-        self.edge(a, "", pin)
-        self.edge(pout, "", pin)
-        self.edge(pout, "", b)
-        return a, b
-
-
-def regex_to_nfa(r: Regex, alphabet: str) -> Nfa:
+    The Thompson fragments write their edges straight into the two maps
+    the subset construction reads: the epsilon successors of a state, and
+    the one letter edge a state may have.  The empty subset acts as the
+    (total) dead state.
+    """
     extra = regex_letters(r) - set(alphabet)
     if extra:
         raise LetterOutsideAlphabet(
             f"regex uses letters outside the alphabet: {sorted(extra)}"
         )
-    builder = _NfaBuilder()
-    entry, exit_ = builder.build(r)
-    return Nfa(
-        alphabet=alphabet,
-        n_states=builder.n,
-        initial=entry,
-        accepting=frozenset({exit_}),
-        edges=tuple(builder.edges),
-    )
-
-
-def nfa_to_dfa(nfa: Nfa) -> Dfa:
-    """Subset construction.  The empty subset acts as the (total) dead state."""
     eps: dict[int, list[int]] = {}
-    by_letter: dict[tuple[int, str], list[int]] = {}
-    for a, label, b in nfa.edges:
-        if label == "":
-            eps.setdefault(a, []).append(b)
-        else:
-            by_letter.setdefault((a, label), []).append(b)
+    letter_edge: dict[tuple[int, str], int] = {}
+    new_state = count().__next__
 
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        seen = set(states)
+    def link(a: int, b: int) -> None:
+        eps.setdefault(a, []).append(b)
+
+    def build(node: Regex) -> tuple[int, int]:
+        """The fragment's (entry, exit) states."""
+        if isinstance(node, ReLit):
+            a = cur = new_state()
+            for ch in node.word:
+                nxt = new_state()
+                letter_edge[cur, ch] = nxt
+                cur = nxt
+            return a, cur
+        if isinstance(node, ReConcat):
+            entry, cur = build(node.parts[0])
+            for p in node.parts[1:]:
+                pin, pout = build(p)
+                link(cur, pin)
+                cur = pout
+            return entry, cur
+        a, b = new_state(), new_state()
+        if isinstance(node, ReEpsilon):
+            link(a, b)
+        elif isinstance(node, ReUnion):
+            for p in node.parts:
+                pin, pout = build(p)
+                link(a, pin)
+                link(pout, b)
+        else:
+            assert isinstance(node, ReStar)
+            pin, pout = build(node.inner)
+            for s, t in ((a, b), (a, pin), (pout, pin), (pout, b)):
+                link(s, t)
+        return a, b
+
+    entry, exit_ = build(r)
+
+    def closure(states: set[int]) -> frozenset[int]:
         stack = list(states)
         while stack:
-            s = stack.pop()
-            for t in eps.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
+            for t in eps.get(stack.pop(), ()):
+                if t not in states:
+                    states.add(t)
                     stack.append(t)
-        return frozenset(seen)
+        return frozenset(states)
 
-    start = closure(frozenset({nfa.initial}))
-    ids: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
+    order = [closure({entry})]
+    ids = {order[0]: 0}
+    rows: list[tuple[int, ...]] = []
+    for subset in order:  # grows as new subsets are found
         row = []
-        for ch in nfa.alphabet:
-            nxt: set[int] = set()
-            for s in subset:
-                nxt.update(by_letter.get((s, ch), ()))
-            tgt = closure(frozenset(nxt))
+        for ch in alphabet:
+            tgt = closure({letter_edge[s, ch] for s in subset if (s, ch) in letter_edge})
             if tgt not in ids:
                 ids[tgt] = len(order)
                 order.append(tgt)
             row.append(ids[tgt])
-        rows.append(row)
-        i += 1
-    accepting = frozenset(
-        ids[s] for s in order if s & nfa.accepting
-    )
-    return Dfa(
-        alphabet=nfa.alphabet,
-        transitions=tuple(tuple(r) for r in rows),
-        initial=0,
-        accepting=accepting,
-    )
-
-
-@lru_cache(maxsize=4096)
-def regex_to_dfa(r: Regex, alphabet: str) -> Dfa:
-    return nfa_to_dfa(regex_to_nfa(r, alphabet))
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, s in enumerate(order) if exit_ in s)
+    return Dfa(alphabet, tuple(rows), 0, accepting)
 
 
 def regex_match(r: Regex, word: str) -> bool:
@@ -273,34 +223,36 @@ def dfa_to_regex(d: Dfa) -> Regex | None:
 
 
 # ---------------------------------------------------------------------------
-# length sets
+# progressions and length sets
+
+# An arithmetic progression over the naturals as (offset, period); period
+# 0 denotes the singleton {offset}.
+Prog = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class UPSet:
     """Finite union of arithmetic progressions over the naturals.
 
-    Each progression is (offset, period); period 0 denotes the singleton
-    {offset}.  The set is normalized: no progression is contained in
-    another one.
+    The set is normalized: no progression is contained in another one.
     """
 
-    progs: frozenset[tuple[int, int]]
+    progs: frozenset[Prog]
 
 
-def _prog_member(n: int, prog: tuple[int, int]) -> bool:
+def prog_member(n: int, prog: Prog) -> bool:
     o, p = prog
     if p == 0:
         return n == o
     return n >= o and (n - o) % p == 0
 
 
-def _prog_subsumes(a: tuple[int, int], b: tuple[int, int]) -> bool:
+def _prog_subsumes(a: Prog, b: Prog) -> bool:
     """Does progression a contain every element of progression b?"""
     o1, p1 = a
     o2, p2 = b
     if p2 == 0:
-        return _prog_member(o2, a)
+        return prog_member(o2, a)
     if p1 == 0:
         return False
     return o2 >= o1 and (o2 - o1) % p1 == 0 and p2 % p1 == 0
@@ -309,7 +261,7 @@ def _prog_subsumes(a: tuple[int, int], b: tuple[int, int]) -> bool:
 def upset(pairs) -> UPSet:
     """Normalizing constructor."""
     items = sorted(set((int(o), int(p)) for o, p in pairs))
-    kept: list[tuple[int, int]] = []
+    kept: list[Prog] = []
     for b in items:
         if any(a != b and _prog_subsumes(a, b) for a in items):
             continue
@@ -318,25 +270,20 @@ def upset(pairs) -> UPSet:
 
 
 def upset_member(s: UPSet, n: int) -> bool:
-    return any(_prog_member(n, prog) for prog in s.progs)
+    return any(prog_member(n, prog) for prog in s.progs)
 
 
-def upset_is_empty(s: UPSet) -> bool:
-    return not s.progs
-
-
-def _ap_intersect(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int]]:
+def prog_intersect(a: Prog, b: Prog) -> Prog | None:
+    """The progression of the numbers in both, or None when there are none."""
     o1, p1 = a
     o2, p2 = b
-    if p1 == 0 and p2 == 0:
-        return [a] if o1 == o2 else []
     if p1 == 0:
-        return [a] if _prog_member(o1, b) else []
+        return a if prog_member(o1, b) else None
     if p2 == 0:
-        return [b] if _prog_member(o2, a) else []
+        return b if prog_member(o2, a) else None
     g = gcd(p1, p2)
     if (o2 - o1) % g != 0:
-        return []
+        return None
     lcm = p1 // g * p2
     # Chinese remainder for x = o1 (mod p1), x = o2 (mod p2)
     t = ((o2 - o1) // g * pow(p1 // g, -1, p2 // g)) % (p2 // g)
@@ -344,66 +291,55 @@ def _ap_intersect(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int
     lo = max(o1, o2)
     if x0 < lo:
         x0 += ((lo - x0 + lcm - 1) // lcm) * lcm
-    return [(x0, lcm)]
+    return (x0, lcm)
 
 
-def upset_intersect(a: UPSet, b: UPSet) -> UPSet:
-    out: list[tuple[int, int]] = []
-    for pa in a.progs:
-        for pb in b.progs:
-            out.extend(_ap_intersect(pa, pb))
-    return upset(out)
+def _orbit(start: T, step: Callable[[T], T]) -> list[tuple[T, Prog]]:
+    """The orbit of ``start`` under ``step``, which must be eventually
+    periodic: each element, in order, with the progression of the step
+    counts that reach it -- (k, 0) before the cycle, (k, period) on it."""
+    seq = [start]
+    first = {start: 0}
+    while (nxt := step(seq[-1])) not in first:
+        first[nxt] = len(seq)
+        seq.append(nxt)
+    mu = first[nxt]
+    period = len(seq) - mu
+    return [(x, (k, period if k >= mu else 0)) for k, x in enumerate(seq)]
 
 
 def length_set(d: Dfa) -> UPSet:
     """Lengths of accepted words, as a union of progressions.
 
-    Tracks the set of states reachable by words of each exact length; the
+    Follows the set of states reachable by words of each exact length; the
     sequence of those sets is eventually periodic, and acceptance at a
     length only depends on the set, so the length language is a finite
     union of arithmetic progressions.
     """
-    current = frozenset({d.initial})
-    seen: dict[frozenset[int], int] = {current: 0}
-    flags = [bool(current & d.accepting)]
     letters = range(len(d.alphabet))
-    step = 0
-    while True:
-        image = frozenset(
-            d.transitions[q][k] for q in current for k in letters
-        )
-        step += 1
-        if image in seen:
-            preperiod = seen[image]
-            period = step - preperiod
-            break
-        seen[image] = step
-        flags.append(bool(image & d.accepting))
-        current = image
-    progs: list[tuple[int, int]] = []
-    for n in range(preperiod):
-        if flags[n]:
-            progs.append((n, 0))
-    for n in range(preperiod, preperiod + period):
-        if flags[n]:
-            progs.append((n, period))
-    return upset(progs)
+
+    def image(states: frozenset[int]) -> frozenset[int]:
+        return frozenset(d.transitions[q][k] for q in states for k in letters)
+
+    orbit = _orbit(frozenset({d.initial}), image)
+    return upset(prog for states, prog in orbit if states & d.accepting)
 
 
 # ---------------------------------------------------------------------------
 # parametric-word membership
 
 
-def param_membership(w: ParamWord, d: Dfa) -> list[dict[str, UPSet]]:
+def param_membership(w: ParamWord, d: Dfa) -> list[dict[str, Prog]]:
     """Exact membership constraints for a parametric word in a regular set.
 
     Walks the blocks of ``w`` over the automaton.  A power block maps the
     current state through repeated applications of its base word; that
-    state orbit is eventually periodic, so the exponents splitting into
-    finitely many residue classes cover all cases.  Each returned box maps
-    every parameter of ``w`` to a UPSet; the word is accepted under a
-    parameter valuation iff the valuation lies inside some box.  Repeated
-    parameters are handled by intersecting the per-occurrence classes.
+    state orbit is eventually periodic, so the exponents split into
+    finitely many residue classes, one progression each.  Each returned
+    box maps every parameter of ``w`` to a progression; the word is
+    accepted under a parameter valuation iff the valuation lies inside
+    some box.  Repeated parameters are handled by intersecting the
+    per-occurrence classes.
     """
     for b in w.blocks:
         if isinstance(b, Unfixed):
@@ -415,48 +351,27 @@ def param_membership(w: ParamWord, d: Dfa) -> list[dict[str, UPSet]]:
                 f"parametric word uses letters outside the alphabet: {sorted(extra)}"
             )
 
-    branches: list[tuple[int, dict[str, UPSet]]] = [(d.initial, {})]
+    branches: list[tuple[int, dict[str, Prog]]] = [(d.initial, {})]
     for b in w.blocks:
         if isinstance(b, Const):
             branches = [(d.walk(q, b.word), cons) for q, cons in branches]
             continue
         assert isinstance(b, Power)
-        new_branches: list[tuple[int, dict[str, UPSet]]] = []
+        new_branches: list[tuple[int, dict[str, Prog]]] = []
         for q, cons in branches:
-            orbit = [q]
-            first: dict[int, int] = {q: 0}
-            while True:
-                nxt = d.walk(orbit[-1], b.base)
-                if nxt in first:
-                    mu = first[nxt]
-                    lam = len(orbit) - mu
-                    break
-                first[nxt] = len(orbit)
-                orbit.append(nxt)
-            classes: list[tuple[int, tuple[int, int]]] = []
-            for k in range(mu):
-                classes.append((orbit[k], (k, 0)))
-            for r in range(lam):
-                classes.append((orbit[mu + r], (mu + r, lam)))
-            for state, prog in classes:
-                constraint = upset([prog])
+            for state, prog in _orbit(q, lambda s: d.walk(s, b.base)):
                 if b.param in cons:
-                    constraint = upset_intersect(cons[b.param], constraint)
-                    if upset_is_empty(constraint):
+                    prog = prog_intersect(cons[b.param], prog)
+                    if prog is None:
                         continue
-                nc = dict(cons)
-                nc[b.param] = constraint
-                new_branches.append((state, nc))
+                new_branches.append((state, {**cons, b.param: prog}))
         branches = new_branches
 
-    boxes: list[dict[str, UPSet]] = []
+    boxes: list[dict[str, Prog]] = []
     seen_keys: set[tuple] = set()
     for q, cons in branches:
-        if q not in d.accepting:
-            continue
-        key = tuple(sorted((p, tuple(sorted(s.progs))) for p, s in cons.items()))
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        boxes.append(cons)
+        key = tuple(sorted(cons.items()))
+        if q in d.accepting and key not in seen_keys:
+            seen_keys.add(key)
+            boxes.append(cons)
     return boxes

@@ -13,8 +13,9 @@ Everything here produces ``Row`` constraints over ``LinVar`` unknowns:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .automata import UPSet
+from .automata import Prog
 from .paramwords import Const, ParamWord, Power
 from .solved_form import SolvedForm
 from .terms import (
@@ -38,7 +39,8 @@ class LinVar:
     name: str
 
     def __post_init__(self) -> None:
-        assert self.kind in ("len", "param", "part", "ap", "int")
+        if self.kind not in ("len", "param", "part", "ap", "int"):
+            raise ValueError(f"not a variable kind: {self.kind!r}")
 
 
 @dataclass
@@ -50,7 +52,8 @@ class Row:
     bound: int
 
     def __post_init__(self) -> None:
-        assert self.relation in ("eq", "le")
+        if self.relation not in ("eq", "le"):
+            raise ValueError(f"not a row relation: {self.relation!r}")
 
 
 def len_var(name: str) -> LinVar:
@@ -147,16 +150,16 @@ def translate_len_atom(atom: LenLeq) -> Row:
 
 
 def upset_rows(
-    coeffs: dict[LinVar, int], const: int, s: UPSet, gen: NameGen
+    coeffs: dict[LinVar, int], const: int, progs: Iterable[Prog], gen: NameGen
 ) -> list[list[Row]]:
     """Rows forcing a linear expression into a union of progressions.
 
-    Returns a disjunction: one row group per progression.  A progression
-    with period p uses a fresh nonnegative multiplier k and states
-    expr = offset + p * k.
+    Returns a disjunction: one row group per progression, in order.  A
+    progression with period p uses a fresh nonnegative multiplier k and
+    states expr = offset + p * k.
     """
     out: list[list[Row]] = []
-    for o, p in sorted(s.progs):
+    for o, p in progs:
         row = dict(coeffs)
         if p > 0:
             k = LinVar("ap", gen.fresh("k"))

@@ -20,17 +20,10 @@ against the original formula before being reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from . import parser
-from .automata import (
-    UPSet,
-    param_membership,
-    regex_to_dfa,
-    upset_intersect,
-    upset_is_empty,
-)
+from .automata import Prog, param_membership, prog_intersect, regex_to_dfa
 from .errors import LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
 from .lengths import (
     LinVar,
@@ -78,8 +71,12 @@ class Unsupported:
 
 
 Verdict = Sat | Unsat | Unsupported
-# the alternatives chosen so far in the negation walk, and their verdict
-_Prefix = tuple[list[list[Atom]], Verdict | None]
+# a conjunction's decision: a solved form with the integer model of its
+# rows (the words are built only for the branch check_sat returns), or
+# the Unsat or Unsupported verdict
+_Decision = tuple[SolvedForm, dict[LinVar, int]] | Unsat | Unsupported
+# the alternatives chosen so far in the negation walk, and their decision
+_Prefix = tuple[list[list[Atom]], _Decision | None]
 
 # The most row groups the integer solver may pull from the membership
 # atoms under one solved form; ResourceExhausted is raised before one
@@ -102,7 +99,7 @@ def _regex_row_groups(
     groups over the power parameters each regex admits, none when some
     atom can never hold.  A membership over unfixed parts raises
     _UnfixedMembership when the first group is pulled."""
-    per_atom_boxes: list[list[dict[str, UPSet]]] = []
+    per_atom_boxes: list[list[dict[str, Prog]]] = []
     for atom in atoms:
         pw = apply_solved_form(sf, atom.term)
         if has_unfixed(pw):
@@ -112,30 +109,31 @@ def _regex_row_groups(
         if not boxes:
             return
         per_atom_boxes.append(boxes)
-    built = 0
     # One box per atom, depth first in the order of their product: each
-    # prefix is intersected once and a dead one is never extended.
-    for merged in walk_product(per_atom_boxes, _merge_box, {}):
-        per_param = [
-            upset_rows({param_var(p): 1}, 0, s, gen) for p, s in sorted(merged.items())
+    # prefix is intersected once and a dead one is never extended.  A
+    # merged box is one group, since it holds one progression per parameter.
+    for built, merged in enumerate(walk_product(per_atom_boxes, _merge_box, {}), 1):
+        group = [
+            row
+            for p, prog in sorted(merged.items())
+            for rows in upset_rows({param_var(p): 1}, 0, [prog], gen)
+            for row in rows
         ]
-        for combo in product(*per_param):
-            built += 1
-            if built > MAX_MEMBERSHIP_GROUPS:
-                raise ResourceExhausted("too many membership branches")
-            yield [row for group in combo for row in group]
+        if built > MAX_MEMBERSHIP_GROUPS:
+            raise ResourceExhausted("too many membership branches")
+        yield group
 
 
-def _merge_box(prefix: dict[str, UPSet], box: dict[str, UPSet]) -> dict[str, UPSet] | None:
-    """The prefix's parameter sets intersected with the box's, or None
-    when some parameter is left with no value."""
+def _merge_box(prefix: dict[str, Prog], box: dict[str, Prog]) -> dict[str, Prog] | None:
+    """The prefix's parameter progressions intersected with the box's, or
+    None when some parameter is left with no value."""
     merged = dict(prefix)
-    for param, s in box.items():
-        cur = merged.get(param)
-        s2 = s if cur is None else upset_intersect(cur, s)
-        if upset_is_empty(s2):
-            return None
-        merged[param] = s2
+    for param, prog in box.items():
+        if param in merged:
+            prog = prog_intersect(merged[param], prog)
+            if prog is None:
+                return None
+        merged[param] = prog
     return merged
 
 
@@ -151,19 +149,17 @@ def _shared_rows(sf: SolvedForm, lens: list[LenLeq], alphabet: str) -> list[Row]
     return rows
 
 
-def _decide(
-    atoms: list[Atom], svars: set[str], ivars: set[str], alphabet: str, gen: NameGen
-) -> Verdict:
+def _decide(atoms: list[Atom], svars: set[str], alphabet: str, gen: NameGen) -> _Decision:
     """Decide a conjunction of positive atoms.
 
     Each solved form makes one ``lia_sat`` call: its shared rows with the
     membership row groups, which are built only as the integer solver
     pulls them, so a solved form whose shared rows clash never builds
-    one.  The verdict is Sat with the model of the first solved form that
-    has one (not yet re-checked), Unsat when rewriting or the rows of
-    every solved form refute the atoms, and otherwise Unsupported for the
-    first reason that rewriting or a solved form was blocked; the solved
-    forms that a partly blocked rewriting still found are decided too.
+    one.  The decision is the first solved form whose rows have a model,
+    with that model, Unsat when rewriting or the rows of every solved
+    form refute the atoms, and otherwise Unsupported for the first reason
+    that rewriting or a solved form was blocked; the solved forms that a
+    partly blocked rewriting still found are decided too.
     """
     eqs = [a for a in atoms if isinstance(a, WordEq)]
     lens = [a for a in atoms if isinstance(a, LenLeq)]
@@ -183,7 +179,7 @@ def _decide(
             blocked = blocked or str(exc)
             continue
         if model is not None:
-            return _build_model(sf, model, svars, ivars, alphabet)
+            return sf, model
     return Unsat() if blocked is None else Unsupported(blocked)
 
 
@@ -252,23 +248,24 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
             continue
         split = [alts for alts in factors if len(alts) != 1]
 
-        def decide(chosen: list[list[Atom]]) -> Verdict:
+        def decide(chosen: list[list[Atom]]) -> _Decision:
             picks = iter(chosen)  # a factor not chosen yet gives no atom
             atoms = [
                 a for alts in factors for a in (alts[0] if len(alts) == 1 else next(picks, ()))
             ]
-            return _decide(atoms, svars, ivars, alphabet, gen)
+            return _decide(atoms, svars, alphabet, gen)
 
         def extend(prefix: _Prefix, alt: list[Atom]) -> _Prefix | None:
             chosen = prefix[0] + [alt]
-            verdict = decide(chosen)
-            return None if isinstance(verdict, Unsat) else (chosen, verdict)
+            decision = decide(chosen)
+            return None if isinstance(decision, Unsat) else (chosen, decision)
 
-        for _, verdict in walk_product(split, extend, ([], None if split else decide([]))):
-            if isinstance(verdict, Sat):
+        for _, decision in walk_product(split, extend, ([], None if split else decide([]))):
+            if isinstance(decision, tuple):
+                verdict = _build_model(*decision, svars, ivars, alphabet)
                 if not eval_formula(phi, verdict.assignment()):
                     raise AssertionError(f"the model {verdict} does not satisfy the formula")
                 return verdict
-            if isinstance(verdict, Unsupported):
-                blocked = blocked or verdict.reason
+            if isinstance(decision, Unsupported):
+                blocked = blocked or decision.reason
     return Unsat() if blocked is None else Unsupported(blocked)

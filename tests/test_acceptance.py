@@ -12,6 +12,7 @@ from math import lcm
 from wordeq.automata import (
     length_set,
     param_membership,
+    prog_member,
     regex_match,
     regex_to_dfa,
     upset_member,
@@ -293,7 +294,7 @@ def test_criterion_4_automata_properties():
             for point in product(range(9), repeat=len(names)):
                 env = dict(zip(names, point))
                 via_boxes = any(
-                    all(upset_member(box[p], env[p]) for p in box) for box in boxes
+                    all(prog_member(env[p], box[p]) for p in box) for box in boxes
                 )
                 assert via_boxes == regex_match(r, instantiate(w, env)), (w, env)
                 checked += 1

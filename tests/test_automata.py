@@ -12,11 +12,11 @@ from wordeq.automata import (
     dfa_to_regex,
     length_set,
     param_membership,
+    prog_intersect,
+    prog_member,
     regex_match,
     regex_to_dfa,
     upset,
-    upset_intersect,
-    upset_is_empty,
     upset_member,
 )
 from wordeq.errors import LetterOutsideAlphabet, UnfixedPartPresent
@@ -95,7 +95,7 @@ def test_dfa_to_regex_roundtrip():
         d = regex_to_dfa(random_regex(rng, "ab", 2), "ab")
         r = dfa_to_regex(d)
         if r is None:
-            assert upset_is_empty(length_set(d))
+            assert not length_set(d).progs
             continue
         for w in words_upto("ab", 5):
             assert regex_match(r, w) == d.accepts(w), (r, w)
@@ -114,24 +114,24 @@ def test_upset_normalization_subsumption():
 
 def test_upset_intersect_golden():
     # offsets 1 mod 3 and 2 mod 4 align first at 10, then every 12
-    assert upset_intersect(upset([(1, 3)]), upset([(2, 4)])).progs == frozenset({(10, 12)})
-    assert upset_intersect(upset([(0, 2)]), upset([(0, 3)])).progs == frozenset({(0, 6)})
+    assert prog_intersect((1, 3), (2, 4)) == (10, 12)
+    assert prog_intersect((0, 2), (0, 3)) == (0, 6)
     # odd vs even: never aligned
-    assert upset_is_empty(upset_intersect(upset([(1, 2)]), upset([(0, 2)])))
+    assert prog_intersect((1, 2), (0, 2)) is None
     # singleton cases
-    assert upset_intersect(upset([(4, 0)]), upset([(0, 2)])).progs == frozenset({(4, 0)})
-    assert upset_is_empty(upset_intersect(upset([(3, 0)]), upset([(0, 2)])))
+    assert prog_intersect((4, 0), (0, 2)) == (4, 0)
+    assert prog_intersect((3, 0), (0, 2)) is None
 
 
 def test_upset_ops_match_membership():
     rng = random.Random(107)
     for _ in range(200):
-        a = upset([(rng.randint(0, 6), rng.choice((0, 1, 2, 3, 4))) for _ in range(rng.randint(0, 3))])
-        b = upset([(rng.randint(0, 6), rng.choice((0, 1, 2, 3, 4))) for _ in range(rng.randint(0, 3))])
-        inter = upset_intersect(a, b)
+        a = (rng.randint(0, 6), rng.choice((0, 1, 2, 3, 4)))
+        b = (rng.randint(0, 6), rng.choice((0, 1, 2, 3, 4)))
+        inter = prog_intersect(a, b)
         for n in range(40):
-            am, bm = upset_member(a, n), upset_member(b, n)
-            assert upset_member(inter, n) == (am and bm)
+            both = prog_member(n, a) and prog_member(n, b)
+            assert (inter is not None and prog_member(n, inter)) == both, (a, b, n)
 
 
 def test_length_set_golden():
@@ -143,7 +143,7 @@ def test_length_set_golden():
     assert members_upto(length_set(regex_to_dfa(ReStar(ReLit("a")), "a")), 20) == set(range(21))
     # the empty language has no lengths
     universal = regex_to_dfa(ReStar(ReUnion((ReLit("a"), ReLit("b")))), "ab")
-    assert upset_is_empty(length_set(dfa_complement(universal)))
+    assert not length_set(dfa_complement(universal)).progs
 
 
 def test_length_set_vs_reachability():
@@ -158,12 +158,12 @@ def test_param_membership_golden():
     # a(ab)^i b in (ab)*: only i = 0 (giving the word ab) lands inside
     d = regex_to_dfa(ReStar(ReLit("ab")), "ab")
     w = param_word([Const("a"), Power("ab", "i"), Const("b")])
-    assert param_membership(w, d) == [{"i": upset([(0, 0)])}]
+    assert param_membership(w, d) == [{"i": (0, 0)}]
     # (ab)^i a in (ab)*a: every exponent (possibly split across boxes)
     d2 = regex_to_dfa(ReConcat((ReStar(ReLit("ab")), ReLit("a"))), "ab")
     w2 = param_word([Power("ab", "i"), Const("a")])
     boxes = param_membership(w2, d2)
-    hit = {n for n in range(10) if any(upset_member(b["i"], n) for b in boxes)}
+    hit = {n for n in range(10) if any(prog_member(n, b["i"]) for b in boxes)}
     assert hit == set(range(10))
 
 
@@ -174,7 +174,7 @@ def test_param_membership_repeated_parameter():
     )
     w = param_word([Power("a", "i"), Const("b"), Power("a", "i")])
     boxes = param_membership(w, d)
-    hit = {n for n in range(10) if any(upset_member(box["i"], n) for box in boxes)}
+    hit = {n for n in range(10) if any(prog_member(n, box["i"]) for box in boxes)}
     assert hit == {0, 2, 4, 6, 8}
 
 
@@ -197,7 +197,7 @@ def test_param_membership_vs_instantiation():
             val = dict(zip(names, point))
             direct = d.accepts(instantiate(w, val))
             boxed = any(
-                all(upset_member(box[p], val[p]) for p in names) for box in boxes
+                all(prog_member(val[p], box[p]) for p in names) for box in boxes
             )
             assert direct == boxed, (r, w, val)
             checked += 1

@@ -1,5 +1,9 @@
-"""Tests for corpus statistics over problem files."""
+"""Tests for corpus statistics over problem files, and for the names the
+traced benchmark patches."""
 
+import helpers  # noqa: F401  puts perfbench/ on the import path
+import wordeq.automata
+import wordeq.normalize
 from wordeq.corpus import CorpusStats, FileStats, analyze_corpus, analyze_file, generate_corpus
 
 MIXED = """\
@@ -101,3 +105,15 @@ def test_generate_corpus_other_fractions(tmp_path):
     assert analyze_corpus(paths).ratio == 0.0
     paths = generate_corpus(tmp_path / "all", n_files=10, seed=1, solved_fraction=1.0)
     assert analyze_corpus(paths).ratio == 1.0
+
+
+def test_benchmark_patch_table_names_exist():
+    # perfbench/spans.py wraps pipeline functions by name in the modules
+    # that call them, so a rename there has to fail here
+    from spans import NORMALIZE_WRAPPED, WRAPPED
+
+    for name, (_, module, _) in WRAPPED.items():
+        assert callable(getattr(module, name, None)), (module.__name__, name)
+    for name in NORMALIZE_WRAPPED:
+        assert callable(getattr(wordeq.normalize, name, None)), name
+    assert callable(wordeq.automata.regex_to_dfa.cache_info)

@@ -87,7 +87,7 @@ def test_upset_rows_semantics():
     gen = NameGen()
     s = upset([(1, 3), (0, 0)])
     coeffs = {len_var("X"): 1}
-    groups = upset_rows(coeffs, 2, s, gen)  # expression: len(X) + 2
+    groups = upset_rows(coeffs, 2, sorted(s.progs), gen)  # expression: len(X) + 2
     assert len(groups) == 2
     for n in range(0, 15):
         inside = upset_member(s, n + 2)
@@ -108,7 +108,6 @@ def test_upset_rows_semantics():
 
 def test_upset_rows_fresh_multipliers_are_distinct():
     gen = NameGen()
-    s = upset([(0, 2), (1, 2)])
-    groups = upset_rows({len_var("X"): 1}, 0, s, gen)
+    groups = upset_rows({len_var("X"): 1}, 0, [(0, 2), (1, 2)], gen)
     names = [v.name for rows in groups for row in rows for v in row.coeffs if v.kind == "ap"]
     assert len(names) == len(set(names)) == 2

@@ -18,7 +18,7 @@ from helpers import (
     random_formula_elr,
     random_regex,
 )
-from wordeq.automata import param_membership, regex_to_dfa, upset_intersect, upset_is_empty
+from wordeq.automata import param_membership, prog_intersect, regex_to_dfa
 from wordeq.errors import LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
 from wordeq.lengths import implied_length_constraints, param_var, translate_len_atom, upset_rows
 from wordeq.lia import lia_sat
@@ -180,11 +180,14 @@ def test_failed_recheck_raises_under_optimize():
 
 
 def test_invariant_checks_raise_under_optimize():
-    # the binding checks of the rewriting, the witness search's checks and
-    # the oracle's checks must not be asserts that python -O strips
+    # the binding checks of the rewriting, the witness search's checks,
+    # the oracle's checks and the automaton and row constructors' checks
+    # must not be asserts that python -O strips
     script = (
         "import wordeq.oracle as o\n"
         "import wordeq.twocounter as t\n"
+        "from wordeq.automata import Dfa\n"
+        "from wordeq.lengths import LinVar, Row\n"
         "from wordeq.paramwords import Unfixed\n"
         "from wordeq.solved_form import _State\n"
         "from wordeq.terms import Lit, Var, WordEq, concat\n"
@@ -206,6 +209,10 @@ def test_invariant_checks_raise_under_optimize():
         "expect(TypeError, lambda: o._term_len_interval(None, {}, 1))\n"
         "expect(TypeError, lambda: o._str_len(None, {}))\n"
         "expect(TypeError, lambda: o._profile_value(None, {}, 1, {}, 'a'))\n"
+        "expect(ValueError, lambda: Dfa('aa', ((0,),), 0, frozenset()))\n"
+        "expect(ValueError, lambda: Dfa('ab', ((0,),), 0, frozenset()))\n"
+        "expect(ValueError, lambda: LinVar('bogus', 'x'))\n"
+        "expect(ValueError, lambda: Row({}, 'lt', 0))\n"
     )
     src = str(Path(wordeq.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -226,6 +233,10 @@ def test_invariant_checks_raise_under_optimize():
         "TypeError not a length term: None",
         "TypeError not a string term: None",
         "TypeError not a formula: None",
+        "ValueError alphabet letters must be distinct: 'aa'",
+        "ValueError a transition row has 1 entries for 2 letters",
+        "ValueError not a variable kind: 'bogus'",
+        "ValueError not a row relation: 'lt'",
     ]
 
 
@@ -509,11 +520,14 @@ def _product_row_groups(atoms, sf, alphabet, gen):
     for choice in product(*per_atom_boxes):
         merged = {}
         for box in choice:
-            for param, s in box.items():
-                merged[param] = upset_intersect(merged[param], s) if param in merged else s
-        if any(upset_is_empty(s) for s in merged.values()):
+            for param, prog in box.items():
+                if param not in merged:
+                    merged[param] = prog
+                elif merged[param] is not None:
+                    merged[param] = prog_intersect(merged[param], prog)
+        if None in merged.values():
             continue
-        per_param = [upset_rows({param_var(p): 1}, 0, s, gen) for p, s in sorted(merged.items())]
+        per_param = [upset_rows({param_var(p): 1}, 0, [prog], gen) for p, prog in sorted(merged.items())]
         for combo in product(*per_param):
             groups.append([row for group in combo for row in group])
     return groups
@@ -659,6 +673,24 @@ def test_negation_prefix_refutes_its_subtree(unsat, monkeypatch):
     else:
         assert verdict == Sat({"Y": "ab", **{f"X{i}": "a" for i in range(k)}}, {})
     assert len(calls) <= 4 * k
+
+
+def test_only_the_returned_branch_builds_its_words(monkeypatch):
+    # every prefix on the way down to the Sat branch has a model of its
+    # rows, but only the branch that check_sat returns is made into words
+    import wordeq.solver as solver
+
+    calls = []
+    build = solver._build_model
+    monkeypatch.setattr(solver, "_build_model", lambda *a: calls.append(a) or build(*a))
+    y = Var("Y")
+    parts = [WordEq(y, Lit("ab"))]
+    for i in range(3):
+        x = Var(f"X{i}")
+        parts += [WordEq(x, Lit("a")), Not(WordEq(concat(x, y), concat(y, x)))]
+    verdict = check_sat(conj(*parts), "ab")
+    assert verdict == Sat({"Y": "ab", "X0": "a", "X1": "a", "X2": "a"}, {})
+    assert len(calls) == 1
 
 
 def test_memberships_refute_a_prefix(monkeypatch):
