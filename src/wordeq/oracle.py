@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from . import parser
 from .automata import UPSet, length_set, regex_to_dfa, upset_member
 from .errors import ResourceExhausted
 from .semantics import Assignment, eval_formula
@@ -35,8 +36,7 @@ from .terms import (
     Sum,
     Var,
     WordEq,
-    formula_letters,
-    free_vars,
+    scan,
 )
 
 
@@ -144,13 +144,19 @@ def brute_force_sat(
     int_bound: int = 8,
     node_budget: int = 5_000_000,
 ) -> BoundedVerdict:
-    """First satisfying assignment with words over sigma up to len_bound."""
+    """First satisfying assignment with words over sigma up to len_bound.
+
+    A formula nested deeper than the parser accepts raises
+    ``ResourceExhausted`` before any recursive walk (see ``terms.scan``)."""
     if len(set(sigma)) != len(sigma):
         raise ValueError(f"alphabet letters must be distinct: {sigma!r}")
-    svars, ivars = free_vars(phi)
+    scanned = scan(phi, parser.MAX_DEPTH)
+    if scanned is None:
+        raise ResourceExhausted(f"formula nested deeper than {parser.MAX_DEPTH}")
+    svars, ivars, letters = scanned
     snames, inames = sorted(svars), sorted(ivars)
     # The length filter needs automata over every letter the formula mentions.
-    filter_alphabet = "".join(sorted(set(sigma) | formula_letters(phi)))
+    filter_alphabet = "".join(sorted(set(sigma) | letters))
     re_lengths: dict[Regex, UPSet] = {}
 
     words_by_len: dict[int, list[str]] = {}

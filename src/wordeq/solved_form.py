@@ -9,8 +9,12 @@ cover (or exceeds the rewriting budget).
 
 Each side of an equation being rewritten is a tuple of parametric-word
 blocks (``paramwords``): its unfixed parts are the variables not yet
-solved, so a binding is ``paramwords.substitute`` and a finished branch
-reads its solved form straight off its bindings.
+solved, so a binding is ``paramwords.substitute`` into the pending
+equations.  The bindings are kept triangular (Baader & Snyder,
+*Unification Theory*, 2001): a new binding is not substituted into the
+earlier ones, so a step costs the size of the pending system, not of
+everything bound so far.  ``_resolve`` composes them once per finished
+branch into its solved form.
 
 The rules, tried in this order on every pending equation:
 
@@ -31,7 +35,10 @@ The rules, tried in this order on every pending equation:
 
 Straddling and peeling can grow the system, so they draw from a budget
 of ``GROWTH_BUDGET`` steps per branch; every other step strictly shrinks
-the measure (variables, parameters, symbols).  A branch that exhausts
+the measure (variables, parameters, symbols), checked against the exact
+measure of the system it starts from.  That measure is taken once per
+step: the one checked after a step is carried into the next, unless
+tidying changed the system in between.  A branch that exhausts
 its budget, needs more than ``MAX_GROUND_MATCHES`` ways to ground an
 equation, or meets no applicable rule is blocked: the other branches
 still run, and the result is an ``OutOfFragment`` that carries the solved
@@ -72,6 +79,17 @@ def term_to_side(t: StrTerm) -> Blocks:
     if isinstance(t, Var):
         return (Unfixed(t.name),)
     return merge_blocks(b for p in t.parts for b in term_to_side(p))
+
+
+def ground_word(s: Blocks) -> str | None:
+    """The word of a side made of constants only, else None.  A
+    normalized side is all constants exactly when it is empty or one
+    constant."""
+    if not s:
+        return ""
+    if len(s) == 1 and isinstance(s[0], Const):
+        return s[0].word
+    return None
 
 
 def side_vars(s: Blocks) -> set[str]:
@@ -145,7 +163,17 @@ def render_solved_form(sf: SolvedForm) -> str:
 
 
 class _State:
-    __slots__ = ("pending", "bindings", "budget")
+    """One branch: the pending equations, the bindings made so far, the
+    growth budget left and ``measured``, the measure of ``pending`` when a
+    step has taken it already (None after a copy or a change).
+
+    Bindings are triangular: ``bind`` substitutes into the pending
+    equations only, so a binding mentions only variables bound after it,
+    and ``_resolve`` composes them.  A parameter map (``set_param``,
+    ``unroll_param``) still rewrites every binding; it commutes with the
+    substitutions, so the composed forms are those of eager substitution."""
+
+    __slots__ = ("pending", "bindings", "budget", "measured")
 
     def __init__(
         self,
@@ -156,15 +184,12 @@ class _State:
         self.pending = pending
         self.bindings = bindings
         self.budget = budget
+        self.measured: tuple[int, int, int] | None = None
 
     def copy(self) -> "_State":
         return _State(list(self.pending), dict(self.bindings), self.budget)
 
     # -- global rewrites ----------------------------------------------------
-
-    def _rewrite(self, fn: Callable[[Blocks], Blocks]) -> None:
-        self.pending = [(fn(l), fn(r)) for l, r in self.pending]
-        self.bindings = {v: fn(s) for v, s in self.bindings.items()}
 
     def bind(self, name: str, value: Blocks) -> None:
         if name in self.bindings:
@@ -172,7 +197,7 @@ class _State:
         if name in side_vars(value):
             raise AssertionError(f"occurs check: {name} occurs in its own value")
         env = {name: value}
-        self._rewrite(lambda s: substitute(s, env))
+        self.pending = [(substitute(l, env), substitute(r, env)) for l, r in self.pending]
         self.bindings[name] = value
 
     def _map_powers(self, param: str, fn: Callable[[Power], Blocks]) -> None:
@@ -183,7 +208,8 @@ class _State:
                 for b2 in (fn(b) if isinstance(b, Power) and b.param == param else (b,))
             )
 
-        self._rewrite(apply)
+        self.pending = [(apply(l), apply(r)) for l, r in self.pending]
+        self.bindings = {v: apply(s) for v, s in self.bindings.items()}
 
     def set_param(self, param: str, k: int) -> None:
         self._map_powers(param, lambda p: const_blocks(p.base * k))
@@ -221,16 +247,16 @@ _Step = tuple[str, object]
 def _tidy(st: _State) -> str | None:
     """Drop trivial equations; report constant clashes.  Every side is
     kept normalized by the rewrites that build it."""
-    out: list[tuple[Blocks, Blocks]] = []
+    kept: list[tuple[Blocks, Blocks]] = []
     for l, r in st.pending:
         if l == r:
             continue
-        if all(isinstance(i, Const) for i in l) and all(
-            isinstance(i, Const) for i in r
-        ):
+        if ground_word(l) is not None and ground_word(r) is not None:
             return "two distinct constants equated"
-        out.append((l, r))
-    st.pending = out
+        kept.append((l, r))
+    if len(kept) < len(st.pending):
+        st.pending = kept
+        st.measured = None
     return None
 
 
@@ -421,9 +447,9 @@ def _match_pattern(
 def _rule_ground(st: _State, idx: int, gen: NameGen) -> _Step | None:
     l, r = st.pending[idx]
     for a, b in ((l, r), (r, l)):
-        if not all(isinstance(it, Const) for it in b):
+        word = ground_word(b)
+        if word is None:
             continue
-        word = b[0].word if b else ""
         matches = _match_pattern(a, word, MAX_GROUND_MATCHES)
         if matches is None:
             return ("oof", "ground matching has too many cases")
@@ -473,26 +499,33 @@ _BUDGETED = (_rule_straddle, _rule_peel)
 def _step(st: _State, gen: NameGen) -> _Step | None:
     # a rule that returns None leaves the state as it was, so one measure
     # serves every trial
-    before = st.measure()
+    before = st.measured or st.measure()
     for rule in _RULES:
         for idx in range(len(st.pending)):
             res = rule(st, idx, gen)
             if res is None:
                 continue
-            # every unbudgeted step must shrink the system
-            if rule not in _BUDGETED and (
-                (res[0] == "again" and not st.measure() < before)
-                or (res[0] == "branch" and not all(c.measure() < before for c in res[1]))
-            ):
-                raise AssertionError(f"{rule.__name__} did not shrink the system")
+            # every unbudgeted step must shrink the system; the measures
+            # taken to check it are carried into the states' next steps
+            st.measured = None
+            if rule not in _BUDGETED and res[0] in ("again", "branch"):
+                for after in [st] if res[0] == "again" else res[1]:  # type: ignore[union-attr]
+                    after.measured = after.measure()
+                    if not after.measured < before:
+                        raise AssertionError(f"{rule.__name__} did not shrink the system")
             return res
     return None
 
 
 def _resolve(st: _State, variables: Iterable[str]) -> SolvedForm:
-    """An unbound variable is its own unfixed part."""
+    """Compose the triangular bindings, the last bound first: each one
+    mentions only variables bound after it, which are resolved by then.
+    An unbound variable is its own unfixed part."""
+    env: dict[str, Blocks] = {}
+    for v in reversed(st.bindings):
+        env[v] = substitute(st.bindings[v], env)
     return SolvedForm(
-        tuple((v, ParamWord(st.bindings.get(v, (Unfixed(v),)))) for v in sorted(set(variables)))
+        tuple((v, ParamWord(env.get(v, (Unfixed(v),)))) for v in sorted(set(variables)))
     )
 
 

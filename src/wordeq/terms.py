@@ -378,11 +378,6 @@ def regex_letters(r: Regex) -> set[str]:
     return {a for n in nodes(r) if isinstance(n, ReLit) for a in n.word}
 
 
-def formula_letters(phi: Formula) -> set[str]:
-    """All alphabet letters mentioned anywhere in the formula."""
-    return {a for n in nodes(phi) if isinstance(n, (Lit, ReLit)) for a in n.word}
-
-
 class NameGen:
     """Fresh-name source that never collides with a set of taken names."""
 

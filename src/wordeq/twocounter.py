@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 from .errors import ResourceExhausted, WordeqError
 from .normalize import to_dnf, walk_product
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
-from .solved_form import term_to_side, _match_pattern
+from .solved_form import _match_pattern, ground_word, term_to_side
 from .terms import (
     And,
     Formula,
@@ -509,14 +509,6 @@ class _Body:
     generic: list[list[_Eq]]
 
 
-def _ground(s: Blocks) -> str | None:
-    if len(s) == 0:
-        return ""
-    if len(s) == 1 and isinstance(s[0], Const):
-        return s[0].word
-    return None
-
-
 def _iter_words(alphabet: str, max_len: int) -> Iterator[str]:
     """All words up to a length, shortest first, letters in alphabet order."""
     from itertools import product
@@ -538,7 +530,7 @@ def _conjunct_sat(
     pending: list[_Eq] = []
     for lhs, rhs, positive in eqs:
         ls, rs = substitute(lhs, env), substitute(rhs, env)
-        lg, rg = _ground(ls), _ground(rs)
+        lg, rg = ground_word(ls), ground_word(rs)
         if lg is not None and rg is not None:
             if (lg == rg) != positive:
                 return False
@@ -550,7 +542,7 @@ def _conjunct_sat(
     for i, (lhs, rhs, positive) in enumerate(pending):
         if not positive:
             continue
-        for pattern, target in ((lhs, _ground(rhs)), (rhs, _ground(lhs))):
+        for pattern, target in ((lhs, ground_word(rhs)), (rhs, ground_word(lhs))):
             if target is None:
                 continue
             rest = pending[:i] + pending[i + 1 :]

@@ -26,6 +26,7 @@ from wordeq.terms import (
     IntVar,
     Len,
     LenLeq,
+    Lit,
     NameGen,
     Not,
     Or,
@@ -38,6 +39,7 @@ from wordeq.terms import (
     conj,
     disj,
     free_vars,
+    nodes,
     re_alt,
     re_seq,
     scale,
@@ -55,6 +57,12 @@ from gen import (  # noqa: E402,F401  re-exported to the tests
     random_regex,
     zoo,
 )
+
+
+def formula_letters(phi: Formula) -> set[str]:
+    """All alphabet letters mentioned anywhere in the formula: the letter
+    part of ``terms.scan``, without its depth limit."""
+    return {a for n in nodes(phi) if isinstance(n, (Lit, ReLit)) for a in n.word}
 
 
 # ---------------------------------------------------------------------------

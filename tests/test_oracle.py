@@ -7,6 +7,7 @@ import pytest
 
 from wordeq.errors import ResourceExhausted
 from wordeq.oracle import NoModelUpTo, SatWith, brute_force_sat
+from wordeq.parser import MAX_DEPTH
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.terms import (
     InRe,
@@ -14,6 +15,9 @@ from wordeq.terms import (
     Len,
     LenLeq,
     Lit,
+    ReConcat,
+    ReLit,
+    ReStar,
     Var,
     WordEq,
     concat,
@@ -115,6 +119,26 @@ def test_enumeration_budget_is_enforced():
             8,
             node_budget=10,
         )
+
+
+def _deep_membership(depth):
+    """X in a regex of alternating stars and concatenations whose longest
+    path holds ``depth`` nodes that hold others, the membership included."""
+    r = ReLit("a")
+    for i in range(depth - 1):
+        r = ReStar(r) if i % 2 else ReConcat((ReLit("a"), r))
+    return InRe(X, r)
+
+
+def test_formula_nested_too_deep_is_refused_before_any_recursion():
+    # 3000 levels is past the interpreter's recursion limit, which the
+    # automaton construction and the evaluator would hit
+    with pytest.raises(ResourceExhausted, match=f"nested deeper than {MAX_DEPTH}"):
+        brute_force_sat(_deep_membership(3000), "ab", 2)
+    with pytest.raises(ResourceExhausted, match=f"nested deeper than {MAX_DEPTH}"):
+        brute_force_sat(_deep_membership(MAX_DEPTH + 1), "ab", 2)
+    r = brute_force_sat(_deep_membership(MAX_DEPTH), "ab", 2)
+    assert r == SatWith(Assignment(strings={"X": "a"}, ints={}))
 
 
 def _all_words_upto(sigma: str, bound: int) -> list[str]:

@@ -7,7 +7,16 @@ import pytest
 
 from helpers import _template_equation
 from wordeq import solved_form
-from wordeq.paramwords import Const, ParamWord, Power, Unfixed, instantiate, param_word, parts_of
+from wordeq.paramwords import (
+    Const,
+    ParamWord,
+    Power,
+    Unfixed,
+    const_blocks,
+    instantiate,
+    param_word,
+    parts_of,
+)
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.solved_form import (
     OutOfFragment,
@@ -179,8 +188,19 @@ def mirror(t):
     return concat(*(mirror(p) for p in reversed(t.parts)))
 
 
-def check_random_systems(transform):
-    # the union of solved-form instances equals the brute-force solution set
+def check_random_systems(monkeypatch, transform):
+    # the union of solved-form instances equals the brute-force solution
+    # set, and composing the triangular bindings leaves no bound variable
+    # in any binding, fresh ones included
+    resolve = solved_form._resolve
+
+    def checked_resolve(st, variables):
+        sf = resolve(st, variables)
+        for v, w in sf.bindings:
+            assert not set(parts_of(w)) & set(st.bindings), (v, w)
+        return sf
+
+    monkeypatch.setattr(solved_form, "_resolve", checked_resolve)
     rng = random.Random(401)
     oof = 0
     for _ in range(60):
@@ -207,14 +227,51 @@ def check_random_systems(transform):
     assert oof <= 10
 
 
-def test_exact_solution_sets_on_random_systems():
-    check_random_systems(lambda eq: eq)
+def test_exact_solution_sets_on_random_systems(monkeypatch):
+    check_random_systems(monkeypatch, lambda eq: eq)
 
 
-def test_exact_solution_sets_on_mirrored_systems():
+def test_exact_solution_sets_on_mirrored_systems(monkeypatch):
     # the templates build X u = v Y but never u X = Y v; read backwards,
     # every straddle takes that shape
-    check_random_systems(lambda eq: WordEq(mirror(eq.lhs), mirror(eq.rhs)))
+    check_random_systems(monkeypatch, lambda eq: WordEq(mirror(eq.lhs), mirror(eq.rhs)))
+
+
+def test_parameter_maps_reach_bindings_made_before_them(monkeypatch):
+    # X = aY is bound first and still mentions Y when Y = a^i is bound;
+    # peeling Yb = bY then sets i to 0 on one branch and unrolls it on the
+    # other, and X's composed value must see the branch's choice
+    calls = []
+    for name in ("set_param", "unroll_param"):
+        method = getattr(solved_form._State, name)
+
+        def spy(st, param, arg, name=name, method=method):
+            calls.append(name)
+            method(st, param, arg)
+
+        monkeypatch.setattr(solved_form._State, name, spy)
+    x, y = Var("X"), Var("Y")
+    forms = solve(
+        WordEq(x, concat(Lit("a"), y)),
+        WordEq(concat(Lit("a"), y), concat(y, Lit("a"))),
+        WordEq(concat(y, Lit("b")), concat(Lit("b"), y)),
+    )
+    assert forms == [
+        SolvedForm((("X", param_word([Const("a")])), ("Y", ParamWord(()))))
+    ]
+    assert {"set_param", "unroll_param"} <= set(calls)
+
+
+def test_long_binding_chain_composes_to_its_closed_form():
+    # X0 = ab X1, ..., X299 = ab X300: each binding mentions the next
+    # variable, bound one step later
+    n = 300
+    x = [Var(f"X{i}") for i in range(n + 1)]
+    (sf,) = solve(*(WordEq(x[i], concat(Lit("ab"), x[i + 1])) for i in range(n)))
+    m = sf.mapping()
+    assert len(m) == n + 1
+    for i in range(n + 1):
+        assert m[f"X{i}"] == ParamWord(const_blocks("ab" * (n - i)) + (Unfixed(f"X{n}"),))
 
 
 def test_forms_cover_long_solutions_too():
@@ -233,6 +290,41 @@ def test_rule_that_does_not_shrink_is_caught(monkeypatch):
     monkeypatch.setattr(solved_form, "_RULES", (lambda st, idx, gen: ("again", None),))
     with pytest.raises(AssertionError, match="did not shrink"):
         to_solved_form([WordEq(concat(Var("X"), Lit("a")), concat(Lit("a"), Var("X")))])
+
+
+def test_shrink_is_checked_against_the_tidied_system(monkeypatch):
+    # The first step makes one equation trivial, and tidying drops it.
+    # The second grows the system by less than that drop, so it looks
+    # like a shrink only against the measure taken before the drop.
+    x, a = Unfixed("X"), Const("a")
+    applied = []
+
+    def once(rule):
+        def step(st, idx, gen):
+            if rule.__name__ in applied:
+                return None
+            applied.append(rule.__name__)
+            rule(st, idx)
+            return ("again", None)
+
+        step.__name__ = rule.__name__
+        return step
+
+    def trivialize(st, idx):
+        st.pending[idx] = ((x, a), (x, a))
+
+    def grow(st, idx):
+        l, r = st.pending[idx]
+        st.pending[idx] = (l, r + (x,))
+
+    monkeypatch.setattr(solved_form, "_RULES", (once(trivialize), once(grow)))
+    eqs = [
+        WordEq(concat(Var("X"), Lit("aaaa")), concat(Var("X"), Lit("aaab"))),
+        WordEq(concat(Var("X"), Lit("a")), Lit("b")),
+    ]
+    with pytest.raises(AssertionError, match="grow did not shrink"):
+        to_solved_form(eqs)
+    assert applied == ["trivialize", "grow"]
 
 
 def test_blocked_branch_keeps_the_forms_of_the_others():

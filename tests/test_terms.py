@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import formula_letters
 from wordeq.terms import (
     _CHILDREN,
     And,
@@ -28,7 +29,6 @@ from wordeq.terms import (
     concat,
     conj,
     disj,
-    formula_letters,
     free_vars,
     re_alt,
     re_lit,
