@@ -16,12 +16,13 @@ earlier ones, so a step costs the size of the pending system, not of
 everything bound so far.  ``_resolve`` composes them once per finished
 branch into its solved form.
 
-The rules, tried in this order on every pending equation:
+The rules: the first keeps every pending equation simplified, the rest
+are tried in this order on every pending equation:
 
-* tidy: drop trivial equations, refute constant clashes
+* simplify, where an equation is made or changed: cancel shared end
+  items and constant letters, drop trivial equations, refute clashes
 * empty side: the other side is forced letterless (variables to the
   empty word, power parameters to zero)
-* strip: cancel a shared first/last item, or shared constant affixes
 * bind: ``X = w`` with ``X`` not in ``w`` binds ``X`` and substitutes
 * commute: ``X u = v X`` with constant ``u``, ``v`` solves into
   ``X = v^i p`` for each split ``v = p q`` with ``q p = u``
@@ -37,13 +38,12 @@ Straddling and peeling can grow the system, so they draw from a budget
 of ``GROWTH_BUDGET`` steps per branch; every other step strictly shrinks
 the measure (variables, parameters, symbols), checked against the exact
 measure of the system it starts from.  That measure is taken once per
-step: the one checked after a step is carried into the next, unless
-tidying changed the system in between.  A branch that exhausts
-its budget, needs more than ``MAX_GROUND_MATCHES`` ways to ground an
-equation, or meets no applicable rule is blocked: the other branches
-still run, and the result is an ``OutOfFragment`` that carries the solved
-forms they found.  More than ``MAX_BRANCHES`` branch states stop the
-whole call the same way.
+step: the one checked after a step is carried into the next.  A branch
+that exhausts its budget, needs more than ``MAX_GROUND_MATCHES`` ways to
+ground an equation, or meets no applicable rule is blocked: the other
+branches still run, and the result is an ``OutOfFragment`` that carries
+the solved forms they found.  More than ``MAX_BRANCHES`` branch states
+stop the whole call the same way.
 """
 
 from __future__ import annotations
@@ -158,14 +158,51 @@ def render_solved_form(sf: SolvedForm) -> str:
     return "\n".join(f"{v} = {render_word(w)}" for v, w in sf.bindings)
 
 
+def _common_prefix_len(a: str, b: str) -> int:
+    k = 0
+    while k < len(a) and k < len(b) and a[k] == b[k]:
+        k += 1
+    return k
+
+
+def _simplify(l: Blocks, r: Blocks) -> tuple[Blocks, Blocks] | str | None:
+    """The equation with the items and constant letters both sides share
+    at either end cancelled; None when it is trivial, or the reason no
+    word satisfies it."""
+    while l and r:
+        if l[0] == r[0]:
+            l, r = l[1:], r[1:]
+        elif isinstance(l[0], Const) and isinstance(r[0], Const):
+            a, b = l[0].word, r[0].word
+            k = _common_prefix_len(a, b)
+            if k == 0:
+                return "leading letters clash"
+            l, r = const_blocks(a[k:]) + l[1:], const_blocks(b[k:]) + r[1:]
+        elif l[-1] == r[-1]:
+            l, r = l[:-1], r[:-1]
+        elif isinstance(l[-1], Const) and isinstance(r[-1], Const):
+            a, b = l[-1].word, r[-1].word
+            k = _common_prefix_len(a[::-1], b[::-1])
+            if k == 0:
+                return "trailing letters clash"
+            l, r = l[:-1] + const_blocks(a[:-k]), r[:-1] + const_blocks(b[:-k])
+        else:
+            return l, r
+    if any(isinstance(it, Const) for it in l + r):
+        return "a constant equals the empty word"
+    return (l, r) if l or r else None
+
+
 # ---------------------------------------------------------------------------
 # rewriting state
 
 
 class _State:
-    """One branch: the pending equations, the bindings made so far, the
-    growth budget left and ``measured``, the measure of ``pending`` when a
-    step has taken it already (None after a copy or a change).
+    """One branch: the pending equations, each simplified, the bindings
+    made so far, the growth budget left, ``measured``, the measure of
+    ``pending`` when a step has taken it already (None after a copy or a
+    change), and ``dead``, the clash that refuted an equation (None while
+    the branch lives; a dead branch has nothing pending).
 
     Bindings are triangular: ``bind`` substitutes into the pending
     equations only, so a binding mentions only variables bound after it,
@@ -173,7 +210,7 @@ class _State:
     ``unroll_param``) still rewrites every binding; it commutes with the
     substitutions, so the composed forms are those of eager substitution."""
 
-    __slots__ = ("pending", "bindings", "budget", "measured")
+    __slots__ = ("pending", "bindings", "budget", "measured", "dead")
 
     def __init__(
         self,
@@ -185,6 +222,7 @@ class _State:
         self.bindings = bindings
         self.budget = budget
         self.measured: tuple[int, int, int] | None = None
+        self.dead: str | None = None
 
     def copy(self) -> "_State":
         return _State(list(self.pending), dict(self.bindings), self.budget)
@@ -197,18 +235,34 @@ class _State:
         if name in side_vars(value):
             raise AssertionError(f"occurs check: {name} occurs in its own value")
         env = {name: value}
-        self.pending = [(substitute(l, env), substitute(r, env)) for l, r in self.pending]
+        self._rewrite(lambda s: substitute(s, env))
         self.bindings[name] = value
+
+    def _rewrite(self, side: Callable[[Blocks], Blocks]) -> None:
+        """Rewrite both sides of every pending equation and simplify the
+        ones that change; ``side`` returns a side it leaves alone as is."""
+        pending = []
+        for l, r in self.pending:
+            l2, r2 = side(l), side(r)
+            eq = (l, r) if l2 is l and r2 is r else _simplify(l2, r2)
+            if isinstance(eq, str):
+                self.dead, self.pending = eq, []
+                return
+            if eq is not None:
+                pending.append(eq)
+        self.pending = pending
 
     def _map_powers(self, param: str, fn: Callable[[Power], Blocks]) -> None:
         def apply(s: Blocks) -> Blocks:
+            if not any(isinstance(b, Power) and b.param == param for b in s):
+                return s
             return merge_blocks(
                 b2
                 for b in s
                 for b2 in (fn(b) if isinstance(b, Power) and b.param == param else (b,))
             )
 
-        self.pending = [(apply(l), apply(r)) for l, r in self.pending]
+        self._rewrite(apply)
         self.bindings = {v: apply(s) for v, s in self.bindings.items()}
 
     def set_param(self, param: str, k: int) -> None:
@@ -238,37 +292,18 @@ class _State:
 
 # A rule returns None (not applicable) or one of:
 #   ("again", None)            applied in place, rescan
-#   ("branch", [states])       replaced by the given successor states
-#   ("dead", reason)           this branch has no solutions
+#   ("branch", [states])       replaced by these successors (none: no solutions)
 #   ("oof", reason)            out of fragment / budget exhausted
 _Step = tuple[str, object]
-
-
-def _tidy(st: _State) -> str | None:
-    """Drop trivial equations; report constant clashes.  Every side is
-    kept normalized by the rewrites that build it."""
-    kept: list[tuple[Blocks, Blocks]] = []
-    for l, r in st.pending:
-        if l == r:
-            continue
-        if ground_word(l) is not None and ground_word(r) is not None:
-            return "two distinct constants equated"
-        kept.append((l, r))
-    if len(kept) < len(st.pending):
-        st.pending = kept
-        st.measured = None
-    return None
 
 
 def _rule_empty(st: _State, idx: int, gen: NameGen) -> _Step | None:
     l, r = st.pending[idx]
     if l and r:
         return None
-    other = l or r
-    if any(isinstance(it, Const) for it in other):
-        return ("dead", "a constant equals the empty word")
+    # simplified, the other side has no constant
     st.pending.pop(idx)
-    for it in other:
+    for it in l or r:
         if isinstance(it, Unfixed):
             if it.part not in st.bindings:
                 st.bind(it.part, ())
@@ -276,40 +311,6 @@ def _rule_empty(st: _State, idx: int, gen: NameGen) -> _Step | None:
             assert isinstance(it, Power)
             st.set_param(it.param, 0)
     return ("again", None)
-
-
-def _common_prefix_len(a: str, b: str) -> int:
-    k = 0
-    while k < len(a) and k < len(b) and a[k] == b[k]:
-        k += 1
-    return k
-
-
-def _rule_strip(st: _State, idx: int, gen: NameGen) -> _Step | None:
-    l, r = st.pending[idx]
-    if not l or not r:
-        return None
-    if l[0] == r[0]:
-        st.pending[idx] = (l[1:], r[1:])
-        return ("again", None)
-    if isinstance(l[0], Const) and isinstance(r[0], Const):
-        a, b = l[0].word, r[0].word
-        k = _common_prefix_len(a, b)
-        if k == 0:
-            return ("dead", "leading letters clash")
-        st.pending[idx] = (const_blocks(a[k:]) + l[1:], const_blocks(b[k:]) + r[1:])
-        return ("again", None)
-    if l[-1] == r[-1]:
-        st.pending[idx] = (l[:-1], r[:-1])
-        return ("again", None)
-    if isinstance(l[-1], Const) and isinstance(r[-1], Const):
-        a, b = l[-1].word, r[-1].word
-        k = _common_prefix_len(a[::-1], b[::-1])
-        if k == 0:
-            return ("dead", "trailing letters clash")
-        st.pending[idx] = (l[:-1] + const_blocks(a[:-k]), r[:-1] + const_blocks(b[:-k]))
-        return ("again", None)
-    return None
 
 
 def _rule_bind(st: _State, idx: int, gen: NameGen) -> _Step | None:
@@ -345,8 +346,7 @@ def _rule_commute(st: _State, idx: int, gen: NameGen) -> _Step | None:
         splits = [j for j in range(len(v) + 1) if v[j:] + v[:j] == u]
         if 0 in splits and len(v) in splits:
             splits.remove(len(v))  # v^i v is already covered by v^i
-        if not splits:
-            return ("dead", "the two constant sides are not conjugate")
+        # no split: the two constant sides are not conjugate
         children = []
         for j in splits:
             child = st.copy()
@@ -453,8 +453,6 @@ def _rule_ground(st: _State, idx: int, gen: NameGen) -> _Step | None:
         matches = _match_pattern(a, word, MAX_GROUND_MATCHES)
         if matches is None:
             return ("oof", "ground matching has too many cases")
-        if not matches:
-            return ("dead", "pattern cannot match the constant side")
         children = []
         for venv, penv in matches:
             child = st.copy()
@@ -486,7 +484,6 @@ def _rule_peel(st: _State, idx: int, gen: NameGen) -> _Step | None:
 
 _RULES = (
     _rule_empty,
-    _rule_strip,
     _rule_bind,
     _rule_commute,
     _rule_straddle,
@@ -508,7 +505,7 @@ def _step(st: _State, gen: NameGen) -> _Step | None:
             # every unbudgeted step must shrink the system; the measures
             # taken to check it are carried into the states' next steps
             st.measured = None
-            if rule not in _BUDGETED and res[0] in ("again", "branch"):
+            if rule not in _BUDGETED and res[0] != "oof":
                 for after in [st] if res[0] == "again" else res[1]:  # type: ignore[union-attr]
                     after.measured = after.measure()
                     if not after.measured < before:
@@ -540,17 +537,21 @@ def to_solved_form(
     even when no equation mentions them.
     """
     all_vars: set[str] = set(variables)
-    pending: list[tuple[Blocks, Blocks]] = []
+    start = _State([], {}, GROWTH_BUDGET)
     for eq in eqs:
         l, r = term_to_side(eq.lhs), term_to_side(eq.rhs)
         all_vars |= side_vars(l) | side_vars(r)
-        pending.append((l, r))
+        simple = _simplify(l, r)
+        if isinstance(simple, str):
+            start.dead = simple
+        elif simple is not None:
+            start.pending.append(simple)
     if gen is None:
         gen = NameGen(all_vars)
     else:
         gen.reserve(all_vars)
 
-    stack = [_State(pending, {}, GROWTH_BUDGET)]
+    stack = [start]
     solved: list[SolvedForm] = []
     blocked: str | None = None
     explored = 0
@@ -559,24 +560,19 @@ def to_solved_form(
         explored += 1
         if explored > MAX_BRANCHES:
             return OutOfFragment("branch budget exhausted", tuple(solved))
-        verdict: _Step = ("again", None)
-        while verdict[0] == "again":
-            clash = _tidy(st)
-            if clash is not None:
-                verdict = ("dead", clash)
-                break
+        while st.dead is None:
             if not st.pending:
                 sf = _resolve(st, all_vars)
                 if sf not in solved:
                     solved.append(sf)
-                verdict = ("dead", "")  # branch finished
                 break
-            verdict = _step(st, gen) or ("oof", "no rule applies to the system")
-        kind, payload = verdict
-        if kind == "oof":
-            blocked = blocked or str(payload)
-        elif kind == "branch":
-            stack.extend(payload)  # type: ignore[arg-type]
+            kind, payload = _step(st, gen) or ("oof", "no rule applies to the system")
+            if kind == "oof":
+                blocked = blocked or str(payload)
+                break
+            if kind == "branch":
+                stack.extend(payload)  # type: ignore[arg-type]
+                break
     if blocked is not None:
         return OutOfFragment(blocked, tuple(solved))
     if solved:

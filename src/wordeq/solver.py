@@ -199,8 +199,8 @@ def _build_model(
             # over the empty alphabet every part's length is pinned to 0
             part_words[part] = alphabet[:1] * lia_model.get(part_var(part), 0)
     mapping = sf.mapping()
-    strings = {v: instantiate(mapping[v], params, part_words) for v in svars}
-    ints = {n: lia_model.get(int_var(n), 0) for n in ivars}
+    strings = {v: instantiate(mapping[v], params, part_words) for v in sorted(svars)}
+    ints = {n: lia_model.get(int_var(n), 0) for n in sorted(ivars)}
     return Sat(strings, ints)
 
 

@@ -119,12 +119,27 @@ def test_crossing_pair_shares_one_parameter():
 
 
 def test_ground_contradiction_is_unsat():
-    assert isinstance(solve(WordEq(Lit("a"), Lit("b"))), Unsat)
-    assert isinstance(
-        solve(WordEq(concat(Lit("a"), Var("X")), concat(Lit("b"), Var("X")))), Unsat
-    )
-    # X = aX has no finite solution
-    assert isinstance(solve(WordEq(Var("X"), concat(Lit("a"), Var("X")))), Unsat)
+    x = Var("X")
+    for eqs in (
+        [WordEq(Lit("a"), Lit("b"))],
+        [WordEq(Lit("ab"), Lit("ba"))],
+        [WordEq(concat(x, Lit("a")), x)],
+        [WordEq(concat(Lit("a"), x), concat(Lit("b"), x))],
+        # X = aX has no finite solution
+        [WordEq(x, concat(Lit("a"), x))],
+        # the clash is made by binding X
+        [WordEq(x, Lit("a")), WordEq(x, Lit("b"))],
+    ):
+        assert isinstance(solve(*eqs), Unsat), eqs
+
+
+def test_clash_in_one_branch_leaves_the_others():
+    # grounding XY = ab branches three ways; binding X and Y refutes
+    # YX = ba on two of them, and the third still gives its form
+    x, y = Var("X"), Var("Y")
+    forms = solve(WordEq(concat(x, y), Lit("ab")), WordEq(concat(y, x), Lit("ba")))
+    a, b = param_word([Const("a")]), param_word([Const("b")])
+    assert forms == [SolvedForm((("X", a), ("Y", b)))]
 
 
 def test_crossed_variables_leave_the_fragment():
@@ -200,7 +215,19 @@ def check_random_systems(monkeypatch, transform):
             assert not set(parts_of(w)) & set(st.bindings), (v, w)
         return sf
 
+    # every state a step starts from is live, its pending equations are
+    # simplified and the measure it carries is the system's
+    step = solved_form._step
+
+    def checked_step(st, gen):
+        assert st.dead is None
+        for l, r in st.pending:
+            assert solved_form._simplify(l, r) == (l, r), (l, r)
+        assert st.measured is None or st.measured == st.measure()
+        return step(st, gen)
+
     monkeypatch.setattr(solved_form, "_resolve", checked_resolve)
+    monkeypatch.setattr(solved_form, "_step", checked_step)
     rng = random.Random(401)
     oof = 0
     for _ in range(60):
@@ -292,39 +319,16 @@ def test_rule_that_does_not_shrink_is_caught(monkeypatch):
         to_solved_form([WordEq(concat(Var("X"), Lit("a")), concat(Lit("a"), Var("X")))])
 
 
-def test_shrink_is_checked_against_the_tidied_system(monkeypatch):
-    # The first step makes one equation trivial, and tidying drops it.
-    # The second grows the system by less than that drop, so it looks
-    # like a shrink only against the measure taken before the drop.
-    x, a = Unfixed("X"), Const("a")
-    applied = []
+def test_rule_that_grows_the_system_is_caught(monkeypatch):
+    # a rule that sets the pending equations directly bypasses the
+    # simplification, but not the shrink check
+    def grow(st, idx, gen):
+        st.pending = st.pending + [((Unfixed("X"),), (Const("b"), Unfixed("X")))]
+        return ("again", None)
 
-    def once(rule):
-        def step(st, idx, gen):
-            if rule.__name__ in applied:
-                return None
-            applied.append(rule.__name__)
-            rule(st, idx)
-            return ("again", None)
-
-        step.__name__ = rule.__name__
-        return step
-
-    def trivialize(st, idx):
-        st.pending[idx] = ((x, a), (x, a))
-
-    def grow(st, idx):
-        l, r = st.pending[idx]
-        st.pending[idx] = (l, r + (x,))
-
-    monkeypatch.setattr(solved_form, "_RULES", (once(trivialize), once(grow)))
-    eqs = [
-        WordEq(concat(Var("X"), Lit("aaaa")), concat(Var("X"), Lit("aaab"))),
-        WordEq(concat(Var("X"), Lit("a")), Lit("b")),
-    ]
+    monkeypatch.setattr(solved_form, "_RULES", (grow,))
     with pytest.raises(AssertionError, match="grow did not shrink"):
-        to_solved_form(eqs)
-    assert applied == ["trivialize", "grow"]
+        to_solved_form([WordEq(concat(Var("X"), Lit("a")), concat(Lit("a"), Var("X")))])
 
 
 def test_blocked_branch_keeps_the_forms_of_the_others():

@@ -179,6 +179,34 @@ def test_failed_recheck_raises_under_optimize():
     assert "AssertionError" in proc.stderr
 
 
+def test_model_key_order_does_not_depend_on_the_hash_seed():
+    # the model's variables are sets in the pipeline; the verdict lists
+    # them in one order whatever the string hash seed
+    script = (
+        "from wordeq.solver import check_sat\n"
+        "from wordeq.terms import IntVar, LenLeq, Lit, Var, WordEq, concat, conj, sum_of\n"
+        "phi = conj(\n"
+        "    WordEq(Var('X'), concat(Var('Y'), Lit('a'), Var('Z'))),\n"
+        "    LenLeq(sum_of((1, IntVar('n')), (1, IntVar('m'))), 3),\n"
+        ")\n"
+        "print(repr(check_sat(phi, 'ab')))\n"
+    )
+    src = str(Path(wordeq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("Sat(strings={'X': 'a', 'Y': '', 'Z': ''}, ints={'m': 0, 'n': 0})")
+
+
 def test_invariant_checks_raise_under_optimize():
     # the binding checks of the rewriting, the witness search's checks,
     # the oracle's checks and the automaton and row constructors' checks
