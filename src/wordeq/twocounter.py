@@ -30,9 +30,10 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ResourceExhausted, WordeqError
-from .normalize import to_dnf, walk_product
+from .normalize import walk_product
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
-from .solved_form import _match_pattern, ground_word, term_to_side
+from .propagate import Eq as _Eq, conjuncts
+from .solved_form import _match_pattern, ground_word
 from .terms import (
     And,
     Formula,
@@ -485,7 +486,6 @@ class NoCounterexampleUpTo:
     max_len: int
 
 
-_Eq = tuple[Blocks, Blocks, bool]  # lhs, rhs, positive
 # The constants c0, ..., ck of a linear pattern c0 X1 c1 ... Xk ck, where
 # the Xi are distinct existentials; one constant means no variable.
 _Linear = tuple[str, ...]
@@ -496,17 +496,26 @@ class _Body:
     """A sentence body in disjunctive normal form, its conjuncts split by
     how a value of the universal is tested against them.
 
-    A linear conjunct is one positive equation ``S = c0 X1 c1 ... Xk ck``.
-    It has a witness exactly when the word matches the pattern, and the
-    witness is made of pieces of the word, so it is within the bound.  A
-    pattern that ends in a variable (``closed``) matches every extension
-    of a word it matches.
+    Fixed existentials are propagated when the body is compiled
+    (``propagate.conjuncts``): a conjunct with a clash is gone, and the
+    words of the fixed existentials are put into the rest.  A conjunct
+    left with no equation is witnessed by every word, as the closed
+    pattern ``S = X``.
+
+    A linear conjunct is one positive equation ``S = c0 X1 c1 ... Xk ck``
+    once propagated, and it is matched as a string.  It has a witness
+    exactly when the word matches the pattern.  The pattern's variables
+    take pieces of the word, so they are within the bound; the fixed
+    existentials take their fixed words, which the witness search does
+    not hold to the bound either.  A pattern that ends in a variable
+    (``closed``) matches every extension of a word it matches.  The other
+    conjuncts (``generic``) go to the witness search, each once.
     """
 
     universal: str
     closed: list[_Linear]
     anchored: list[_Linear]
-    generic: list[list[_Eq]]
+    generic: list[tuple[_Eq, ...]]
 
 
 def _iter_words(alphabet: str, max_len: int) -> Iterator[str]:
@@ -519,7 +528,7 @@ def _iter_words(alphabet: str, max_len: int) -> Iterator[str]:
 
 
 def _conjunct_sat(
-    eqs: list[_Eq], env: dict[str, Blocks], alphabet: str, bound: int, budget: list[int]
+    eqs: Sequence[_Eq], env: dict[str, Blocks], alphabet: str, bound: int, budget: list[int]
 ) -> bool:
     """Does some assignment of words of length <= bound satisfy the conjunct
     with the words of ``env`` put in?  A deeper call gets equations that
@@ -616,30 +625,24 @@ def _compiled_body(s: Sentence) -> _Body:
     if len(s.universals) != 1:
         raise ValueError("one universal variable is supported")
     universal = s.universals[0]
-    # The DNF repeats each atom object across conjuncts: compile it once.
-    sides: dict[int, tuple[Blocks, Blocks]] = {}
-
     closed: list[_Linear] = []
     anchored: list[_Linear] = []
-    generic: list[list[_Eq]] = []
-    for literals in to_dnf(s.body):
-        eqs: list[_Eq] = []
-        for lit in literals:
-            if not isinstance(lit.atom, WordEq):
-                raise ValueError("sentence bodies hold equations only")
-            key = id(lit.atom)
-            if key not in sides:
-                sides[key] = (term_to_side(lit.atom.lhs), term_to_side(lit.atom.rhs))
-            eqs.append((*sides[key], lit.positive))
+    generic: list[tuple[_Eq, ...]] = []
+    for eqs in conjuncts(s.body, universal):
         pattern = _linear(eqs[0], universal) if len(eqs) == 1 else None
-        if pattern is None:
-            generic.append(eqs)
+        if not eqs:
+            closed.append(("", ""))
+        elif pattern is None:
+            generic.append(tuple(eqs))
         elif len(pattern) > 1 and pattern[-1] == "":
             closed.append(pattern)
         else:
             anchored.append(pattern)
     return _Body(
-        universal, list(dict.fromkeys(closed)), list(dict.fromkeys(anchored)), generic
+        universal,
+        list(dict.fromkeys(closed)),
+        list(dict.fromkeys(anchored)),
+        list(dict.fromkeys(generic)),
     )
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import wordeq
-from wordeq import twocounter
+from wordeq import normalize, propagate, twocounter
 from wordeq.errors import ResourceExhausted
 from wordeq.normalize import to_dnf
 from wordeq.paramwords import const_blocks
@@ -325,6 +325,19 @@ def test_node_budget_exhaustion(monkeypatch):
         bounded_validity_check(s, 4)
 
 
+def test_body_too_large_fails_before_its_conjuncts_are_walked(monkeypatch):
+    # eight conjuncts, every one of which the first two equations refute
+    S, X, Y = Var("S"), Var("X"), Var("Y")
+    choice = disj(WordEq(Y, Lit("a")), WordEq(Y, Lit("b")))
+    body = conj(WordEq(X, Lit("a")), WordEq(X, Lit("b")), choice, choice, choice, WordEq(S, X))
+    s = Sentence(("S",), ("X", "Y"), body, "ab", ())
+    monkeypatch.setattr(normalize, "MAX_DISJUNCTS", 8)
+    assert enumerate_counterexamples(s, 2) == ["", "a", "b", "aa", "ab", "ba", "bb"]
+    monkeypatch.setattr(normalize, "MAX_DISJUNCTS", 7)
+    with pytest.raises(ResourceExhausted, match="disjunctive normal form too large"):
+        enumerate_counterexamples(s, 2)
+
+
 def _reference_counterexamples(s: Sentence, max_len: int) -> list[str]:
     """The search without pruning: every word, every conjunct through the
     generic witness search."""
@@ -368,8 +381,32 @@ def test_pruned_search_matches_reference_on_the_zoo():
             _assert_search_matches_reference(sentence, 4, each_word=False)
 
 
+def test_encoded_and_positivized_zoo_compile_alike():
+    # the negation's options that disagree with a fixed successor letter
+    # clash, so positivizing adds no conjunct
+    for m, w in zoo():
+        s = encode(m, w)
+        assert _kinds(positivize(s)) == _kinds(s)
+
+
+def test_propagation_spares_the_witness_search(monkeypatch):
+    calls = [0]
+    inner = twocounter._conjunct_sat
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(twocounter, "_conjunct_sat", counted)
+    m, w = zoo()[3]
+    enumerate_counterexamples(positivize(encode(m, w)), 4)
+    # 48 calls; matching every positivized option as its own conjunct
+    # takes 2 282
+    assert calls[0] <= 100
+
+
 def test_pruned_search_matches_reference_per_conjunct_class():
-    S, X, Y = Var("S"), Var("X"), Var("Y")
+    S, X, Y, Z, U = Var("S"), Var("X"), Var("Y"), Var("Z"), Var("U")
     a, b, ab = Lit("a"), Lit("b"), Lit("ab")
     cases = [
         (WordEq(S, Lit("")), (0, 1, 0)),
@@ -380,16 +417,27 @@ def test_pruned_search_matches_reference_per_conjunct_class():
         (WordEq(S, concat(a, X, b, Y)), (1, 0, 0)),
         (WordEq(S, concat(X, Y, a)), (0, 1, 0)),
         (WordEq(S, concat(X, a, Y, a)), (0, 1, 0)),
-        (WordEq(S, concat(X, a, Y, b, Var("Z"))), (1, 0, 0)),
+        (WordEq(S, concat(X, a, Y, b, Z)), (1, 0, 0)),
         (WordEq(S, concat(X, X)), (0, 0, 1)),
         (WordEq(S, S), (0, 0, 1)),
         (WordEq(S, concat(S, X)), (0, 0, 1)),
         (Not(WordEq(S, concat(X, a))), (0, 0, 1)),
         (conj(WordEq(S, concat(X, a)), WordEq(X, concat(b, Y))), (0, 0, 1)),
         (disj(WordEq(S, concat(a, X)), WordEq(S, concat(X, ab))), (1, 1, 0)),
+        # propagation of fixed existentials: a clash leaves no conjunct
+        (conj(WordEq(X, a), WordEq(X, b), WordEq(S, X)), (0, 0, 0)),
+        (conj(WordEq(X, a), WordEq(S, concat(Y, X, Z))), (1, 0, 0)),
+        # U shares no variable and holds with U empty, so it is dropped
+        (conj(WordEq(S, concat(X, a, Y)), WordEq(concat(U, b), concat(b, U))), (1, 0, 0)),
+        # no empty U satisfies it, so it stays
+        (conj(WordEq(S, concat(X, a, Y)), WordEq(concat(U, a), concat(b, U))), (0, 0, 1)),
+        # two matches fix nothing
+        (conj(WordEq(concat(X, Y), a), WordEq(S, concat(X, b))), (0, 0, 1)),
+        # fixing X makes X Y = "ab" fix Y, which the first equation mentions
+        (conj(WordEq(S, concat(Y, X)), WordEq(concat(X, Y), ab), WordEq(X, a)), (0, 1, 0)),
     ]
     for body, kinds in cases:
-        s = Sentence(("S",), ("X", "Y", "Z"), body, "ab", ())
+        s = Sentence(("S",), ("X", "Y", "Z", "U"), body, "ab", ())
         assert _kinds(s) == kinds, body
         _assert_search_matches_reference(s, 4)
 
@@ -437,6 +485,64 @@ def test_pruned_search_matches_reference_on_random_sentences():
     assert min(totals) > 0, totals
 
 
+def _random_propagation_sentence(rng: random.Random) -> Sentence:
+    """Conjuncts that mix equations fixing an existential, negated
+    equations and equations over U, which no other kind of literal
+    mentions."""
+
+    def word() -> Lit:
+        return Lit("".join(rng.choices("ab", k=rng.randint(0, 2))))
+
+    def literal():
+        kind = rng.randrange(6)
+        if kind == 0:  # fixes X, Y or Z, or clashes with an earlier fix
+            eq = WordEq(Var(rng.choice("XYZ")), word())
+            return eq if rng.random() < 0.5 else WordEq(eq.rhs, eq.lhs)
+        if kind == 1:  # a fix, or a fixed prefix of X
+            name = Var(rng.choice("XYZ"))
+            return disj(WordEq(name, word()), WordEq(name, concat(word(), Var("Y"))))
+        if kind == 2:
+            return Not(WordEq(Var(rng.choice("XYZ")), word()))
+        if kind == 3:  # holds with U empty or not
+            return WordEq(concat(Var("U"), word()), concat(word(), Var("U")))
+        if kind == 4:
+            return WordEq(Var("S"), _random_term(rng, ["X", "Y", "Z", "a", "b"], 4))
+        eq = WordEq(_random_term(rng, "SXYab", 3), _random_term(rng, "XYab", 3))
+        return Not(eq) if rng.random() < 0.3 else eq
+
+    conjuncts = [
+        conj(*(literal() for _ in range(rng.randint(1, 4)))) for _ in range(rng.randint(1, 3))
+    ]
+    return Sentence(("S",), ("X", "Y", "Z", "U"), disj(*conjuncts), "ab", ())
+
+
+def test_propagation_matches_reference_on_random_sentences(monkeypatch):
+    reached = {"clash": 0, "fix": 0, "private": 0}
+    conjoin, needed = propagate._conjoin, propagate._needed
+
+    def counted_conjoin(prefix, literal, universal):
+        after = conjoin(prefix, literal, universal)
+        if after is None:
+            reached["clash"] += 1
+        elif len(after[0]) > len(prefix[0]):
+            reached["fix"] += 1
+        return after
+
+    def counted_needed(opened):
+        eqs = needed(opened)
+        reached["private"] += len(opened) - len(eqs)
+        return eqs
+
+    monkeypatch.setattr(propagate, "_conjoin", counted_conjoin)
+    monkeypatch.setattr(propagate, "_needed", counted_needed)
+    rng = random.Random(16)
+    for _ in range(300):
+        _assert_search_matches_reference(_random_propagation_sentence(rng), 3)
+    # the draw prunes a clash, fixes an existential and drops a private
+    # equation
+    assert min(reached.values()) > 0, reached
+
+
 def _updown_machine() -> tuple[TwoCounterMachine, tuple[str, ...], str]:
     """Pump counter 1 to two, then drain it; encoding '01b2bb3b4'."""
     m = TwoCounterMachine(
@@ -468,6 +574,11 @@ def test_deeper_runs_encode_and_verify():
         assert encode_history(m, w, r.history) == expected
         s = encode(m, w)
         assert is_counterexample(s, expected)
+
+
+def test_positivized_deeper_runs_are_the_only_counterexamples():
+    for m, w, expected in (_updown_machine(), _twocounter_machine()):
+        assert enumerate_counterexamples(positivize(encode(m, w)), 9) == [expected]
 
 
 def test_mutated_encodings_are_not_counterexamples():
