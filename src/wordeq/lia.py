@@ -54,8 +54,7 @@ from typing import Iterable
 
 from .errors import CoefficientOverflow, ResourceExhausted
 from .lengths import LinVar, Row
-
-_INT64 = 2**63 - 1
+from .parser import INT64_MAX, INT64_MIN
 
 # The most branch-and-bound nodes one call counts, summed over its blocks
 # and groups; a search that runs out is not counted.
@@ -70,9 +69,9 @@ _Block = tuple[list[int], list[_ColRow], list[_ColRow], list[tuple[int, int]]]
 def _validate(rows: list[Row]) -> None:
     for row in rows:
         for c in row.coeffs.values():
-            if abs(c) > _INT64:
+            if not INT64_MIN <= c <= INT64_MAX:
                 raise CoefficientOverflow(f"coefficient {c} exceeds 64 bits")
-        if abs(row.bound) > _INT64:
+        if not INT64_MIN <= row.bound <= INT64_MAX:
             raise CoefficientOverflow(f"bound {row.bound} exceeds 64 bits")
 
 

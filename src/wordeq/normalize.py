@@ -1,4 +1,9 @@
-"""Boolean normalization: disjunctive normal form and removal of negations.
+"""Boolean normalization: the one And/Or walk, and removal of negations.
+
+``dnf_tree`` turns a formula into an And/Or tree over its literals, in
+negation normal form.  ``walk`` folds the leaves of each conjunction of
+its disjunctive normal form, depth first, and cuts every prefix its
+caller refutes; ``to_dnf`` and ``walk_product`` are such walks.
 
 Negated atoms are rewritten into positive ones:
 
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .automata import dfa_complement, dfa_to_regex, regex_to_dfa
 from .errors import ResourceExhausted
@@ -40,12 +45,14 @@ from .terms import (
 )
 
 Atom = WordEq | LenLeq | InRe
-Choice = TypeVar("Choice")
+Leaf = TypeVar("Leaf")
 Prefix = TypeVar("Prefix")
+# An And/Or tree: ("leaf", leaf), ("and", parts) or ("or", parts).
+Tree = tuple[str, Any]
 
-# The most disjuncts ``to_dnf`` builds for a formula, and the most positive
-# conjunctions the product of ``eliminate_negations``'s factors for one of
-# them may hold.
+# The most disjuncts in the disjunctive normal form of a formula or of a
+# sentence body, and the most positive conjunctions the product of
+# ``eliminate_negations``'s factors for one disjunct may hold.
 MAX_DISJUNCTS = 100_000
 
 
@@ -55,28 +62,83 @@ class Literal:
     positive: bool
 
 
-def _within_limit(size: int, reason: str) -> None:
-    """Called with the size of a disjunction before it is built."""
-    if size > MAX_DISJUNCTS:
-        raise ResourceExhausted(reason)
+def dnf_tree(phi: Formula, leaf: Callable[[Atom, bool], Leaf]) -> Tree:
+    """``phi`` in negation normal form, as an And/Or tree whose leaves are
+    ``leaf(atom, positive)``, made once per atom object and sign.  Raises
+    TypeError on a non-atom, and ResourceExhausted when some disjunction
+    along the way would have more than ``MAX_DISJUNCTS`` members."""
+    return _dnf_tree(phi, True, leaf, {})[0]
 
 
-def _nnf(phi: Formula, positive: bool) -> Formula:
+def _dnf_tree(
+    phi: Formula, positive: bool, leaf: Callable[[Atom, bool], Leaf], leaves: dict
+) -> tuple[Tree, int]:
+    """The tree of ``phi`` (negated when not ``positive``) and the number
+    of conjunctions in its disjunctive normal form."""
+    if isinstance(phi, (WordEq, LenLeq, InRe)):
+        key = (id(phi), positive)
+        node = leaves.get(key)
+        if node is None:
+            node = leaves[key] = ("leaf", leaf(phi, positive))
+        return node, 1
     if isinstance(phi, Not):
-        return _nnf(phi.inner, not positive)
-    if isinstance(phi, And):
-        parts = tuple(_nnf(p, positive) for p in phi.parts)
-        return And(parts) if positive else Or(parts)
-    if isinstance(phi, Or):
-        parts = tuple(_nnf(p, positive) for p in phi.parts)
-        return Or(parts) if positive else And(parts)
-    return phi if positive else Not(phi)
+        return _dnf_tree(phi.inner, not positive, leaf, leaves)
+    if not isinstance(phi, (And, Or)):
+        raise TypeError(f"not an atom: {phi!r}")
+    conjunction = isinstance(phi, And) == positive
+    parts = []
+    size = int(conjunction)
+    for part in phi.parts:
+        node, n = _dnf_tree(part, positive, leaf, leaves)
+        parts.append(node)
+        size = size * n if conjunction else size + n
+        if size > MAX_DISJUNCTS:
+            raise ResourceExhausted("disjunctive normal form too large")
+    return ("and" if conjunction else "or", parts), size
 
 
-def _atom(f: Formula) -> Atom:
-    if not isinstance(f, (WordEq, LenLeq, InRe)):
-        raise TypeError(f"not an atom: {f!r}")
-    return f
+def walk(
+    tree: Tree, extend: Callable[[Prefix, Leaf], Prefix | None], start: Prefix
+) -> Iterator[Prefix]:
+    """The conjunctions of the tree's disjunctive normal form, depth first
+    in ``to_dnf``'s order, each folded by ``extend`` over its leaves from
+    ``start``.
+
+    ``extend(prefix, leaf)`` is the prefix with one more leaf, or None to
+    prune it: no leaf below a pruned prefix is folded.  An Or with no
+    parts has no conjunction, and an And with no parts the empty one.  The
+    walk does not recurse, so any depth is safe.
+    """
+    # Each entry is an Or met on the way (the root is an Or of one part):
+    # the prefix before it, its parts not tried yet and its agenda, the
+    # trees still to conjoin after it, as a linked list (tree, rest) that
+    # ends in None.
+    stack: list[tuple[Prefix, Iterator[Tree], tuple | None]] = [(start, iter((tree,)), None)]
+    while stack:
+        depth = len(stack)
+        before, parts, after = stack[-1]
+        for tree in parts:
+            prefix, agenda = before, after
+            while True:
+                kind, item = tree
+                if kind == "leaf":
+                    prefix = extend(prefix, item)
+                    if prefix is None:
+                        break
+                elif kind == "and":
+                    for part in reversed(item):
+                        agenda = (part, agenda)
+                else:
+                    stack.append((prefix, iter(item), agenda))
+                    break
+                if agenda is None:
+                    yield prefix
+                    break
+                tree, agenda = agenda
+            if len(stack) > depth:  # go on from the Or just met
+                break
+        else:
+            stack.pop()
 
 
 def to_dnf(phi: Formula) -> list[list[Literal]]:
@@ -85,27 +147,11 @@ def to_dnf(phi: Formula) -> list[list[Literal]]:
     Raises ResourceExhausted, before building it, when some disjunction
     along the way would have more than ``MAX_DISJUNCTS`` members.
     """
+    return list(walk(dnf_tree(phi, Literal), _appended, []))
 
-    def walk(f: Formula) -> list[list[Literal]]:
-        if isinstance(f, Or):
-            out: list[list[Literal]] = []
-            for p in f.parts:
-                branch = walk(p)
-                _within_limit(len(out) + len(branch), "disjunctive normal form too large")
-                out.extend(branch)
-            return out
-        if isinstance(f, And):
-            acc: list[list[Literal]] = [[]]
-            for p in f.parts:
-                branch = walk(p)
-                _within_limit(len(acc) * len(branch), "disjunctive normal form too large")
-                acc = [c + d for c in acc for d in branch]
-            return acc
-        if isinstance(f, Not):
-            return [[Literal(_atom(f.inner), False)]]
-        return [[Literal(_atom(f), True)]]
 
-    return walk(_nnf(phi, True))
+def _appended(conjunct: list[Literal], literal: Literal) -> list[Literal]:
+    return conjunct + [literal]
 
 
 def _negate_word_eq(atom: WordEq, alphabet: str, gen: NameGen) -> list[list[Atom]]:
@@ -164,41 +210,17 @@ def eliminate_negations(
         else:
             raise TypeError(f"not an atom: {atom!r}")
 
-    _within_limit(prod(map(len, factors)), "negation elimination too large")
+    if prod(map(len, factors)) > MAX_DISJUNCTS:
+        raise ResourceExhausted("negation elimination too large")
     return factors
 
 
 def walk_product(
-    factors: Sequence[Sequence[Choice]],
-    extend: Callable[[Prefix, Choice], Prefix | None],
+    factors: Sequence[Sequence[Leaf]],
+    extend: Callable[[Prefix, Leaf], Prefix | None],
     start: Prefix,
 ) -> Iterator[Prefix]:
-    """The product of the factors, depth first in its order, folded by
-    ``extend`` from ``start``: one prefix per choice of a member of every
-    factor.
-
-    ``extend(prefix, choice)`` is the prefix after one more choice, taken
-    from the next factor, or None to prune it: no choice below a pruned
-    prefix is made.  The walk keeps one prefix and one iterator per
-    factor and does not recurse, so any number of factors is safe.
-    """
-    if not factors:
-        yield start
-        return
-    prefixes = [start]
-    pending = [iter(factors[0])]  # the choices still to try at each depth
-    while pending:
-        for choice in pending[-1]:
-            prefix = extend(prefixes[-1], choice)
-            if prefix is None:
-                continue
-            if len(pending) == len(factors):
-                yield prefix
-            else:
-                prefixes.append(prefix)
-                pending.append(iter(factors[len(pending)]))
-                break
-        else:
-            pending.pop()
-            prefixes.pop()
-
+    """``walk`` over the product of the factors: one prefix per choice of a
+    member of every factor, in the product's order."""
+    tree = ("and", [("or", [("leaf", choice) for choice in f]) for f in factors])
+    return walk(tree, extend, start)

@@ -300,7 +300,10 @@ class _ProblemReader:
             bound = -sum(c * t.value for c, t in items if isinstance(t, IntConst))
             if not (INT64_MIN <= bound <= INT64_MAX):
                 raise ParseError("length bound outside the 64-bit range", e.line, e.col)
-            return LenLeq(sum_of(*(i for i in items if not isinstance(i[1], IntConst))), bound)
+            terms = [i for i in items if not isinstance(i[1], IntConst)]
+            if not all(INT64_MIN <= c <= INT64_MAX for c, _ in terms):
+                raise ParseError("length coefficient outside the 64-bit range", e.line, e.col)
+            return LenLeq(sum_of(*terms), bound)
         if head == "str.in.re":
             if len(e.items) != 3:
                 raise ParseError("str.in.re needs a term and a regex", e.line, e.col)

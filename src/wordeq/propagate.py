@@ -1,10 +1,11 @@
 """The conjuncts of a sentence body, with its fixed existentials propagated.
 
 A body of word equations under And, Or and Not is walked conjunct by
-conjunct of its disjunctive normal form, depth first, without building
-that form.  Each prefix of a conjunct keeps the words of the existentials
-its equations fix and the equations still open.  Adding an equation puts
-those words into it, then:
+conjunct of its disjunctive normal form by ``normalize.walk``, depth
+first, without building that form.  Each equation is compiled once per
+sign when ``normalize.dnf_tree`` builds the body's tree.  Each prefix of
+a conjunct keeps the words of the existentials its equations fix and the
+equations still open.  Adding an equation puts those words into it, then:
 
 * a ground equation that fails refutes the prefix, and one that holds is
   dropped;
@@ -25,12 +26,13 @@ variables empty, is dropped: empty words witness it within every bound.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
-from .normalize import _within_limit
+from .normalize import Atom, dnf_tree, walk
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
 from .solved_form import _match_pattern, ground_word, term_to_side
-from .terms import And, Formula, Not, Or, WordEq
+from .terms import Formula, WordEq
 
 Eq = tuple[Blocks, Blocks, bool]  # lhs, rhs, positive
 # An equation still open in a prefix of a conjunct, with the fixed
@@ -45,12 +47,9 @@ _Settled = dict[str, Blocks] | bool | None
 # A literal as an open equation, and what it settles when no fixed
 # existential occurs in it.
 _Literal = tuple[_Open, _Settled]
-# A prefix of a conjunct: the fixed existentials' words and the open
-# equations, in the order of their literals.
-_Prefix = tuple[dict[str, Blocks], tuple[_Open, ...]]
-# The body in negation normal form: ("lit", literal), ("and", parts) or
-# ("or", parts).
-_Node = tuple[str, "_Literal | list[_Node]"]
+# A prefix of a conjunct: the fixed existentials' words, the open
+# equations in the order of their literals, and the universal.
+_Prefix = tuple[dict[str, Blocks], tuple[_Open, ...], str]
 
 
 def conjuncts(body: Formula, universal: str) -> Iterator[list[Eq]]:
@@ -58,66 +57,28 @@ def conjuncts(body: Formula, universal: str) -> Iterator[list[Eq]]:
     normal form that propagation does not refute, in ``to_dnf``'s order
     and literal order.  The number of conjuncts in that form is held to
     ``to_dnf``'s limit before any is walked."""
-    tree, _ = _nnf_tree(body, True, universal, {})
-    # each entry is a prefix and what is left to conjoin to it
-    stack: list[tuple[_Prefix, tuple | None]] = [(({}, ()), (tree, None))]
-    while stack:
-        prefix, agenda = stack.pop()
-        while agenda is not None:
-            (kind, item), agenda = agenda
-            if kind == "lit":
-                after = _conjoin(prefix, item, universal)
-                if after is None:
-                    break
-                prefix = after
-            elif kind == "and":
-                for part in reversed(item):
-                    agenda = (part, agenda)
-            else:
-                stack += [(prefix, (part, agenda)) for part in reversed(item[1:])]
-                agenda = (item[0], agenda)
-        else:
-            yield _needed(prefix[1])
+    tree = dnf_tree(body, partial(_compile, universal=universal))
+    for _, opened, _ in walk(tree, _conjoin, ({}, (), universal)):
+        yield _needed(opened)
 
 
-def _nnf_tree(
-    phi: Formula, positive: bool, universal: str, literals: dict[tuple[int, bool], _Literal]
-) -> tuple[_Node, int]:
-    """``phi`` (negated when not ``positive``) in negation normal form, and
-    the number of conjuncts in its disjunctive normal form.  Each literal
-    is compiled once per atom and sign."""
-    if isinstance(phi, Not):
-        return _nnf_tree(phi.inner, not positive, universal, literals)
-    if isinstance(phi, (And, Or)):
-        conjunction = isinstance(phi, And) == positive
-        parts = []
-        total = int(conjunction)
-        for part in phi.parts:
-            node, n = _nnf_tree(part, positive, universal, literals)
-            parts.append(node)
-            total = total * n if conjunction else total + n
-        # every size is at least 1, so the last total is the largest
-        _within_limit(total, "disjunctive normal form too large")
-        return ("and" if conjunction else "or", parts), total
-    if not isinstance(phi, WordEq):
+def _compile(atom: Atom, positive: bool, universal: str) -> _Literal:
+    if not isinstance(atom, WordEq):
         raise ValueError("sentence bodies hold equations only")
-    key = (id(phi), positive)
-    if key not in literals:
-        lhs, rhs = term_to_side(phi.lhs), term_to_side(phi.rhs)
-        names = frozenset(b.part for b in lhs + rhs if isinstance(b, Unfixed))
-        literals[key] = _literal(lhs, rhs, positive, names, universal)
-    return ("lit", literals[key]), 1
+    lhs, rhs = term_to_side(atom.lhs), term_to_side(atom.rhs)
+    names = frozenset(b.part for b in lhs + rhs if isinstance(b, Unfixed))
+    return _literal(lhs, rhs, positive, names, universal)
 
 
-def _conjoin(prefix: _Prefix, literal: _Literal, universal: str) -> _Prefix | None:
+def _conjoin(prefix: _Prefix, literal: _Literal) -> _Prefix | None:
     """The prefix with one more literal, the words it fixes put into the
     open equations; None when the prefix has no solution any more."""
-    env, opened = prefix
+    env, opened, universal = prefix
     eq, settled = literal
     if not eq[1].isdisjoint(env):
         eq, settled = _substituted(eq, env, universal)
     if settled is None:
-        return env, opened + (eq,)
+        return env, opened + (eq,), universal
     if settled is False:
         return None
     if not settled:  # a ground equation that holds
@@ -140,7 +101,7 @@ def _conjoin(prefix: _Prefix, literal: _Literal, universal: str) -> _Prefix | No
                     continue
             kept.append(eq)
         opened = tuple(kept)
-    return env, opened
+    return env, opened, universal
 
 
 def _substituted(eq: _Open, env: dict[str, Blocks], universal: str) -> _Literal:

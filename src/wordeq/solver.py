@@ -3,18 +3,19 @@ regular-expression constraints.
 
 Negation elimination turns every disjunct of the input's disjunctive
 normal form into one factor of positive alternatives per literal.  Their
-product is walked depth first.  A prefix of choices and a whole branch
-are both conjunctions of positive atoms, decided the same way, and a
-refuted prefix cuts every branch below it.  The word equations of such
-a conjunction are rewritten into solved forms, each solved form contributes
-its implied length rows, length atoms translate to further rows, and the
-membership atoms become a disjunction of row groups that constrain the
-power parameters of each constrained term through exact automaton
-walks.  Those rows are shared by every group, so each solved form is one
-call to the linear solver: it decides the shared rows once and pulls the
-groups one at a time, and each group is built only when it is pulled.  A
-model of the rows is turned back into concrete words and re-checked
-against the original formula before being reported.
+product is walked depth first by ``normalize.walk``, which also walks
+the disjuncts and the product of membership boxes.  A prefix of choices
+and a whole branch are both conjunctions of positive atoms, decided the
+same way, and a refuted prefix cuts every branch below it.  The word
+equations of such a conjunction are rewritten into solved forms, each
+solved form contributes its implied length rows, length atoms translate
+to further rows, and the membership atoms become a disjunction of row
+groups that constrain the power parameters of each constrained term
+through exact automaton walks.  Those rows are shared by every group, so
+each solved form is one call to the linear solver: it decides the shared
+rows once and pulls the groups one at a time, and each group is built
+only when it is pulled.  A model of the rows is turned back into concrete
+words and re-checked against the original formula before being reported.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .lengths import (
 )
 from .lia import lia_sat
 from .normalize import Atom, eliminate_negations, to_dnf, walk_product
-from .paramwords import has_unfixed, instantiate, params_of, parts_of
+from .paramwords import ParamWord, has_unfixed, instantiate, params_of, parts_of, substitute
 from .semantics import Assignment, eval_formula
 from .solved_form import (
     OutOfFragment,
@@ -98,13 +99,16 @@ def _regex_row_groups(
     """The membership atoms under a solved form as a disjunction of row
     groups over the power parameters each regex admits, none when some
     atom can never hold.  A membership over unfixed parts raises
-    _UnfixedMembership when the first group is pulled."""
+    _UnfixedMembership when the first group is pulled, except over the
+    empty alphabet, where every part is the empty word."""
     per_atom_boxes: list[list[dict[str, Prog]]] = []
     for atom in atoms:
         pw = apply_solved_form(sf, atom.term)
         if has_unfixed(pw):
-            parts = ", ".join(parts_of(pw))
-            raise _UnfixedMembership(f"membership constraint over unfixed parts ({parts})")
+            if alphabet:
+                parts = ", ".join(parts_of(pw))
+                raise _UnfixedMembership(f"membership constraint over unfixed parts ({parts})")
+            pw = ParamWord(substitute(pw.blocks, dict.fromkeys(parts_of(pw), ())))
         boxes = param_membership(pw, regex_to_dfa(atom.regex, alphabet))
         if not boxes:
             return

@@ -15,6 +15,7 @@ from itertools import product
 from pathlib import Path
 
 from wordeq.automata import dfa_complement, length_set, regex_to_dfa
+from wordeq.normalize import Literal
 from wordeq.paramwords import Const, ParamWord, Power, Unfixed, param_word
 from wordeq.solved_form import SolvedForm
 from wordeq.solver import Sat, Unsat, check_sat
@@ -241,3 +242,31 @@ def box_has_solution(rows, cols, lo: int, hi: int):
         if ok:
             return val
     return None
+
+
+def reference_to_dnf(phi: Formula) -> list[list[Literal]]:
+    """The disjunctive normal form built eagerly and recursively: negations
+    pushed to the atoms first, then the product of every conjunction's
+    parts' forms, left part outermost."""
+
+    def nnf(f: Formula, positive: bool) -> Formula:
+        if isinstance(f, Not):
+            return nnf(f.inner, not positive)
+        if isinstance(f, (And, Or)):
+            parts = tuple(nnf(p, positive) for p in f.parts)
+            return And(parts) if isinstance(f, And) == positive else Or(parts)
+        return f if positive else Not(f)
+
+    def dnf(f: Formula) -> list[list[Literal]]:
+        if isinstance(f, Or):
+            return [c for p in f.parts for c in dnf(p)]
+        if isinstance(f, And):
+            acc: list[list[Literal]] = [[]]
+            for p in f.parts:
+                acc = [c + d for c in acc for d in dnf(p)]
+            return acc
+        if isinstance(f, Not):
+            return [[Literal(f.inner, False)]]
+        return [[Literal(f, True)]]
+
+    return dnf(nnf(phi, True))

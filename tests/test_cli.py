@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wordeq import cli
 from wordeq.cli import main
 from wordeq.parser import MAX_DEPTH
@@ -39,6 +41,17 @@ def test_solve_length_formula_over_the_empty_alphabet(capsys, tmp_path):
         "(assert (<= (+ (* -1 (str.len X)) (* 3 m)) -2))\n"
         "(check-sat)\n"
     )
+    code, out, _ = run(capsys, "solve", str(path))
+    assert (code, out) == (0, "sat\n")
+
+
+@pytest.mark.parametrize(
+    "bound",
+    ["(<= n -9223372036854775808)", "(<= (* -9223372036854775808 n) -9223372036854775808)"],
+)
+def test_solve_decides_the_least_64_bit_integer(capsys, tmp_path, bound):
+    path = tmp_path / "least.eq"
+    path.write_text(f'(set-alphabet "a")\n(declare-const n Int)\n(assert {bound})\n(check-sat)\n')
     code, out, _ = run(capsys, "solve", str(path))
     assert (code, out) == (0, "sat\n")
 

@@ -101,6 +101,16 @@ def test_coefficient_overflow_guard():
         lia_sat([Row({x(): 2**64}, "eq", 0)])
     with pytest.raises(CoefficientOverflow):
         lia_sat([Row({x(): 1}, "le", 2**63)])
+    with pytest.raises(CoefficientOverflow):
+        lia_sat([Row({x(): 1}, "le", -(2**63) - 1)])
+    with pytest.raises(CoefficientOverflow):
+        lia_sat([Row({x(): -(2**63) - 1}, "le", 0)])
+    # -2**63 is in the range, as a coefficient and as a bound
+    n = int_var("n")
+    for rows in ([Row({n: 1}, "le", -(2**63))], [Row({n: -(2**63)}, "le", -(2**63))]):
+        model = lia_sat(rows)
+        assert model is not None
+        verify(rows, model)
 
 
 def test_models_always_verify():

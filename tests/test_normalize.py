@@ -5,10 +5,10 @@ from itertools import product
 
 import pytest
 
-from helpers import random_regex, random_word
+from helpers import random_regex, random_word, reference_to_dnf
 from wordeq import normalize
 from wordeq.errors import ResourceExhausted
-from wordeq.normalize import Literal, eliminate_negations, to_dnf, walk_product
+from wordeq.normalize import Literal, dnf_tree, eliminate_negations, to_dnf, walk, walk_product
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.terms import (
     And,
@@ -103,6 +103,61 @@ def test_to_dnf_equivalent():
         psi = dnf_as_formula(to_dnf(phi))
         for a in all_assignments(free_vars(phi)[0], 2):
             assert eval_formula(phi, a) == eval_formula(psi, a), phi
+
+
+def test_to_dnf_matches_the_recursive_reference():
+    rng = random.Random(17)
+    for _ in range(400):
+        phi = random_boolean_formula(rng, 4)
+        assert to_dnf(phi) == reference_to_dnf(phi), phi
+
+
+def test_dnf_tree_makes_each_leaf_once_per_atom_and_sign():
+    a, b = WordEq(Var("X"), Lit("a")), LenLeq(Len(Var("X")), 1)
+    made = []
+
+    def leaf(atom, positive):
+        made.append((atom, positive))
+        return Literal(atom, positive)
+
+    phi = And((a, Or((Not(a), a)), Not(And((a, b)))))
+    tree = dnf_tree(phi, leaf)
+    assert made == [(a, True), (a, False), (b, False)]
+    assert list(walk(tree, lambda c, lit: c + [lit], [])) == reference_to_dnf(phi)
+
+
+def test_walk_never_folds_below_a_pruned_prefix_of_a_nested_tree():
+    # a negative literal prunes its prefix; the trees nest And and Or
+    # (and Not) to depth 4, so a pruned prefix has leaves of many parts
+    # below it
+    rng = random.Random(18)
+    pruned = 0
+    for _ in range(200):
+        phi = random_boolean_formula(rng, 4)
+        calls = []
+
+        def extend(prefix, lit):
+            calls.append(prefix + (lit,))
+            return prefix + (lit,) if lit.positive else None
+
+        got = list(walk(dnf_tree(phi, Literal), extend, ()))
+        reference = [tuple(c) for c in reference_to_dnf(phi)]
+        assert got == [c for c in reference if all(lit.positive for lit in c)], phi
+        # every prefix extended, and nothing below a negative literal
+        reached = {
+            c[:k] for c in reference for k in range(1, len(c) + 1)
+            if all(lit.positive for lit in c[: k - 1])
+        }
+        assert set(calls) == reached, phi
+        pruned += len(got) < len(reference)
+    assert pruned > 50
+
+
+def test_walk_degenerate_trees():
+    assert list(walk(("or", []), _tuples, "start")) == []
+    assert list(walk(("and", []), _tuples, "start")) == ["start"]
+    assert list(walk(("and", [("leaf", 1), ("or", [])]), _tuples, ())) == []
+    assert list(walk(("or", [("and", []), ("leaf", 1)]), _tuples, ())) == [(), (1,)]
 
 
 def test_to_dnf_size_cap(monkeypatch):

@@ -162,6 +162,11 @@ def test_parse_int64_guard():
             f'(set-alphabet "a")\n(declare-const n Int)\n'
             f"(assert (<= (+ {2**62} {2**62} {2**62}) n))"
         )
+    # so is a coefficient merged past it, while -2**63 itself is in range
+    header = '(set-alphabet "a")\n(declare-const n Int)\n'
+    merged = f"(assert (<= (+ (* {2**62} n) (* {2**62} n)) 0))"
+    assert _error_at(header + merged) == (3, 9, "length coefficient outside the 64-bit range")
+    parse_problem(header + f"(assert (<= (* {-(2**63)} n) {-(2**63)}))")
 
 
 def test_integer_literals_are_ascii():

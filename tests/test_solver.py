@@ -378,6 +378,18 @@ def test_empty_alphabet_degenerate():
     assert res.strings["X"] == ""
 
 
+@pytest.mark.parametrize("unsat", [False, True])
+def test_membership_over_the_empty_alphabet(unsat):
+    # every word over "" is empty, so a membership over unfixed parts is
+    # decided with those parts empty instead of being blocked
+    X, Y = Var("X"), Var("Y")
+    phi = conj(WordEq(X, Y), InRe(concat(X, Y), re_star(re_lit(""))))
+    if unsat:
+        assert check_sat(conj(phi, Not(WordEq(Y, Lit("")))), "") == Unsat()
+    else:
+        assert check_sat(phi, "") == Sat({"X": "", "Y": ""}, {})
+
+
 def test_unsat_stays_unsat_under_weaker_caps():
     # anti-monotonicity spot check: relaxing a cap can only add models
     phi = conj(CONJUGATE, InRe(Var("X"), RE_ODD))

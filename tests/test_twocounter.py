@@ -520,8 +520,8 @@ def test_propagation_matches_reference_on_random_sentences(monkeypatch):
     reached = {"clash": 0, "fix": 0, "private": 0}
     conjoin, needed = propagate._conjoin, propagate._needed
 
-    def counted_conjoin(prefix, literal, universal):
-        after = conjoin(prefix, literal, universal)
+    def counted_conjoin(prefix, literal):
+        after = conjoin(prefix, literal)
         if after is None:
             reached["clash"] += 1
         elif len(after[0]) > len(prefix[0]):
