@@ -13,16 +13,14 @@ Negated atoms are rewritten into positive ones:
 * a negated word equation splits into "lengths differ" plus, for every
   ordered pair of distinct letters, "common prefix then a mismatch".
 
-A conjunction of literals becomes one factor per literal, the list of its
-positive alternatives.  The product of the factors is never built here:
-the solver walks it with ``walk_product`` and skips the parts of it that
-are already refuted.
+``eliminate_negations`` gives one literal's positive alternatives.  The
+solver makes them an Or in the formula's tree, so one walk covers both
+the formula's disjunctions and the negations' alternatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .automata import dfa_complement, dfa_to_regex, regex_to_dfa
@@ -50,9 +48,8 @@ Prefix = TypeVar("Prefix")
 # An And/Or tree: ("leaf", leaf), ("and", parts) or ("or", parts).
 Tree = tuple[str, Any]
 
-# The most disjuncts in the disjunctive normal form of a formula or of a
-# sentence body, and the most positive conjunctions the product of
-# ``eliminate_negations``'s factors for one disjunct may hold.
+# The most conjunctions in the disjunctive normal form of a dnf_tree: of a
+# formula with its negations' alternatives, or of a sentence body.
 MAX_DISJUNCTS = 100_000
 
 
@@ -62,25 +59,27 @@ class Literal:
     positive: bool
 
 
-def dnf_tree(phi: Formula, leaf: Callable[[Atom, bool], Leaf]) -> Tree:
-    """``phi`` in negation normal form, as an And/Or tree whose leaves are
-    ``leaf(atom, positive)``, made once per atom object and sign.  Raises
+def dnf_tree(phi: Formula, leaf: Callable[[Atom, bool], Tree]) -> Tree:
+    """``phi`` in negation normal form, as an And/Or tree whose literals
+    are ``leaf(atom, positive)``, made once per atom object and sign: a
+    leaf, or an Or of leaves that counts each of its parts.  Raises
     TypeError on a non-atom, and ResourceExhausted when some disjunction
     along the way would have more than ``MAX_DISJUNCTS`` members."""
     return _dnf_tree(phi, True, leaf, {})[0]
 
 
 def _dnf_tree(
-    phi: Formula, positive: bool, leaf: Callable[[Atom, bool], Leaf], leaves: dict
+    phi: Formula, positive: bool, leaf: Callable[[Atom, bool], Tree], leaves: dict
 ) -> tuple[Tree, int]:
     """The tree of ``phi`` (negated when not ``positive``) and the number
     of conjunctions in its disjunctive normal form."""
     if isinstance(phi, (WordEq, LenLeq, InRe)):
         key = (id(phi), positive)
-        node = leaves.get(key)
-        if node is None:
-            node = leaves[key] = ("leaf", leaf(phi, positive))
-        return node, 1
+        made = leaves.get(key)
+        if made is None:
+            node = leaf(phi, positive)
+            made = leaves[key] = node, len(node[1]) if node[0] == "or" else 1
+        return made
     if isinstance(phi, Not):
         return _dnf_tree(phi.inner, not positive, leaf, leaves)
     if not isinstance(phi, (And, Or)):
@@ -147,11 +146,8 @@ def to_dnf(phi: Formula) -> list[list[Literal]]:
     Raises ResourceExhausted, before building it, when some disjunction
     along the way would have more than ``MAX_DISJUNCTS`` members.
     """
-    return list(walk(dnf_tree(phi, Literal), _appended, []))
-
-
-def _appended(conjunct: list[Literal], literal: Literal) -> list[Literal]:
-    return conjunct + [literal]
+    tree = dnf_tree(phi, lambda atom, positive: ("leaf", Literal(atom, positive)))
+    return list(walk(tree, lambda conjunct, literal: conjunct + [literal], []))
 
 
 def _negate_word_eq(atom: WordEq, alphabet: str, gen: NameGen) -> list[list[Atom]]:
@@ -176,43 +172,24 @@ def _negate_word_eq(atom: WordEq, alphabet: str, gen: NameGen) -> list[list[Atom
 
 
 def eliminate_negations(
-    conjunct: list[Literal], alphabet: str, gen: NameGen
-) -> list[list[list[Atom]]]:
-    """Turn a conjunction of literals into factors of positive alternatives.
-
-    One factor per literal, in order: the positive conjunctions that may
-    stand for it.  The conjunction of the input literals is satisfiable
-    (over words in the given alphabet) iff some member of the factors'
-    product, its chosen alternatives concatenated, is.  A negated
-    membership of the total language makes the result one factor with no
-    alternative.  A product of more than ``MAX_DISJUNCTS`` members raises
-    ResourceExhausted.
-    """
-    factors: list[list[list[Atom]]] = []
-    for lit in conjunct:
-        if lit.positive:
-            factors.append([[lit.atom]])
-            continue
-        atom = lit.atom
-        if isinstance(atom, LenLeq):
-            # not (t <= c)  <=>  t >= c + 1  <=>  -t <= -c - 1
-            flipped = LenLeq(scale(atom.term, -1), -atom.bound - 1)
-            factors.append([[flipped]])
-        elif isinstance(atom, InRe):
-            complement = dfa_complement(regex_to_dfa(atom.regex, alphabet))
-            r = dfa_to_regex(complement)
-            if r is None:
-                # complement empty: the negated membership can never hold
-                return [[]]
-            factors.append([[InRe(atom.term, r)]])
-        elif isinstance(atom, WordEq):
-            factors.append(_negate_word_eq(atom, alphabet, gen))
-        else:
-            raise TypeError(f"not an atom: {atom!r}")
-
-    if prod(map(len, factors)) > MAX_DISJUNCTS:
-        raise ResourceExhausted("negation elimination too large")
-    return factors
+    atom: Atom, positive: bool, alphabet: str, gen: NameGen
+) -> list[list[Atom]]:
+    """One literal's positive alternatives: the literal holds (over words
+    in the given alphabet) iff one of these conjunctions does, for some
+    value of its fresh variables.  A positive literal is its own one
+    alternative, and a negated membership of the total language has
+    none."""
+    if positive:
+        return [[atom]]
+    if isinstance(atom, LenLeq):
+        # not (t <= c)  <=>  t >= c + 1  <=>  -t <= -c - 1
+        return [[LenLeq(scale(atom.term, -1), -atom.bound - 1)]]
+    if isinstance(atom, InRe):
+        r = dfa_to_regex(dfa_complement(regex_to_dfa(atom.regex, alphabet)))
+        return [] if r is None else [[InRe(atom.term, r)]]
+    if isinstance(atom, WordEq):
+        return _negate_word_eq(atom, alphabet, gen)
+    raise TypeError(f"not an atom: {atom!r}")
 
 
 def walk_product(

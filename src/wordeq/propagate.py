@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
-from .normalize import Atom, dnf_tree, walk
+from .normalize import Atom, Tree, dnf_tree, walk
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
 from .solved_form import _match_pattern, ground_word, term_to_side
 from .terms import Formula, WordEq
@@ -62,12 +62,12 @@ def conjuncts(body: Formula, universal: str) -> Iterator[list[Eq]]:
         yield _needed(opened)
 
 
-def _compile(atom: Atom, positive: bool, universal: str) -> _Literal:
+def _compile(atom: Atom, positive: bool, universal: str) -> Tree:
     if not isinstance(atom, WordEq):
         raise ValueError("sentence bodies hold equations only")
     lhs, rhs = term_to_side(atom.lhs), term_to_side(atom.rhs)
     names = frozenset(b.part for b in lhs + rhs if isinstance(b, Unfixed))
-    return _literal(lhs, rhs, positive, names, universal)
+    return "leaf", _literal(lhs, rhs, positive, names, universal)
 
 
 def _conjoin(prefix: _Prefix, literal: _Literal) -> _Prefix | None:

@@ -1,12 +1,12 @@
 """The satisfiability pipeline for word equations with length and
 regular-expression constraints.
 
-Negation elimination turns every disjunct of the input's disjunctive
-normal form into one factor of positive alternatives per literal.  Their
-product is walked depth first by ``normalize.walk``, which also walks
-the disjuncts and the product of membership boxes.  A prefix of choices
-and a whole branch are both conjunctions of positive atoms, decided the
-same way, and a refuted prefix cuts every branch below it.  The word
+The formula is one And/Or tree in negation normal form, each negated
+literal an Or of its positive alternatives, and ``normalize.walk`` walks
+its conjunctions depth first, as it walks the product of membership
+boxes.  A prefix of choices and a whole conjunction are decided the same
+way, and a refuted prefix cuts every conjunction below it, across the
+formula's disjunctions and the negations' alternatives alike.  The word
 equations of such a conjunction are rewritten into solved forms, each
 solved form contributes its implied length rows, length atoms translate
 to further rows, and the membership atoms become a disjunction of row
@@ -21,11 +21,13 @@ words and re-checked against the original formula before being reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator
 
 from . import parser
 from .automata import Prog, param_membership, prog_intersect, regex_to_dfa
-from .errors import LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
+from .errors import CoefficientOverflow, LetterOutsideAlphabet, ResourceExhausted
+from .errors import UnfixedPartPresent
 from .lengths import (
     LinVar,
     Row,
@@ -37,7 +39,8 @@ from .lengths import (
     upset_rows,
 )
 from .lia import lia_sat
-from .normalize import Atom, eliminate_negations, to_dnf, walk_product
+from .normalize import Atom, Tree, dnf_tree, eliminate_negations, walk, walk_product
+from .normalize import to_dnf  # noqa: F401  perfbench/spans.py wraps solver.to_dnf by name
 from .paramwords import ParamWord, has_unfixed, instantiate, params_of, parts_of, substitute
 from .semantics import Assignment, eval_formula
 from .solved_form import (
@@ -76,8 +79,11 @@ Verdict = Sat | Unsat | Unsupported
 # rows (the words are built only for the branch check_sat returns), or
 # the Unsat or Unsupported verdict
 _Decision = tuple[SolvedForm, dict[LinVar, int]] | Unsat | Unsupported
-# the alternatives chosen so far in the negation walk, and their decision
-_Prefix = tuple[list[list[Atom]], _Decision | None]
+# an alternative after its own place in formula order, so sorting compares
+# places only; a prefix's alternatives, and their decision or None
+_Alternative = tuple[int, list[Atom]]
+_Prefix = tuple[tuple[_Alternative, ...], _Decision | None]
+_CHOSEN: Tree = ("leaf", None)  # decides the prefix: a choice was just made
 
 # The most row groups the integer solver may pull from the membership
 # atoms under one solved form; ResourceExhausted is raised before one
@@ -163,7 +169,8 @@ def _decide(atoms: list[Atom], svars: set[str], alphabet: str, gen: NameGen) -> 
     with that model, Unsat when rewriting or the rows of every solved
     form refute the atoms, and otherwise Unsupported for the first reason
     that rewriting or a solved form was blocked; the solved forms that a
-    partly blocked rewriting still found are decided too.
+    partly blocked rewriting still found are decided too.  Rows past 64
+    bits block only their solved form.
     """
     eqs = [a for a in atoms if isinstance(a, WordEq)]
     lens = [a for a in atoms if isinstance(a, LenLeq)]
@@ -179,7 +186,7 @@ def _decide(atoms: list[Atom], svars: set[str], alphabet: str, gen: NameGen) -> 
             model = lia_sat(
                 _shared_rows(sf, lens, alphabet), _regex_row_groups(res, sf, alphabet, gen)
             )
-        except (ResourceExhausted, _UnfixedMembership) as exc:
+        except (ResourceExhausted, CoefficientOverflow, _UnfixedMembership) as exc:
             blocked = blocked or str(exc)
             continue
         if model is not None:
@@ -208,26 +215,42 @@ def _build_model(
     return Sat(strings, ints)
 
 
+def _choices(tree: Tree, forced: list | None) -> Tree:
+    """The tree with ``_CHOSEN`` after every Or with two or more parts.
+    The leaves reached from the root through And nodes alone are moved to
+    ``forced``, which is None below an Or."""
+    kind, item = tree
+    if kind == "leaf":
+        if forced is None:
+            return tree
+        forced.append(item)
+        return "and", []
+    parts = [_choices(part, None if kind == "or" else forced) for part in item]
+    if kind == "or" and len(parts) > 1:
+        return "and", [(kind, parts), _CHOSEN]
+    return kind, parts
+
+
 def check_sat(phi: Formula, alphabet: str) -> Verdict:
     """Decide the formula over words in the given alphabet.
 
     Sound for both answers: a Sat verdict carries a model that was
-    re-checked by evaluation, an Unsat verdict means every branch was
+    re-checked by evaluation, an Unsat verdict means every conjunction was
     refuted.  Inputs outside the supported fragment (or beyond one of the
     limits) come back Unsupported instead of a guess.
 
-    Each disjunct's negation product is walked depth first over the
-    factors with a choice to make.  ``_decide`` decides every prefix (the
-    atoms of the one-alternative factors and of the choices so far, in
-    factor order) and every branch alike: a refuted prefix is a
-    sub-conjunction of every branch below it, so it cuts them all.
+    Every prefix starts with the top-level conjuncts that have one
+    alternative.  ``_decide`` decides a prefix, its atoms in formula
+    order, when a choice is made (a formula disjunct or a negated
+    literal's alternative), and a conjunction that no choice decided whole
+    at its end.  A refuted prefix cuts every conjunction below it.
 
-    A branch that leaves the fragment or runs out of a limit is blocked:
-    the others still run, and the verdict is Unsupported only when none
-    of them is Sat and some branch was blocked.  A formula nested deeper
-    than the parser accepts is Unsupported before any recursive walk:
-    ``scan`` walks without recursion, while normalization, negation
-    elimination and evaluation recurse.
+    A conjunction that leaves the fragment or runs out of a limit is
+    blocked: the others still run, and the verdict is Unsupported only
+    when none of them is Sat and some was blocked.  A formula nested
+    deeper than the parser accepts is Unsupported before any recursive
+    walk: ``scan`` walks without recursion, while normalization and
+    evaluation recurse.
     """
     scanned = scan(phi, parser.MAX_DEPTH)
     if scanned is None:
@@ -239,37 +262,36 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
             f"formula uses letters outside the alphabet: {sorted(stray)}"
         )
     gen = NameGen(svars | ivars)
+    places = count()
+
+    def literal(atom: Atom, positive: bool) -> Tree:
+        alts = eliminate_negations(atom, positive, alphabet, gen)
+        leaves = [("leaf", (next(places), alt)) for alt in alts]
+        return leaves[0] if len(leaves) == 1 else ("or", leaves)
+
     try:
-        conjuncts = to_dnf(phi)
+        tree = dnf_tree(phi, literal)
     except ResourceExhausted as exc:
         return Unsupported(str(exc))
+    forced: list[_Alternative] = []
+    tree = "and", [_choices(tree, forced), _CHOSEN]
+
+    def extend(prefix: _Prefix, item: _Alternative | None) -> _Prefix | None:
+        taken, decision = prefix
+        if item is not None:
+            return taken + (item,), None
+        if decision is None:
+            atoms = [a for _, alt in sorted(taken) for a in alt]
+            decision = _decide(atoms, svars, alphabet, gen)
+        return None if isinstance(decision, Unsat) else (taken, decision)
+
     blocked: str | None = None
-    for conjunct in conjuncts:
-        try:
-            factors = eliminate_negations(conjunct, alphabet, gen)
-        except ResourceExhausted as exc:
-            blocked = blocked or str(exc)
-            continue
-        split = [alts for alts in factors if len(alts) != 1]
-
-        def decide(chosen: list[list[Atom]]) -> _Decision:
-            picks = iter(chosen)  # a factor not chosen yet gives no atom
-            atoms = [
-                a for alts in factors for a in (alts[0] if len(alts) == 1 else next(picks, ()))
-            ]
-            return _decide(atoms, svars, alphabet, gen)
-
-        def extend(prefix: _Prefix, alt: list[Atom]) -> _Prefix | None:
-            chosen = prefix[0] + [alt]
-            decision = decide(chosen)
-            return None if isinstance(decision, Unsat) else (chosen, decision)
-
-        for _, decision in walk_product(split, extend, ([], None if split else decide([]))):
-            if isinstance(decision, tuple):
-                verdict = _build_model(*decision, svars, ivars, alphabet)
-                if not eval_formula(phi, verdict.assignment()):
-                    raise AssertionError(f"the model {verdict} does not satisfy the formula")
-                return verdict
-            if isinstance(decision, Unsupported):
-                blocked = blocked or decision.reason
+    for _, decision in walk(tree, extend, (tuple(forced), None)):
+        if isinstance(decision, tuple):
+            verdict = _build_model(*decision, svars, ivars, alphabet)
+            if not eval_formula(phi, verdict.assignment()):
+                raise AssertionError(f"the model {verdict} does not satisfy the formula")
+            return verdict
+        if isinstance(decision, Unsupported):
+            blocked = blocked or decision.reason
     return Unsat() if blocked is None else Unsupported(blocked)

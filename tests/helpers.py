@@ -43,6 +43,8 @@ from wordeq.terms import (
     nodes,
     re_alt,
     re_seq,
+    Var,
+    WordEq,
     scale,
     sum_of,
 )
@@ -143,6 +145,24 @@ def accepted_lengths_bfs(dfa, up_to: int) -> set[int]:
 
 def random_word(rng: random.Random, sigma: str, max_len: int) -> str:
     return "".join(rng.choice(sigma) for _ in range(rng.randint(0, max_len)))
+
+
+def random_boolean_formula(rng: random.Random, depth: int) -> Formula:
+    """And, Or and Not over equations, length bounds and memberships of
+    X and Y, nested up to ``depth``."""
+    if depth == 0 or rng.random() < 0.35:
+        kind = rng.randrange(3)
+        x = Var(rng.choice("XY"))
+        if kind == 0:
+            return WordEq(x, Lit(random_word(rng, "ab", 2)))
+        if kind == 1:
+            return LenLeq(Len(x), rng.randint(0, 3))
+        return InRe(x, random_regex(rng, "ab", 1))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Not(random_boolean_formula(rng, depth - 1))
+    parts = tuple(random_boolean_formula(rng, depth - 1) for _ in range(2))
+    return And(parts) if kind == 1 else Or(parts)
 
 
 def random_paramword(rng: random.Random, sigma: str, n_params: int = 2) -> ParamWord:

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from helpers import random_regex, random_word, reference_to_dnf
+from helpers import random_boolean_formula, random_regex, reference_to_dnf
 from wordeq import normalize
 from wordeq.errors import ResourceExhausted
 from wordeq.normalize import Literal, dnf_tree, eliminate_negations, to_dnf, walk, walk_product
@@ -32,9 +32,10 @@ from wordeq.terms import (
 )
 
 
-def branches_of(factors):
-    """The product of ``eliminate_negations``'s factors: one positive
-    conjunction per choice of an alternative for each literal."""
+def branches_of(lits, alphabet, gen):
+    """The product of the literals' ``eliminate_negations`` alternatives:
+    one positive conjunction per choice of an alternative for each."""
+    factors = [eliminate_negations(lit.atom, lit.positive, alphabet, gen) for lit in lits]
     return [[a for alt in choice for a in alt] for choice in product(*factors)]
 
 
@@ -43,22 +44,6 @@ def dnf_as_formula(disjuncts):
     for lits in disjuncts:
         branches.append(conj(*[l.atom if l.positive else Not(l.atom) for l in lits]))
     return disj(*branches)
-
-
-def random_boolean_formula(rng, depth):
-    if depth == 0 or rng.random() < 0.35:
-        kind = rng.randrange(3)
-        x = Var(rng.choice("XY"))
-        if kind == 0:
-            return WordEq(x, Lit(random_word(rng, "ab", 2)))
-        if kind == 1:
-            return LenLeq(Len(x), rng.randint(0, 3))
-        return InRe(x, random_regex(rng, "ab", 1))
-    kind = rng.randrange(3)
-    if kind == 0:
-        return Not(random_boolean_formula(rng, depth - 1))
-    parts = tuple(random_boolean_formula(rng, depth - 1) for _ in range(2))
-    return And(parts) if kind == 1 else Or(parts)
 
 
 def words_upto(n):
@@ -118,7 +103,7 @@ def test_dnf_tree_makes_each_leaf_once_per_atom_and_sign():
 
     def leaf(atom, positive):
         made.append((atom, positive))
-        return Literal(atom, positive)
+        return "leaf", Literal(atom, positive)
 
     phi = And((a, Or((Not(a), a)), Not(And((a, b)))))
     tree = dnf_tree(phi, leaf)
@@ -140,7 +125,7 @@ def test_walk_never_folds_below_a_pruned_prefix_of_a_nested_tree():
             calls.append(prefix + (lit,))
             return prefix + (lit,) if lit.positive else None
 
-        got = list(walk(dnf_tree(phi, Literal), extend, ()))
+        got = list(walk(dnf_tree(phi, lambda a, p: ("leaf", Literal(a, p))), extend, ()))
         reference = [tuple(c) for c in reference_to_dnf(phi)]
         assert got == [c for c in reference if all(lit.positive for lit in c)], phi
         # every prefix extended, and nothing below a negative literal
@@ -171,24 +156,30 @@ def test_to_dnf_size_cap(monkeypatch):
     )
     with pytest.raises(ResourceExhausted):
         to_dnf(big)
-    # each negated equation over "ab" has four positive alternatives: 4^5 > 1000
-    negated = [Literal(WordEq(Var(f"X{i}"), Lit("a")), False) for i in range(5)]
-    assert len(branches_of(eliminate_negations(negated[:4], "ab", NameGen()))) == 4**4
+    # a literal that is an Or counts its parts: each negated equation over
+    # "ab" has four positive alternatives, and 4^5 > 1000
+    def alternatives(atom, positive):
+        return "or", [("leaf", alt) for alt in eliminate_negations(atom, positive, "ab", gen)]
+
+    gen = NameGen()
+    negated = [Not(WordEq(Var(f"X{i}"), Lit("a"))) for i in range(5)]
+    tree = dnf_tree(conj(*negated[:4]), alternatives)
+    assert len(list(walk(tree, _tuples, ()))) == 4**4
     with pytest.raises(ResourceExhausted):
-        eliminate_negations(negated, "ab", NameGen())
+        dnf_tree(conj(*negated), alternatives)
 
 
 def test_eliminate_negations_length():
     gen = NameGen()
     lit = Literal(LenLeq(Len(Var("X")), 3), False)
-    out = branches_of(eliminate_negations([lit], "ab", gen))
+    out = branches_of([lit], "ab", gen)
     assert out == [[LenLeq(sum_of((-1, Len(Var("X")))), -4)]]
 
 
 def test_eliminate_negations_membership():
     gen = NameGen()
     lit = Literal(InRe(Var("X"), ReStar(ReLit("a"))), False)
-    (branch,) = branches_of(eliminate_negations([lit], "ab", gen))
+    (branch,) = branches_of([lit], "ab", gen)
     (atom,) = branch
     assert isinstance(atom, InRe)
     # complement over {a,b}: needs at least one b
@@ -197,16 +188,15 @@ def test_eliminate_negations_membership():
 
 
 def test_eliminate_negations_total_language_vanishes():
-    # (a|b)* covers everything, so the negated membership has no branches
-    gen = NameGen()
-    lit = Literal(InRe(Var("X"), ReStar(ReUnion((ReLit("a"), ReLit("b"))))), False)
-    assert branches_of(eliminate_negations([lit], "ab", gen)) == []
+    # (a|b)* covers everything, so the negated membership has no alternative
+    atom = InRe(Var("X"), ReStar(ReUnion((ReLit("a"), ReLit("b")))))
+    assert eliminate_negations(atom, False, "ab", NameGen()) == []
 
 
 def test_eliminate_negations_word_eq_shape():
     gen = NameGen()
     lit = Literal(WordEq(Var("X"), Lit("ab")), False)
-    out = branches_of(eliminate_negations([lit], "ab", gen))
+    out = branches_of([lit], "ab", gen)
     # two length branches plus one mismatch branch per ordered letter pair
     assert len(out) == 2 + 2
     assert all(isinstance(a, (WordEq, LenLeq)) for branch in out for a in branch)
@@ -245,7 +235,7 @@ def test_eliminate_negations_pointwise_exact():
     ]
     for lits in cases:
         gen = NameGen({"X", "Y"})
-        branches = branches_of(eliminate_negations(lits, "ab", gen))
+        branches = branches_of(lits, "ab", gen)
         original = conj(*[l.atom if l.positive else Not(l.atom) for l in lits])
         base_vars = free_vars(original)[0]
         for a in all_assignments(base_vars, 2):
@@ -262,13 +252,14 @@ def test_eliminate_negations_positive_passthrough():
         InRe(Var("X"), ReLit("a")),
     ]
     lits = [Literal(a, True) for a in atoms]
-    assert branches_of(eliminate_negations(lits, "ab", gen)) == [atoms]
+    assert branches_of(lits, "ab", gen) == [atoms]
+    assert [eliminate_negations(a, True, "ab", gen) for a in atoms] == [[[a]] for a in atoms]
 
 
 def test_eliminate_negations_fresh_names_avoid_existing():
     gen = NameGen({"X", "P0", "U0", "V0"})
     lit = Literal(WordEq(Var("X"), Lit("a")), False)
-    out = branches_of(eliminate_negations([lit], "ab", gen))
+    out = branches_of([lit], "ab", gen)
     helpers = {
         v for branch in out for a in branch if isinstance(a, WordEq)
         for v in free_vars(a)[0]

@@ -14,6 +14,7 @@ import wordeq
 from helpers import (
     _template_equation,
     length_abstraction,
+    random_boolean_formula,
     random_formula_el,
     random_formula_elr,
     random_regex,
@@ -604,21 +605,18 @@ def test_membership_groups_match_the_product_reference(monkeypatch):
 
 
 def _eager_check_sat(phi, alphabet):
-    """Reference decision loop: the whole negation product is built first
-    and each of its members is rewritten and decided from scratch, in the
-    product's order (the loop ``check_sat`` ran before it walked the
-    product), over a non-empty alphabet."""
+    """Reference decision loop: each disjunct's whole negation product is
+    built first and each of its members is rewritten and decided from
+    scratch, in ``to_dnf``'s order and the product's order (the loop
+    ``check_sat`` ran before it walked one tree), over a non-empty
+    alphabet."""
     import wordeq.solver as solver
 
     svars, ivars = free_vars(phi)
     gen = NameGen(svars | ivars)
     blocked = None
     for conjunct in to_dnf(phi):
-        try:
-            factors = eliminate_negations(conjunct, alphabet, gen)
-        except ResourceExhausted as exc:
-            blocked = blocked or str(exc)
-            continue
+        factors = [eliminate_negations(lit.atom, lit.positive, alphabet, gen) for lit in conjunct]
         for choice in product(*factors):
             atoms = [a for alt in choice for a in alt]
             eqs = [a for a in atoms if isinstance(a, WordEq)]
@@ -769,10 +767,54 @@ def test_negated_atoms_against_the_oracle():
     assert kinds["Sat"] > 0 and kinds["Unsat"] > 0
 
 
+def test_nested_boolean_formulas_against_the_oracle():
+    # And, Or and Not nested to depth 4 over equations, length bounds and
+    # memberships: no Unsat has a small model, and deciding each disjunct's
+    # eager product on its own gives the same verdict kind
+    rng = random.Random(1818)
+    kinds = Counter()
+    for _ in range(300):
+        phi = random_boolean_formula(rng, 4)
+        verdict = check_sat(phi, "ab")
+        kinds[type(verdict).__name__] += 1
+        assert type(_eager_check_sat(phi, "ab")) is type(verdict), phi
+        if isinstance(verdict, Unsat):
+            assert brute_force_sat(phi, "ab", 3) == NoModelUpTo(3), phi
+    assert kinds["Sat"] > 0 and kinds["Unsat"] > 0
+
+
+def _forced_and_choices(k, forced_first):
+    """Y = a and Y = b, with k disjunctions X_i = a or X_i = b: 2^k
+    disjuncts, which the two forced atoms refute all."""
+    y = Var("Y")
+    forced = [WordEq(y, Lit("a")), WordEq(y, Lit("b"))]
+    choices = [
+        disj(WordEq(Var(f"X{i}"), Lit("a")), WordEq(Var(f"X{i}"), Lit("b"))) for i in range(k)
+    ]
+    return conj(*forced, *choices) if forced_first else conj(*choices, *forced)
+
+
+@pytest.mark.parametrize("forced_first", [True, False], ids=["forced-first", "forced-last"])
+def test_a_refuted_prefix_cuts_across_disjunctions(forced_first, monkeypatch):
+    # the forced atoms start every prefix, so the first choice's prefix is
+    # refuted, and with it every disjunct below it
+    import wordeq.solver as solver
+
+    calls = []
+    decide = solver._decide
+    monkeypatch.setattr(solver, "_decide", lambda *a: calls.append(a) or decide(*a))
+    assert check_sat(_forced_and_choices(16, forced_first), "ab") == Unsat()
+    assert len(calls) <= 4
+    # the size of the disjunctive normal form is still bounded up front
+    assert check_sat(_forced_and_choices(17, forced_first), "ab") == Unsupported(
+        "disjunctive normal form too large"
+    )
+
+
 def test_normalize_checks_raise_under_optimize():
     # to_dnf and eliminate_negations take atoms only, also under python -O
     script = (
-        "from wordeq.normalize import Literal, eliminate_negations, to_dnf\n"
+        "from wordeq.normalize import eliminate_negations, to_dnf\n"
         "from wordeq.terms import NameGen, Not, Var\n"
         "def expect(exc, fn):\n"
         "    try:\n"
@@ -781,7 +823,7 @@ def test_normalize_checks_raise_under_optimize():
         "        print(type(e).__name__, e)\n"
         "expect(TypeError, lambda: to_dnf(Var('X')))\n"
         "expect(TypeError, lambda: to_dnf(Not(Var('X'))))\n"
-        "expect(TypeError, lambda: eliminate_negations([Literal(Var('X'), False)], 'ab', NameGen()))\n"
+        "expect(TypeError, lambda: eliminate_negations(Var('X'), False, 'ab', NameGen()))\n"
     )
     src = str(Path(wordeq.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
