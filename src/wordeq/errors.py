@@ -24,3 +24,8 @@ class ResourceExhausted(WordeqError):
 
 class CoefficientOverflow(WordeqError):
     """A linear-arithmetic coefficient fell outside the 64-bit range."""
+
+
+class NondeterministicDelta(WordeqError):
+    """Two rules of a two-counter machine share the same (state, letter,
+    zero-tests) key."""

@@ -67,12 +67,15 @@ _Block = tuple[list[int], list[_ColRow], list[_ColRow], list[tuple[int, int]]]
 
 
 def _validate(rows: list[Row]) -> None:
+    """Each row, divided by the gcd of its coefficients as it will be
+    solved, must fit in 64 bits."""
     for row in rows:
+        g = gcd(*row.coeffs.values()) or 1
         for c in row.coeffs.values():
-            if not INT64_MIN <= c <= INT64_MAX:
-                raise CoefficientOverflow(f"coefficient {c} exceeds 64 bits")
-        if not INT64_MIN <= row.bound <= INT64_MAX:
-            raise CoefficientOverflow(f"bound {row.bound} exceeds 64 bits")
+            if not INT64_MIN <= c // g <= INT64_MAX:
+                raise CoefficientOverflow(f"coefficient {c // g} exceeds 64 bits")
+        if not INT64_MIN <= row.bound // g <= INT64_MAX:
+            raise CoefficientOverflow(f"bound {row.bound // g} exceeds 64 bits")
 
 
 class _Infeasible(Exception):

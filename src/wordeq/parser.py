@@ -12,13 +12,15 @@ Problem files are s-expressions::
     (check-sat)
     (get-model)
 
-One compiled pattern splits the text into tokens: parentheses, string
-literals (no newline inside), integer literals (ASCII digits with an
-optional leading ``-``, in the 64-bit range) and symbols; whitespace and
-``;`` comments separate them.  The whole text is tokenized before the
-tree is read, and the tokens themselves are the tree's atoms.  A length
-atom ``(<= l r)`` is read as ``l - r <= 0`` with its constants moved into
-the bound.
+The tokens are parentheses, string literals (no newline inside), integer
+literals (ASCII digits with an optional leading ``-``, in the 64-bit
+range) and symbols; whitespace and ``;`` comments separate them.  One
+compiled pattern returns them as strings, and the tree, read whole before
+any directive, holds their indices: a list is ``[k, item, ...]`` whose
+``(`` is token k.  Positions are computed only for an error, by
+``tokenize``, which then raises the text's first token error if it has
+one.  A length atom ``(<= l r)`` is read as ``l - r <= 0`` with its
+constants moved into the bound.
 
 Machine files are line based::
 
@@ -38,7 +40,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .errors import LetterOutsideAlphabet, WordeqError
+from .errors import LetterOutsideAlphabet, NondeterministicDelta, WordeqError
 from .terms import (
     Formula,
     InRe,
@@ -92,8 +94,12 @@ class UnknownLetter(ParseError, LetterOutsideAlphabet):
     """A word or regex literal mentions a letter outside the alphabet."""
 
 
+class DuplicateRule(ParseError, NondeterministicDelta):
+    """A machine file gives two rules for one (state, letter, zero-tests) key."""
+
+
 # ---------------------------------------------------------------------------
-# tokens and s-expressions
+# tokens and the tree
 
 
 class Token(NamedTuple):
@@ -132,45 +138,49 @@ def tokenize(text: str) -> Iterator[Token]:
         yield Token(kind, value, line, col)
 
 
-class SList(NamedTuple):
-    items: tuple["SExpr", ...]
-    line: int
-    col: int
+# The same tokens as strings: a string literal keeps its quotes, an
+# unterminated one is a lone '"', a comment is '', and whitespace matches none.
+_TOKEN_TEXT = re.compile(r';[^\n]*|([()]|"[^"\n]*"|"|[^\s()";]+)')
+_INT = re.compile(r"-?[0-9]+")
 
 
-SExpr = Token | SList
-
-
-def read_sexprs(text: str) -> list[SExpr]:
+def _error(text: str, k: int | None, message: str, cls: type = ParseError) -> ParseError:
+    """``cls(message)`` at token k, or at (1, 1) when k is None.  The reader
+    checks every token, so a text with a token error fails some check and
+    gets here, where ``tokenize`` raises that error instead."""
     tokens = list(tokenize(text))
-    out: list[SExpr] = []
+    line, col = (1, 1) if k is None else (tokens[k].line, tokens[k].col)
+    return cls(message, line, col)
+
+
+def _symbol(t: str | None) -> str | None:
+    """The token, when it is a symbol."""
+    return None if t is None or t[0] == '"' or _INT.fullmatch(t) else t
+
+
+Item = int | list  # a token's index, or [index of "(", item, ...]
+
+
+def _tree(text: str, toks: list[str]) -> list[Item]:
+    out: list[Item] = []
     items = out
-    # the "(" of each open list, with the items of the list around it
-    open_lists: list[tuple[Token, list[SExpr]]] = []
-    for tok in tokens:
-        if tok.kind == "(":
-            if len(open_lists) >= MAX_DEPTH:
-                raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.line, tok.col)
-            open_lists.append((tok, items))
-            items = []
-        elif tok.kind == ")":
-            if not open_lists:
-                raise ParseError("unexpected closing parenthesis", tok.line, tok.col)
-            opening, outer = open_lists.pop()
-            outer.append(SList(tuple(items), opening.line, opening.col))
-            items = outer
+    outer: list[list[Item]] = []  # the lists around each open list
+    for k, t in enumerate(toks):
+        if t == "(":
+            if len(outer) >= MAX_DEPTH:
+                raise _error(text, k, f"nesting deeper than {MAX_DEPTH}")
+            outer.append(items)
+            items = [k]
+        elif t == ")":
+            if not outer:
+                raise _error(text, k, "unexpected closing parenthesis")
+            outer[-1].append(items)
+            items = outer.pop()
         else:
-            items.append(tok)
-    if open_lists:
-        opening = open_lists[-1][0]
-        raise ParseError("unclosed parenthesis", opening.line, opening.col)
+            items.append(k)
+    if outer:
+        raise _error(text, items[0], "unclosed parenthesis")
     return out
-
-
-def _head(e: SList) -> str | None:
-    if e.items and isinstance(e.items[0], Token) and e.items[0].kind == "symbol":
-        return e.items[0].value
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -187,213 +197,213 @@ class Problem:
     get_model: bool
 
     def conjunction(self) -> Formula | None:
-        if not self.asserts:
-            return None
-        return conj(*self.asserts)
+        return conj(*self.asserts) if self.asserts else None
 
 
 class _ProblemReader:
-    def __init__(self) -> None:
+    def __init__(self, text: str, toks: list[str]) -> None:
+        self.text = text
+        self.toks = toks
         self.alphabet: str | None = None
-        self.str_vars: list[str] = []
-        self.int_vars: list[str] = []
+        self.letters: frozenset[str] = frozenset()
+        self.sorts: dict[str, str] = {}  # each declared name's sort, in order
         self.asserts: list[Formula] = []
-        self.check_sat = False
-        self.get_model = False
+        self.flags: set[str] = set()  # "check-sat", "get-model"
+
+    def fail(self, e: Item, message: str, cls: type = ParseError) -> ParseError:
+        return _error(self.text, e if type(e) is int else e[0], message, cls)
+
+    def atom(self, e: Item) -> str | None:
+        return self.toks[e] if type(e) is int else None
+
+    def head(self, e: list) -> str | None:
+        return self.atom(e[1]) if len(e) > 1 else None
+
+    def some(self, e: list, head: str) -> list[Item]:
+        if len(e) < 3:
+            raise self.fail(e, f"{head} needs at least one argument")
+        return e[2:]
+
+    def string(self, e: Item) -> str | None:
+        """The letters of a string literal, or None for any other item."""
+        t = self.atom(e)
+        return t[1:-1] if t is not None and t[0] == '"' and len(t) > 1 else None
+
+    def integer(self, k: int) -> int:
+        v = int(self.toks[k])
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise self.fail(k, "integer literal outside the 64-bit range")
+        return v
 
     # -- terms ------------------------------------------------------------
 
-    def check_word(self, word: str, e: SExpr) -> str:
-        assert self.alphabet is not None
-        bad = set(word) - set(self.alphabet)
-        if bad:
-            raise UnknownLetter(f"letter {min(bad)!r} is not in the alphabet", e.line, e.col)
+    def check_word(self, word: str, e: Item) -> str:
+        if not self.letters.issuperset(word):
+            bad = set(word) - self.letters
+            raise self.fail(e, f"letter {min(bad)!r} is not in the alphabet", UnknownLetter)
         return word
 
-    def str_term(self, e: SExpr) -> StrTerm:
-        if isinstance(e, Token):
-            if e.kind == "string":
-                return Lit(self.check_word(e.value, e))
-            if e.kind == "symbol":
-                if e.value in self.str_vars:
-                    return Var(e.value)
-                if e.value in self.int_vars:
-                    raise SortError(f"{e.value} is an Int variable, not a String", e.line, e.col)
-                raise UndeclaredVariable(f"undeclared variable {e.value}", e.line, e.col)
-            raise SortError("expected a string term", e.line, e.col)
-        if _head(e) == "str.++":
-            if len(e.items) < 2:
-                raise ParseError("str.++ needs at least one argument", e.line, e.col)
-            return concat(*(self.str_term(x) for x in e.items[1:]))
-        raise SortError("expected a string term", e.line, e.col)
+    def str_term(self, e: Item) -> StrTerm:
+        if type(e) is int:
+            t = self.toks[e]
+            sort = self.sorts.get(t)
+            if sort == "String":
+                return Var(t)
+            word = self.string(e)
+            if word is not None:
+                return Lit(self.check_word(word, e))
+            if sort == "Int":
+                raise self.fail(e, f"{t} is an Int variable, not a String", SortError)
+            if _symbol(t) is None:
+                raise self.fail(e, "expected a string term", SortError)
+            raise self.fail(e, f"undeclared variable {t}", UndeclaredVariable)
+        if self.head(e) == "str.++":
+            return concat(*(self.str_term(x) for x in self.some(e, "str.++")))
+        raise self.fail(e, "expected a string term", SortError)
 
-    def len_term(self, e: SExpr) -> LenTerm:
-        if isinstance(e, Token):
-            if e.kind == "int":
-                return IntConst(int(e.value))
-            if e.kind == "symbol":
-                if e.value in self.int_vars:
-                    return IntVar(e.value)
-                if e.value in self.str_vars:
-                    raise SortError(f"{e.value} is a String variable, not an Int", e.line, e.col)
-                raise UndeclaredVariable(f"undeclared variable {e.value}", e.line, e.col)
-            raise SortError("expected an integer term", e.line, e.col)
-        head = _head(e)
+    def len_term(self, e: Item) -> LenTerm:
+        if type(e) is int:
+            t = self.toks[e]
+            sort = self.sorts.get(t)
+            if sort == "Int":
+                return IntVar(t)
+            if _INT.fullmatch(t):
+                return IntConst(self.integer(e))
+            if sort == "String":
+                raise self.fail(e, f"{t} is a String variable, not an Int", SortError)
+            if t[0] == '"':
+                raise self.fail(e, "expected an integer term", SortError)
+            raise self.fail(e, f"undeclared variable {t}", UndeclaredVariable)
+        head = self.head(e)
         if head == "str.len":
-            if len(e.items) != 2:
-                raise ParseError("str.len needs exactly one argument", e.line, e.col)
-            return Len(self.str_term(e.items[1]))
+            if len(e) != 3:
+                raise self.fail(e, "str.len needs exactly one argument")
+            return Len(self.str_term(e[2]))
         if head == "+":
-            if len(e.items) < 2:
-                raise ParseError("+ needs at least one argument", e.line, e.col)
-            return sum_of(*((1, self.len_term(x)) for x in e.items[1:]))
+            return sum_of(*((1, self.len_term(x)) for x in self.some(e, "+")))
         if head == "*":
-            if len(e.items) != 3:
-                raise ParseError("* needs a coefficient and a term", e.line, e.col)
-            c = e.items[1]
-            if not (isinstance(c, Token) and c.kind == "int"):
-                raise SortError("the coefficient of * must be an integer literal", e.line, e.col)
-            return sum_of((int(c.value), self.len_term(e.items[2])))
-        raise SortError("expected an integer term", e.line, e.col)
+            if len(e) != 4:
+                raise self.fail(e, "* needs a coefficient and a term")
+            if not _INT.fullmatch(self.atom(e[2]) or ""):
+                raise self.fail(e, "the coefficient of * must be an integer literal", SortError)
+            return sum_of((self.integer(e[2]), self.len_term(e[3])))
+        raise self.fail(e, "expected an integer term", SortError)
 
-    def regex(self, e: SExpr) -> Regex:
-        if isinstance(e, Token):
-            if e.kind == "symbol" and e.value == "re.epsilon":
+    def regex(self, e: Item) -> Regex:
+        if type(e) is int:
+            if self.toks[e] == "re.epsilon":
                 return re_lit("")
-            raise SortError("expected a regular expression", e.line, e.col)
-        head = _head(e)
+            raise self.fail(e, "expected a regular expression", SortError)
+        head = self.head(e)
         if head == "str.to.re":
-            if len(e.items) != 2 or not (
-                isinstance(e.items[1], Token) and e.items[1].kind == "string"
-            ):
-                raise ParseError("str.to.re needs one string literal", e.line, e.col)
-            return re_lit(self.check_word(e.items[1].value, e.items[1]))
-        if head == "re.++":
-            if len(e.items) < 2:
-                raise ParseError("re.++ needs at least one argument", e.line, e.col)
-            return re_seq(*(self.regex(x) for x in e.items[1:]))
-        if head == "re.union":
-            if len(e.items) < 2:
-                raise ParseError("re.union needs at least one argument", e.line, e.col)
-            return re_alt(*(self.regex(x) for x in e.items[1:]))
+            word = self.string(e[2]) if len(e) == 3 else None
+            if word is None:
+                raise self.fail(e, "str.to.re needs one string literal")
+            return re_lit(self.check_word(word, e[2]))
+        if head == "re.++" or head == "re.union":
+            parts = [self.regex(x) for x in self.some(e, head)]
+            return re_seq(*parts) if head == "re.++" else re_alt(*parts)
         if head == "re.*":
-            if len(e.items) != 2:
-                raise ParseError("re.* needs exactly one argument", e.line, e.col)
-            return re_star(self.regex(e.items[1]))
-        raise SortError("expected a regular expression", e.line, e.col)
+            if len(e) != 3:
+                raise self.fail(e, "re.* needs exactly one argument")
+            return re_star(self.regex(e[2]))
+        raise self.fail(e, "expected a regular expression", SortError)
 
     # -- formulas ----------------------------------------------------------
 
-    def formula(self, e: SExpr) -> Formula:
-        if not isinstance(e, SList):
-            raise ParseError("expected a formula", e.line, e.col)
-        head = _head(e)
+    def formula(self, e: Item) -> Formula:
+        if type(e) is int:
+            raise self.fail(e, "expected a formula")
+        head = self.head(e)
         if head == "=":
-            if len(e.items) != 3:
-                raise ParseError("= needs exactly two arguments", e.line, e.col)
-            return WordEq(self.str_term(e.items[1]), self.str_term(e.items[2]))
+            if len(e) != 4:
+                raise self.fail(e, "= needs exactly two arguments")
+            return WordEq(self.str_term(e[2]), self.str_term(e[3]))
         if head == "<=":
-            if len(e.items) != 3:
-                raise ParseError("<= needs exactly two arguments", e.line, e.col)
-            diff = sum_of((1, self.len_term(e.items[1])), (-1, self.len_term(e.items[2])))
+            if len(e) != 4:
+                raise self.fail(e, "<= needs exactly two arguments")
+            diff = sum_of((1, self.len_term(e[2])), (-1, self.len_term(e[3])))
             items = diff.items if isinstance(diff, Sum) else ((1, diff),)
             bound = -sum(c * t.value for c, t in items if isinstance(t, IntConst))
             if not (INT64_MIN <= bound <= INT64_MAX):
-                raise ParseError("length bound outside the 64-bit range", e.line, e.col)
+                raise self.fail(e, "length bound outside the 64-bit range")
             terms = [i for i in items if not isinstance(i[1], IntConst)]
             if not all(INT64_MIN <= c <= INT64_MAX for c, _ in terms):
-                raise ParseError("length coefficient outside the 64-bit range", e.line, e.col)
+                raise self.fail(e, "length coefficient outside the 64-bit range")
             return LenLeq(sum_of(*terms), bound)
         if head == "str.in.re":
-            if len(e.items) != 3:
-                raise ParseError("str.in.re needs a term and a regex", e.line, e.col)
-            return InRe(self.str_term(e.items[1]), self.regex(e.items[2]))
-        if head in ("and", "or"):
-            if len(e.items) < 2:
-                raise ParseError(f"{head} needs at least one argument", e.line, e.col)
-            parts = [self.formula(x) for x in e.items[1:]]
+            if len(e) != 4:
+                raise self.fail(e, "str.in.re needs a term and a regex")
+            return InRe(self.str_term(e[2]), self.regex(e[3]))
+        if head == "and" or head == "or":
+            parts = [self.formula(x) for x in self.some(e, head)]
             return conj(*parts) if head == "and" else disj(*parts)
         if head == "not":
-            if len(e.items) != 2:
-                raise ParseError("not needs exactly one argument", e.line, e.col)
-            return Not(self.formula(e.items[1]))
-        raise ParseError(f"unknown formula head {head!r}", e.line, e.col)
+            if len(e) != 3:
+                raise self.fail(e, "not needs exactly one argument")
+            return Not(self.formula(e[2]))
+        raise self.fail(e, f"unknown formula head {_symbol(head)!r}")
 
     # -- directives ---------------------------------------------------------
 
-    def directive(self, e: SExpr) -> None:
-        if not isinstance(e, SList) or _head(e) is None:
-            raise ParseError("expected a directive", e.line, e.col)
-        head = _head(e)
+    def directive(self, e: Item) -> None:
+        head = None if type(e) is int else self.head(e)
         if head == "set-alphabet":
-            if len(e.items) != 2 or not (
-                isinstance(e.items[1], Token) and e.items[1].kind == "string"
-            ):
-                raise ParseError("set-alphabet needs one string literal", e.line, e.col)
+            letters = self.string(e[2]) if len(e) == 3 else None
+            if letters is None:
+                raise self.fail(e, "set-alphabet needs one string literal")
             if self.alphabet is not None:
-                raise ParseError("the alphabet is already set", e.line, e.col)
-            letters = e.items[1].value
+                raise self.fail(e, "the alphabet is already set")
             if len(set(letters)) != len(letters):
-                raise ParseError("alphabet letters must be distinct", e.line, e.col)
+                raise self.fail(e, "alphabet letters must be distinct")
             self.alphabet = letters
+            self.letters = frozenset(letters)
             return
         if head == "declare-const":
-            if (
-                len(e.items) != 3
-                or not isinstance(e.items[1], Token)
-                or e.items[1].kind != "symbol"
-                or not isinstance(e.items[2], Token)
-                or e.items[2].kind != "symbol"
-            ):
-                raise ParseError("declare-const needs a name and a sort", e.line, e.col)
-            name = e.items[1].value
-            sort = e.items[2].value
-            if name in self.str_vars or name in self.int_vars:
-                raise ParseError(f"{name} is already declared", e.line, e.col)
-            if sort == "String":
-                if self.alphabet is None:
-                    raise ParseError(
-                        "set-alphabet must come before String declarations", e.line, e.col
-                    )
-                self.str_vars.append(name)
-            elif sort == "Int":
-                self.int_vars.append(name)
-            else:
-                raise SortError(f"unknown sort {sort}", e.line, e.col)
+            name, sort = (_symbol(self.atom(x)) for x in e[2:4]) if len(e) == 4 else (None, None)
+            if name is None or sort is None:
+                raise self.fail(e, "declare-const needs a name and a sort")
+            if name in self.sorts:
+                raise self.fail(e, f"{name} is already declared")
+            if sort == "String" and self.alphabet is None:
+                raise self.fail(e, "set-alphabet must come before String declarations")
+            if sort != "String" and sort != "Int":
+                raise self.fail(e, f"unknown sort {sort}", SortError)
+            self.sorts[name] = sort
             return
         if head == "assert":
-            if len(e.items) != 2:
-                raise ParseError("assert needs exactly one formula", e.line, e.col)
+            if len(e) != 3:
+                raise self.fail(e, "assert needs exactly one formula")
             if self.alphabet is None:
-                raise ParseError("set-alphabet must come before assertions", e.line, e.col)
-            self.asserts.append(self.formula(e.items[1]))
+                raise self.fail(e, "set-alphabet must come before assertions")
+            self.asserts.append(self.formula(e[2]))
             return
-        if head == "check-sat":
-            if len(e.items) != 1:
-                raise ParseError("check-sat takes no arguments", e.line, e.col)
-            self.check_sat = True
+        if head == "check-sat" or head == "get-model":
+            if len(e) != 2:
+                raise self.fail(e, f"{head} takes no arguments")
+            self.flags.add(head)
             return
-        if head == "get-model":
-            if len(e.items) != 1:
-                raise ParseError("get-model takes no arguments", e.line, e.col)
-            self.get_model = True
-            return
-        raise ParseError(f"unknown directive {head!r}", e.line, e.col)
+        if _symbol(head) is None:
+            raise self.fail(e, "expected a directive")
+        raise self.fail(e, f"unknown directive {head!r}")
 
 
 def parse_problem(text: str) -> Problem:
-    reader = _ProblemReader()
-    for e in read_sexprs(text):
+    toks = _TOKEN_TEXT.findall(text)
+    if ";" in text:
+        toks = [t for t in toks if t]  # drop the comments
+    reader = _ProblemReader(text, toks)
+    for e in _tree(text, toks):
         reader.directive(e)
     if reader.alphabet is None:
-        raise ParseError("the file never sets an alphabet", 1, 1)
+        raise _error(text, None, "the file never sets an alphabet")
     return Problem(
         alphabet=reader.alphabet,
-        str_vars=tuple(reader.str_vars),
-        int_vars=tuple(reader.int_vars),
+        str_vars=tuple(n for n, sort in reader.sorts.items() if sort == "String"),
+        int_vars=tuple(n for n, sort in reader.sorts.items() if sort == "Int"),
         asserts=tuple(reader.asserts),
-        check_sat=reader.check_sat,
-        get_model=reader.get_model,
+        check_sat="check-sat" in reader.flags,
+        get_model="get-model" in reader.flags,
     )
 
 
@@ -403,14 +413,13 @@ def parse_problem(text: str) -> Problem:
 
 def parse_2cm(text: str):
     """Parse the line-based two-counter machine format."""
-    from .twocounter import MalformedMachine, NondeterministicDelta, TwoCounterMachine
+    from .twocounter import MalformedMachine, TwoCounterMachine
 
     states: tuple[str, ...] | None = None
     alphabet: tuple[str, ...] | None = None
     initial: str | None = None
     finals: tuple[str, ...] | None = None
-    rules: list = []
-    rule_keys: set = set()
+    rules: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -450,26 +459,17 @@ def parse_2cm(text: str):
         if "->" not in line:
             raise ParseError("expected a header or a rule", lineno, 1)
         lhs, _, rhs = line.partition("->")
-        left = lhs.split()
-        right = rhs.split()
+        left, right = lhs.split(), rhs.split()
         if len(left) != 4 or len(right) != 3:
-            raise ParseError(
-                "rules look like: state letter Z|b Z|c -> state in|stor1|stor2 L|R",
-                lineno,
-                1,
-            )
+            shape = "state letter Z|b Z|c -> state in|stor1|stor2 L|R"
+            raise ParseError(f"rules look like: {shape}", lineno, 1)
         key4 = tuple(left)
-        if key4 in rule_keys:
-            raise NondeterministicDelta(f"line {lineno}: duplicate rule for {key4}")
-        rule_keys.add(key4)
-        rules.append((key4, tuple(right)))
+        if key4 in rules:
+            raise DuplicateRule(f"duplicate rule for {key4}", lineno, 1)
+        rules[key4] = tuple(right)
 
-    for name, val in (
-        ("states", states),
-        ("input-alphabet", alphabet),
-        ("initial", initial),
-        ("final", finals),
-    ):
+    headers = {"states": states, "input-alphabet": alphabet, "initial": initial, "final": finals}
+    for name, val in headers.items():
         if val is None:
             raise ParseError(f"missing header {name!r}", 1, 1)
     assert states and alphabet and initial is not None and finals is not None
@@ -479,7 +479,7 @@ def parse_2cm(text: str):
             input_alphabet=alphabet,
             initial=initial,
             finals=frozenset(finals),
-            rules=tuple(rules),
+            rules=tuple(rules.items()),
         )
     except MalformedMachine as exc:
         raise ParseError(str(exc), 1, 1) from None

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import ResourceExhausted, WordeqError
+from .errors import NondeterministicDelta, ResourceExhausted, WordeqError
 from .normalize import walk_product
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
 from .propagate import Eq as _Eq, conjuncts
@@ -49,10 +49,6 @@ from .terms import (
     disj,
     free_vars,
 )
-
-
-class NondeterministicDelta(WordeqError):
-    """Two rules share the same (state, letter, zero-tests) key."""
 
 
 class EncodingCapExceeded(WordeqError):

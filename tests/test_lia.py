@@ -97,14 +97,19 @@ def test_empty_and_constant_rows():
 
 
 def test_coefficient_overflow_guard():
+    # the range is checked after a row is divided by its coefficients'
+    # gcd, so each overflowing row has a second coefficient of 1
     with pytest.raises(CoefficientOverflow):
-        lia_sat([Row({x(): 2**64}, "eq", 0)])
+        lia_sat([Row({x(): 2**64, x("y"): 1}, "eq", 0)])
     with pytest.raises(CoefficientOverflow):
         lia_sat([Row({x(): 1}, "le", 2**63)])
     with pytest.raises(CoefficientOverflow):
         lia_sat([Row({x(): 1}, "le", -(2**63) - 1)])
     with pytest.raises(CoefficientOverflow):
-        lia_sat([Row({x(): -(2**63) - 1}, "le", 0)])
+        lia_sat([Row({x(): -(2**63) - 1, x("y"): 1}, "le", 0)])
+    # divided by their gcd, these rows are x = 0 and -x <= 0
+    assert lia_sat([Row({x(): 2**64}, "eq", 0)]) == {x(): 0}
+    assert lia_sat([Row({x(): -(2**63) - 1}, "le", 0)]) == {x(): 0}
     # -2**63 is in the range, as a coefficient and as a bound
     n = int_var("n")
     for rows in ([Row({n: 1}, "le", -(2**63))], [Row({n: -(2**63)}, "le", -(2**63))]):
