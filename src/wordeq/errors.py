@@ -22,6 +22,27 @@ class ResourceExhausted(WordeqError):
     """A search or expansion ran out of one of its limits."""
 
 
+# The work units one ``check_sat`` call may spend over all of its layers:
+# over 100 times the most that any benchmark input or test draws.
+WORK_BUDGET = 200_000
+
+
+class Budget:
+    """The work units left to one call, which every layer it reaches
+    draws from; running out ends the call."""
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = WORK_BUDGET
+
+    def draw(self, n: int, layer: str) -> None:
+        """Spend n units, or raise ResourceExhausted naming the layer."""
+        if n > self.left:
+            raise ResourceExhausted(f"work budget exhausted in {layer}")
+        self.left -= n
+
+
 class CoefficientOverflow(WordeqError):
     """A linear-arithmetic coefficient fell outside the 64-bit range."""
 

@@ -26,14 +26,10 @@ substituted in; then only its rows and the shared blocks they touch are
 eliminated and searched again, while the untouched blocks keep their
 shared solution.  The first group with a model ends the call.
 
-``MAX_NODES`` bounds the nodes one call counts, summed over its blocks
-and groups, and turns pathological instances into ResourceExhausted
-instead of a silent wrong answer.  A search that runs out is not
-counted and is not final: a shared block that runs out stays open, and
-only a group whose rows touch it can decide it; a group that runs out,
-or leaves an open block alone and is not refuted, is undecided, and the
-later groups still run.  The call raises ResourceExhausted only when
-no group has a model and some group is undecided.
+Every branch-and-bound node, over all blocks and groups, draws one unit
+from the call's ``Budget``, which ``check_sat`` shares with its other
+layers.  Running out raises ResourceExhausted and ends the call, so a
+pathological instance is never answered by a guess.
 
 A block keeps one bounded-variable simplex across all of its nodes
 (Dutertre and de Moura, *A Fast Linear-Arithmetic Solver for DPLL(T)*,
@@ -52,13 +48,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .errors import CoefficientOverflow, ResourceExhausted
+from .errors import Budget, CoefficientOverflow
 from .lengths import LinVar, Row
 from .parser import INT64_MAX, INT64_MIN
-
-# The most branch-and-bound nodes one call counts, summed over its blocks
-# and groups; a search that runs out is not counted.
-MAX_NODES = 10**6
 
 _ColRow = tuple[dict[int, int], int]  # sparse coeffs over columns, bound
 _Box = dict[int, tuple[int, int | None]]  # per-column integer bounds
@@ -321,10 +313,10 @@ def _solve_block(
     eqs: list[_ColRow],
     les: list[_ColRow],
     pairs: list[tuple[int, int]],
-    nodes: int,
-) -> tuple[dict[int, int] | None, int]:
-    """Branch and bound over one block: an integer point of its rows (or
-    None) and the node count, carried on from ``nodes``."""
+    budget: Budget,
+) -> dict[int, int] | None:
+    """Branch and bound over one block: an integer point of its rows, or
+    None."""
     ubound = _small_model_bound(les + eqs + eqs, len(cols))  # eq = two les
     lp = _Simplex(cols, eqs, les)
     # Every row keeps opposite coefficients on the two columns of a split
@@ -336,9 +328,7 @@ def _solve_block(
     for jp, jm in pairs:
         stack = [{**box, pin: (0, 0)} for box in stack for pin in (jp, jm)]
     while stack:
-        nodes += 1
-        if nodes > MAX_NODES:
-            raise ResourceExhausted("integer search exceeded its node budget")
+        budget.draw(1, "lia")
         box = stack.pop()
         if any(lo > ubound or (hi is not None and lo > hi) for lo, hi in box.values()):
             continue
@@ -350,14 +340,14 @@ def _solve_block(
             continue
         frac = next((j for j in cols if lp.value[j].denominator != 1), None)
         if frac is None:
-            return {j: int(lp.value[j]) for j in cols}, nodes
+            return {j: int(lp.value[j]) for j in cols}
         val = lp.value[frac]
         floor_v = val.numerator // val.denominator
         lo, hi = box.get(frac, (0, None))
         stack.append({**box, frac: (max(lo, floor_v + 1), hi)})
         # explored first: prefer small values
         stack.append({**box, frac: (lo, floor_v if hi is None else min(hi, floor_v))})
-    return None, nodes
+    return None
 
 
 def _add_columns(rows: list[Row], cols_of: dict[LinVar, list[tuple[int, int]]], ncols: int) -> int:
@@ -392,21 +382,21 @@ def _column_rows(
 
 
 def _solve_blocks(
-    eqs: list[_ColRow], les: list[_ColRow], pairs: list[tuple[int, int]], nodes: int
-) -> tuple[list[tuple[list[int], dict[int, int]]] | None, int]:
-    """Each block's columns and integer point, or None when some block
-    has none, and the node count, carried on from ``nodes``."""
+    eqs: list[_ColRow], les: list[_ColRow], pairs: list[tuple[int, int]], budget: Budget
+) -> list[tuple[_Block, dict[int, int]]] | None:
+    """Each block with its integer point, or None when some block has
+    none."""
     solved = []
     for block in _blocks(eqs, les, pairs):
-        found, nodes = _solve_block(*block, nodes)
+        found = _solve_block(*block, budget)
         if found is None:
-            return None, nodes
+            return None
         solved.append((block, found))
-    return solved, nodes
+    return solved
 
 
 def lia_sat(
-    rows: list[Row], groups: Iterable[list[Row]] = ([],)
+    rows: list[Row], groups: Iterable[list[Row]] = ([],), budget: Budget | None = None
 ) -> dict[LinVar, int] | None:
     """A nonnegative-integer model (``int`` kind ranging over all
     integers) of the rows and of the first group of rows that has one
@@ -415,10 +405,12 @@ def lia_sat(
     The groups are a disjunction that all share ``rows``.  The shared rows
     are eliminated and their blocks solved once; when one of those blocks
     is infeasible, no group is pulled from ``groups`` at all.  Each group
-    is then decided with only the shared blocks its rows touch.  Raises
-    ResourceExhausted when no group has a model and some group was left
-    undecided by the node limit.
+    is then decided with only the shared blocks its rows touch.  Every
+    node draws from ``budget``, a fresh one when none is given; raises
+    ResourceExhausted when it runs out.
     """
+    if budget is None:
+        budget = Budget()
     _validate(rows)
     cols_of: dict[LinVar, list[tuple[int, int]]] = {}
     ncols = _add_columns(rows, cols_of, 0)
@@ -428,24 +420,11 @@ def lia_sat(
     except _Infeasible:
         return None
     pairs = [(cols[0][0], cols[1][0]) for cols in cols_of.values() if len(cols) == 2]
-    # each shared block with its integer point, or None while it is open
-    shared: list[tuple[_Block, dict[int, int] | None]] = []
-    nodes = 0
-    for block in _blocks(eqs, les, pairs):
-        try:
-            found, nodes = _solve_block(*block, nodes)
-        except ResourceExhausted:
-            # Not final: its nodes are not counted, and a group whose rows
-            # constrain the block searches it again with them.
-            shared.append((block, None))
-            continue
-        if found is None:
-            return None
-        shared.append((block, found))
+    shared = _solve_blocks(eqs, les, pairs, budget)
+    if shared is None:
+        return None
     block_of = {j: i for i, (block, _) in enumerate(shared) for j in block[0]}
-    opened = {i for i, (_, found) in enumerate(shared) if found is None}
 
-    undecided = False
     for group in groups:
         _validate(group)
         group_cols = dict(cols_of)
@@ -464,16 +443,8 @@ def lia_sat(
         except _Infeasible:
             continue
         group_pairs = [(c[0][0], c[1][0]) for c in group_cols.values() if len(c) == 2]
-        try:
-            solved, nodes = _solve_blocks(geqs, gles, group_pairs, nodes)
-        except ResourceExhausted:
-            undecided = True  # not counted either; the later groups still run
-            continue
+        solved = _solve_blocks(geqs, gles, group_pairs, budget)
         if solved is None:
-            continue
-        if opened - touched:
-            # an open block its rows leave alone would only run out again
-            undecided = True
             continue
         solution = {
             j: v
@@ -484,8 +455,6 @@ def lia_sat(
         for _, found in solved:
             solution.update(found)
         return _model(solution, elims + group_elims, group_cols, rows + group)
-    if undecided:
-        raise ResourceExhausted("integer search exceeded its node budget")
     return None
 
 

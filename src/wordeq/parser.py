@@ -342,7 +342,9 @@ class _ProblemReader:
             if len(e) != 3:
                 raise self.fail(e, "not needs exactly one argument")
             return Not(self.formula(e[2]))
-        raise self.fail(e, f"unknown formula head {_symbol(head)!r}")
+        if _symbol(head) is None:
+            raise self.fail(e, "expected a formula")
+        raise self.fail(e, f"unknown formula head {head!r}")
 
     # -- directives ---------------------------------------------------------
 
@@ -420,6 +422,8 @@ def parse_2cm(text: str):
     initial: str | None = None
     finals: tuple[str, ...] | None = None
     rules: dict[tuple[str, ...], tuple[str, ...]] = {}
+    # the line of each header and rule, to place a MalformedMachine
+    where: dict[str | tuple[str, ...], int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -429,6 +433,7 @@ def parse_2cm(text: str):
             key, _, rest = line.partition(":")
             key = key.strip()
             values = tuple(rest.split())
+            where[key] = lineno
             if key == "states":
                 if states is not None:
                     raise ParseError("states given twice", lineno, 1)
@@ -467,6 +472,7 @@ def parse_2cm(text: str):
         if key4 in rules:
             raise DuplicateRule(f"duplicate rule for {key4}", lineno, 1)
         rules[key4] = tuple(right)
+        where[key4] = lineno
 
     headers = {"states": states, "input-alphabet": alphabet, "initial": initial, "final": finals}
     for name, val in headers.items():
@@ -482,4 +488,4 @@ def parse_2cm(text: str):
             rules=tuple(rules.items()),
         )
     except MalformedMachine as exc:
-        raise ParseError(str(exc), 1, 1) from None
+        raise ParseError(str(exc), where.get(exc.at, 1), 1) from None

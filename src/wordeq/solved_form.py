@@ -5,7 +5,7 @@ constants, integer-parameter powers and unfixed parts.  ``to_solved_form``
 returns a finite list of solved forms whose instances are exactly the
 solutions of the input system, the ``Unsat`` marker when there are none,
 or ``OutOfFragment`` when some branch falls outside the shapes the rules
-cover (or exceeds the rewriting budget).
+cover.
 
 Each side of an equation being rewritten is a tuple of parametric-word
 blocks (``paramwords``): its unfixed parts are the variables not yet
@@ -39,11 +39,13 @@ of ``GROWTH_BUDGET`` steps per branch; every other step strictly shrinks
 the measure (variables, parameters, symbols), checked against the exact
 measure of the system it starts from.  That measure is taken once per
 step: the one checked after a step is carried into the next.  A branch
-that exhausts its budget, needs more than ``MAX_GROUND_MATCHES`` ways to
-ground an equation, or meets no applicable rule is blocked: the other
-branches still run, and the result is an ``OutOfFragment`` that carries
-the solved forms they found.  More than ``MAX_BRANCHES`` branch states
-stop the whole call the same way.
+that exhausts its growth budget or meets no applicable rule is blocked:
+the other branches still run, and the result is an ``OutOfFragment``
+that carries the solved forms they found.
+
+Every branch state and every way to ground an equation draws one unit
+from the call's work ``Budget``, which ``check_sat`` shares with its other
+layers; running out raises ResourceExhausted and ends the call.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import UnmappedVariable
+from .errors import Budget, UnmappedVariable
 from .paramwords import (
     Blocks,
     Const,
@@ -66,10 +68,6 @@ from .terms import Lit, NameGen, StrTerm, Var, WordEq, str_term_vars
 
 # straddle and peel steps along any one branch
 GROWTH_BUDGET = 8
-# branch states one call explores
-MAX_BRANCHES = 10_000
-# ways to match a pattern side against a constant side
-MAX_GROUND_MATCHES = 1024
 
 
 def term_to_side(t: StrTerm) -> Blocks:
@@ -118,9 +116,10 @@ class Unsat:
 
 @dataclass(frozen=True)
 class OutOfFragment:
-    """Some branch left the rules' shapes or ran out of a limit, for the
-    first-met ``reason``.  ``forms`` are the solved forms the other
-    branches found: their instances are solutions, but maybe not all."""
+    """Some branch left the rules' shapes or ran out of its growth budget,
+    for the first-met ``reason``.  ``forms`` are the solved forms the
+    other branches found: their instances are solutions, but maybe not
+    all."""
 
     reason: str
     forms: tuple[SolvedForm, ...]
@@ -199,10 +198,11 @@ def _simplify(l: Blocks, r: Blocks) -> tuple[Blocks, Blocks] | str | None:
 
 class _State:
     """One branch: the pending equations, each simplified, the bindings
-    made so far, the growth budget left, ``measured``, the measure of
-    ``pending`` when a step has taken it already (None after a copy or a
-    change), and ``dead``, the clash that refuted an equation (None while
-    the branch lives; a dead branch has nothing pending).
+    made so far, ``growth``, the straddle and peel steps left, ``work``,
+    the call's work budget that all its branches share, ``measured``, the
+    measure of ``pending`` when a step has taken it already (None after a
+    copy or a change), and ``dead``, the clash that refuted an equation
+    (None while the branch lives; a dead branch has nothing pending).
 
     Bindings are triangular: ``bind`` substitutes into the pending
     equations only, so a binding mentions only variables bound after it,
@@ -210,22 +210,24 @@ class _State:
     ``unroll_param``) still rewrites every binding; it commutes with the
     substitutions, so the composed forms are those of eager substitution."""
 
-    __slots__ = ("pending", "bindings", "budget", "measured", "dead")
+    __slots__ = ("pending", "bindings", "growth", "work", "measured", "dead")
 
     def __init__(
         self,
         pending: list[tuple[Blocks, Blocks]],
         bindings: dict[str, Blocks],
-        budget: int,
+        growth: int,
+        work: Budget | None = None,
     ) -> None:
         self.pending = pending
         self.bindings = bindings
-        self.budget = budget
+        self.growth = growth
+        self.work = Budget() if work is None else work
         self.measured: tuple[int, int, int] | None = None
         self.dead: str | None = None
 
     def copy(self) -> "_State":
-        return _State(list(self.pending), dict(self.bindings), self.budget)
+        return _State(list(self.pending), dict(self.bindings), self.growth, self.work)
 
     # -- global rewrites ----------------------------------------------------
 
@@ -293,7 +295,7 @@ class _State:
 # A rule returns None (not applicable) or one of:
 #   ("again", None)            applied in place, rescan
 #   ("branch", [states])       replaced by these successors (none: no solutions)
-#   ("oof", reason)            out of fragment / budget exhausted
+#   ("oof", reason)            out of fragment / growth budget exhausted
 _Step = tuple[str, object]
 
 
@@ -368,10 +370,10 @@ def _rule_straddle(st: _State, idx: int, gen: NameGen) -> _Step | None:
         if shape is None or shape[0] == shape[3]:
             continue
         x, u, v, y = shape
-        if st.budget <= 0:
+        if st.growth <= 0:
             return ("oof", "straddle budget exhausted")
         long_child = st.copy()
-        long_child.budget -= 1
+        long_child.growth -= 1
         long_child.pending.pop(idx)
         w = Unfixed(gen.fresh("W"))
         long_child.bind(x, (Const(v), w))
@@ -450,11 +452,11 @@ def _rule_ground(st: _State, idx: int, gen: NameGen) -> _Step | None:
         word = ground_word(b)
         if word is None:
             continue
-        matches = _match_pattern(a, word, MAX_GROUND_MATCHES)
-        if matches is None:
-            return ("oof", "ground matching has too many cases")
+        matches = _match_pattern(a, word, st.work.left)
+        # more matches than units left overdraws the budget, which raises
+        st.work.draw(st.work.left + 1 if matches is None else len(matches), "solved_form")
         children = []
-        for venv, penv in matches:
+        for venv, penv in matches or ():
             child = st.copy()
             child.pending.pop(idx)
             for name, seg in venv.items():
@@ -470,13 +472,13 @@ def _rule_peel(st: _State, idx: int, gen: NameGen) -> _Step | None:
     l, r = st.pending[idx]
     for s in (l, r):
         if s and isinstance(s[0], Power):
-            if st.budget <= 0:
+            if st.growth <= 0:
                 return ("oof", "peel budget exhausted")
             param = s[0].param
             zero = st.copy()
             zero.set_param(param, 0)
             unrolled = st.copy()
-            unrolled.budget -= 1
+            unrolled.growth -= 1
             unrolled.unroll_param(param, gen.fresh("i"))
             return ("branch", [zero, unrolled])
     return None
@@ -530,14 +532,17 @@ def to_solved_form(
     eqs: Iterable[WordEq],
     variables: Iterable[str] = (),
     gen: NameGen | None = None,
+    budget: Budget | None = None,
 ) -> list[SolvedForm] | Unsat | OutOfFragment:
     """Solve a conjunction of word equations.
 
     ``variables`` may list names that must appear in every solved form
-    even when no equation mentions them.
+    even when no equation mentions them.  Every branch state and ground
+    match draws from ``budget``, a fresh one when none is given; raises
+    ResourceExhausted when it runs out.
     """
     all_vars: set[str] = set(variables)
-    start = _State([], {}, GROWTH_BUDGET)
+    start = _State([], {}, GROWTH_BUDGET, budget)
     for eq in eqs:
         l, r = term_to_side(eq.lhs), term_to_side(eq.rhs)
         all_vars |= side_vars(l) | side_vars(r)
@@ -554,12 +559,9 @@ def to_solved_form(
     stack = [start]
     solved: list[SolvedForm] = []
     blocked: str | None = None
-    explored = 0
     while stack:
         st = stack.pop()
-        explored += 1
-        if explored > MAX_BRANCHES:
-            return OutOfFragment("branch budget exhausted", tuple(solved))
+        st.work.draw(1, "solved_form")
         while st.dead is None:
             if not st.pending:
                 sf = _resolve(st, all_vars)

@@ -16,6 +16,8 @@ each solved form is one call to the linear solver: it decides the shared
 rows once and pulls the groups one at a time, and each group is built
 only when it is pulled.  A model of the rows is turned back into concrete
 words and re-checked against the original formula before being reported.
+Every layer draws from one work ``Budget`` per call, and running out
+makes the whole call Unsupported, naming the layer that ran out.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator
 
 from . import parser
 from .automata import Prog, param_membership, prog_intersect, regex_to_dfa
-from .errors import CoefficientOverflow, LetterOutsideAlphabet, ResourceExhausted
+from .errors import Budget, CoefficientOverflow, LetterOutsideAlphabet, ResourceExhausted
 from .errors import UnfixedPartPresent
 from .lengths import (
     LinVar,
@@ -85,11 +87,6 @@ _Alternative = tuple[int, list[Atom]]
 _Prefix = tuple[tuple[_Alternative, ...], _Decision | None]
 _CHOSEN: Tree = ("leaf", None)  # decides the prefix: a choice was just made
 
-# The most row groups the integer solver may pull from the membership
-# atoms under one solved form; ResourceExhausted is raised before one
-# more is built.
-MAX_MEMBERSHIP_GROUPS = 20_000
-
 
 class _UnfixedMembership(UnfixedPartPresent):
     """A membership atom over unfixed parts, which blocks its branch;
@@ -101,10 +98,12 @@ def _regex_row_groups(
     sf: SolvedForm,
     alphabet: str,
     gen: NameGen,
+    budget: Budget,
 ) -> Iterator[list[Row]]:
     """The membership atoms under a solved form as a disjunction of row
     groups over the power parameters each regex admits, none when some
-    atom can never hold.  A membership over unfixed parts raises
+    atom can never hold; each group draws one unit from ``budget`` before
+    it is built.  A membership over unfixed parts raises
     _UnfixedMembership when the first group is pulled, except over the
     empty alphabet, where every part is the empty word."""
     per_atom_boxes: list[list[dict[str, Prog]]] = []
@@ -122,16 +121,14 @@ def _regex_row_groups(
     # One box per atom, depth first in the order of their product: each
     # prefix is intersected once and a dead one is never extended.  A
     # merged box is one group, since it holds one progression per parameter.
-    for built, merged in enumerate(walk_product(per_atom_boxes, _merge_box, {}), 1):
-        group = [
+    for merged in walk_product(per_atom_boxes, _merge_box, {}):
+        budget.draw(1, "solver")
+        yield [
             row
             for p, prog in sorted(merged.items())
             for rows in upset_rows({param_var(p): 1}, 0, [prog], gen)
             for row in rows
         ]
-        if built > MAX_MEMBERSHIP_GROUPS:
-            raise ResourceExhausted("too many membership branches")
-        yield group
 
 
 def _merge_box(prefix: dict[str, Prog], box: dict[str, Prog]) -> dict[str, Prog] | None:
@@ -159,7 +156,9 @@ def _shared_rows(sf: SolvedForm, lens: list[LenLeq], alphabet: str) -> list[Row]
     return rows
 
 
-def _decide(atoms: list[Atom], svars: set[str], alphabet: str, gen: NameGen) -> _Decision:
+def _decide(
+    atoms: list[Atom], svars: set[str], alphabet: str, gen: NameGen, budget: Budget
+) -> _Decision:
     """Decide a conjunction of positive atoms.
 
     Each solved form makes one ``lia_sat`` call: its shared rows with the
@@ -170,12 +169,13 @@ def _decide(atoms: list[Atom], svars: set[str], alphabet: str, gen: NameGen) -> 
     form refute the atoms, and otherwise Unsupported for the first reason
     that rewriting or a solved form was blocked; the solved forms that a
     partly blocked rewriting still found are decided too.  Rows past 64
-    bits block only their solved form.
+    bits block only their solved form, while running out of ``budget``
+    raises ResourceExhausted and ends the whole call.
     """
     eqs = [a for a in atoms if isinstance(a, WordEq)]
     lens = [a for a in atoms if isinstance(a, LenLeq)]
     res = [a for a in atoms if isinstance(a, InRe)]
-    solved = to_solved_form(eqs, variables=svars, gen=gen)
+    solved = to_solved_form(eqs, variables=svars, gen=gen, budget=budget)
     if isinstance(solved, Unsat):
         return solved
     blocked = None
@@ -184,9 +184,11 @@ def _decide(atoms: list[Atom], svars: set[str], alphabet: str, gen: NameGen) -> 
     for sf in solved:
         try:
             model = lia_sat(
-                _shared_rows(sf, lens, alphabet), _regex_row_groups(res, sf, alphabet, gen)
+                _shared_rows(sf, lens, alphabet),
+                _regex_row_groups(res, sf, alphabet, gen, budget),
+                budget,
             )
-        except (ResourceExhausted, CoefficientOverflow, _UnfixedMembership) as exc:
+        except (CoefficientOverflow, _UnfixedMembership) as exc:
             blocked = blocked or str(exc)
             continue
         if model is not None:
@@ -236,8 +238,8 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
 
     Sound for both answers: a Sat verdict carries a model that was
     re-checked by evaluation, an Unsat verdict means every conjunction was
-    refuted.  Inputs outside the supported fragment (or beyond one of the
-    limits) come back Unsupported instead of a guess.
+    refuted.  Inputs outside the supported fragment, or beyond the work
+    budget, come back Unsupported instead of a guess.
 
     Every prefix starts with the top-level conjuncts that have one
     alternative.  ``_decide`` decides a prefix, its atoms in formula
@@ -245,12 +247,13 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
     literal's alternative), and a conjunction that no choice decided whole
     at its end.  A refuted prefix cuts every conjunction below it.
 
-    A conjunction that leaves the fragment or runs out of a limit is
-    blocked: the others still run, and the verdict is Unsupported only
-    when none of them is Sat and some was blocked.  A formula nested
-    deeper than the parser accepts is Unsupported before any recursive
-    walk: ``scan`` walks without recursion, while normalization and
-    evaluation recurse.
+    A conjunction that leaves the fragment is blocked: the others still
+    run, and the verdict is Unsupported only when none of them is Sat and
+    some was blocked.  One ``Budget``, made here, is shared by the walk
+    and every layer it calls; running out ends the whole call as
+    Unsupported, whatever is left unwalked.  A formula nested deeper than
+    the parser accepts is Unsupported before any recursive walk: ``scan``
+    walks without recursion, while normalization and evaluation recurse.
     """
     scanned = scan(phi, parser.MAX_DEPTH)
     if scanned is None:
@@ -263,35 +266,35 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
         )
     gen = NameGen(svars | ivars)
     places = count()
+    budget = Budget()
 
     def literal(atom: Atom, positive: bool) -> Tree:
         alts = eliminate_negations(atom, positive, alphabet, gen)
         leaves = [("leaf", (next(places), alt)) for alt in alts]
         return leaves[0] if len(leaves) == 1 else ("or", leaves)
 
-    try:
-        tree = dnf_tree(phi, literal)
-    except ResourceExhausted as exc:
-        return Unsupported(str(exc))
-    forced: list[_Alternative] = []
-    tree = "and", [_choices(tree, forced), _CHOSEN]
-
     def extend(prefix: _Prefix, item: _Alternative | None) -> _Prefix | None:
+        budget.draw(1, "normalize")
         taken, decision = prefix
         if item is not None:
             return taken + (item,), None
         if decision is None:
             atoms = [a for _, alt in sorted(taken) for a in alt]
-            decision = _decide(atoms, svars, alphabet, gen)
+            decision = _decide(atoms, svars, alphabet, gen, budget)
         return None if isinstance(decision, Unsat) else (taken, decision)
 
     blocked: str | None = None
-    for _, decision in walk(tree, extend, (tuple(forced), None)):
-        if isinstance(decision, tuple):
-            verdict = _build_model(*decision, svars, ivars, alphabet)
-            if not eval_formula(phi, verdict.assignment()):
-                raise AssertionError(f"the model {verdict} does not satisfy the formula")
-            return verdict
-        if isinstance(decision, Unsupported):
-            blocked = blocked or decision.reason
+    try:
+        forced: list[_Alternative] = []
+        tree = "and", [_choices(dnf_tree(phi, literal), forced), _CHOSEN]
+        for _, decision in walk(tree, extend, (tuple(forced), None)):
+            if isinstance(decision, tuple):
+                verdict = _build_model(*decision, svars, ivars, alphabet)
+                if not eval_formula(phi, verdict.assignment()):
+                    raise AssertionError(f"the model {verdict} does not satisfy the formula")
+                return verdict
+            if isinstance(decision, Unsupported):
+                blocked = blocked or decision.reason
+    except ResourceExhausted as exc:
+        return Unsupported(str(exc))
     return Unsat() if blocked is None else Unsupported(blocked)

@@ -56,12 +56,18 @@ class EncodingCapExceeded(WordeqError):
 
 
 class MalformedMachine(WordeqError):
-    """A machine, a configuration or an input word is not well formed."""
+    """A machine, a configuration or an input word is not well formed.
+    ``at`` is the header name or the rule key of a machine that failed,
+    when the failure is in one of them."""
+
+    def __init__(self, message: str, at: str | tuple[str, ...] | None = None) -> None:
+        super().__init__(message)
+        self.at = at
 
 
-def _check(ok: bool, message: str) -> None:
+def _check(ok: bool, message: str, at: str | tuple[str, ...] | None = None) -> None:
     if not ok:
-        raise MalformedMachine(message)
+        raise MalformedMachine(message, at)
 
 
 # defect clauses in an encoded sentence
@@ -87,26 +93,35 @@ class TwoCounterMachine:
     rules: tuple[tuple[DeltaKey, DeltaVal], ...]
 
     def __post_init__(self) -> None:
-        _check(len(set(self.states)) == len(self.states), "states must be distinct")
+        _check(len(set(self.states)) == len(self.states), "states must be distinct", "states")
         _check(
             len(set(self.input_alphabet)) == len(self.input_alphabet),
             "input letters must be distinct",
+            "input-alphabet",
         )
-        _check(self.initial in self.states, f"initial state {self.initial!r} is not declared")
-        _check(self.finals <= set(self.states), "final states must be declared")
+        _check(
+            self.initial in self.states,
+            f"initial state {self.initial!r} is not declared",
+            "initial",
+        )
+        _check(self.finals <= set(self.states), "final states must be declared", "final")
         seen: set[DeltaKey] = set()
         letters = set(self.input_alphabet) | {"end"}
         for (q, a, t1, t2), (q2, track, move) in self.rules:
-            if (q, a, t1, t2) in seen:
-                raise NondeterministicDelta(f"duplicate rule for {(q, a, t1, t2)}")
-            seen.add((q, a, t1, t2))
+            key = (q, a, t1, t2)
+            if key in seen:
+                raise NondeterministicDelta(f"duplicate rule for {key}")
+            seen.add(key)
             _check(
                 q in self.states and q2 in self.states,
-                f"rule for {(q, a, t1, t2)} uses an undeclared state",
+                f"rule for {key} uses an undeclared state",
+                key,
             )
-            _check(a in letters, f"rule letter {a!r} is not in the input alphabet")
-            _check(t1 in ("Z", "b") and t2 in ("Z", "c"), "zero-test tags are Z|b and Z|c")
-            _check(track in TRACKS and move in MOVES, "rule actions are in|stor1|stor2 and L|R")
+            _check(a in letters, f"rule letter {a!r} is not in the input alphabet", key)
+            _check(t1 in ("Z", "b") and t2 in ("Z", "c"), "zero-test tags are Z|b and Z|c", key)
+            _check(
+                track in TRACKS and move in MOVES, "rule actions are in|stor1|stor2 and L|R", key
+            )
 
     @cached_property
     def delta(self) -> dict[DeltaKey, DeltaVal]:

@@ -17,6 +17,7 @@ from pathlib import Path
 from wordeq.automata import dfa_complement, length_set, regex_to_dfa
 from wordeq.normalize import Literal
 from wordeq.paramwords import Const, ParamWord, Power, Unfixed, param_word
+from wordeq.printer import print_problem
 from wordeq.solved_form import SolvedForm
 from wordeq.solver import Sat, Unsat, check_sat
 from wordeq.terms import (
@@ -37,6 +38,7 @@ from wordeq.terms import (
     ReStar,
     ReUnion,
     Regex,
+    StrTerm,
     conj,
     disj,
     free_vars,
@@ -45,6 +47,7 @@ from wordeq.terms import (
     re_seq,
     Var,
     WordEq,
+    concat,
     scale,
     sum_of,
 )
@@ -290,3 +293,63 @@ def reference_to_dnf(phi: Formula) -> list[list[Literal]]:
         return [[Literal(f, True)]]
 
     return dnf(nnf(phi, True))
+
+
+# ---------------------------------------------------------------------------
+# synthetic corpus, with a known solved fraction
+
+
+def _random_term(rng: random.Random, vars_: list[str], avoid: str | None) -> StrTerm:
+    """Short concatenation of constants and variables other than ``avoid``."""
+    pool = [v for v in vars_ if v != avoid]
+    parts: list[StrTerm] = []
+    for _ in range(rng.randint(1, 3)):
+        if pool and rng.random() < 0.4:
+            parts.append(Var(rng.choice(pool)))
+        else:
+            parts.append(Lit("".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))))
+    return concat(*parts)
+
+
+def _solved_equation(rng: random.Random, vars_: list[str]) -> WordEq:
+    lhs = rng.choice(vars_)
+    return WordEq(Var(lhs), _random_term(rng, vars_, avoid=lhs))
+
+
+def _unsolved_equation(rng: random.Random, vars_: list[str]) -> WordEq:
+    x = rng.choice(vars_)
+    if rng.random() < 0.5:
+        # Compound left side.
+        lhs = concat(Lit(rng.choice("ab")), Var(x))
+        return WordEq(lhs, _random_term(rng, vars_, avoid=None))
+    # The left-side variable recurs on the right.
+    rhs = concat(Lit(rng.choice("ab")), Var(x), Lit(rng.choice("ab")))
+    return WordEq(Var(x), rhs)
+
+
+def generate_corpus(
+    out_dir: str | Path, n_files: int = 1000, seed: int = 2024, solved_fraction: float = 0.8
+) -> list[Path]:
+    """Write problem files whose aggregate solved-equation ratio is exact.
+
+    Each file holds a multiple-of-five equation count so the per-file
+    solved share hits the fraction with no rounding drift.
+    """
+    if not 0.0 <= solved_fraction <= 1.0:
+        raise ValueError(f"solved_fraction {solved_fraction} is not between 0 and 1")
+    rng = random.Random(seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i in range(n_files):
+        n = rng.choice((5, 10, 15))
+        k = round(solved_fraction * n)
+        vars_ = [f"X{j}" for j in range(rng.randint(2, 4))]
+        eqs: list[Formula] = [_solved_equation(rng, vars_) for _ in range(k)]
+        eqs += [_unsolved_equation(rng, vars_) for _ in range(n - k)]
+        rng.shuffle(eqs)
+        text = print_problem("ab", vars_, (), eqs, check_sat=False)
+        path = out / f"{i:04d}.eq"
+        path.write_text(text + "\n")
+        paths.append(path)
+    return paths

@@ -17,7 +17,7 @@ from wordeq.automata import (
     regex_to_dfa,
     upset_member,
 )
-from wordeq.corpus import analyze_corpus, generate_corpus
+from wordeq.corpus import analyze_corpus
 from wordeq.errors import ResourceExhausted
 from wordeq.lengths import (
     Row,
@@ -67,6 +67,7 @@ from wordeq.twocounter import Accepted
 from helpers import (
     accepted_lengths_bfs,
     box_has_solution,
+    generate_corpus,
     length_abstraction,
     random_formula_el,
     random_formula_elr,

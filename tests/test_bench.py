@@ -1,10 +1,10 @@
 """Tests for corpus statistics over problem files, and for the names the
 traced benchmark patches."""
 
-import helpers  # noqa: F401  puts perfbench/ on the import path
 import wordeq.automata
 import wordeq.normalize
-from wordeq.corpus import CorpusStats, FileStats, analyze_corpus, analyze_file, generate_corpus
+from helpers import generate_corpus  # also puts perfbench/ on the import path
+from wordeq.corpus import CorpusStats, FileStats, analyze_corpus, analyze_file
 
 MIXED = """\
 (set-alphabet "ab")

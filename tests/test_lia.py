@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from helpers import box_has_solution
-import wordeq.lia as lia
+import wordeq.errors as errors
 from wordeq.errors import CoefficientOverflow, ResourceExhausted
 from wordeq.lengths import LinVar, Row, int_var, len_var, param_var
 from wordeq.lia import lia_sat
@@ -195,14 +195,14 @@ def test_multi_component_frobenius(targets, sat):
 
 
 def nodes_needed(rows, monkeypatch):
-    """The smallest node limit under which lia_sat decides the rows."""
+    """The smallest work budget under which lia_sat decides the rows."""
     for limit in range(1, 10_000):
-        monkeypatch.setattr(lia, "MAX_NODES", limit)
+        monkeypatch.setattr(errors, "WORK_BUDGET", limit)
         try:
             return limit, lia_sat(rows)
         except ResourceExhausted:
             continue
-    raise AssertionError("no node limit up to 10 000 decides the rows")
+    raise AssertionError("no work budget up to 10 000 decides the rows")
 
 
 def test_node_limit_counts_nodes_summed_over_blocks(monkeypatch):
@@ -213,12 +213,12 @@ def test_node_limit_counts_nodes_summed_over_blocks(monkeypatch):
     assert model_first is not None and model_second is not None
 
     joint = first + second
-    monkeypatch.setattr(lia, "MAX_NODES", need_first + need_second)
+    monkeypatch.setattr(errors, "WORK_BUDGET", need_first + need_second)
     model = lia_sat(joint)
     assert model is not None
     verify(joint, model)
-    monkeypatch.setattr(lia, "MAX_NODES", need_first + need_second - 1)
-    with pytest.raises(ResourceExhausted):
+    monkeypatch.setattr(errors, "WORK_BUDGET", need_first + need_second - 1)
+    with pytest.raises(ResourceExhausted, match="work budget exhausted in lia"):
         lia_sat(joint)
 
 
@@ -349,11 +349,9 @@ def test_groups_differential_against_one_call_per_group(monkeypatch):
     # the groups mix the shared unknowns with their own, so they touch
     # some shared blocks and leave others alone.  The systems are
     # unbounded, and branch and bound can run along a ray of one of them
-    # until the node limit, lowered here to keep such a case short.  A
-    # group the call leaves undecided may have a model, so the call may
-    # end at a later group than the first one that has one; the draw
-    # holds shared rows that run out and are then decided with a group
-    monkeypatch.setattr(lia, "MAX_NODES", 1000)
+    # until the work budget, lowered here to keep such a case short, runs
+    # out and ends the call
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
     rng = random.Random(4)
     kinds = [len_var, param_var, part_var_maker, int_var]
     seen = set()
@@ -382,24 +380,27 @@ def test_groups_differential_against_one_call_per_group(monkeypatch):
             assert (model, pulled) == (None, []), (case, rows)
             seen.add("shared rows refuted")
             continue
+        if alone == "exhausted":
+            # the shared rows run out before any group is pulled
+            assert (model, pulled) == ("exhausted", []), (case, rows)
+            seen.add("shared rows exhausted")
+            continue
         refs = [decided(lambda: lia_sat(rows + g)) for g in groups]
-        if model == "exhausted" or model is None:
-            # every group was pulled, and none that the call refuted has
-            # a model
+        # no group the call refuted has a model; running out ends the call
+        # at the group it ran out in
+        refuted = pulled if model is None else pulled[:-1]
+        assert not any(isinstance(ref, dict) for ref in refs[: len(refuted)]), (case, rows, groups)
+        if model is None:
             assert pulled == groups, (case, rows, groups)
-            if model is None:
-                assert not any(isinstance(ref, dict) for ref in refs), (case, rows, groups)
-                seen.add("every group refuted")
-        else:
+            seen.add("every group refuted")
+        elif model != "exhausted":
             # the call ends at the first group it finds a model for
             verify(rows + pulled[-1], model)
             assert refs[len(pulled) - 1] is not None, (case, rows, groups)
             seen.add("sat at a later group" if len(pulled) > 1 else "sat at the first group")
-        if alone == "exhausted" and model != "exhausted":
-            seen.add("shared rows exhausted, the call decides")
     assert seen == {
         "shared rows refuted",
-        "shared rows exhausted, the call decides",
+        "shared rows exhausted",
         "every group refuted",
         "sat at a later group",
         "sat at the first group",
@@ -430,37 +431,9 @@ def test_node_limit_counts_nodes_summed_over_groups(monkeypatch):
     need_first, _ = nodes_needed(first, monkeypatch)
     need_second, _ = nodes_needed(second, monkeypatch)
     need = need_shared + need_first + need_second
-    monkeypatch.setattr(lia, "MAX_NODES", need)
+    monkeypatch.setattr(errors, "WORK_BUDGET", need)
     model = lia_sat(shared, [first, second])
     verify(shared + second, model)
-    monkeypatch.setattr(lia, "MAX_NODES", need - 1)
+    monkeypatch.setattr(errors, "WORK_BUDGET", need - 1)
     with pytest.raises(ResourceExhausted):
         lia_sat(shared, [first, second])
-
-
-def test_a_shared_block_that_runs_out_is_left_open(monkeypatch):
-    # 6|A| + 10|B| + 15|C| = 31 runs out on its own; a group that pins
-    # |A| and |B| decides it, a group that only says |C| = 0 refutes it
-    # (6|A| + 10|B| = 31 has no solution), and a group that leaves it
-    # alone leaves it undecided
-    shared = frobenius_rows((31,))
-    need, _ = nodes_needed(shared, monkeypatch)
-    monkeypatch.setattr(lia, "MAX_NODES", need - 1)
-    with pytest.raises(ResourceExhausted):
-        lia_sat(shared)
-    with pytest.raises(ResourceExhausted):
-        lia_sat(shared, [[Row({x("D"): 1}, "eq", 2)]])
-    pin = [Row({x("A0"): 1}, "eq", 1), Row({x("B0"): 1}, "eq", 1)]
-    model = lia_sat(shared, [[], pin])
-    verify(shared + pin, model)
-    assert lia_sat(shared, [[Row({x("C0"): 1}, "eq", 0)]]) is None
-
-
-def test_a_group_that_runs_out_leaves_the_later_groups_decided(monkeypatch):
-    costly = frobenius_rows((31,))
-    need, _ = nodes_needed(costly, monkeypatch)
-    monkeypatch.setattr(lia, "MAX_NODES", need - 1)
-    cheap = [Row({x("D"): 1}, "eq", 2)]
-    assert lia_sat([], [costly, cheap]) == {x("D"): 2}
-    with pytest.raises(ResourceExhausted):
-        lia_sat([], [costly, [Row({x("D"): 1}, "le", -1)]])

@@ -9,7 +9,7 @@ from dataclasses import fields, is_dataclass
 import pytest
 
 from helpers import random_formula_el, random_formula_elr
-from wordeq import solver
+import wordeq.errors as errors
 from wordeq.solver import Sat, Unsupported, check_sat
 from wordeq.terms import (
     And,
@@ -135,17 +135,21 @@ def _blow():
 
 
 def test_limit_blocks_only_its_own_disjunct(monkeypatch):
-    # a lower limit keeps the test fast; 8^5 groups exceed the real one too
-    monkeypatch.setattr(solver, "MAX_MEMBERSHIP_GROUPS", 1000)
+    # a lower budget keeps the test fast
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
     # the first group (every X_k = "") has a model, so no other is built
     assert check_sat(_blow(), "ab") == Sat({f"X{k}": "" for k in range(5)}, {})
     # X0 also in (a^8)*a and len(X0) <= 0: the shared rows hold, but every
-    # one of the 8^4 groups left is refuted
+    # one of the 8^4 groups left is refuted, more than the budget allows
     x0 = Var("X0")
     blow = conj(
         _blow(), InRe(x0, ReConcat((ReStar(ReLit("a" * 8)), ReLit("a")))), LenLeq(Len(x0), 0)
     )
-    assert check_sat(blow, "ab") == Unsupported("too many membership branches")
+    # a disjunct decided before the budget runs out is kept; running out
+    # ends the whole call, so one after it is never reached
     other = WordEq(Var("Y"), Lit("b"))
-    for phi in (disj(blow, other), disj(other, blow)):
-        assert isinstance(check_sat(phi, "ab"), Sat)
+    assert isinstance(check_sat(disj(other, blow), "ab"), Sat)
+    for phi in (blow, disj(blow, other)):
+        verdict = check_sat(phi, "ab")
+        assert isinstance(verdict, Unsupported), phi
+        assert verdict.reason.startswith("work budget exhausted in "), verdict

@@ -96,8 +96,9 @@ ROWS = [
     (HEADER + "(assert (not (= X X) (= X X)))", ParseError, H, 9,
      "not needs exactly one argument"),
     (HEADER + "(assert (xor (= X X)))", ParseError, H, 9, "unknown formula head 'xor'"),
-    (HEADER + '(assert ("and" (= X X)))', ParseError, H, 9, "unknown formula head None"),
-    (HEADER + "(assert ())", ParseError, H, 9, "unknown formula head None"),
+    (HEADER + '(assert ("and" (= X X)))', ParseError, H, 9, "expected a formula"),
+    (HEADER + "(assert ())", ParseError, H, 9, "expected a formula"),
+    (HEADER + "(assert (5 1))", ParseError, H, 9, "expected a formula"),
     # -- directives
     (HEADER + "check-sat", ParseError, H, 1, "expected a directive"),
     (HEADER + "(1 2)", ParseError, H, 1, "expected a directive"),
@@ -146,6 +147,34 @@ initial: q0
 final: qf
 q0 a Z Z -> qf in R
 """
+
+
+def _machine(line: int, text: str) -> str:
+    """MACHINE with its given line replaced."""
+    lines = MACHINE.splitlines()
+    lines[line - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+# each machine check that parse_2cm reports, at the line it read the
+# header or rule on; a missing header is reported at the file's start
+MACHINE_ROWS = [
+    (_machine(3, "initial: zz"), 3, "initial state 'zz' is not declared"),
+    (_machine(4, "final: qf zz"), 4, "final states must be declared"),
+    (MACHINE + "q0 b Z Z -> zz in R\n", 6, "rule for ('q0', 'b', 'Z', 'Z') uses an undeclared state"),
+    (MACHINE + "\nq0 b Z Z -> qf in R\n", 7, "rule letter 'b' is not in the input alphabet"),
+    (MACHINE + "q0 a Z b -> qf in R\n", 6, "zero-test tags are Z|b and Z|c"),
+    (_machine(5, "q0 a Z Z -> qf up R"), 5, "rule actions are in|stor1|stor2 and L|R"),
+    (_machine(4, ""), 1, "missing header 'final'"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", MACHINE_ROWS, ids=[r[2] for r in MACHINE_ROWS])
+def test_parse_2cm_error(text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_2cm(text)
+    assert (e.value.line, e.value.col) == (line, 1)
+    assert str(e.value) == f"line {line}, column 1: {message}"
 
 
 def test_duplicate_machine_rule():

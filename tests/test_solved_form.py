@@ -6,7 +6,9 @@ from itertools import product
 import pytest
 
 from helpers import _template_equation
+import wordeq.errors as errors
 from wordeq import solved_form
+from wordeq.errors import Budget, ResourceExhausted
 from wordeq.paramwords import (
     Const,
     ParamWord,
@@ -346,9 +348,14 @@ def test_blocked_branch_keeps_the_forms_of_the_others():
 
 
 def test_branch_budget_reports_out_of_fragment(monkeypatch):
-    monkeypatch.setattr(solved_form, "MAX_BRANCHES", 1)
-    eqs = [
-        WordEq(concat(Var("X"), Lit("a"), Var("Y")), concat(Var("Y"), Lit("a"), Var("X")))
-    ]
-    res = to_solved_form(eqs)
-    assert isinstance(res, OutOfFragment)
+    # XY = ab: the start state, its three ground matches and the three
+    # states they make draw seven units; six run out and end the call
+    eqs = [WordEq(concat(Var("X"), Var("Y")), Lit("ab"))]
+    budget = Budget()
+    assert len(to_solved_form(eqs, budget=budget)) == 3
+    assert errors.WORK_BUDGET - budget.left == 7
+    monkeypatch.setattr(errors, "WORK_BUDGET", 7)
+    assert len(to_solved_form(eqs)) == 3
+    monkeypatch.setattr(errors, "WORK_BUDGET", 6)
+    with pytest.raises(ResourceExhausted, match="work budget exhausted in solved_form"):
+        to_solved_form(eqs)

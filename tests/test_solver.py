@@ -20,7 +20,8 @@ from helpers import (
     random_regex,
 )
 from wordeq.automata import param_membership, prog_intersect, regex_to_dfa
-from wordeq.errors import LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
+import wordeq.errors as errors
+from wordeq.errors import Budget, LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
 from wordeq.lengths import implied_length_constraints, param_var, translate_len_atom, upset_rows
 from wordeq.lia import lia_sat
 from wordeq.normalize import eliminate_negations, to_dnf
@@ -575,8 +576,6 @@ def _product_row_groups(atoms, sf, alphabet, gen):
 
 
 def test_membership_groups_match_the_product_reference(monkeypatch):
-    import wordeq.solver as solver
-
     x0, x1 = Var("X0"), Var("X1")
     eqs = [WordEq(concat(Lit("ab"), v), concat(v, Lit("ba"))) for v in (x0, x1)]
     # the first atom leaves only even exponents of X0, so half of the
@@ -590,18 +589,18 @@ def test_membership_groups_match_the_product_reference(monkeypatch):
     ]
     (sf,) = to_solved_form(eqs, variables={"X0", "X1"}, gen=NameGen({"X0", "X1"}))
     taken = {"X0", "X1"} | {p for _, pw in sf.bindings for p in params_of(pw)}
-    got = list(_regex_row_groups(atoms, sf, "ab", NameGen(taken)))
+    got = list(_regex_row_groups(atoms, sf, "ab", NameGen(taken), Budget()))
     want = _product_row_groups(atoms, sf, "ab", NameGen(taken))
     assert want
     assert repr(got) == repr(want)
-    # the group limit is checked before each group is built
-    monkeypatch.setattr(solver, "MAX_MEMBERSHIP_GROUPS", len(want))
-    assert len(list(_regex_row_groups(atoms, sf, "ab", NameGen(taken)))) == len(want)
-    monkeypatch.setattr(solver, "MAX_MEMBERSHIP_GROUPS", len(want) - 1)
-    with pytest.raises(ResourceExhausted):
-        list(_regex_row_groups(atoms, sf, "ab", NameGen(taken)))
+    # each group draws one unit before it is built
+    monkeypatch.setattr(errors, "WORK_BUDGET", len(want))
+    assert len(list(_regex_row_groups(atoms, sf, "ab", NameGen(taken), Budget()))) == len(want)
+    monkeypatch.setattr(errors, "WORK_BUDGET", len(want) - 1)
+    with pytest.raises(ResourceExhausted, match="work budget exhausted in solver"):
+        list(_regex_row_groups(atoms, sf, "ab", NameGen(taken), Budget()))
     # no atoms: one empty group
-    assert list(_regex_row_groups([], sf, "ab", NameGen(taken))) == [[]]
+    assert list(_regex_row_groups([], sf, "ab", NameGen(taken), Budget())) == [[]]
 
 
 def _eager_check_sat(phi, alphabet):
@@ -632,7 +631,7 @@ def _eager_check_sat(phi, alphabet):
                 rows = implied_length_constraints(sf)
                 rows.extend(translate_len_atom(a) for a in lens)
                 try:
-                    model = lia_sat(rows, _regex_row_groups(res, sf, alphabet, gen))
+                    model = lia_sat(rows, _regex_row_groups(res, sf, alphabet, gen, Budget()))
                 except (ResourceExhausted, solver._UnfixedMembership) as exc:
                     blocked = blocked or str(exc)
                     continue
@@ -809,6 +808,50 @@ def test_a_refuted_prefix_cuts_across_disjunctions(forced_first, monkeypatch):
     assert check_sat(_forced_and_choices(17, forced_first), "ab") == Unsupported(
         "disjunctive normal form too large"
     )
+
+
+def test_one_budget_spans_the_layers(monkeypatch):
+    # two X_j = (ab)^i_j a, each split mod 2 and mod 3, with |X_j| <= 11
+    # and their sum >= 22: the walk, rewriting, the membership groups and
+    # the integer search all draw from the call's one budget
+    drawn = []
+    draw = Budget.draw
+    monkeypatch.setattr(
+        Budget, "draw", lambda self, n, layer: drawn.append((n, layer)) or draw(self, n, layer)
+    )
+    xs = [Var(f"X{j}") for j in range(2)]
+    parts = []
+    for x in xs:
+        parts.append(WordEq(concat(Lit("ab"), x), concat(x, Lit("ba"))))
+        parts += [InRe(x, _residues(2, range(2))), InRe(x, _residues(3, range(3)))]
+        parts.append(LenLeq(Len(x), 11))
+    parts.append(LenLeq(sum_of(*[(-1, Len(x)) for x in xs]), -22))
+    phi = conj(*parts)
+    verdict = check_sat(phi, "ab")
+    assert verdict == Sat({x.name: "ab" * 5 + "a" for x in xs}, {})
+    first = list(drawn)
+    assert {layer for _, layer in first} == {"normalize", "solved_form", "solver", "lia"}
+    need = sum(n for n, _ in first)
+    monkeypatch.setattr(errors, "WORK_BUDGET", need)
+    assert check_sat(phi, "ab") == verdict
+    # one unit less runs out at the last draw, and the call is Unsupported
+    monkeypatch.setattr(errors, "WORK_BUDGET", need - 1)
+    assert check_sat(phi, "ab") == Unsupported(f"work budget exhausted in {first[-1][1]}")
+
+
+def test_a_walk_past_the_budget_is_unsupported(monkeypatch):
+    # k disjunctions X_i = a or X_i = b, and a length sum no choice meets:
+    # every one of the 2^k conjunctions is decided, about 8 * 2^k units
+    def choices(k):
+        xs = [Var(f"X{i}") for i in range(k)]
+        parts = [disj(WordEq(x, Lit("a")), WordEq(x, Lit("b"))) for x in xs]
+        return conj(*parts, LenLeq(sum_of(*[(1, Len(x)) for x in xs]), k - 1))
+
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
+    assert check_sat(choices(6), "ab") == Unsat()
+    verdict = check_sat(choices(16), "ab")
+    assert isinstance(verdict, Unsupported)
+    assert verdict.reason.startswith("work budget exhausted in ")
 
 
 def test_normalize_checks_raise_under_optimize():
