@@ -22,8 +22,14 @@ class ResourceExhausted(WordeqError):
     """A search or expansion ran out of one of its limits."""
 
 
-# The work units one ``check_sat`` call may spend over all of its layers:
-# over 100 times the most that any benchmark input or test draws.
+# The work units one call may spend over all of its layers: one
+# ``check_sat``, or one bounded validity check of a sentence.  The most
+# measured: 1 437 by a ``check_sat`` call in the tests, 129 by a benchmark
+# solve op; 31 098 by a counterexample search over random sentences, 757
+# compile steps and 273 witness units by the test machines at bound 6;
+# 140 048 compile steps by the largest encodable machines (60
+# configuration letters, a rule for every key), which positivized need
+# about 1.9 million and run out.
 WORK_BUDGET = 200_000
 
 

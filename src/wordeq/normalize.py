@@ -3,7 +3,11 @@
 ``dnf_tree`` turns a formula into an And/Or tree over its literals, in
 negation normal form.  ``walk`` folds the leaves of each conjunction of
 its disjunctive normal form, depth first, and cuts every prefix its
-caller refutes; ``to_dnf`` and ``walk_product`` are such walks.
+caller refutes; ``to_dnf`` and ``walk_product`` are such walks.  Nothing
+here bounds that form's size: the tree is as large as the formula, and a
+walk's caller bounds the steps it takes (``check_sat`` and
+``propagate.conjuncts`` draw one unit of their work budget per step).
+``to_dnf`` builds the whole form, unbounded, for the tests.
 
 Negated atoms are rewritten into positive ones:
 
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .automata import dfa_complement, dfa_to_regex, regex_to_dfa
-from .errors import ResourceExhausted
 from .terms import (
     And,
     Formula,
@@ -48,10 +51,6 @@ Prefix = TypeVar("Prefix")
 # An And/Or tree: ("leaf", leaf), ("and", parts) or ("or", parts).
 Tree = tuple[str, Any]
 
-# The most conjunctions in the disjunctive normal form of a dnf_tree: of a
-# formula with its negations' alternatives, or of a sentence body.
-MAX_DISJUNCTS = 100_000
-
 
 @dataclass(frozen=True)
 class Literal:
@@ -61,39 +60,29 @@ class Literal:
 
 def dnf_tree(phi: Formula, leaf: Callable[[Atom, bool], Tree]) -> Tree:
     """``phi`` in negation normal form, as an And/Or tree whose literals
-    are ``leaf(atom, positive)``, made once per atom object and sign: a
-    leaf, or an Or of leaves that counts each of its parts.  Raises
-    TypeError on a non-atom, and ResourceExhausted when some disjunction
-    along the way would have more than ``MAX_DISJUNCTS`` members."""
-    return _dnf_tree(phi, True, leaf, {})[0]
+    are ``leaf(atom, positive)``, made once per atom object and sign.
+    Raises TypeError on a non-atom.  The tree's size is linear in the
+    formula's, however large its disjunctive normal form: a walk over it
+    is bounded by its caller."""
+    return _dnf_tree(phi, True, leaf, {})
 
 
 def _dnf_tree(
     phi: Formula, positive: bool, leaf: Callable[[Atom, bool], Tree], leaves: dict
-) -> tuple[Tree, int]:
-    """The tree of ``phi`` (negated when not ``positive``) and the number
-    of conjunctions in its disjunctive normal form."""
+) -> Tree:
+    """The tree of ``phi``, negated when not ``positive``."""
     if isinstance(phi, (WordEq, LenLeq, InRe)):
         key = (id(phi), positive)
         made = leaves.get(key)
         if made is None:
-            node = leaf(phi, positive)
-            made = leaves[key] = node, len(node[1]) if node[0] == "or" else 1
+            made = leaves[key] = leaf(phi, positive)
         return made
     if isinstance(phi, Not):
         return _dnf_tree(phi.inner, not positive, leaf, leaves)
     if not isinstance(phi, (And, Or)):
         raise TypeError(f"not an atom: {phi!r}")
-    conjunction = isinstance(phi, And) == positive
-    parts = []
-    size = int(conjunction)
-    for part in phi.parts:
-        node, n = _dnf_tree(part, positive, leaf, leaves)
-        parts.append(node)
-        size = size * n if conjunction else size + n
-        if size > MAX_DISJUNCTS:
-            raise ResourceExhausted("disjunctive normal form too large")
-    return ("and" if conjunction else "or", parts), size
+    parts = [_dnf_tree(part, positive, leaf, leaves) for part in phi.parts]
+    return ("and" if isinstance(phi, And) == positive else "or", parts)
 
 
 def walk(
@@ -141,11 +130,8 @@ def walk(
 
 
 def to_dnf(phi: Formula) -> list[list[Literal]]:
-    """Disjunction of conjunctions of literals, equivalent to ``phi``.
-
-    Raises ResourceExhausted, before building it, when some disjunction
-    along the way would have more than ``MAX_DISJUNCTS`` members.
-    """
+    """Disjunction of conjunctions of literals, equivalent to ``phi``;
+    its size is not bounded."""
     tree = dnf_tree(phi, lambda atom, positive: ("leaf", Literal(atom, positive)))
     return list(walk(tree, lambda conjunct, literal: conjunct + [literal], []))
 

@@ -17,10 +17,11 @@ literals (ASCII digits with an optional leading ``-``, in the 64-bit
 range) and symbols; whitespace and ``;`` comments separate them.  One
 compiled pattern returns them as strings, and the tree, read whole before
 any directive, holds their indices: a list is ``[k, item, ...]`` whose
-``(`` is token k.  Positions are computed only for an error, by
-``tokenize``, which then raises the text's first token error if it has
-one.  A length atom ``(<= l r)`` is read as ``l - r <= 0`` with its
-constants moved into the bound.
+``(`` is token k.  Positions are computed only for an error, from the
+token's offset, when the tokens are walked once more; that walk raises
+the text's first token error instead, if it has one.  A length atom
+``(<= l r)`` is read as ``l - r <= 0`` with its constants moved into the
+bound.
 
 Machine files are line based::
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 from .errors import LetterOutsideAlphabet, NondeterministicDelta, WordeqError
 from .terms import (
@@ -102,55 +102,46 @@ class DuplicateRule(ParseError, NondeterministicDelta):
 # tokens and the tree
 
 
-class Token(NamedTuple):
-    kind: str  # "(", ")", "int", "string", "symbol"
-    value: str
-    line: int
-    col: int
-
-
-# Some alternative matches at every position, so finditer skips no
-# character.  The unnamed alternatives are whitespace and comments.
-_TOKEN = re.compile(
-    r'(?P<newline>\n)|[^\S\n]+|;[^\n]*|(?P<paren>[()])'
-    r'|"(?P<string>[^"\n]*)"|(?P<unterminated>")'
-    r'|(?P<int>-?[0-9]+(?![^\s()";]))|(?P<symbol>[^\s()";]+)'
-)
-
-
-def tokenize(text: str) -> Iterator[Token]:
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        col = m.start() - line_start + 1
-        value = m.group(kind)
-        if kind == "paren":
-            kind = value
-        elif kind == "unterminated":
-            raise ParseError("unterminated string literal", line, col)
-        elif kind == "int" and not INT64_MIN <= int(value) <= INT64_MAX:
-            raise ParseError("integer literal outside the 64-bit range", line, col)
-        yield Token(kind, value, line, col)
-
-
-# The same tokens as strings: a string literal keeps its quotes, an
-# unterminated one is a lone '"', a comment is '', and whitespace matches none.
+# The tokens as strings: a string literal keeps its quotes, an unterminated
+# one is a lone '"', a comment is '', and whitespace matches none.
 _TOKEN_TEXT = re.compile(r';[^\n]*|([()]|"[^"\n]*"|"|[^\s()";]+)')
 _INT = re.compile(r"-?[0-9]+")
 
 
 def _error(text: str, k: int | None, message: str, cls: type = ParseError) -> ParseError:
     """``cls(message)`` at token k, or at (1, 1) when k is None.  The reader
-    checks every token, so a text with a token error fails some check and
-    gets here, where ``tokenize`` raises that error instead."""
-    tokens = list(tokenize(text))
-    line, col = (1, 1) if k is None else (tokens[k].line, tokens[k].col)
-    return cls(message, line, col)
+    checks every token, so a text with a token error (a lone ``"``, or an
+    integer outside the 64-bit range) fails some check and gets here, where
+    the text's first token error is raised instead."""
+    starts = []
+    for m in _TOKEN_TEXT.finditer(text):
+        t = m.group(1)
+        if t is None:  # a comment
+            continue
+        if t == '"':
+            raise ParseError("unterminated string literal", *_position(text, m.start()))
+        if _INT.fullmatch(t) and _int64(t) is None:
+            raise ParseError(
+                "integer literal outside the 64-bit range", *_position(text, m.start())
+            )
+        starts.append(m.start())
+    return cls(message, *((1, 1) if k is None else _position(text, starts[k])))
+
+
+def _int64(t: str) -> int | None:
+    """An integer literal's value, or None outside the 64-bit range.  Only
+    its significant digits are converted, and only up to 19 of them:
+    Python refuses to convert thousands."""
+    digits = t.lstrip("-").lstrip("0")
+    if len(digits) > 19:
+        return None
+    v = int(digits or "0") * (-1 if t[0] == "-" else 1)
+    return v if INT64_MIN <= v <= INT64_MAX else None
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of an offset: only a newline starts a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _symbol(t: str | None) -> str | None:
@@ -230,8 +221,8 @@ class _ProblemReader:
         return t[1:-1] if t is not None and t[0] == '"' and len(t) > 1 else None
 
     def integer(self, k: int) -> int:
-        v = int(self.toks[k])
-        if not INT64_MIN <= v <= INT64_MAX:
+        v = _int64(self.toks[k])
+        if v is None:
             raise self.fail(k, "integer literal outside the 64-bit range")
         return v
 

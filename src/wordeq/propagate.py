@@ -17,7 +17,9 @@ equations still open.  Adding an equation puts those words into it, then:
 
 Nothing below a refuted prefix is walked.  This is the unit-propagation
 half of DPLL(T) (Nieuwenhuis, Oliveras & Tinelli, JACM 2006), with the
-words of fixed existentials as the propagated units.
+words of fixed existentials as the propagated units.  Each literal added
+to a prefix draws one unit from the caller's work budget, so the walk is
+bounded by the work it does, not by the size of the normal form.
 
 At the end of a conjunct, an open equation that shares no variable with
 the universal or with another open equation, and that holds with its
@@ -29,6 +31,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
+from .errors import Budget
 from .normalize import Atom, Tree, dnf_tree, walk
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
 from .solved_form import _match_pattern, ground_word, term_to_side
@@ -48,17 +51,17 @@ _Settled = dict[str, Blocks] | bool | None
 # existential occurs in it.
 _Literal = tuple[_Open, _Settled]
 # A prefix of a conjunct: the fixed existentials' words, the open
-# equations in the order of their literals, and the universal.
-_Prefix = tuple[dict[str, Blocks], tuple[_Open, ...], str]
+# equations in the order of their literals, the universal and the budget.
+_Prefix = tuple[dict[str, Blocks], tuple[_Open, ...], str, Budget]
 
 
-def conjuncts(body: Formula, universal: str) -> Iterator[list[Eq]]:
+def conjuncts(body: Formula, universal: str, budget: Budget) -> Iterator[list[Eq]]:
     """The equations left in each conjunct of the body's disjunctive
     normal form that propagation does not refute, in ``to_dnf``'s order
-    and literal order.  The number of conjuncts in that form is held to
-    ``to_dnf``'s limit before any is walked."""
+    and literal order.  Each step of the walk draws one unit from
+    ``budget``; running out raises ResourceExhausted."""
     tree = dnf_tree(body, partial(_compile, universal=universal))
-    for _, opened, _ in walk(tree, _conjoin, ({}, (), universal)):
+    for _, opened, _, _ in walk(tree, _conjoin, ({}, (), universal, budget)):
         yield _needed(opened)
 
 
@@ -73,12 +76,13 @@ def _compile(atom: Atom, positive: bool, universal: str) -> Tree:
 def _conjoin(prefix: _Prefix, literal: _Literal) -> _Prefix | None:
     """The prefix with one more literal, the words it fixes put into the
     open equations; None when the prefix has no solution any more."""
-    env, opened, universal = prefix
+    env, opened, universal, budget = prefix
+    budget.draw(1, "propagate")
     eq, settled = literal
     if not eq[1].isdisjoint(env):
         eq, settled = _substituted(eq, env, universal)
     if settled is None:
-        return env, opened + (eq,), universal
+        return env, opened + (eq,), universal, budget
     if settled is False:
         return None
     if not settled:  # a ground equation that holds
@@ -101,7 +105,7 @@ def _conjoin(prefix: _Prefix, literal: _Literal) -> _Prefix | None:
                     continue
             kept.append(eq)
         opened = tuple(kept)
-    return env, opened, universal
+    return env, opened, universal, budget
 
 
 def _substituted(eq: _Open, env: dict[str, Blocks], universal: str) -> _Literal:

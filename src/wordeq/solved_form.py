@@ -446,17 +446,25 @@ def _match_pattern(
     return out
 
 
+def _drawn_matches(
+    items: Blocks, word: str, budget: Budget, layer: str
+) -> list[tuple[dict[str, str], dict[str, int]]]:
+    """``_match_pattern``'s matches, each of which draws one unit from
+    ``budget``; more matches than units left raises ResourceExhausted."""
+    matches = _match_pattern(items, word, budget.left)
+    # more matches than units left overdraws the budget, which raises
+    budget.draw(budget.left + 1 if matches is None else len(matches), layer)
+    return matches or []
+
+
 def _rule_ground(st: _State, idx: int, gen: NameGen) -> _Step | None:
     l, r = st.pending[idx]
     for a, b in ((l, r), (r, l)):
         word = ground_word(b)
         if word is None:
             continue
-        matches = _match_pattern(a, word, st.work.left)
-        # more matches than units left overdraws the budget, which raises
-        st.work.draw(st.work.left + 1 if matches is None else len(matches), "solved_form")
         children = []
-        for venv, penv in matches or ():
+        for venv, penv in _drawn_matches(a, word, st.work, "solved_form"):
             child = st.copy()
             child.pending.pop(idx)
             for name, seg in venv.items():

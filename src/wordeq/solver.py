@@ -251,7 +251,9 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
     run, and the verdict is Unsupported only when none of them is Sat and
     some was blocked.  One ``Budget``, made here, is shared by the walk
     and every layer it calls; running out ends the whole call as
-    Unsupported, whatever is left unwalked.  A formula nested deeper than
+    Unsupported, whatever is left unwalked.  It is the only bound on the
+    walk: the disjunctive normal form is never built, so its size is not
+    limited, and each walk step draws one unit.  A formula nested deeper than
     the parser accepts is Unsupported before any recursive walk: ``scan``
     walks without recursion, while normalization and evaluation recurse.
     """

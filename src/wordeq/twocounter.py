@@ -20,6 +20,12 @@ encodings of accepting runs.  Each configuration becomes one composite
 letter (state and head position) followed by unary counter words ``b^i
 c^j``; the body is a disjunction of defect patterns: bad start, bad end,
 malformed counter blocks, and step violations.
+
+The bounded validity check compiles the body and searches for witnesses
+under one work ``Budget`` per call: each step of the body walk
+(``propagate``), each witness-search call and each way it matches an
+equation against a ground word (``twocounter``) draws one unit, and
+running out raises ResourceExhausted.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import NondeterministicDelta, ResourceExhausted, WordeqError
+from .errors import Budget, NondeterministicDelta, WordeqError
 from .normalize import walk_product
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
 from .propagate import Eq as _Eq, conjuncts
-from .solved_form import _match_pattern, ground_word
+from .solved_form import _drawn_matches, ground_word
 from .terms import (
     And,
     Formula,
@@ -69,13 +75,6 @@ def _check(ok: bool, message: str, at: str | tuple[str, ...] | None = None) -> N
     if not ok:
         raise MalformedMachine(message, at)
 
-
-# defect clauses in an encoded sentence
-MAX_CLAUSES = 100_000
-# calls of the witness search behind one bounded validity check
-SEARCH_NODES = 50_000_000
-# ways to match one equation against a ground word in that search
-MAX_WITNESS_MATCHES = 100_000
 
 TRACKS = ("in", "stor1", "stor2")
 MOVES = ("L", "R")
@@ -306,14 +305,6 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
     # Malformed counter block: a 'b' may never follow a 'c'.
     bad_block = disj(WordEq(S, Lit("")), WordEq(S, concat(S1, c, b, S4)))
 
-    # Each of the 4 |sigma0| contexts below adds at most max(|sigma0|, 5)
-    # step defects.
-    clauses = len(bad_start) + len(bad_end) + 2 + 4 * len(sigma0) * max(len(sigma0), 5)
-    if clauses > MAX_CLAUSES:
-        raise EncodingCapExceeded(
-            f"up to {clauses} defect clauses exceed the limit of {MAX_CLAUSES}"
-        )
-
     # Step defects.  For every configuration context (state, head, zero-tests)
     # anchor the current block as letter + b-run + c-run; U and V stand for
     # the tails of those runs and are forced into b* / c* by the commutation
@@ -539,14 +530,13 @@ def _iter_words(alphabet: str, max_len: int) -> Iterator[str]:
 
 
 def _conjunct_sat(
-    eqs: Sequence[_Eq], env: dict[str, Blocks], alphabet: str, bound: int, budget: list[int]
+    eqs: Sequence[_Eq], env: dict[str, Blocks], alphabet: str, bound: int, budget: Budget
 ) -> bool:
     """Does some assignment of words of length <= bound satisfy the conjunct
     with the words of ``env`` put in?  A deeper call gets equations that
-    hold every earlier word already, and only the words it adds."""
-    budget[0] -= 1
-    if budget[0] <= 0:
-        raise ResourceExhausted("bounded validity check budget exceeded")
+    hold every earlier word already, and only the words it adds.  Each
+    call and each ground match draws one unit from ``budget``."""
+    budget.draw(1, "twocounter")
     pending: list[_Eq] = []
     for lhs, rhs, positive in eqs:
         ls, rs = substitute(lhs, env), substitute(rhs, env)
@@ -566,10 +556,7 @@ def _conjunct_sat(
             if target is None:
                 continue
             rest = pending[:i] + pending[i + 1 :]
-            matches = _match_pattern(pattern, target, MAX_WITNESS_MATCHES)
-            if matches is None:
-                raise ResourceExhausted("pattern match cap exceeded")
-            for venv, penv in matches:
+            for venv, penv in _drawn_matches(pattern, target, budget, "twocounter"):
                 if penv:
                     raise AssertionError("a sentence equation matched with power parameters")
                 words = {name: const_blocks(w) for name, w in venv.items()}
@@ -632,14 +619,14 @@ def _matches(pattern: _Linear, word: str) -> bool:
     return word.endswith(pattern[-1], pos)
 
 
-def _compiled_body(s: Sentence) -> _Body:
+def _compiled_body(s: Sentence, budget: Budget) -> _Body:
     if len(s.universals) != 1:
         raise ValueError("one universal variable is supported")
     universal = s.universals[0]
     closed: list[_Linear] = []
     anchored: list[_Linear] = []
     generic: list[tuple[_Eq, ...]] = []
-    for eqs in conjuncts(s.body, universal):
+    for eqs in conjuncts(s.body, universal, budget):
         pattern = _linear(eqs[0], universal) if len(eqs) == 1 else None
         if not eqs:
             closed.append(("", ""))
@@ -657,7 +644,7 @@ def _compiled_body(s: Sentence) -> _Body:
     )
 
 
-def _witnessed(body: _Body, word: str, alphabet: str, budget: list[int]) -> bool:
+def _witnessed(body: _Body, word: str, alphabet: str, budget: Budget) -> bool:
     """Does a conjunct that is not extension-closed have a witness?"""
     if any(_matches(p, word) for p in body.anchored):
         return True
@@ -669,10 +656,11 @@ def _witnessed(body: _Body, word: str, alphabet: str, budget: list[int]) -> bool
 
 def is_counterexample(s: Sentence, word: str) -> bool:
     """Does the word defeat every existential witness choice?"""
-    body = _compiled_body(s)
+    budget = Budget()
+    body = _compiled_body(s, budget)
     if any(_matches(p, word) for p in body.closed):
         return False
-    return not _witnessed(body, word, s.alphabet, [SEARCH_NODES])
+    return not _witnessed(body, word, s.alphabet, budget)
 
 
 def _unpruned(closed: list[_Linear], alphabet: str, length: int) -> Iterator[str]:
@@ -693,9 +681,10 @@ def _unpruned(closed: list[_Linear], alphabet: str, length: int) -> Iterator[str
 
 
 def _counterexamples(s: Sentence, max_len: int, limit: int | None) -> list[str]:
-    """The words with no witness, shortest first, letters in alphabet order."""
-    body = _compiled_body(s)
-    budget = [SEARCH_NODES]
+    """The words with no witness, shortest first, letters in alphabet order.
+    Compiling the body and every witness search draw from one budget."""
+    budget = Budget()
+    body = _compiled_body(s, budget)
     found: list[str] = []
     for length in range(max_len + 1):
         for word in _unpruned(body.closed, s.alphabet, length):
@@ -714,7 +703,8 @@ def bounded_validity_check(
 
     Witness words for the existential variables are searched up to the
     length of the universal value; in the encoded sentences every witness
-    is a piece of it.
+    is a piece of it.  Raises ResourceExhausted when the call's work
+    budget runs out.
     """
     found = _counterexamples(s, max_len, limit=1)
     if found:

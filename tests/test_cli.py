@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wordeq import cli
+from wordeq import cli, errors
 from wordeq.cli import main
 from wordeq.parser import MAX_DEPTH
 
@@ -213,22 +213,33 @@ def test_expansions_fail_closed_before_they_allocate(tmp_path):
         )
         return f"(or {' '.join([f'(and {ors})'] * 9)})"
 
-    dnf = tmp_path / "dnf.eq"
-    dnf.write_text(header + f"(assert (and {block('X')} {block('Y')}))\n(check-sat)\n")
-    # twelve negated equations: 4^12 positive branches
-    negs = " ".join(f'(not (= (str.++ Z{i} "ab") (str.++ "ba" Z{i})))' for i in range(12))
-    neg = tmp_path / "neg.eq"
-    neg.write_text(header + f"(assert (and {negs}))\n(check-sat)\n")
-    for path in (dnf, neg):
-        done = subprocess.run(
-            [sys.executable, "-m", "wordeq", "solve", str(path)],
+    def solve(text, budget):
+        path = tmp_path / "problem.eq"
+        path.write_text(header + text + "\n(check-sat)\n")
+        # the work budget is read at call time, so the child sets its own
+        child = (
+            "import sys; from wordeq import errors; from wordeq.cli import main; "
+            f"errors.WORK_BUDGET = {budget}; sys.exit(main(sys.argv[1:]))"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", child, "solve", str(path)],
             capture_output=True,
             text=True,
             preexec_fn=limit_memory,
             timeout=10,
         )
-        assert done.returncode == 2, done.stderr
-        assert done.stdout == "unsupported: disjunctive normal form too large\n"
+
+    # 8.1 * 10^9 conjunctions, of which the walk decides the first
+    done = solve(f"(assert (and {block('X')} {block('Y')}))", errors.WORK_BUDGET)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "sat"
+    # twelve negated equations: 4^12 positive branches, each of them blocked,
+    # so the walk goes on until the budget runs out (seconds at the default
+    # budget; a smaller one keeps the test short)
+    negs = " ".join(f'(not (= (str.++ Z{i} "ab") (str.++ "ba" Z{i})))' for i in range(12))
+    done = solve(f"(assert (and {negs}))", 5000)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "unsupported: work budget exhausted in normalize\n"
 
 
 def test_usage_errors_exit_3(capsys):
@@ -334,6 +345,18 @@ def test_encode_2cm_with_counterexample(capsys):
     sentence = next(ln for ln in lines if ln.startswith("(forall"))
     assert sentence.startswith("(forall (S) (exists (S1 S2 S3 S4 U V) ")
     assert lines[-1] == '; counterexample "01b2"'
+
+
+def test_encode_2cm_check_that_runs_out(capsys, monkeypatch):
+    # the sentence is printed before the check runs out of work units
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10)
+    code, out, _ = run(
+        capsys, "encode-2cm", str(SAMPLES / "incdec.2cm"), "--input", "0", "--check-bound", "4"
+    )
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[-2].startswith("(forall (S) (exists (S1 S2 S3 S4 U V) ")
+    assert lines[-1] == "unsupported: work budget exhausted in propagate"
 
 
 def test_encode_2cm_without_check(capsys):

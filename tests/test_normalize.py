@@ -3,11 +3,7 @@
 import random
 from itertools import product
 
-import pytest
-
 from helpers import random_boolean_formula, random_regex, reference_to_dnf
-from wordeq import normalize
-from wordeq.errors import ResourceExhausted
 from wordeq.normalize import Literal, dnf_tree, eliminate_negations, to_dnf, walk, walk_product
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.terms import (
@@ -143,30 +139,6 @@ def test_walk_degenerate_trees():
     assert list(walk(("and", []), _tuples, "start")) == ["start"]
     assert list(walk(("and", [("leaf", 1), ("or", [])]), _tuples, ())) == []
     assert list(walk(("or", [("and", []), ("leaf", 1)]), _tuples, ())) == [(), (1,)]
-
-
-def test_to_dnf_size_cap(monkeypatch):
-    monkeypatch.setattr(normalize, "MAX_DISJUNCTS", 1000)
-    # (a1 | b1) & ... & (an | bn) explodes to 2^n disjuncts
-    big = conj(
-        *[
-            disj(WordEq(Var(f"X{i}"), Lit("a")), WordEq(Var(f"X{i}"), Lit("b")))
-            for i in range(20)
-        ]
-    )
-    with pytest.raises(ResourceExhausted):
-        to_dnf(big)
-    # a literal that is an Or counts its parts: each negated equation over
-    # "ab" has four positive alternatives, and 4^5 > 1000
-    def alternatives(atom, positive):
-        return "or", [("leaf", alt) for alt in eliminate_negations(atom, positive, "ab", gen)]
-
-    gen = NameGen()
-    negated = [Not(WordEq(Var(f"X{i}"), Lit("a"))) for i in range(5)]
-    tree = dnf_tree(conj(*negated[:4]), alternatives)
-    assert len(list(walk(tree, _tuples, ()))) == 4**4
-    with pytest.raises(ResourceExhausted):
-        dnf_tree(conj(*negated), alternatives)
 
 
 def test_eliminate_negations_length():

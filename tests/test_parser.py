@@ -14,7 +14,6 @@ from wordeq.parser import (
     UnknownLetter,
     parse_2cm,
     parse_problem,
-    tokenize,
 )
 from wordeq.printer import print_formula, print_problem
 from wordeq.terms import (
@@ -50,17 +49,15 @@ GOLDEN = """\
 
 
 def test_tokenize_kinds_and_positions():
-    toks = list(tokenize('(assert "ab" -3 X) ; tail'))
-    assert [(t.kind, t.value) for t in toks] == [
-        ("(", "("),
-        ("symbol", "assert"),
-        ("string", "ab"),
-        ("int", "-3"),
-        ("symbol", "X"),
-        (")", ")"),
-    ]
-    assert toks[0].line == 1 and toks[0].col == 1
-    assert toks[2].col == 9
+    # each error is at the token it names, and says how that token was read
+    header = '(set-alphabet "ab")\n(declare-const X String)\n(declare-const n Int)\n'
+    assert _error_at(header + "(assert (= X -3)) ; tail") == (4, 14, "expected a string term")
+    assert _error_at(header + '(assert (<= n "ab"))') == (4, 15, "expected an integer term")
+    assert _error_at(header + "(assert (= X Z)) ; tail") == (4, 14, "undeclared variable Z")
+    assert _error_at(header + "(assert (= X X)") == (4, 1, "unclosed parenthesis")
+    assert _error_at(header + '(assert (= X "ab")) ; (\n(assert (= Z X))') == (
+        5, 12, "undeclared variable Z"
+    )
 
 
 def test_parse_golden_problem():
@@ -178,7 +175,15 @@ def test_integer_literals_are_ascii():
             parse_problem(header + f"(assert (<= n {word}))")
         assert (e.value.line, e.value.col) == (3, 15)
         assert str(e.value).endswith(f"undeclared variable {word}")
-    assert [t.kind for t in tokenize("-0 007 --1 1-2 -")] == ["int", "int"] + ["symbol"] * 3
+    # -0 and 007 are integers; --1, 1-2 and - are symbols
+    for word in ("--1", "1-2", "-"):
+        assert _error_at(header + f"(assert (<= n {word}))") == (
+            3, 15, f"undeclared variable {word}"
+        )
+    header += "(declare-const X String)\n"
+    for word in ("-0", "007"):
+        assert parse_problem(header + f"(assert (<= n {word}))").asserts
+        assert _error_at(header + f"(assert (= X {word}))") == (4, 14, "expected a string term")
 
 
 def _error_at(text: str) -> tuple[int, int, str]:
@@ -194,29 +199,30 @@ def test_tokenizer_error_positions():
     too_big = "integer literal outside the 64-bit range"
     assert _error_at(header + f"(assert (<= n {2**63}))") == (3, 15, too_big)
     assert _error_at(header + f"(assert (<= {-(2**63) - 1} n))") == (3, 13, too_big)
+    # too long for Python to convert, and still an input error
+    assert _error_at(header + f"(assert (<= n -{'9' * 5000}))") == (3, 15, too_big)
+    assert parse_problem(header + f"(assert (<= n {'0' * 5000}7))").asserts
     assert _error_at(header + "(check-sat))") == (3, 12, "unexpected closing parenthesis")
     assert _error_at(header + "(assert (and\n  (= n n)") == (3, 9, "unclosed parenthesis")
     deep = header + " " + "(" * (MAX_DEPTH + 1)
     assert _error_at(deep) == (3, MAX_DEPTH + 2, f"nesting deeper than {MAX_DEPTH}")
-    # the tokenizer reads the whole text before the tree: a later bad
+    # every token error is checked before the error found: a later bad
     # string wins over an earlier stray parenthesis
     assert _error_at(') "x') == (1, 3, "unterminated string literal")
 
 
 def test_token_positions_after_whitespace_and_comments():
-    toks = list(tokenize('(a\r\n b)\t(c\u3000d) ; e\n"f"'))
-    assert [(t.value, t.line, t.col) for t in toks] == [
-        ("(", 1, 1),
-        ("a", 1, 2),
-        ("b", 2, 2),
-        (")", 2, 3),
-        ("(", 2, 5),
-        ("c", 2, 6),
-        ("d", 2, 8),
-        (")", 2, 9),
-        ("f", 3, 1),
-    ]
-    assert parse_problem('(set-alphabet "ab") ; no newline after this').alphabet == "ab"
+    # only a newline starts a line: a carriage return is a column
+    alphabet = '(set-alphabet "ab")'
+    assert _error_at(alphabet + "\r\n (assert (= X X))") == (2, 13, "undeclared variable X")
+    assert _error_at(alphabet + "\r(assert (= X X))") == (1, 32, "undeclared variable X")
+    # an ideographic space separates tokens and takes one column
+    assert _error_at(alphabet + "\t(assert\u3000(=\u3000Y X))") == (
+        1, 32, "undeclared variable Y"
+    )
+    # a comment runs to the end of its line, parentheses and all
+    assert _error_at(alphabet + ' ; e (\n"f"') == (2, 1, "expected a directive")
+    assert parse_problem(alphabet + " ; no newline after this").alphabet == "ab"
 
 
 def test_length_atom_constants_move_into_the_bound():

@@ -232,7 +232,7 @@ def test_invariant_checks_raise_under_optimize():
         "two = t.Sentence(('S', 'T'), ('Y',), body, 'a', ())\n"
         "expect(ValueError, lambda: t.is_counterexample(two, 'a'))\n"
         "expect(ValueError, lambda: t.enumerate_counterexamples(two, 1))\n"
-        "t._match_pattern = lambda pattern, target, cap: [({}, {'i': 1})]\n"
+        "t._drawn_matches = lambda pattern, target, budget, layer: [({}, {'i': 1})]\n"
         "one = t.Sentence(('S',), ('Y',), body, 'a', ())\n"
         "expect(AssertionError, lambda: t.is_counterexample(one, 'a'))\n"
         "expect(ValueError, lambda: o.brute_force_sat(body, 'aa', 1))\n"
@@ -802,12 +802,12 @@ def test_a_refuted_prefix_cuts_across_disjunctions(forced_first, monkeypatch):
     calls = []
     decide = solver._decide
     monkeypatch.setattr(solver, "_decide", lambda *a: calls.append(a) or decide(*a))
-    assert check_sat(_forced_and_choices(16, forced_first), "ab") == Unsat()
-    assert len(calls) <= 4
-    # the size of the disjunctive normal form is still bounded up front
-    assert check_sat(_forced_and_choices(17, forced_first), "ab") == Unsupported(
-        "disjunctive normal form too large"
-    )
+    # no limit applies to the size of the disjunctive normal form: 2^30
+    # disjuncts cost what 2^16 do
+    for k in (16, 17, 30):
+        calls.clear()
+        assert check_sat(_forced_and_choices(k, forced_first), "ab") == Unsat()
+        assert len(calls) <= 4
 
 
 def test_one_budget_spans_the_layers(monkeypatch):

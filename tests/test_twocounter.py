@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import wordeq
-from wordeq import normalize, propagate, twocounter
-from wordeq.errors import ResourceExhausted
+from wordeq import errors, propagate, twocounter
+from wordeq.errors import Budget, ResourceExhausted
 from wordeq.normalize import to_dnf
 from wordeq.paramwords import const_blocks
 from wordeq.solved_form import term_to_side
@@ -277,15 +277,15 @@ def test_encode_body_contains_expected_clauses():
     )
 
 
-def test_encode_rejects_bad_inputs(monkeypatch):
+def test_encode_rejects_bad_inputs():
     z1, _ = zoo()[0]
     with pytest.raises(MalformedMachine):
         encode(z1, ())
     with pytest.raises(MalformedMachine):
         encode(z1, ("z",))
-    monkeypatch.setattr(twocounter, "MAX_CLAUSES", 3)
+    # one configuration letter per state and head position, from a pool of 60
     with pytest.raises(EncodingCapExceeded):
-        encode(z1, ("a",))
+        encode(z1, z1.input_alphabet[:1] * 61)
 
 
 # ---------------------------------------------------------------------------
@@ -317,25 +317,56 @@ def test_tautological_body_has_no_counterexamples():
     assert bounded_validity_check(s, 3) == NoCounterexampleUpTo(3)
 
 
+def _drawn(monkeypatch) -> list[tuple[int, str]]:
+    """The (units, layer) of every budget draw from now on."""
+    drawn: list[tuple[int, str]] = []
+    draw = Budget.draw
+    monkeypatch.setattr(
+        Budget, "draw", lambda self, n, layer: drawn.append((n, layer)) or draw(self, n, layer)
+    )
+    return drawn
+
+
 def test_node_budget_exhaustion(monkeypatch):
+    # compiling the body and the witness search draw from one budget
     z3, w3 = zoo()[2]
     s = encode(z3, w3)
-    monkeypatch.setattr(twocounter, "SEARCH_NODES", 10)
-    with pytest.raises(ResourceExhausted):
+    drawn = _drawn(monkeypatch)
+    found = bounded_validity_check(s, 4)
+    assert {layer for _, layer in drawn} == {"propagate", "twocounter"}
+    need = sum(n for n, _ in drawn)
+    monkeypatch.setattr(errors, "WORK_BUDGET", need)
+    assert bounded_validity_check(s, 4) == found
+    monkeypatch.setattr(errors, "WORK_BUDGET", need - 1)
+    with pytest.raises(ResourceExhausted, match=f"work budget exhausted in {drawn[-1][1]}$"):
         bounded_validity_check(s, 4)
 
 
-def test_body_too_large_fails_before_its_conjuncts_are_walked(monkeypatch):
-    # eight conjuncts, every one of which the first two equations refute
+def test_the_body_walk_cuts_a_refuted_prefix(monkeypatch):
+    # eight conjuncts, every one of which the first two equations refute:
+    # the walk takes two steps, not 48
     S, X, Y = Var("S"), Var("X"), Var("Y")
     choice = disj(WordEq(Y, Lit("a")), WordEq(Y, Lit("b")))
     body = conj(WordEq(X, Lit("a")), WordEq(X, Lit("b")), choice, choice, choice, WordEq(S, X))
     s = Sentence(("S",), ("X", "Y"), body, "ab", ())
-    monkeypatch.setattr(normalize, "MAX_DISJUNCTS", 8)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 2)
     assert enumerate_counterexamples(s, 2) == ["", "a", "b", "aa", "ab", "ba", "bb"]
-    monkeypatch.setattr(normalize, "MAX_DISJUNCTS", 7)
-    with pytest.raises(ResourceExhausted, match="disjunctive normal form too large"):
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1)
+    with pytest.raises(ResourceExhausted, match="work budget exhausted in propagate"):
         enumerate_counterexamples(s, 2)
+
+
+def test_the_largest_machines_compile_within_the_budget():
+    # 60 states on a one-letter input use the whole letter pool; with no
+    # rule every one of the 240 contexts is stuck, so the body has the
+    # most step defects an encodable machine can have
+    states = tuple(f"q{i}" for i in range(60))
+    m = TwoCounterMachine(states, ("0",), "q0", frozenset({"q1"}), ())
+    s = encode(m, ("0",))
+    budget = Budget()
+    body = twocounter._compiled_body(s, budget)
+    assert errors.WORK_BUDGET - budget.left == 43_328
+    assert len(body.closed) + len(body.anchored) + len(body.generic) > 14_000
 
 
 def _reference_counterexamples(s: Sentence, max_len: int) -> list[str]:
@@ -345,7 +376,7 @@ def _reference_counterexamples(s: Sentence, max_len: int) -> list[str]:
         [(term_to_side(l.atom.lhs), term_to_side(l.atom.rhs), l.positive) for l in lits]
         for lits in to_dnf(s.body)
     ]
-    budget = [twocounter.SEARCH_NODES]
+    budget = Budget()
     found = []
     for word in twocounter._iter_words(s.alphabet, max_len):
         env = {s.universals[0]: const_blocks(word)}
@@ -370,7 +401,7 @@ def _assert_search_matches_reference(s: Sentence, max_len: int, each_word: bool 
 
 
 def _kinds(s: Sentence) -> tuple[int, int, int]:
-    body = twocounter._compiled_body(s)
+    body = twocounter._compiled_body(s, Budget())
     return len(body.closed), len(body.anchored), len(body.generic)
 
 
