@@ -1,7 +1,7 @@
 """Exact integer feasibility for conjunctions of linear rows.
 
-All unknowns are nonnegative except ``int``-kind variables, which are
-internally split into a difference of two nonnegative columns.
+Every unknown is one column.  A column is nonnegative, except that of
+an ``int``-kind unknown, which is free: it has no bound either way.
 
 The search is complete.  Every row is normalised once: equalities whose
 coefficient gcd does not divide the bound are refuted and inequalities
@@ -10,13 +10,17 @@ eliminated by exact substitution, and only the rows a substitution
 touched are normalised again.
 
 The remaining rows split into independent blocks, the connected
-components of the rows over their columns; the two columns of a split
-unknown always share a block.  Each block is decided on its own by
-branch and bound, and the first infeasible block refutes the call.
-Ceiling branches beyond the block's small-model bound are pruned, which
-keeps the tree finite without giving up completeness, and so is a node
-where some equality, with the columns its box pins moved to the bound,
-has a bound that the gcd of its other coefficients does not divide.
+components of the rows over their columns.  Each block is decided on
+its own by branch and bound, and the first infeasible block refutes the
+call.  A node's box bounds each column, from [0, inf), or (-inf, inf)
+for a free one; a fractional column splits it at its value, and the
+half nearer zero is explored first.  A box wholly beyond the block's
+small-model bound U is pruned, which keeps the tree finite without
+giving up completeness (a free column counts in U as the two
+nonnegative columns of its difference, so some solution has |x| <= U),
+and so is a node where some equality, with the columns its box pins
+moved to the bound, has a bound that the gcd of its other coefficients
+does not divide.
 
 A call may also take a disjunction of row groups that all share its
 rows.  The shared rows are normalised, eliminated, split and solved once,
@@ -34,8 +38,8 @@ pathological instance is never answered by a guess.
 A block keeps one bounded-variable simplex across all of its nodes
 (Dutertre and de Moura, *A Fast Linear-Arithmetic Solver for DPLL(T)*,
 CAV 2006).  The tableau is built once, with sparse rows and one slack
-per row; a structural column lies in [0, inf), a pinned split column in
-[0, 0], and a slack is <= b for an inequality and = b for an equality.
+per row; a column lies in its box, and a slack is <= b for an inequality
+and = b for an equality.
 A node only moves the column bounds to its box and repairs the current
 basis.  The repair pivots by Bland's rule (the smallest violating basic
 variable, then the smallest eligible nonbasic one), so it terminates.
@@ -53,9 +57,9 @@ from .lengths import LinVar, Row
 from .parser import INT64_MAX, INT64_MIN
 
 _ColRow = tuple[dict[int, int], int]  # sparse coeffs over columns, bound
-_Box = dict[int, tuple[int, int | None]]  # per-column integer bounds
-# columns, equalities, inequalities and split pairs of one block
-_Block = tuple[list[int], list[_ColRow], list[_ColRow], list[tuple[int, int]]]
+_Box = dict[int, tuple[int | None, int | None]]  # per-column integer bounds
+# columns, equalities and inequalities of one block
+_Block = tuple[list[int], list[_ColRow], list[_ColRow]]
 
 
 def _validate(rows: list[Row]) -> None:
@@ -119,7 +123,7 @@ def _substitute(
 
 
 def _eliminate_units(
-    eqs: list[_ColRow], les: list[_ColRow]
+    eqs: list[_ColRow], les: list[_ColRow], free: set[int]
 ) -> tuple[list[_ColRow], list[_ColRow], list[tuple[int, int, dict[int, int]]]]:
     """Remove equalities with a +-1 coefficient by exact substitution.
 
@@ -146,8 +150,8 @@ def _eliminate_units(
         terms = {k: -a * c for k, c in coeffs.items() if k != j}
         eqs = _substitute(eqs, j, const, terms, True)
         les = _substitute(les, j, const, terms, False)
-        # x_j >= 0 must survive the elimination
-        les.extend(_normalize_all([({k: -t for k, t in terms.items()}, const)], False))
+        if j not in free:  # x_j >= 0 must survive the elimination
+            les.extend(_normalize_all([({k: -t for k, t in terms.items()}, const)], False))
         elims.append((j, const, terms))
 
 
@@ -176,14 +180,14 @@ class _Simplex:
                 self.value[slack] = Fraction(0)
                 self.rows[slack] = dict(coeffs)
 
-    def set_bounds(self, j: int, lo: int, hi: int | None) -> None:
+    def set_bounds(self, j: int, lo: int | None, hi: int | None) -> None:
         """Bound column j to [lo, hi]; a nonbasic column moves inside."""
         self.lo[j] = lo
         self.hi[j] = hi
         if j in self.rows:
             return
         v = self.value[j]
-        if v < lo:
+        if lo is not None and v < lo:
             self._move(j, lo)
         elif hi is not None and v > hi:
             self._move(j, hi)
@@ -257,9 +261,7 @@ def _small_model_bound(les: list[_ColRow], ncols: int) -> int:
     return (ncols + 2) * ((m + 2) * amax) ** (2 * m + 3)
 
 
-def _blocks(
-    eqs: list[_ColRow], les: list[_ColRow], pairs: list[tuple[int, int]]
-) -> list[_Block]:
+def _blocks(eqs: list[_ColRow], les: list[_ColRow]) -> list[_Block]:
     """The connected components of the rows over their columns, in the
     order of their smallest column."""
     parent: dict[int, int] = {}
@@ -276,18 +278,13 @@ def _blocks(
         root = find(first)
         for k in rest:
             parent[find(k)] = root
-    pairs = [(jp, jm) for jp, jm in pairs if jp in parent and jm in parent]
-    for jp, jm in pairs:
-        parent[find(jm)] = find(jp)
 
     blocks: dict[int, _Block] = {}
     for j in sorted(parent):
-        blocks.setdefault(find(j), ([], [], [], []))[0].append(j)
+        blocks.setdefault(find(j), ([], [], []))[0].append(j)
     for part, rows in ((1, eqs), (2, les)):
         for row in rows:
             blocks[find(next(iter(row[0])))][part].append(row)
-    for pair in pairs:
-        blocks[find(pair[0])][3].append(pair)
     return list(blocks.values())
 
 
@@ -299,7 +296,7 @@ def _divisible(eqs: list[_ColRow], box: _Box) -> bool:
         g = 0
         for j, c in coeffs.items():
             lo, hi = box.get(j, (0, None))
-            if lo == hi:
+            if hi is not None and lo == hi:
                 b -= c * lo
             else:
                 g = gcd(g, c)
@@ -309,28 +306,21 @@ def _divisible(eqs: list[_ColRow], box: _Box) -> bool:
 
 
 def _solve_block(
-    cols: list[int],
-    eqs: list[_ColRow],
-    les: list[_ColRow],
-    pairs: list[tuple[int, int]],
-    budget: Budget,
+    cols: list[int], eqs: list[_ColRow], les: list[_ColRow], free: set[int], budget: Budget
 ) -> dict[int, int] | None:
     """Branch and bound over one block: an integer point of its rows, or
     None."""
-    ubound = _small_model_bound(les + eqs + eqs, len(cols))  # eq = two les
+    # eq = two les; a free column is the difference of two nonnegative ones
+    ubound = _small_model_bound(les + eqs + eqs, len(cols) + len(free.intersection(cols)))
     lp = _Simplex(cols, eqs, les)
-    # Every row keeps opposite coefficients on the two columns of a split
-    # integer unknown, so any solution shifts down to one with
-    # min(plus, minus) = 0.  Pinning one column per pair to zero keeps the
-    # search complete and removes the (+1, +1) ray along which column
-    # branching would never separate a fractional difference.
-    stack: list[_Box] = [{}]
-    for jp, jm in pairs:
-        stack = [{**box, pin: (0, 0)} for box in stack for pin in (jp, jm)]
+    stack: list[_Box] = [{j: (None, None) for j in cols if j in free}]
     while stack:
         budget.draw(1, "lia")
         box = stack.pop()
-        if any(lo > ubound or (hi is not None and lo > hi) for lo, hi in box.values()):
+        if any(
+            lo is not None and lo > ubound or hi is not None and hi < -ubound
+            for lo, hi in box.values()
+        ):
             continue
         if not _divisible(eqs, box):
             continue
@@ -344,51 +334,42 @@ def _solve_block(
         val = lp.value[frac]
         floor_v = val.numerator // val.denominator
         lo, hi = box.get(frac, (0, None))
-        stack.append({**box, frac: (max(lo, floor_v + 1), hi)})
-        # explored first: prefer small values
-        stack.append({**box, frac: (lo, floor_v if hi is None else min(hi, floor_v))})
+        below, above = {**box, frac: (lo, floor_v)}, {**box, frac: (floor_v + 1, hi)}
+        # explored first: the half nearer zero
+        stack += [above, below] if val > 0 else [below, above]
     return None
 
 
-def _add_columns(rows: list[Row], cols_of: dict[LinVar, list[tuple[int, int]]], ncols: int) -> int:
-    """Give each unknown of the rows that has no columns yet its columns,
-    numbered from ``ncols`` in (kind, name) order: one per nonnegative
-    unknown, two per free integer one.  Returns the new column count."""
-    new = {v for r in rows for v in r.coeffs if v not in cols_of}
+def _add_columns(rows: list[Row], col_of: dict[LinVar, int], free: set[int]) -> None:
+    """Give each unknown of the rows that has no column yet the next one,
+    in (kind, name) order; the columns of ``int`` unknowns join ``free``."""
+    new = {v for r in rows for v in r.coeffs if v not in col_of}
     for v in sorted(new, key=lambda v: (v.kind, v.name)):
         if v.kind == "int":
-            cols_of[v] = [(ncols, 1), (ncols + 1, -1)]
-            ncols += 2
-        else:
-            cols_of[v] = [(ncols, 1)]
-            ncols += 1
-    return ncols
+            free.add(len(col_of))
+        col_of[v] = len(col_of)
 
 
 def _column_rows(
-    rows: list[Row], cols_of: dict[LinVar, list[tuple[int, int]]]
+    rows: list[Row], col_of: dict[LinVar, int]
 ) -> tuple[list[_ColRow], list[_ColRow]]:
     """The rows over columns, as equalities and inequalities."""
     eqs: list[_ColRow] = []
     les: list[_ColRow] = []
     for r in rows:
-        coeffs: dict[int, int] = {}
-        for v, c in r.coeffs.items():
-            if c:
-                for j, sign in cols_of[v]:
-                    coeffs[j] = sign * c
+        coeffs = {col_of[v]: c for v, c in r.coeffs.items() if c}
         (eqs if r.relation == "eq" else les).append((coeffs, r.bound))
     return eqs, les
 
 
 def _solve_blocks(
-    eqs: list[_ColRow], les: list[_ColRow], pairs: list[tuple[int, int]], budget: Budget
+    eqs: list[_ColRow], les: list[_ColRow], free: set[int], budget: Budget
 ) -> list[tuple[_Block, dict[int, int]]] | None:
     """Each block with its integer point, or None when some block has
     none."""
     solved = []
-    for block in _blocks(eqs, les, pairs):
-        found = _solve_block(*block, budget)
+    for block in _blocks(eqs, les):
+        found = _solve_block(*block, free, budget)
         if found is None:
             return None
         solved.append((block, found))
@@ -412,23 +393,23 @@ def lia_sat(
     if budget is None:
         budget = Budget()
     _validate(rows)
-    cols_of: dict[LinVar, list[tuple[int, int]]] = {}
-    ncols = _add_columns(rows, cols_of, 0)
-    eqs, les = _column_rows(rows, cols_of)
+    col_of: dict[LinVar, int] = {}
+    free: set[int] = set()
+    _add_columns(rows, col_of, free)
+    eqs, les = _column_rows(rows, col_of)
     try:
-        eqs, les, elims = _eliminate_units(eqs, les)
+        eqs, les, elims = _eliminate_units(eqs, les, free)
     except _Infeasible:
         return None
-    pairs = [(cols[0][0], cols[1][0]) for cols in cols_of.values() if len(cols) == 2]
-    shared = _solve_blocks(eqs, les, pairs, budget)
+    shared = _solve_blocks(eqs, les, free, budget)
     if shared is None:
         return None
     block_of = {j: i for i, (block, _) in enumerate(shared) for j in block[0]}
 
     for group in groups:
         _validate(group)
-        group_cols = dict(cols_of)
-        _add_columns(group, group_cols, ncols)
+        group_cols, group_free = dict(col_of), set(free)
+        _add_columns(group, group_cols, group_free)
         geqs, gles = _column_rows(group, group_cols)
         try:
             for j, const, terms in elims:
@@ -436,14 +417,13 @@ def lia_sat(
                 gles = _substitute(gles, j, const, terms, False)
             touched = {block_of[j] for row in geqs + gles for j in row[0] if j in block_of}
             for i in sorted(touched):
-                _, block_eqs, block_les, _ = shared[i][0]
+                _, block_eqs, block_les = shared[i][0]
                 geqs += block_eqs
                 gles += block_les
-            geqs, gles, group_elims = _eliminate_units(geqs, gles)
+            geqs, gles, group_elims = _eliminate_units(geqs, gles, group_free)
         except _Infeasible:
             continue
-        group_pairs = [(c[0][0], c[1][0]) for c in group_cols.values() if len(c) == 2]
-        solved = _solve_blocks(geqs, gles, group_pairs, budget)
+        solved = _solve_blocks(geqs, gles, group_free, budget)
         if solved is None:
             continue
         solution = {
@@ -454,25 +434,26 @@ def lia_sat(
         }
         for _, found in solved:
             solution.update(found)
-        return _model(solution, elims + group_elims, group_cols, rows + group)
+        return _model(solution, elims + group_elims, group_cols, group_free, rows + group)
     return None
 
 
 def _model(
     solution: dict[int, int],
     elims: list[tuple[int, int, dict[int, int]]],
-    cols_of: dict[LinVar, list[tuple[int, int]]],
+    col_of: dict[LinVar, int],
+    free: set[int],
     rows: list[Row],
 ) -> dict[LinVar, int]:
     """Back-substitute the eliminations, given in the order they were
-    applied, latest first; rebuild the unknowns' values and check them
+    applied, latest first; read the unknowns' values and check them
     against the rows."""
     for j, const, terms in reversed(elims):
         v = const + sum(t * solution.get(k, 0) for k, t in terms.items())
-        if v < 0:
+        if v < 0 and j not in free:
             raise AssertionError(f"back-substitution gave column {j} the value {v}")
         solution[j] = v
-    model = {v: sum(sign * solution.get(j, 0) for j, sign in cols) for v, cols in cols_of.items()}
+    model = {v: solution.get(j, 0) for v, j in col_of.items()}
     for r in rows:
         total = sum(c * model[v] for v, c in r.coeffs.items())
         if not (total == r.bound if r.relation == "eq" else total <= r.bound):

@@ -34,14 +34,15 @@ are tried in this order on every pending equation:
 * peel: a power at the head of a side splits into "zero repetitions"
   and "one repetition unrolled", re-parameterizing globally
 
-Straddling and peeling can grow the system, so they draw from a budget
-of ``GROWTH_BUDGET`` steps per branch; every other step strictly shrinks
+Peeling can grow the system, so it draws from a budget of
+``GROWTH_BUDGET`` steps per branch; every other step strictly shrinks
 the measure (variables, parameters, symbols), checked against the exact
-measure of the system it starts from.  That measure is taken once per
-step: the one checked after a step is carried into the next.  A branch
-that exhausts its growth budget or meets no applicable rule is blocked:
-the other branches still run, and the result is an ``OutOfFragment``
-that carries the solved forms they found.
+measure of the system it starts from.  A straddle is one of them: it
+binds two variables and brings in at most one fresh one.  That measure
+is taken once per step: the one checked after a step is carried into
+the next.  A branch that exhausts its peel budget or meets no applicable
+rule is blocked: the other branches still run, and the result is an
+``OutOfFragment`` that carries the solved forms they found.
 
 Every branch state and every way to ground an equation draws one unit
 from the call's work ``Budget``, which ``check_sat`` shares with its other
@@ -66,7 +67,7 @@ from .paramwords import (
 )
 from .terms import Lit, NameGen, StrTerm, Var, WordEq, str_term_vars
 
-# straddle and peel steps along any one branch
+# peel steps along any one branch
 GROWTH_BUDGET = 8
 
 
@@ -116,7 +117,7 @@ class Unsat:
 
 @dataclass(frozen=True)
 class OutOfFragment:
-    """Some branch left the rules' shapes or ran out of its growth budget,
+    """Some branch left the rules' shapes or ran out of its peel budget,
     for the first-met ``reason``.  ``forms`` are the solved forms the
     other branches found: their instances are solutions, but maybe not
     all."""
@@ -198,11 +199,11 @@ def _simplify(l: Blocks, r: Blocks) -> tuple[Blocks, Blocks] | str | None:
 
 class _State:
     """One branch: the pending equations, each simplified, the bindings
-    made so far, ``growth``, the straddle and peel steps left, ``work``,
-    the call's work budget that all its branches share, ``measured``, the
-    measure of ``pending`` when a step has taken it already (None after a
-    copy or a change), and ``dead``, the clash that refuted an equation
-    (None while the branch lives; a dead branch has nothing pending).
+    made so far, ``growth``, the peel steps left, ``work``, the call's
+    work budget that all its branches share, ``measured``, the measure of
+    ``pending`` when a step has taken it already (None after a copy or a
+    change), and ``dead``, the clash that refuted an equation (None while
+    the branch lives; a dead branch has nothing pending).
 
     Bindings are triangular: ``bind`` substitutes into the pending
     equations only, so a binding mentions only variables bound after it,
@@ -295,7 +296,7 @@ class _State:
 # A rule returns None (not applicable) or one of:
 #   ("again", None)            applied in place, rescan
 #   ("branch", [states])       replaced by these successors (none: no solutions)
-#   ("oof", reason)            out of fragment / growth budget exhausted
+#   ("oof", reason)            out of fragment / peel budget exhausted
 _Step = tuple[str, object]
 
 
@@ -370,10 +371,7 @@ def _rule_straddle(st: _State, idx: int, gen: NameGen) -> _Step | None:
         if shape is None or shape[0] == shape[3]:
             continue
         x, u, v, y = shape
-        if st.growth <= 0:
-            return ("oof", "straddle budget exhausted")
         long_child = st.copy()
-        long_child.growth -= 1
         long_child.pending.pop(idx)
         w = Unfixed(gen.fresh("W"))
         long_child.bind(x, (Const(v), w))
@@ -500,7 +498,7 @@ _RULES = (
     _rule_ground,
     _rule_peel,
 )
-_BUDGETED = (_rule_straddle, _rule_peel)
+_BUDGETED = (_rule_peel,)
 
 
 def _step(st: _State, gen: NameGen) -> _Step | None:

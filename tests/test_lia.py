@@ -1,13 +1,13 @@
 """Integer feasibility over length rows."""
 
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from helpers import box_has_solution
 import wordeq.errors as errors
-from wordeq.errors import CoefficientOverflow, ResourceExhausted
+from wordeq.errors import Budget, CoefficientOverflow, ResourceExhausted
 from wordeq.lengths import LinVar, Row, int_var, len_var, param_var
 from wordeq.lia import lia_sat
 
@@ -73,9 +73,8 @@ def test_mixed_system_with_free_integers():
 
 
 def test_fractional_free_integer_terminates():
-    # the split columns of a free integer admit a (+1, +1) ray; this
-    # system pins its only integer gap on such a variable and used to
-    # stall column branching
+    # the only integer gap is on a free integer column, which branching
+    # must close from both sides of its fractional value
     from wordeq.lengths import part_var
 
     rows = [
@@ -87,6 +86,16 @@ def test_fractional_free_integer_terminates():
     # the equalities force 3*n0 + 2*P = 15, and the remaining rows then
     # squeeze n1 into the empty interval [4/9, 2/3]
     assert lia_sat(rows) is None
+
+
+def test_free_columns_refuted_at_the_root():
+    # 2(n0 + ... + n17) <= -1 and >= 1: the relaxation is infeasible, so
+    # the root node decides it however many int unknowns there are
+    ns = [int_var(f"n{i}") for i in range(18)]
+    rows = [Row(dict.fromkeys(ns, 2), "le", -1), Row(dict.fromkeys(ns, -2), "le", -1)]
+    budget = Budget()
+    assert lia_sat(rows, budget=budget) is None
+    assert errors.WORK_BUDGET - budget.left == 1
 
 
 def test_empty_and_constant_rows():
@@ -345,17 +354,11 @@ def decided(call):
         return "exhausted"
 
 
-def test_groups_differential_against_one_call_per_group(monkeypatch):
-    # the groups mix the shared unknowns with their own, so they touch
-    # some shared blocks and leave others alone.  The systems are
-    # unbounded, and branch and bound can run along a ray of one of them
-    # until the work budget, lowered here to keep such a case short, runs
-    # out and ends the call
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
-    rng = random.Random(4)
+def random_shared_systems(rng, count):
+    """Shared rows, each with groups that mix the shared unknowns with
+    their own, so they touch some shared blocks and leave others alone."""
     kinds = [len_var, param_var, part_var_maker, int_var]
-    seen = set()
-    for case in range(400):
+    for _ in range(count):
         shared = [rng.choice(kinds)(f"s{k}") for k in range(rng.randint(2, 5))]
         rows = random_rows(rng, shared, rng.randint(1, 4))
         groups = []
@@ -366,6 +369,23 @@ def test_groups_differential_against_one_call_per_group(monkeypatch):
             ]
             unknowns = rng.sample(shared, rng.randint(1, 2)) + own
             groups.append(random_rows(rng, unknowns, rng.randint(1, 2)))
+        yield rows, groups
+
+
+def test_groups_differential_against_one_call_per_group(monkeypatch):
+    # The systems are unbounded, and branch and bound can run along a ray
+    # of one of them until the work budget, lowered here to keep such a
+    # case short, runs out and ends the call.  The last system does: its
+    # rows force x1 = 0, which no box pins, and leave x0 = x2 - 3/2
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
+    x0, x1, x2 = (len_var(f"x{k}") for k in range(3))
+    along_a_ray = (
+        [Row({x0: 2, x1: -3, x2: -2}, "eq", -3), Row({x1: 2}, "le", 1)],
+        [[Row({x0: 1}, "le", 4)]],
+    )
+    seen = set()
+    systems = chain(random_shared_systems(random.Random(4), 400), [along_a_ray])
+    for case, (rows, groups) in enumerate(systems):
         pulled = []
 
         def pull():

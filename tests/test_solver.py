@@ -27,6 +27,7 @@ from wordeq.lia import lia_sat
 from wordeq.normalize import eliminate_negations, to_dnf
 from wordeq.oracle import NoModelUpTo, brute_force_sat
 from wordeq.paramwords import params_of
+from wordeq.parser import parse_problem
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.solved_form import OutOfFragment, apply_solved_form, to_solved_form
 from wordeq.solver import (
@@ -339,6 +340,19 @@ def test_free_integer_variables():
     assert res.ints["n"] == len(res.strings["X"]) >= 3
 
 
+def test_many_int_constants_refuted_at_the_root():
+    # 2(n0 + ... + n17) <= -1 and >= 1 over 18 declared Int constants: the
+    # integer solver's relaxation is infeasible before any branching
+    names = " ".join(f"n{i}" for i in range(18))
+    problem = parse_problem(
+        '(set-alphabet "ab")\n'
+        + "".join(f"(declare-const n{i} Int)\n" for i in range(18))
+        + f"(assert (<= (* 2 (+ {names})) -1))\n"
+        + f"(assert (<= (* -2 (+ {names})) -1))\n"
+    )
+    assert isinstance(check_sat(problem.conjunction(), problem.alphabet), Unsat)
+
+
 def test_membership_over_compound_term():
     # the regex applies to a concatenation, not a bare variable
     phi = conj(
@@ -486,6 +500,17 @@ def test_blocked_rewriting_branch_leaves_the_others_decided():
     eq = WordEq(concat(Lit("a"), Var("Y")), concat(Var("Y"), Lit("a")))
     res = check_sat(conj(eq, eq, LenLeq(Len(Var("Y")), 0)), "ab")
     assert res == Sat({"Y": ""}, {})
+
+
+def test_long_straddle_chain_is_decided():
+    # X_i aab = baa X_{i+1} keeps every length equal along the chain, and
+    # each straddle step removes a variable, so twelve links are refuted
+    xs = [Var(f"X{i}") for i in range(13)]
+    phi = conj(
+        *(WordEq(concat(xs[i], Lit("aab")), concat(Lit("baa"), xs[i + 1])) for i in range(12)),
+        LenLeq(sum_of((1, Len(xs[0])), (-1, Len(xs[12]))), -1),
+    )
+    assert isinstance(check_sat(phi, "ab"), Unsat)
 
 
 def _residues(k, rs):
