@@ -2,10 +2,10 @@
 solver extracts from them: length sets and parameter-residue constraints.
 
 A ``Dfa`` is always total (every state has a successor on every letter) and
-epsilon-free, so complement is a flip of the accepting set.  Length sets are
-represented as finite unions of arithmetic progressions (``UPSet``), which
-regular languages are closed under; a membership box gives each parameter
-one progression (``Prog``).
+epsilon-free, so complement is a flip of the accepting set.  A length set
+is a finite union of arithmetic progressions, a ``frozenset`` of ``Prog``
+(the lengths of a regular language always are one); a membership box gives
+each parameter one progression.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import gcd
 from typing import Callable, TypeVar
 
 from .errors import LetterOutsideAlphabet, UnfixedPartPresent
-from .paramwords import Const, ParamWord, Power, Unfixed
+from .paramwords import Blocks, Const, Power, Unfixed
 from .terms import (
     Regex,
     ReConcat,
@@ -230,16 +230,6 @@ def dfa_to_regex(d: Dfa) -> Regex | None:
 Prog = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class UPSet:
-    """Finite union of arithmetic progressions over the naturals.
-
-    The set is normalized: no progression is contained in another one.
-    """
-
-    progs: frozenset[Prog]
-
-
 def prog_member(n: int, prog: Prog) -> bool:
     o, p = prog
     if p == 0:
@@ -258,19 +248,20 @@ def _prog_subsumes(a: Prog, b: Prog) -> bool:
     return o2 >= o1 and (o2 - o1) % p1 == 0 and p2 % p1 == 0
 
 
-def upset(pairs) -> UPSet:
-    """Normalizing constructor."""
+def upset(pairs) -> frozenset[Prog]:
+    """The union of the progressions ``pairs``, normalized: no progression
+    kept is contained in another one."""
     items = sorted(set((int(o), int(p)) for o, p in pairs))
     kept: list[Prog] = []
     for b in items:
         if any(a != b and _prog_subsumes(a, b) for a in items):
             continue
         kept.append(b)
-    return UPSet(frozenset(kept))
+    return frozenset(kept)
 
 
-def upset_member(s: UPSet, n: int) -> bool:
-    return any(prog_member(n, prog) for prog in s.progs)
+def upset_member(s: frozenset[Prog], n: int) -> bool:
+    return any(prog_member(n, prog) for prog in s)
 
 
 def prog_intersect(a: Prog, b: Prog) -> Prog | None:
@@ -308,7 +299,7 @@ def _orbit(start: T, step: Callable[[T], T]) -> list[tuple[T, Prog]]:
     return [(x, (k, period if k >= mu else 0)) for k, x in enumerate(seq)]
 
 
-def length_set(d: Dfa) -> UPSet:
+def length_set(d: Dfa) -> frozenset[Prog]:
     """Lengths of accepted words, as a union of progressions.
 
     Follows the set of states reachable by words of each exact length; the
@@ -329,7 +320,7 @@ def length_set(d: Dfa) -> UPSet:
 # parametric-word membership
 
 
-def param_membership(w: ParamWord, d: Dfa) -> list[dict[str, Prog]]:
+def param_membership(w: Blocks, d: Dfa) -> list[dict[str, Prog]]:
     """Exact membership constraints for a parametric word in a regular set.
 
     Walks the blocks of ``w`` over the automaton.  A power block maps the
@@ -341,7 +332,7 @@ def param_membership(w: ParamWord, d: Dfa) -> list[dict[str, Prog]]:
     some box.  Repeated parameters are handled by intersecting the
     per-occurrence classes.
     """
-    for b in w.blocks:
+    for b in w:
         if isinstance(b, Unfixed):
             raise UnfixedPartPresent("membership is undefined for unfixed parts")
         letters = b.word if isinstance(b, Const) else b.base
@@ -352,7 +343,7 @@ def param_membership(w: ParamWord, d: Dfa) -> list[dict[str, Prog]]:
             )
 
     branches: list[tuple[int, dict[str, Prog]]] = [(d.initial, {})]
-    for b in w.blocks:
+    for b in w:
         if isinstance(b, Const):
             branches = [(d.walk(q, b.word), cons) for q, cons in branches]
             continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .automata import Prog
-from .paramwords import Const, ParamWord, Power
+from .paramwords import Blocks, Const, Power
 from .solved_form import SolvedForm
 from .terms import (
     Concat,
@@ -78,11 +78,11 @@ def _add(coeffs: dict[LinVar, int], var: LinVar, c: int) -> None:
         del coeffs[var]
 
 
-def paramword_length(w: ParamWord) -> tuple[dict[LinVar, int], int]:
+def paramword_length(w: Blocks) -> tuple[dict[LinVar, int], int]:
     """Length of a parametric word as (linear part, constant part)."""
     coeffs: dict[LinVar, int] = {}
     const = 0
-    for b in w.blocks:
+    for b in w:
         if isinstance(b, Const):
             const += len(b.word)
         elif isinstance(b, Power):

@@ -12,10 +12,12 @@ touched are normalised again.
 The remaining rows split into independent blocks, the connected
 components of the rows over their columns.  Each block is decided on
 its own by branch and bound, and the first infeasible block refutes the
-call.  A node's box bounds each column, from [0, inf), or (-inf, inf)
-for a free one; a fractional column splits it at its value, and the
-half nearer zero is explored first.  A box wholly beyond the block's
-small-model bound U is pruned, which keeps the tree finite without
+call.  A node's box bounds each column.  The start box is [0, inf), or
+(-inf, inf) for a free column, narrowed by the block's one-column
+inequalities, so their bounds can pin a column; a fractional column
+splits the box at its value, and the half nearer zero is explored
+first.  An empty box, or one wholly beyond the block's
+small-model bound U, is pruned, which keeps the tree finite without
 giving up completeness (a free column counts in U as the two
 nonnegative columns of its difference, so some solution has |x| <= U),
 and so is a node where some equality, with the columns its box pins
@@ -38,8 +40,8 @@ pathological instance is never answered by a guess.
 A block keeps one bounded-variable simplex across all of its nodes
 (Dutertre and de Moura, *A Fast Linear-Arithmetic Solver for DPLL(T)*,
 CAV 2006).  The tableau is built once, with sparse rows and one slack
-per row; a column lies in its box, and a slack is <= b for an inequality
-and = b for an equality.
+per row over two or more columns; a column lies in its box, and a slack
+is <= b for an inequality and = b for an equality.
 A node only moves the column bounds to its box and repairs the current
 basis.  The repair pivots by Bland's rule (the smallest violating basic
 variable, then the smallest eligible nonbasic one), so it terminates.
@@ -295,7 +297,7 @@ def _divisible(eqs: list[_ColRow], box: _Box) -> bool:
     for coeffs, b in eqs:
         g = 0
         for j, c in coeffs.items():
-            lo, hi = box.get(j, (0, None))
+            lo, hi = box[j]
             if hi is not None and lo == hi:
                 b -= c * lo
             else:
@@ -312,20 +314,34 @@ def _solve_block(
     None."""
     # eq = two les; a free column is the difference of two nonnegative ones
     ubound = _small_model_bound(les + eqs + eqs, len(cols) + len(free.intersection(cols)))
-    lp = _Simplex(cols, eqs, les)
-    stack: list[_Box] = [{j: (None, None) for j in cols if j in free}]
+    start: _Box = {j: (None, None) if j in free else (0, None) for j in cols}
+    wide: list[_ColRow] = []
+    for coeffs, b in les:
+        if len(coeffs) > 1:
+            wide.append((coeffs, b))
+            continue
+        # normalised, so the one coefficient is +-1
+        [(j, c)] = coeffs.items()
+        lo, hi = start[j]
+        if c > 0:
+            start[j] = (lo, b if hi is None else min(hi, b))
+        else:
+            start[j] = (-b if lo is None else max(lo, -b), hi)
+    lp = _Simplex(cols, eqs, wide)
+    stack = [start]
     while stack:
         budget.draw(1, "lia")
         box = stack.pop()
         if any(
-            lo is not None and lo > ubound or hi is not None and hi < -ubound
+            lo is not None and (lo > ubound or hi is not None and lo > hi)
+            or hi is not None and hi < -ubound
             for lo, hi in box.values()
         ):
             continue
         if not _divisible(eqs, box):
             continue
         for j in cols:
-            lp.set_bounds(j, *box.get(j, (0, None)))
+            lp.set_bounds(j, *box[j])
         if not lp.check():
             continue
         frac = next((j for j in cols if lp.value[j].denominator != 1), None)
@@ -333,7 +349,7 @@ def _solve_block(
             return {j: int(lp.value[j]) for j in cols}
         val = lp.value[frac]
         floor_v = val.numerator // val.denominator
-        lo, hi = box.get(frac, (0, None))
+        lo, hi = box[frac]
         below, above = {**box, frac: (lo, floor_v)}, {**box, frac: (floor_v + 1, hi)}
         # explored first: the half nearer zero
         stack += [above, below] if val > 0 else [below, above]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import parser
-from .automata import UPSet, length_set, regex_to_dfa, upset_member
+from .automata import Prog, length_set, regex_to_dfa, upset_member
 from .errors import ResourceExhausted
 from .semantics import Assignment, eval_formula
 from .terms import (
@@ -92,7 +92,7 @@ def _profile_value(
     phi: Formula,
     lens: dict[str, int],
     int_bound: int,
-    re_lengths: dict[Regex, UPSet],
+    re_lengths: dict[Regex, frozenset[Prog]],
     alphabet: str,
 ) -> bool | None:
     """Three-valued truth from lengths alone: False rules the profile out."""
@@ -157,7 +157,7 @@ def brute_force_sat(
     snames, inames = sorted(svars), sorted(ivars)
     # The length filter needs automata over every letter the formula mentions.
     filter_alphabet = "".join(sorted(set(sigma) | letters))
-    re_lengths: dict[Regex, UPSet] = {}
+    re_lengths: dict[Regex, frozenset[Prog]] = {}
 
     words_by_len: dict[int, list[str]] = {}
 

@@ -1,13 +1,14 @@
 """Parametric words: constants, integer-parameter powers, unfixed parts.
 
-A parametric word denotes a family of concrete words.  ``Power("ab", "i")``
-stands for (ab)^i with i ranging over the nonnegative integers, and
-``Unfixed("y")`` stands for an arbitrary word substituted consistently at
-every occurrence of the same part id.
+A parametric word is a tuple of blocks (``Blocks``) and denotes a family
+of concrete words.  ``Power("ab", "i")`` stands for (ab)^i with i ranging
+over the nonnegative integers, and ``Unfixed("y")`` stands for an
+arbitrary word substituted consistently at every occurrence of the same
+part id.
 
-The same blocks, as a plain tuple, are the sides of the equations that
-``solved_form`` rewrites: there an unfixed part is a variable not yet
-solved, and ``substitute`` is how a solved variable is replaced.
+The same blocks are the sides of the equations that ``solved_form``
+rewrites and the words its solved forms bind: there an unfixed part is a
+variable not yet solved, and ``substitute`` is how one is replaced.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ Block = Union[Const, Power, Unfixed]
 Blocks = tuple[Block, ...]
 
 
-@dataclass(frozen=True)
-class ParamWord:
-    blocks: Blocks
-
-
 def merge_blocks(blocks: Iterable[Block]) -> Blocks:
     """The normal form of a block sequence: adjacent constants merged."""
     merged: list[Block] = []
@@ -62,10 +58,6 @@ def merge_blocks(blocks: Iterable[Block]) -> Blocks:
         else:
             merged.append(b)
     return tuple(merged)
-
-
-def param_word(blocks: Iterable[Block]) -> ParamWord:
-    return ParamWord(merge_blocks(blocks))
 
 
 def const_blocks(word: str) -> Blocks:
@@ -87,37 +79,37 @@ def substitute(blocks: Blocks, env: Mapping[str, Blocks]) -> Blocks:
     return merge_blocks(out)
 
 
-def params_of(w: ParamWord) -> list[str]:
+def params_of(w: Blocks) -> list[str]:
     """Parameter ids in first-occurrence order."""
     out: list[str] = []
-    for b in w.blocks:
+    for b in w:
         if isinstance(b, Power) and b.param not in out:
             out.append(b.param)
     return out
 
 
-def parts_of(w: ParamWord) -> list[str]:
+def parts_of(w: Blocks) -> list[str]:
     """Unfixed part ids in first-occurrence order."""
     out: list[str] = []
-    for b in w.blocks:
+    for b in w:
         if isinstance(b, Unfixed) and b.part not in out:
             out.append(b.part)
     return out
 
 
-def has_unfixed(w: ParamWord) -> bool:
-    return any(isinstance(b, Unfixed) for b in w.blocks)
+def has_unfixed(w: Blocks) -> bool:
+    return any(isinstance(b, Unfixed) for b in w)
 
 
 def instantiate(
-    w: ParamWord,
+    w: Blocks,
     params: Mapping[str, int],
     parts: Mapping[str, str] | None = None,
 ) -> str:
     """Concrete word for given parameter values and unfixed-part words."""
     parts = parts or {}
     pieces: list[str] = []
-    for b in w.blocks:
+    for b in w:
         if isinstance(b, Const):
             pieces.append(b.word)
         elif isinstance(b, Power):

@@ -428,16 +428,10 @@ def parse_2cm(text: str):
             if key == "states":
                 if states is not None:
                     raise ParseError("states given twice", lineno, 1)
-                if len(set(values)) != len(values) or not values:
-                    raise ParseError("states must be distinct and nonempty", lineno, 1)
                 states = values
             elif key == "input-alphabet":
                 if alphabet is not None:
                     raise ParseError("input-alphabet given twice", lineno, 1)
-                if len(set(values)) != len(values) or not values:
-                    raise ParseError("letters must be distinct and nonempty", lineno, 1)
-                if "end" in values:
-                    raise ParseError("'end' is reserved", lineno, 1)
                 alphabet = values
             elif key == "initial":
                 if initial is not None:
@@ -469,7 +463,8 @@ def parse_2cm(text: str):
     for name, val in headers.items():
         if val is None:
             raise ParseError(f"missing header {name!r}", 1, 1)
-    assert states and alphabet and initial is not None and finals is not None
+    assert states is not None and alphabet is not None
+    assert initial is not None and finals is not None
     try:
         return TwoCounterMachine(
             states=states,

@@ -58,7 +58,6 @@ from .errors import Budget, UnmappedVariable
 from .paramwords import (
     Blocks,
     Const,
-    ParamWord,
     Power,
     Unfixed,
     const_blocks,
@@ -103,9 +102,9 @@ def side_vars(s: Blocks) -> set[str]:
 class SolvedForm:
     """One binding per variable, each a parametric word."""
 
-    bindings: tuple[tuple[str, ParamWord], ...]
+    bindings: tuple[tuple[str, Blocks], ...]
 
-    def mapping(self) -> dict[str, ParamWord]:
+    def mapping(self) -> dict[str, Blocks]:
         return dict(self.bindings)
 
 
@@ -131,22 +130,22 @@ def is_solved_equation(eq: WordEq) -> bool:
     return isinstance(eq.lhs, Var) and eq.lhs.name not in str_term_vars(eq.rhs)
 
 
-def apply_solved_form(sf: SolvedForm, t: StrTerm) -> ParamWord:
+def apply_solved_form(sf: SolvedForm, t: StrTerm) -> Blocks:
     """The parametric word a term denotes under a solved form."""
-    env = {v: w.blocks for v, w in sf.bindings}
+    env = dict(sf.bindings)
     s = term_to_side(t)
     for b in s:
         if isinstance(b, Unfixed) and b.part not in env:
             raise UnmappedVariable(f"no binding for {b.part!r}")
-    return ParamWord(substitute(s, env))
+    return substitute(s, env)
 
 
 def render_solved_form(sf: SolvedForm) -> str:
-    def render_word(w: ParamWord) -> str:
-        if not w.blocks:
+    def render_word(w: Blocks) -> str:
+        if not w:
             return '""'
         bits = []
-        for b in w.blocks:
+        for b in w:
             if isinstance(b, Const):
                 bits.append(b.word)
             elif isinstance(b, Power):
@@ -529,9 +528,7 @@ def _resolve(st: _State, variables: Iterable[str]) -> SolvedForm:
     env: dict[str, Blocks] = {}
     for v in reversed(st.bindings):
         env[v] = substitute(st.bindings[v], env)
-    return SolvedForm(
-        tuple((v, ParamWord(env.get(v, (Unfixed(v),)))) for v in sorted(set(variables)))
-    )
+    return SolvedForm(tuple((v, env.get(v, (Unfixed(v),))) for v in sorted(set(variables))))
 
 
 def to_solved_form(

@@ -43,7 +43,7 @@ from .lengths import (
 from .lia import lia_sat
 from .normalize import Atom, Tree, dnf_tree, eliminate_negations, walk, walk_product
 from .normalize import to_dnf  # noqa: F401  perfbench/spans.py wraps solver.to_dnf by name
-from .paramwords import ParamWord, has_unfixed, instantiate, params_of, parts_of, substitute
+from .paramwords import has_unfixed, instantiate, params_of, parts_of, substitute
 from .semantics import Assignment, eval_formula
 from .solved_form import (
     OutOfFragment,
@@ -113,7 +113,7 @@ def _regex_row_groups(
             if alphabet:
                 parts = ", ".join(parts_of(pw))
                 raise _UnfixedMembership(f"membership constraint over unfixed parts ({parts})")
-            pw = ParamWord(substitute(pw.blocks, dict.fromkeys(parts_of(pw), ())))
+            pw = substitute(pw, dict.fromkeys(parts_of(pw), ()))
         boxes = param_membership(pw, regex_to_dfa(atom.regex, alphabet))
         if not boxes:
             return

@@ -92,12 +92,17 @@ class TwoCounterMachine:
     rules: tuple[tuple[DeltaKey, DeltaVal], ...]
 
     def __post_init__(self) -> None:
-        _check(len(set(self.states)) == len(self.states), "states must be distinct", "states")
         _check(
-            len(set(self.input_alphabet)) == len(self.input_alphabet),
-            "input letters must be distinct",
+            len(set(self.states)) == len(self.states) > 0,
+            "states must be distinct and nonempty",
+            "states",
+        )
+        _check(
+            len(set(self.input_alphabet)) == len(self.input_alphabet) > 0,
+            "input letters must be distinct and nonempty",
             "input-alphabet",
         )
+        _check("end" not in self.input_alphabet, "'end' is reserved", "input-alphabet")
         _check(
             self.initial in self.states,
             f"initial state {self.initial!r} is not declared",
@@ -652,15 +657,6 @@ def _witnessed(body: _Body, word: str, alphabet: str, budget: Budget) -> bool:
     return any(
         _conjunct_sat(eqs, env, alphabet, len(word), budget) for eqs in body.generic
     )
-
-
-def is_counterexample(s: Sentence, word: str) -> bool:
-    """Does the word defeat every existential witness choice?"""
-    budget = Budget()
-    body = _compiled_body(s, budget)
-    if any(_matches(p, word) for p in body.closed):
-        return False
-    return not _witnessed(body, word, s.alphabet, budget)
 
 
 def _unpruned(closed: list[_Linear], alphabet: str, length: int) -> Iterator[str]:

@@ -14,9 +14,11 @@ import sys
 from itertools import product
 from pathlib import Path
 
+from wordeq import twocounter
 from wordeq.automata import dfa_complement, length_set, regex_to_dfa
+from wordeq.errors import Budget
 from wordeq.normalize import Literal
-from wordeq.paramwords import Const, ParamWord, Power, Unfixed, param_word
+from wordeq.paramwords import Blocks, Const, Power, Unfixed, merge_blocks
 from wordeq.printer import print_problem
 from wordeq.solved_form import SolvedForm
 from wordeq.solver import Sat, Unsat, check_sat
@@ -168,7 +170,7 @@ def random_boolean_formula(rng: random.Random, depth: int) -> Formula:
     return And(parts) if kind == 1 else Or(parts)
 
 
-def random_paramword(rng: random.Random, sigma: str, n_params: int = 2) -> ParamWord:
+def random_paramword(rng: random.Random, sigma: str, n_params: int = 2) -> Blocks:
     blocks = []
     params = [f"i{k}" for k in range(n_params)]
     for _ in range(rng.randint(1, 4)):
@@ -180,7 +182,7 @@ def random_paramword(rng: random.Random, sigma: str, n_params: int = 2) -> Param
             blocks.append(Power(base, rng.choice(params)))
         else:
             blocks.append(Const(rng.choice(sigma)))
-    return param_word(tuple(blocks))
+    return merge_blocks(tuple(blocks))
 
 
 def random_solved_form(rng: random.Random, sigma: str = "ab") -> SolvedForm:
@@ -198,7 +200,7 @@ def random_solved_form(rng: random.Random, sigma: str = "ab") -> SolvedForm:
                 blocks.append(Power(random_word(rng, sigma, 2) or "ab", rng.choice(params)))
             else:
                 blocks.append(Unfixed(rng.choice(parts)))
-        bindings.append((v, param_word(tuple(blocks))))
+        bindings.append((v, merge_blocks(tuple(blocks))))
     return SolvedForm(bindings=tuple(bindings))
 
 
@@ -221,7 +223,7 @@ def length_abstraction(phi: Formula, alphabet: str) -> str:
 
     def in_lengths(term, dfa) -> Formula:
         options: list[Formula] = []
-        for o, p in sorted(length_set(dfa).progs):
+        for o, p in sorted(length_set(dfa)):
             k = IntVar(gen.fresh("k"))
             offset = sum_of((1, Len(term)), (-p, k))  # must equal o
             nonnegative = LenLeq(sum_of((-1, k)), 0)
@@ -293,6 +295,17 @@ def reference_to_dnf(phi: Formula) -> list[list[Literal]]:
         return [[Literal(f, True)]]
 
     return dnf(nnf(phi, True))
+
+
+def is_counterexample(s: twocounter.Sentence, word: str) -> bool:
+    """Does the word defeat every existential witness choice of the
+    sentence?  One word, checked as ``enumerate_counterexamples`` checks
+    each word it walks."""
+    budget = Budget()
+    body = twocounter._compiled_body(s, budget)
+    if any(twocounter._matches(p, word) for p in body.closed):
+        return False
+    return not twocounter._witnessed(body, word, s.alphabet, budget)
 
 
 # ---------------------------------------------------------------------------

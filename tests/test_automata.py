@@ -20,7 +20,7 @@ from wordeq.automata import (
     upset_member,
 )
 from wordeq.errors import LetterOutsideAlphabet, UnfixedPartPresent
-from wordeq.paramwords import Const, Power, Unfixed, instantiate, param_word
+from wordeq.paramwords import Const, Power, Unfixed, instantiate, merge_blocks
 from wordeq.terms import ReConcat, ReEpsilon, ReLit, ReStar, ReUnion
 
 
@@ -95,7 +95,7 @@ def test_dfa_to_regex_roundtrip():
         d = regex_to_dfa(random_regex(rng, "ab", 2), "ab")
         r = dfa_to_regex(d)
         if r is None:
-            assert not length_set(d).progs
+            assert not length_set(d)
             continue
         for w in words_upto("ab", 5):
             assert regex_match(r, w) == d.accepts(w), (r, w)
@@ -109,7 +109,7 @@ def test_upset_normalization_subsumption():
     assert upset([(0, 2), (4, 2)]) == upset([(0, 2)])
     assert upset([(3, 0), (1, 2)]) == upset([(1, 2)])
     assert upset([(2, 4), (0, 2)]) == upset([(0, 2)])
-    assert upset([(0, 0), (0, 0)]).progs == frozenset({(0, 0)})
+    assert upset([(0, 0), (0, 0)]) == frozenset({(0, 0)})
 
 
 def test_upset_intersect_golden():
@@ -143,7 +143,7 @@ def test_length_set_golden():
     assert members_upto(length_set(regex_to_dfa(ReStar(ReLit("a")), "a")), 20) == set(range(21))
     # the empty language has no lengths
     universal = regex_to_dfa(ReStar(ReUnion((ReLit("a"), ReLit("b")))), "ab")
-    assert not length_set(dfa_complement(universal)).progs
+    assert not length_set(dfa_complement(universal))
 
 
 def test_length_set_vs_reachability():
@@ -157,11 +157,11 @@ def test_length_set_vs_reachability():
 def test_param_membership_golden():
     # a(ab)^i b in (ab)*: only i = 0 (giving the word ab) lands inside
     d = regex_to_dfa(ReStar(ReLit("ab")), "ab")
-    w = param_word([Const("a"), Power("ab", "i"), Const("b")])
+    w = merge_blocks([Const("a"), Power("ab", "i"), Const("b")])
     assert param_membership(w, d) == [{"i": (0, 0)}]
     # (ab)^i a in (ab)*a: every exponent (possibly split across boxes)
     d2 = regex_to_dfa(ReConcat((ReStar(ReLit("ab")), ReLit("a"))), "ab")
-    w2 = param_word([Power("ab", "i"), Const("a")])
+    w2 = merge_blocks([Power("ab", "i"), Const("a")])
     boxes = param_membership(w2, d2)
     hit = {n for n in range(10) if any(prog_member(n, b["i"]) for b in boxes)}
     assert hit == set(range(10))
@@ -172,7 +172,7 @@ def test_param_membership_repeated_parameter():
     d = regex_to_dfa(
         ReConcat((ReStar(ReLit("aa")), ReLit("b"), ReStar(ReLit("aa")))), "ab"
     )
-    w = param_word([Power("a", "i"), Const("b"), Power("a", "i")])
+    w = merge_blocks([Power("a", "i"), Const("b"), Power("a", "i")])
     boxes = param_membership(w, d)
     hit = {n for n in range(10) if any(prog_member(n, box["i"]) for box in boxes)}
     assert hit == {0, 2, 4, 6, 8}
@@ -190,9 +190,9 @@ def test_param_membership_vs_instantiation():
                 blocks.append(Const(random_word(rng, "ab", 2) or "a"))
             else:
                 blocks.append(Power(random_word(rng, "ab", 2) or "ab", rng.choice("ij")))
-        w = param_word(blocks)
+        w = merge_blocks(blocks)
         boxes = param_membership(w, d)
-        names = sorted({b.param for b in w.blocks if isinstance(b, Power)})
+        names = sorted({b.param for b in w if isinstance(b, Power)})
         for point in product(range(9), repeat=len(names)):
             val = dict(zip(names, point))
             direct = d.accepts(instantiate(w, val))
@@ -207,6 +207,6 @@ def test_param_membership_vs_instantiation():
 def test_param_membership_rejects_unfixed_and_foreign_letters():
     d = regex_to_dfa(ReStar(ReLit("ab")), "ab")
     with pytest.raises(UnfixedPartPresent):
-        param_membership(param_word([Unfixed("y")]), d)
+        param_membership(merge_blocks([Unfixed("y")]), d)
     with pytest.raises(LetterOutsideAlphabet):
-        param_membership(param_word([Const("c")]), d)
+        param_membership(merge_blocks([Const("c")]), d)

@@ -17,16 +17,16 @@ from wordeq.lengths import (
     translate_len_atom,
     upset_rows,
 )
-from wordeq.paramwords import Const, ParamWord, Power, Unfixed, instantiate, param_word
+from wordeq.paramwords import Const, Power, Unfixed, instantiate, merge_blocks
 from wordeq.terms import IntConst, IntVar, Len, LenLeq, Lit, NameGen, Var, concat, sum_of
 
 
 def test_paramword_length_golden():
-    w = param_word([Power("ab", "i"), Const("a"), Unfixed("y"), Power("b", "i")])
+    w = merge_blocks([Power("ab", "i"), Const("a"), Unfixed("y"), Power("b", "i")])
     coeffs, const = paramword_length(w)
     assert coeffs == {param_var("i"): 3, part_var("y"): 1}
     assert const == 1
-    assert paramword_length(ParamWord(())) == ({}, 0)
+    assert paramword_length(()) == ({}, 0)
 
 
 def test_term_length_golden():
@@ -38,7 +38,7 @@ def test_term_length_golden():
 
 
 def test_implied_rows_golden():
-    sf_bindings = (("X", param_word([Power("ab", "i"), Const("a")])),)
+    sf_bindings = (("X", merge_blocks([Power("ab", "i"), Const("a")])),)
     from wordeq.solved_form import SolvedForm
 
     (row,) = implied_length_constraints(SolvedForm(sf_bindings))
@@ -87,7 +87,7 @@ def test_upset_rows_semantics():
     gen = NameGen()
     s = upset([(1, 3), (0, 0)])
     coeffs = {len_var("X"): 1}
-    groups = upset_rows(coeffs, 2, sorted(s.progs), gen)  # expression: len(X) + 2
+    groups = upset_rows(coeffs, 2, sorted(s), gen)  # expression: len(X) + 2
     assert len(groups) == 2
     for n in range(0, 15):
         inside = upset_member(s, n + 2)

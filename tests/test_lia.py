@@ -376,11 +376,16 @@ def test_groups_differential_against_one_call_per_group(monkeypatch):
     # The systems are unbounded, and branch and bound can run along a ray
     # of one of them until the work budget, lowered here to keep such a
     # case short, runs out and ends the call.  The last system does: its
-    # rows force x1 = 0, which no box pins, and leave x0 = x2 - 3/2
+    # rows force x1 = x3 = 0, but only x3 through a one-column row, so no
+    # box pins x1, and they leave x0 = x2 - 3/2
     monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
-    x0, x1, x2 = (len_var(f"x{k}") for k in range(3))
+    x0, x1, x2, x3 = (len_var(f"x{k}") for k in range(4))
     along_a_ray = (
-        [Row({x0: 2, x1: -3, x2: -2}, "eq", -3), Row({x1: 2}, "le", 1)],
+        [
+            Row({x0: 2, x1: -3, x2: -2}, "eq", -3),
+            Row({x1: 1, x3: -1}, "le", 0),
+            Row({x3: 2}, "le", 1),
+        ],
         [[Row({x0: 1}, "le", 4)]],
     )
     seen = set()
@@ -425,6 +430,19 @@ def test_groups_differential_against_one_call_per_group(monkeypatch):
         "sat at a later group",
         "sat at the first group",
     }
+
+
+def test_one_column_rows_bound_the_start_box():
+    # 2*x1 <= 1 pins x1 to 0 in the start box, so the equality is left
+    # with 2*x0 - 2*x2 = -3, which no node can divide
+    x0, x1, x2 = (len_var(f"x{k}") for k in range(3))
+    budget = Budget()
+    budget.left = 1
+    assert lia_sat([Row({x0: 2, x1: -3, x2: -2}, "eq", -3), Row({x1: 2}, "le", 1)], budget=budget) is None
+    # an empty start box is pruned, also where no other row mentions the column
+    assert lia_sat([Row({x0: -1}, "le", -3), Row({x0: 1}, "le", 2)]) is None
+    assert lia_sat([Row({int_var("n"): -2}, "le", 5), Row({int_var("n"): 1}, "le", -3)]) is None
+    assert lia_sat([Row({int_var("n"): -2}, "le", 5), Row({int_var("n"): 1}, "le", -2)]) == {int_var("n"): -2}
 
 
 def test_groups_are_not_pulled_after_a_shared_clash():

@@ -7,25 +7,24 @@ import pytest
 from wordeq.errors import UnfixedPartPresent
 from wordeq.paramwords import (
     Const,
-    ParamWord,
     Power,
     Unfixed,
     has_unfixed,
     instantiate,
-    param_word,
+    merge_blocks,
     params_of,
     parts_of,
 )
 
 
 def test_param_word_merges_adjacent_constants():
-    w = param_word([Const("a"), Const("b"), Power("ab", "i"), Const("c")])
-    assert w == ParamWord((Const("ab"), Power("ab", "i"), Const("c")))
+    w = merge_blocks([Const("a"), Const("b"), Power("ab", "i"), Const("c")])
+    assert w == (Const("ab"), Power("ab", "i"), Const("c"))
 
 
 def test_param_word_keeps_nonadjacent_constants():
-    w = param_word([Const("a"), Unfixed("y"), Const("a")])
-    assert w.blocks == (Const("a"), Unfixed("y"), Const("a"))
+    w = merge_blocks([Const("a"), Unfixed("y"), Const("a")])
+    assert w == (Const("a"), Unfixed("y"), Const("a"))
 
 
 def test_empty_blocks_rejected():
@@ -36,35 +35,35 @@ def test_empty_blocks_rejected():
 
 
 def test_params_and_parts_first_occurrence_order():
-    w = param_word(
+    w = merge_blocks(
         [Power("a", "j"), Unfixed("z"), Power("b", "i"), Power("ab", "j"), Unfixed("y")]
     )
     assert params_of(w) == ["j", "i"]
     assert parts_of(w) == ["z", "y"]
     assert has_unfixed(w)
-    assert not has_unfixed(param_word([Const("a")]))
+    assert not has_unfixed(merge_blocks([Const("a")]))
 
 
 def test_instantiate_golden():
-    w = param_word([Const("a"), Power("ab", "i"), Const("b"), Unfixed("y")])
+    w = merge_blocks([Const("a"), Power("ab", "i"), Const("b"), Unfixed("y")])
     assert instantiate(w, {"i": 0}, {"y": ""}) == "ab"
     assert instantiate(w, {"i": 2}, {"y": "ba"}) == "aababbba"
 
 
 def test_instantiate_shared_parameter():
     # the same parameter takes the same value in every power
-    w = param_word([Power("a", "i"), Const("b"), Power("ba", "i")])
+    w = merge_blocks([Power("a", "i"), Const("b"), Power("ba", "i")])
     assert instantiate(w, {"i": 3}) == "aaabbababa"
 
 
 def test_instantiate_missing_part_raises():
-    w = param_word([Unfixed("y")])
+    w = merge_blocks([Unfixed("y")])
     with pytest.raises(UnfixedPartPresent):
         instantiate(w, {})
 
 
 def test_instantiate_negative_parameter_rejected():
-    w = param_word([Power("a", "i")])
+    w = merge_blocks([Power("a", "i")])
     with pytest.raises(ValueError):
         instantiate(w, {"i": -1})
 
@@ -90,7 +89,7 @@ def test_instantiate_matches_direct_expansion():
             else:
                 blocks.append(Unfixed("y"))
                 expect.append(parts["y"])
-        w = param_word(blocks)
+        w = merge_blocks(blocks)
         assert instantiate(w, params, parts) == "".join(expect)
 
 
@@ -101,7 +100,7 @@ def test_normalization_preserves_instances():
             Const(rng.choice("ab")) if rng.random() < 0.6 else Power("ab", "i")
             for _ in range(rng.randint(1, 6))
         ]
-        raw = ParamWord(tuple(blocks))
-        norm = param_word(blocks)
+        raw = tuple(blocks)
+        norm = merge_blocks(blocks)
         for i in range(4):
             assert instantiate(raw, {"i": i}) == instantiate(norm, {"i": i})

@@ -159,6 +159,9 @@ def _machine(line: int, text: str) -> str:
 # each machine check that parse_2cm reports, at the line it read the
 # header or rule on; a missing header is reported at the file's start
 MACHINE_ROWS = [
+    (_machine(1, "states: q0 qf q0"), 1, "states must be distinct and nonempty"),
+    (_machine(2, "input-alphabet:"), 2, "input letters must be distinct and nonempty"),
+    (_machine(2, "input-alphabet: a end"), 2, "'end' is reserved"),
     (_machine(3, "initial: zz"), 3, "initial state 'zz' is not declared"),
     (_machine(4, "final: qf zz"), 4, "final states must be declared"),
     (MACHINE + "q0 b Z Z -> zz in R\n", 6, "rule for ('q0', 'b', 'Z', 'Z') uses an undeclared state"),

@@ -11,12 +11,11 @@ from wordeq import solved_form
 from wordeq.errors import Budget, ResourceExhausted
 from wordeq.paramwords import (
     Const,
-    ParamWord,
     Power,
     Unfixed,
     const_blocks,
     instantiate,
-    param_word,
+    merge_blocks,
     parts_of,
 )
 from wordeq.semantics import Assignment, eval_formula
@@ -45,7 +44,7 @@ def words_upto(sigma, n):
 
 def sf_solutions(sf: SolvedForm, sigma: str, max_len: int) -> set[tuple[str, ...]]:
     """All instantiations whose bound words stay within max_len."""
-    params = sorted({b.param for _, w in sf.bindings for b in w.blocks if isinstance(b, Power)})
+    params = sorted({b.param for _, w in sf.bindings for b in w if isinstance(b, Power)})
     parts = sorted({p for _, w in sf.bindings for p in parts_of(w)})
     out = set()
     for pv in product(range(max_len + 1), repeat=len(params)):
@@ -80,19 +79,19 @@ def test_definition_is_its_own_solved_form():
     # X = aYbZa stays a single binding with the other variables unfixed
     (sf,) = solve(WordEq(Var("X"), concat(Lit("a"), Var("Y"), Lit("b"), Var("Z"), Lit("a"))))
     m = sf.mapping()
-    assert m["X"] == param_word(
+    assert m["X"] == merge_blocks(
         [Const("a"), Unfixed("Y"), Const("b"), Unfixed("Z"), Const("a")]
     )
-    assert m["Y"] == ParamWord((Unfixed("Y"),))
-    assert m["Z"] == ParamWord((Unfixed("Z"),))
+    assert m["Y"] == (Unfixed("Y"),)
+    assert m["Z"] == (Unfixed("Z"),)
 
 
 def test_conjugate_equation_gives_power_family():
     # abX = Xba forces X = (ab)^i a
     (sf,) = solve(WordEq(concat(Lit("ab"), Var("X")), concat(Var("X"), Lit("ba"))))
-    assert sf.mapping()["X"].blocks[:1] == (Power("ab", sf.mapping()["X"].blocks[0].param),)
-    param = sf.mapping()["X"].blocks[0].param
-    assert sf.mapping()["X"] == param_word([Power("ab", param), Const("a")])
+    assert sf.mapping()["X"][:1] == (Power("ab", sf.mapping()["X"][0].param),)
+    param = sf.mapping()["X"][0].param
+    assert sf.mapping()["X"] == merge_blocks([Power("ab", param), Const("a")])
     for i in range(5):
         w = instantiate(sf.mapping()["X"], {param: i})
         assert "ab" + w == w + "ba"
@@ -109,12 +108,12 @@ def test_crossing_pair_shares_one_parameter():
     for sf in forms:
         x, y = sf.mapping()["X"], sf.mapping()["Y"]
         assert x == y
-        assert len(x.blocks) == 1 and isinstance(x.blocks[0], Power)
-        assert x.blocks[0].base == "a"
-        seen.add(x.blocks[0].param)
+        assert len(x) == 1 and isinstance(x[0], Power)
+        assert x[0].base == "a"
+        seen.add(x[0].param)
     # one shared parameter per form: X and Y grow in lockstep
     for sf in forms:
-        p = sf.mapping()["X"].blocks[0].param
+        p = sf.mapping()["X"][0].param
         for i in range(4):
             v = instantiate(sf.mapping()["X"], {p: i})
             assert v == "a" * i
@@ -140,7 +139,7 @@ def test_clash_in_one_branch_leaves_the_others():
     # YX = ba on two of them, and the third still gives its form
     x, y = Var("X"), Var("Y")
     forms = solve(WordEq(concat(x, y), Lit("ab")), WordEq(concat(y, x), Lit("ba")))
-    a, b = param_word([Const("a")]), param_word([Const("b")])
+    a, b = merge_blocks([Const("a")]), merge_blocks([Const("b")])
     assert forms == [SolvedForm((("X", a), ("Y", b)))]
 
 
@@ -157,11 +156,11 @@ def test_crossed_variables_leave_the_fragment():
 
 def test_trivial_systems():
     (sf,) = solve(WordEq(Var("X"), Var("X")))
-    assert sf.mapping()["X"] == ParamWord((Unfixed("X"),))
+    assert sf.mapping()["X"] == (Unfixed("X"),)
     (sf,) = solve(WordEq(Lit("ab"), Lit("ab")), variables=["X"])
-    assert sf.mapping()["X"] == ParamWord((Unfixed("X"),))
+    assert sf.mapping()["X"] == (Unfixed("X"),)
     (sf,) = solve(WordEq(Var("X"), Lit("")))
-    assert sf.mapping()["X"] == ParamWord(())
+    assert sf.mapping()["X"] == ()
 
 
 def test_chained_definitions_substitute_through():
@@ -182,18 +181,18 @@ def test_chained_definitions_substitute_through():
 def test_render_solved_form():
     sf = SolvedForm(
         (
-            ("X", param_word([Power("ab", "i0"), Const("a")])),
-            ("Y", ParamWord((Unfixed("y"),))),
-            ("Z", ParamWord(())),
+            ("X", merge_blocks([Power("ab", "i0"), Const("a")])),
+            ("Y", (Unfixed("y"),)),
+            ("Z", ()),
         )
     )
     assert render_solved_form(sf) == 'X = (ab)^i0 a\nY = <y>\nZ = ""'
 
 
 def test_apply_solved_form():
-    sf = SolvedForm((("X", param_word([Power("a", "i")])),))
+    sf = SolvedForm((("X", merge_blocks([Power("a", "i")])),))
     w = apply_solved_form(sf, concat(Lit("b"), Var("X"), Lit("b")))
-    assert w == param_word([Const("b"), Power("a", "i"), Const("b")])
+    assert w == merge_blocks([Const("b"), Power("a", "i"), Const("b")])
 
 
 def mirror(t):
@@ -286,7 +285,7 @@ def test_parameter_maps_reach_bindings_made_before_them(monkeypatch):
         WordEq(concat(y, Lit("b")), concat(Lit("b"), y)),
     )
     assert forms == [
-        SolvedForm((("X", param_word([Const("a")])), ("Y", ParamWord(()))))
+        SolvedForm((("X", merge_blocks([Const("a")])), ("Y", ())))
     ]
     assert {"set_param", "unroll_param"} <= set(calls)
 
@@ -300,7 +299,7 @@ def test_long_binding_chain_composes_to_its_closed_form():
     m = sf.mapping()
     assert len(m) == n + 1
     for i in range(n + 1):
-        assert m[f"X{i}"] == ParamWord(const_blocks("ab" * (n - i)) + (Unfixed(f"X{n}"),))
+        assert m[f"X{i}"] == const_blocks("ab" * (n - i)) + (Unfixed(f"X{n}"),)
 
 
 def test_forms_cover_long_solutions_too():

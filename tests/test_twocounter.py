@@ -44,12 +44,11 @@ from wordeq.twocounter import (
     encode_history,
     enumerate_counterexamples,
     id_letters,
-    is_counterexample,
     positivize,
     simulate,
 )
 
-from helpers import zoo
+from helpers import is_counterexample, zoo
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +82,21 @@ def test_malformed_machines_rejected():
         )
     with pytest.raises(MalformedMachine):  # initial state unknown
         TwoCounterMachine(("q0",), ("a",), "q7", frozenset(), ())
+
+
+def test_machine_states_and_input_letters_checked():
+    rule = (("q0", "a", "Z", "Z"), ("q0", "in", "R"))
+    for states, letters, message in [
+        ((), ("a",), "states must be distinct and nonempty"),
+        (("q0", "q0"), ("a",), "states must be distinct and nonempty"),
+        (("q0",), (), "input letters must be distinct and nonempty"),
+        (("q0",), ("a", "a"), "input letters must be distinct and nonempty"),
+        (("q0",), ("end",), "'end' is reserved"),
+        (("q0",), ("a", "end"), "'end' is reserved"),
+    ]:
+        with pytest.raises(MalformedMachine) as e:
+            TwoCounterMachine(states, letters, "q0", frozenset(), (rule,))
+        assert str(e.value) == message
 
 
 def test_machine_id_requires_nonnegative_fields():
