@@ -5,7 +5,8 @@ an ``int``-kind unknown, which is free: it has no bound either way.
 
 The search is complete.  Every row is normalised once: equalities whose
 coefficient gcd does not divide the bound are refuted and inequalities
-are tightened by their gcd.  Equalities with a +-1 coefficient are then
+are tightened by their gcd; an inequality and its exact opposite become
+one equality.  Equalities with a +-1 coefficient are then
 eliminated by exact substitution, and only the rows a substitution
 touched are normalised again.
 
@@ -124,6 +125,28 @@ def _substitute(
     return out
 
 
+def _pair_opposites(eqs: list[_ColRow], les: list[_ColRow]) -> list[_ColRow]:
+    """The normalised inequalities without each one whose exact opposite
+    is also there: c*x <= b with -c*x <= -b is appended to ``eqs`` as
+    c*x = b, which the equality pruning sees.  Only rows with opposite
+    bounds are compared."""
+    if len(les) < 2:
+        return les
+    unpaired: dict[int, list[int]] = {}  # row indices by bound
+    paired: set[int] = set()
+    for i, (coeffs, b) in enumerate(les):
+        for j in unpaired.get(-b, ()):
+            other = les[j][0]
+            if len(other) == len(coeffs) and all(other.get(k) == -c for k, c in coeffs.items()):
+                unpaired[-b].remove(j)
+                paired.update((i, j))
+                eqs.append(les[j])
+                break
+        else:
+            unpaired.setdefault(b, []).append(i)
+    return [row for i, row in enumerate(les) if i not in paired]
+
+
 def _eliminate_units(
     eqs: list[_ColRow], les: list[_ColRow], free: set[int]
 ) -> tuple[list[_ColRow], list[_ColRow], list[tuple[int, int, dict[int, int]]]]:
@@ -134,7 +157,7 @@ def _eliminate_units(
     reverse.
     """
     eqs = _normalize_all(eqs, True)
-    les = _normalize_all(les, False)
+    les = _pair_opposites(eqs, _normalize_all(les, False))
     elims: list[tuple[int, int, dict[int, int]]] = []
     while True:
         pick = None

@@ -10,11 +10,13 @@ cover.
 Each side of an equation being rewritten is a tuple of parametric-word
 blocks (``paramwords``): its unfixed parts are the variables not yet
 solved, so a binding is ``paramwords.substitute`` into the pending
-equations.  The bindings are kept triangular (Baader & Snyder,
-*Unification Theory*, 2001): a new binding is not substituted into the
-earlier ones, so a step costs the size of the pending system, not of
-everything bound so far.  ``_resolve`` composes them once per finished
-branch into its solved form.
+equations.  Each pending equation records its variables, parameters and
+size, so a binding or parameter map rewrites only the equations that
+mention what it binds or maps; the rule scans still visit each equation.
+The bindings are kept triangular (Baader & Snyder, *Unification Theory*,
+2001): a new binding is not substituted into the earlier ones, so a step
+does not cost the size of everything bound so far.  ``_resolve``
+composes them once per finished branch into its solved form.
 
 The rules: the first keeps every pending equation simplified, the rest
 are tried in this order on every pending equation:
@@ -37,7 +39,8 @@ are tried in this order on every pending equation:
 Peeling can grow the system, so it draws from a budget of
 ``GROWTH_BUDGET`` steps per branch; every other step strictly shrinks
 the measure (variables, parameters, symbols), checked against the exact
-measure of the system it starts from.  A straddle is one of them: it
+measure of the system it starts from; the measure is summed from the
+equations' records.  A straddle is one of them: it
 binds two variables and brings in at most one fresh one.  That measure
 is taken once per step: the one checked after a step is carried into
 the next.  A branch that exhausts its peel budget or meets no applicable
@@ -52,10 +55,11 @@ layers; running out raises ResourceExhausted and ends the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import Budget, UnmappedVariable
 from .paramwords import (
+    Block,
     Blocks,
     Const,
     Power,
@@ -76,7 +80,23 @@ def term_to_side(t: StrTerm) -> Blocks:
         return const_blocks(t.word)
     if isinstance(t, Var):
         return (Unfixed(t.name),)
-    return merge_blocks(b for p in t.parts for b in term_to_side(p))
+    out: list[Block] = []
+    word = ""  # the constant letters met since the last unfixed part
+    for p in t.parts:
+        if isinstance(p, Lit):
+            word += p.word
+            continue
+        for b in (Unfixed(p.name),) if isinstance(p, Var) else term_to_side(p):
+            if isinstance(b, Const):
+                word += b.word
+                continue
+            if word:
+                out.append(Const(word))
+                word = ""
+            out.append(b)
+    if word:
+        out.append(Const(word))
+    return tuple(out)
 
 
 def ground_word(s: Blocks) -> str | None:
@@ -196,13 +216,48 @@ def _simplify(l: Blocks, r: Blocks) -> tuple[Blocks, Blocks] | str | None:
 # rewriting state
 
 
+class _Eq(NamedTuple):
+    """A pending equation: its sides, the variables and parameters they
+    mention and their size (one per unfixed part, the base's length plus
+    one per power, the word's length per constant)."""
+
+    lhs: Blocks
+    rhs: Blocks
+    vars: frozenset[str]
+    params: frozenset[str]
+    size: int
+
+
+def _eq(l: Blocks, r: Blocks) -> _Eq:
+    """The record of the equation l = r."""
+    vs: set[str] = set()
+    ps: set[str] = set()
+    size = 0
+    for s in (l, r):
+        for it in s:
+            if isinstance(it, Unfixed):
+                vs.add(it.part)
+                size += 1
+            elif isinstance(it, Power):
+                ps.add(it.param)
+                size += len(it.base) + 1
+            else:
+                size += len(it.word)
+    return _Eq(l, r, frozenset(vs), frozenset(ps), size)
+
+
 class _State:
-    """One branch: the pending equations, each simplified, the bindings
-    made so far, ``growth``, the peel steps left, ``work``, the call's
-    work budget that all its branches share, ``measured``, the measure of
-    ``pending`` when a step has taken it already (None after a copy or a
-    change), and ``dead``, the clash that refuted an equation (None while
-    the branch lives; a dead branch has nothing pending).
+    """One branch: the pending equations, each simplified and held as an
+    ``_Eq`` record made by ``_eq``, the bindings made so far, ``growth``,
+    the peel steps left, ``work``, the call's work budget that all its
+    branches share, ``measured``, the measure of ``pending`` when a step
+    has taken it already (None after a copy or a change), and ``dead``,
+    the clash that refuted an equation (None while the branch lives; a
+    dead branch has nothing pending).
+
+    A rewrite reaches only the records that mention the variable it binds
+    or the parameter it maps; every other record is kept, the same
+    object, and the measure is summed from the records.
 
     Bindings are triangular: ``bind`` substitutes into the pending
     equations only, so a binding mentions only variables bound after it,
@@ -214,7 +269,7 @@ class _State:
 
     def __init__(
         self,
-        pending: list[tuple[Blocks, Blocks]],
+        pending: list[_Eq],
         bindings: dict[str, Blocks],
         growth: int,
         work: Budget | None = None,
@@ -237,21 +292,25 @@ class _State:
         if name in side_vars(value):
             raise AssertionError(f"occurs check: {name} occurs in its own value")
         env = {name: value}
-        self._rewrite(lambda s: substitute(s, env))
+        self._rewrite(lambda eq: name in eq.vars, lambda s: substitute(s, env))
         self.bindings[name] = value
 
-    def _rewrite(self, side: Callable[[Blocks], Blocks]) -> None:
-        """Rewrite both sides of every pending equation and simplify the
-        ones that change; ``side`` returns a side it leaves alone as is."""
+    def _rewrite(
+        self, touches: Callable[[_Eq], bool], side: Callable[[Blocks], Blocks]
+    ) -> None:
+        """Rewrite both sides of each pending equation that ``touches``
+        and simplify it; the others are kept as they are."""
         pending = []
-        for l, r in self.pending:
-            l2, r2 = side(l), side(r)
-            eq = (l, r) if l2 is l and r2 is r else _simplify(l2, r2)
-            if isinstance(eq, str):
-                self.dead, self.pending = eq, []
-                return
-            if eq is not None:
+        for eq in self.pending:
+            if not touches(eq):
                 pending.append(eq)
+                continue
+            simple = _simplify(side(eq.lhs), side(eq.rhs))
+            if isinstance(simple, str):
+                self.dead, self.pending = simple, []
+                return
+            if simple is not None:
+                pending.append(_eq(*simple))
         self.pending = pending
 
     def _map_powers(self, param: str, fn: Callable[[Power], Blocks]) -> None:
@@ -264,7 +323,7 @@ class _State:
                 for b2 in (fn(b) if isinstance(b, Power) and b.param == param else (b,))
             )
 
-        self._rewrite(apply)
+        self._rewrite(lambda eq: param in eq.params, apply)
         self.bindings = {v: apply(s) for v, s in self.bindings.items()}
 
     def set_param(self, param: str, k: int) -> None:
@@ -278,17 +337,10 @@ class _State:
         vs: set[str] = set()
         ps: set[str] = set()
         size = 0
-        for l, r in self.pending:
-            for s in (l, r):
-                for it in s:
-                    if isinstance(it, Unfixed):
-                        vs.add(it.part)
-                        size += 1
-                    elif isinstance(it, Power):
-                        ps.add(it.param)
-                        size += len(it.base) + 1
-                    else:
-                        size += len(it.word)
+        for eq in self.pending:
+            vs |= eq.vars
+            ps |= eq.params
+            size += eq.size
         return (len(vs), len(ps), size)
 
 
@@ -300,7 +352,7 @@ _Step = tuple[str, object]
 
 
 def _rule_empty(st: _State, idx: int, gen: NameGen) -> _Step | None:
-    l, r = st.pending[idx]
+    l, r = st.pending[idx][:2]
     if l and r:
         return None
     # simplified, the other side has no constant
@@ -316,7 +368,7 @@ def _rule_empty(st: _State, idx: int, gen: NameGen) -> _Step | None:
 
 
 def _rule_bind(st: _State, idx: int, gen: NameGen) -> _Step | None:
-    l, r = st.pending[idx]
+    l, r = st.pending[idx][:2]
     for own, other in ((l, r), (r, l)):
         if (
             len(own) == 1
@@ -338,7 +390,7 @@ def _var_const_shape(a: Blocks, b: Blocks) -> tuple[str, str, str, str] | None:
 
 
 def _rule_commute(st: _State, idx: int, gen: NameGen) -> _Step | None:
-    l, r = st.pending[idx]
+    l, r = st.pending[idx][:2]
     for a, b in ((l, r), (r, l)):
         shape = _var_const_shape(a, b)
         if shape is None or shape[0] != shape[3]:
@@ -364,7 +416,7 @@ def _rule_straddle(st: _State, idx: int, gen: NameGen) -> _Step | None:
     Y = W u for one shared fresh W) or X stops at some boundary j inside
     v, which grounds both variables.  The loop over both side orders also
     meets u X = Y v, as Y v = u X."""
-    l, r = st.pending[idx]
+    l, r = st.pending[idx][:2]
     for a, b in ((l, r), (r, l)):
         shape = _var_const_shape(a, b)
         if shape is None or shape[0] == shape[3]:
@@ -455,7 +507,7 @@ def _drawn_matches(
 
 
 def _rule_ground(st: _State, idx: int, gen: NameGen) -> _Step | None:
-    l, r = st.pending[idx]
+    l, r = st.pending[idx][:2]
     for a, b in ((l, r), (r, l)):
         word = ground_word(b)
         if word is None:
@@ -474,7 +526,7 @@ def _rule_ground(st: _State, idx: int, gen: NameGen) -> _Step | None:
 
 
 def _rule_peel(st: _State, idx: int, gen: NameGen) -> _Step | None:
-    l, r = st.pending[idx]
+    l, r = st.pending[idx][:2]
     for s in (l, r):
         if s and isinstance(s[0], Power):
             if st.growth <= 0:
@@ -553,7 +605,7 @@ def to_solved_form(
         if isinstance(simple, str):
             start.dead = simple
         elif simple is not None:
-            start.pending.append(simple)
+            start.pending.append(_eq(*simple))
     if gen is None:
         gen = NameGen(all_vars)
     else:

@@ -45,6 +45,25 @@ def test_solve_length_formula_over_the_empty_alphabet(capsys, tmp_path):
     assert (code, out) == (0, "sat\n")
 
 
+def test_opposite_inequalities_are_refuted_as_one_equality(capsys, tmp_path, monkeypatch):
+    # the first two atoms say 2|X0| - 3|X1| - 2|X2| = -3, and the third
+    # pins |X1| to 0, which leaves an odd bound for 2(|X0| - |X2|)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 5)
+    path = tmp_path / "paired.eq"
+    path.write_text(
+        '(set-alphabet "ab")\n'
+        "(declare-const X0 String)\n"
+        "(declare-const X1 String)\n"
+        "(declare-const X2 String)\n"
+        "(assert (<= (+ (* 2 (str.len X0)) (* -3 (str.len X1)) (* -2 (str.len X2))) -3))\n"
+        "(assert (<= (+ (* -2 (str.len X0)) (* 3 (str.len X1)) (* 2 (str.len X2))) 3))\n"
+        "(assert (<= (* 2 (str.len X1)) 1))\n"
+        "(check-sat)\n"
+    )
+    code, out, _ = run(capsys, "solve", str(path))
+    assert (code, out) == (1, "unsat\n")
+
+
 @pytest.mark.parametrize(
     "bound",
     ["(<= n -9223372036854775808)", "(<= (* -9223372036854775808 n) -9223372036854775808)"],

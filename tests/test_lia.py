@@ -445,6 +445,24 @@ def test_one_column_rows_bound_the_start_box():
     assert lia_sat([Row({int_var("n"): -2}, "le", 5), Row({int_var("n"): 1}, "le", -2)]) == {int_var("n"): -2}
 
 
+def test_opposite_inequalities_are_one_equality():
+    # the first two rows say 2*x0 - 3*x1 - 2*x2 = -3, which the root node
+    # cannot divide once 2*x1 <= 1 pins x1 to 0
+    x0, x1, x2 = (len_var(f"x{k}") for k in range(3))
+    budget = Budget()
+    budget.left = 1
+    rows = [
+        Row({x0: 2, x1: -3, x2: -2}, "le", -3),
+        Row({x0: -2, x1: 3, x2: 2}, "le", 3),
+        Row({x1: 2}, "le", 1),
+    ]
+    assert lia_sat(rows, budget=budget) is None
+    # a pair that has points keeps them, and a repeated row is kept as it is
+    rows = [Row({x0: 1, x1: -1}, "le", 2), Row({x0: -1, x1: 1}, "le", -2), Row({x0: 1, x1: -1}, "le", 2)]
+    model = lia_sat(rows)
+    assert model[x0] - model[x1] == 2
+
+
 def test_groups_are_not_pulled_after_a_shared_clash():
     def exploding():
         raise AssertionError("a group was pulled")

@@ -28,7 +28,7 @@ from wordeq.solved_form import (
     render_solved_form,
     to_solved_form,
 )
-from wordeq.terms import Lit, Var, WordEq, concat, conj
+from wordeq.terms import Lit, NameGen, Var, WordEq, concat, conj
 
 
 def solve(*eqs, **kw):
@@ -204,6 +204,21 @@ def mirror(t):
     return concat(*(mirror(p) for p in reversed(t.parts)))
 
 
+def recount(l, r):
+    # the record fields of l = r, counted block by block
+    vs, ps, size = set(), set(), 0
+    for b in l + r:
+        if isinstance(b, Unfixed):
+            vs.add(b.part)
+            size += 1
+        elif isinstance(b, Power):
+            ps.add(b.param)
+            size += len(b.base) + 1
+        else:
+            size += len(b.word)
+    return (l, r, frozenset(vs), frozenset(ps), size)
+
+
 def check_random_systems(monkeypatch, transform):
     # the union of solved-form instances equals the brute-force solution
     # set, and composing the triangular bindings leaves no bound variable
@@ -217,13 +232,22 @@ def check_random_systems(monkeypatch, transform):
         return sf
 
     # every state a step starts from is live, its pending equations are
-    # simplified and the measure it carries is the system's
+    # simplified, each record's variables, parameters and size are those
+    # of its sides, recounted here, and the measure it carries is the
+    # system's
     step = solved_form._step
 
     def checked_step(st, gen):
         assert st.dead is None
-        for l, r in st.pending:
+        vs, ps, size = set(), set(), 0
+        for eq in st.pending:
+            l, r = eq.lhs, eq.rhs
             assert solved_form._simplify(l, r) == (l, r), (l, r)
+            assert eq == recount(l, r), eq
+            vs |= eq.vars
+            ps |= eq.params
+            size += eq.size
+        assert st.measure() == (len(vs), len(ps), size)
         assert st.measured is None or st.measured == st.measure()
         return step(st, gen)
 
@@ -302,6 +326,43 @@ def test_long_binding_chain_composes_to_its_closed_form():
         assert m[f"X{i}"] == const_blocks("ab" * (n - i)) + (Unfixed(f"X{n}"),)
 
 
+def test_a_binding_rewrites_only_the_equations_that_mention_it(monkeypatch):
+    # X199 = ab X200, ..., X0 = ab X1: each binding reaches the one
+    # equation that mentions it, so the substitutions grow with n, not n^2
+    calls = 0
+    substitute = solved_form.substitute
+
+    def counted(blocks, env):
+        nonlocal calls
+        calls += 1
+        return substitute(blocks, env)
+
+    monkeypatch.setattr(solved_form, "substitute", counted)
+    n = 200
+    x = [Var(f"X{i}") for i in range(n + 1)]
+    (sf,) = solve(*(WordEq(x[i], concat(Lit("ab"), x[i + 1])) for i in reversed(range(n))))
+    assert sf.mapping()["X0"] == const_blocks("ab" * n) + (Unfixed(f"X{n}"),)
+    assert calls <= 4 * n
+
+
+def test_a_peel_keeps_the_records_without_its_parameter():
+    # both children rewrite the records that mention i and keep the
+    # others, the same objects
+    eqs = [
+        solved_form._eq((Power("ab", "i"), Unfixed("X")), (Unfixed("Y"), Const("b"))),
+        solved_form._eq((Unfixed("X"), Const("a")), (Const("a"), Unfixed("Z"))),
+        solved_form._eq((Power("b", "k"), Unfixed("Z")), (Unfixed("W"), Power("ab", "i"))),
+        solved_form._eq((Power("b", "k"), Unfixed("Z")), (Unfixed("W"),)),
+    ]
+    st = solved_form._State(list(eqs), {}, 1)
+    kind, children = solved_form._rule_peel(st, 0, NameGen(["i", "k"]))
+    assert kind == "branch" and len(children) == 2
+    for child in children:
+        assert len(child.pending) == 4
+        assert child.pending[0] != eqs[0] and child.pending[2] != eqs[2]
+        assert child.pending[1] is eqs[1] and child.pending[3] is eqs[3]
+
+
 def test_forms_cover_long_solutions_too():
     # abX = Xba solutions of every length up to 9 are hit exactly
     (sf,) = solve(WordEq(concat(Lit("ab"), Var("X")), concat(Var("X"), Lit("ba"))))
@@ -324,7 +385,7 @@ def test_rule_that_grows_the_system_is_caught(monkeypatch):
     # a rule that sets the pending equations directly bypasses the
     # simplification, but not the shrink check
     def grow(st, idx, gen):
-        st.pending = st.pending + [((Unfixed("X"),), (Const("b"), Unfixed("X")))]
+        st.pending = st.pending + [solved_form._eq((Unfixed("X"),), (Const("b"), Unfixed("X")))]
         return ("again", None)
 
     monkeypatch.setattr(solved_form, "_RULES", (grow,))
