@@ -3,9 +3,10 @@ solver extracts from them: length sets and parameter-residue constraints.
 
 A ``Dfa`` is always total (every state has a successor on every letter) and
 epsilon-free, so complement is a flip of the accepting set.  A length set
-is a finite union of arithmetic progressions, a ``frozenset`` of ``Prog``
-(the lengths of a regular language always are one); a membership box gives
-each parameter one progression.
+is a finite union of pairwise disjoint arithmetic progressions, a
+``frozenset`` of ``Prog``: the progressions of the orbit of the state sets
+reached by each word length.  A membership box gives each parameter one
+progression.
 """
 
 from __future__ import annotations
@@ -237,29 +238,6 @@ def prog_member(n: int, prog: Prog) -> bool:
     return n >= o and (n - o) % p == 0
 
 
-def _prog_subsumes(a: Prog, b: Prog) -> bool:
-    """Does progression a contain every element of progression b?"""
-    o1, p1 = a
-    o2, p2 = b
-    if p2 == 0:
-        return prog_member(o2, a)
-    if p1 == 0:
-        return False
-    return o2 >= o1 and (o2 - o1) % p1 == 0 and p2 % p1 == 0
-
-
-def upset(pairs) -> frozenset[Prog]:
-    """The union of the progressions ``pairs``, normalized: no progression
-    kept is contained in another one."""
-    items = sorted(set((int(o), int(p)) for o, p in pairs))
-    kept: list[Prog] = []
-    for b in items:
-        if any(a != b and _prog_subsumes(a, b) for a in items):
-            continue
-        kept.append(b)
-    return frozenset(kept)
-
-
 def upset_member(s: frozenset[Prog], n: int) -> bool:
     return any(prog_member(n, prog) for prog in s)
 
@@ -304,8 +282,10 @@ def length_set(d: Dfa) -> frozenset[Prog]:
 
     Follows the set of states reachable by words of each exact length; the
     sequence of those sets is eventually periodic, and acceptance at a
-    length only depends on the set, so the length language is a finite
-    union of arithmetic progressions.
+    length only depends on the set.  The length set is the progressions of
+    that orbit whose set has an accepting state: singletons before the
+    cycle, one residue class per cycle position, so no two of them share
+    a length.
     """
     letters = range(len(d.alphabet))
 
@@ -313,7 +293,7 @@ def length_set(d: Dfa) -> frozenset[Prog]:
         return frozenset(d.transitions[q][k] for q in states for k in letters)
 
     orbit = _orbit(frozenset({d.initial}), image)
-    return upset(prog for states, prog in orbit if states & d.accepting)
+    return frozenset(prog for states, prog in orbit if states & d.accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +310,8 @@ def param_membership(w: Blocks, d: Dfa) -> list[dict[str, Prog]]:
     box maps every parameter of ``w`` to a progression; the word is
     accepted under a parameter valuation iff the valuation lies inside
     some box.  Repeated parameters are handled by intersecting the
-    per-occurrence classes.
+    per-occurrence classes.  A power only splits a box along its orbit's
+    classes, which share no exponent, so no valuation lies in two boxes.
     """
     for b in w:
         if isinstance(b, Unfixed):
@@ -358,11 +339,4 @@ def param_membership(w: Blocks, d: Dfa) -> list[dict[str, Prog]]:
                 new_branches.append((state, {**cons, b.param: prog}))
         branches = new_branches
 
-    boxes: list[dict[str, Prog]] = []
-    seen_keys: set[tuple] = set()
-    for q, cons in branches:
-        key = tuple(sorted(cons.items()))
-        if q in d.accepting and key not in seen_keys:
-            seen_keys.add(key)
-            boxes.append(cons)
-    return boxes
+    return [cons for q, cons in branches if q in d.accepting]

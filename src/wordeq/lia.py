@@ -3,11 +3,12 @@
 Every unknown is one column.  A column is nonnegative, except that of
 an ``int``-kind unknown, which is free: it has no bound either way.
 
-The search is complete.  Every row is normalised once: equalities whose
-coefficient gcd does not divide the bound are refuted and inequalities
-are tightened by their gcd; an inequality and its exact opposite become
-one equality.  Equalities with a +-1 coefficient are then
-eliminated by exact substitution, and only the rows a substitution
+The search is exact: it ends on an integer point, on boxes that are all
+refuted, or on the work budget.  Every row is normalised once:
+equalities whose coefficient gcd does not divide the bound are refuted
+and inequalities are tightened by their gcd; an inequality and its exact
+opposite become one equality.  Equalities with a +-1 coefficient are
+then eliminated by exact substitution, and only the rows a substitution
 touched are normalised again.
 
 The remaining rows split into independent blocks, the connected
@@ -17,13 +18,11 @@ call.  A node's box bounds each column.  The start box is [0, inf), or
 (-inf, inf) for a free column, narrowed by the block's one-column
 inequalities, so their bounds can pin a column; a fractional column
 splits the box at its value, and the half nearer zero is explored
-first.  An empty box, or one wholly beyond the block's
-small-model bound U, is pruned, which keeps the tree finite without
-giving up completeness (a free column counts in U as the two
-nonnegative columns of its difference, so some solution has |x| <= U),
-and so is a node where some equality, with the columns its box pins
-moved to the bound, has a bound that the gcd of its other coefficients
-does not divide.
+first.  A node is pruned when its box is empty, or when some equality,
+with the columns its box pins moved to the bound, has a bound that the
+gcd of its other coefficients does not divide.  Nothing else cuts the
+tree: over unbounded columns it may be infinite, and then the work
+budget ends the search.
 
 A call may also take a disjunction of row groups that all share its
 rows.  The shared rows are normalised, eliminated, split and solved once,
@@ -276,16 +275,6 @@ class _Simplex:
         self.rows[j] = solved
 
 
-def _small_model_bound(les: list[_ColRow], ncols: int) -> int:
-    amax = 2
-    for coeffs, b in les:
-        for c in coeffs.values():
-            amax = max(amax, abs(c))
-        amax = max(amax, abs(b))
-    m = len(les)
-    return (ncols + 2) * ((m + 2) * amax) ** (2 * m + 3)
-
-
 def _blocks(eqs: list[_ColRow], les: list[_ColRow]) -> list[_Block]:
     """The connected components of the rows over their columns, in the
     order of their smallest column."""
@@ -335,8 +324,6 @@ def _solve_block(
 ) -> dict[int, int] | None:
     """Branch and bound over one block: an integer point of its rows, or
     None."""
-    # eq = two les; a free column is the difference of two nonnegative ones
-    ubound = _small_model_bound(les + eqs + eqs, len(cols) + len(free.intersection(cols)))
     start: _Box = {j: (None, None) if j in free else (0, None) for j in cols}
     wide: list[_ColRow] = []
     for coeffs, b in les:
@@ -355,11 +342,7 @@ def _solve_block(
     while stack:
         budget.draw(1, "lia")
         box = stack.pop()
-        if any(
-            lo is not None and (lo > ubound or hi is not None and lo > hi)
-            or hi is not None and hi < -ubound
-            for lo, hi in box.values()
-        ):
+        if any(lo is not None and hi is not None and lo > hi for lo, hi in box.values()):
             continue
         if not _divisible(eqs, box):
             continue

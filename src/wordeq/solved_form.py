@@ -110,10 +110,6 @@ def ground_word(s: Blocks) -> str | None:
     return None
 
 
-def side_vars(s: Blocks) -> set[str]:
-    return {b.part for b in s if isinstance(b, Unfixed)}
-
-
 # ---------------------------------------------------------------------------
 # results
 
@@ -289,7 +285,7 @@ class _State:
     def bind(self, name: str, value: Blocks) -> None:
         if name in self.bindings:
             raise AssertionError(f"{name} is bound twice")
-        if name in side_vars(value):
+        if Unfixed(name) in value:
             raise AssertionError(f"occurs check: {name} occurs in its own value")
         env = {name: value}
         self._rewrite(lambda eq: name in eq.vars, lambda s: substitute(s, env))
@@ -370,11 +366,7 @@ def _rule_empty(st: _State, idx: int, gen: NameGen) -> _Step | None:
 def _rule_bind(st: _State, idx: int, gen: NameGen) -> _Step | None:
     l, r = st.pending[idx][:2]
     for own, other in ((l, r), (r, l)):
-        if (
-            len(own) == 1
-            and isinstance(own[0], Unfixed)
-            and own[0].part not in side_vars(other)
-        ):
+        if len(own) == 1 and isinstance(own[0], Unfixed) and own[0] not in other:
             st.pending.pop(idx)
             st.bind(own[0].part, other)
             return ("again", None)
@@ -600,7 +592,7 @@ def to_solved_form(
     start = _State([], {}, GROWTH_BUDGET, budget)
     for eq in eqs:
         l, r = term_to_side(eq.lhs), term_to_side(eq.rhs)
-        all_vars |= side_vars(l) | side_vars(r)
+        all_vars.update(b.part for b in l + r if isinstance(b, Unfixed))
         simple = _simplify(l, r)
         if isinstance(simple, str):
             start.dead = simple

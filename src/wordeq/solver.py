@@ -104,16 +104,13 @@ def _regex_row_groups(
     groups over the power parameters each regex admits, none when some
     atom can never hold; each group draws one unit from ``budget`` before
     it is built.  A membership over unfixed parts raises
-    _UnfixedMembership when the first group is pulled, except over the
-    empty alphabet, where every part is the empty word."""
+    _UnfixedMembership when the first group is pulled."""
     per_atom_boxes: list[list[dict[str, Prog]]] = []
     for atom in atoms:
         pw = apply_solved_form(sf, atom.term)
         if has_unfixed(pw):
-            if alphabet:
-                parts = ", ".join(parts_of(pw))
-                raise _UnfixedMembership(f"membership constraint over unfixed parts ({parts})")
-            pw = substitute(pw, dict.fromkeys(parts_of(pw), ()))
+            parts = ", ".join(parts_of(pw))
+            raise _UnfixedMembership(f"membership constraint over unfixed parts ({parts})")
         boxes = param_membership(pw, regex_to_dfa(atom.regex, alphabet))
         if not boxes:
             return
@@ -144,15 +141,11 @@ def _merge_box(prefix: dict[str, Prog], box: dict[str, Prog]) -> dict[str, Prog]
     return merged
 
 
-def _shared_rows(sf: SolvedForm, lens: list[LenLeq], alphabet: str) -> list[Row]:
+def _shared_rows(sf: SolvedForm, lens: list[LenLeq]) -> list[Row]:
     """The rows every membership group of a solved form shares: its
-    implied length rows, the length atoms and, over the empty alphabet,
-    a zero length for every unfixed part."""
+    implied length rows and the length atoms."""
     rows = implied_length_constraints(sf)
     rows.extend(translate_len_atom(a) for a in lens)
-    if not alphabet:  # every word over the empty alphabet is empty
-        parts = {p for _, pw in sf.bindings for p in parts_of(pw)}
-        rows.extend(Row({part_var(p): 1}, "eq", 0) for p in sorted(parts))
     return rows
 
 
@@ -182,9 +175,12 @@ def _decide(
     if isinstance(solved, OutOfFragment):
         blocked, solved = solved.reason, solved.forms
     for sf in solved:
+        if not alphabet:  # every word over the empty alphabet is empty
+            empty = {p: () for _, pw in sf.bindings for p in parts_of(pw)}
+            sf = SolvedForm(tuple((v, substitute(pw, empty)) for v, pw in sf.bindings))
         try:
             model = lia_sat(
-                _shared_rows(sf, lens, alphabet),
+                _shared_rows(sf, lens),
                 _regex_row_groups(res, sf, alphabet, gen, budget),
                 budget,
             )
@@ -209,7 +205,6 @@ def _build_model(
         for p in params_of(pw):
             params[p] = lia_model.get(param_var(p), 0)
         for part in parts_of(pw):
-            # over the empty alphabet every part's length is pinned to 0
             part_words[part] = alphabet[:1] * lia_model.get(part_var(part), 0)
     mapping = sf.mapping()
     strings = {v: instantiate(mapping[v], params, part_words) for v in sorted(svars)}

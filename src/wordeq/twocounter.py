@@ -23,9 +23,10 @@ malformed counter blocks, and step violations.
 
 The bounded validity check compiles the body and searches for witnesses
 under one work ``Budget`` per call: each step of the body walk
-(``propagate``), each witness-search call and each way it matches an
-equation against a ground word (``twocounter``) draws one unit, and
-running out raises ResourceExhausted.
+(``propagate``), each prefix of the walk over the universal's values,
+each witness-search call and each way it matches an equation against a
+ground word (``twocounter``) draws one unit, and running out raises
+ResourceExhausted.
 """
 
 from __future__ import annotations
@@ -659,17 +660,21 @@ def _witnessed(body: _Body, word: str, alphabet: str, budget: Budget) -> bool:
     )
 
 
-def _unpruned(closed: list[_Linear], alphabet: str, length: int) -> Iterator[str]:
+def _unpruned(
+    closed: list[_Linear], alphabet: str, length: int, budget: Budget
+) -> Iterator[str]:
     """The words of one length that have no prefix a closed pattern
     matches, in alphabet order.
 
     The prefixes are walked depth first and no extension of a matched one
-    is visited, so no list of the words of one length is built.
+    is visited, so no list of the words of one length is built.  Each
+    prefix draws one unit from ``budget``.
     """
     if any(_matches(p, "") for p in closed):
         return
 
     def extend(prefix: str, letter: str) -> str | None:
+        budget.draw(1, "twocounter")
         word = prefix + letter
         return None if any(_matches(p, word) for p in closed) else word
 
@@ -683,7 +688,7 @@ def _counterexamples(s: Sentence, max_len: int, limit: int | None) -> list[str]:
     body = _compiled_body(s, budget)
     found: list[str] = []
     for length in range(max_len + 1):
-        for word in _unpruned(body.closed, s.alphabet, length):
+        for word in _unpruned(body.closed, s.alphabet, length, budget):
             if _witnessed(body, word, s.alphabet, budget):
                 continue
             found.append(word)

@@ -5,7 +5,13 @@ from itertools import product
 
 import pytest
 
-from helpers import accepted_lengths_bfs, matches_by_derivative, random_regex, random_word
+from helpers import (
+    accepted_lengths_bfs,
+    matches_by_derivative,
+    random_paramword,
+    random_regex,
+    random_word,
+)
 from wordeq.automata import (
     Dfa,
     dfa_complement,
@@ -16,7 +22,6 @@ from wordeq.automata import (
     prog_member,
     regex_match,
     regex_to_dfa,
-    upset,
     upset_member,
 )
 from wordeq.errors import LetterOutsideAlphabet, UnfixedPartPresent
@@ -105,13 +110,6 @@ def test_dfa_to_regex_roundtrip():
 # unions of progressions
 
 
-def test_upset_normalization_subsumption():
-    assert upset([(0, 2), (4, 2)]) == upset([(0, 2)])
-    assert upset([(3, 0), (1, 2)]) == upset([(1, 2)])
-    assert upset([(2, 4), (0, 2)]) == upset([(0, 2)])
-    assert upset([(0, 0), (0, 0)]) == frozenset({(0, 0)})
-
-
 def test_upset_intersect_golden():
     # offsets 1 mod 3 and 2 mod 4 align first at 10, then every 12
     assert prog_intersect((1, 3), (2, 4)) == (10, 12)
@@ -152,6 +150,36 @@ def test_length_set_vs_reachability():
         d = regex_to_dfa(random_regex(rng, "ab", 3), "ab")
         s = length_set(d)
         assert members_upto(s, 30) == accepted_lengths_bfs(d, 30)
+
+
+def test_length_set_progressions_are_disjoint():
+    # an orbit's progressions share no length, so none contains another
+    rng = random.Random(110)
+    for _ in range(120):
+        s = length_set(regex_to_dfa(random_regex(rng, "ab", 3), "ab"))
+        for n in range(61):
+            assert sum(prog_member(n, prog) for prog in s) <= 1, (s, n)
+
+
+def test_param_membership_boxes_are_disjoint():
+    # a power splits a box along its orbit's classes, so no two boxes
+    # share a valuation (and none is repeated)
+    rng = random.Random(111)
+    split = 0
+    for _ in range(120):
+        d = regex_to_dfa(random_regex(rng, "ab", 3), "ab")
+        if rng.random() < 0.5:  # a complement accepts more branches
+            d = dfa_complement(d)
+        w = random_paramword(rng, "ab")
+        boxes = param_membership(w, d)
+        split += len(boxes) > 1
+        names = sorted({b.param for b in w if isinstance(b, Power)})
+        for point in product(range(9), repeat=len(names)):
+            inside = [
+                box for box in boxes if all(prog_member(v, box[p]) for p, v in zip(names, point))
+            ]
+            assert len(inside) <= 1, (w, point, inside)
+    assert split >= 10
 
 
 def test_param_membership_golden():

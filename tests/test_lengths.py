@@ -3,7 +3,7 @@
 import random
 
 from helpers import random_solved_form
-from wordeq.automata import upset, upset_member
+from wordeq.automata import upset_member
 from wordeq.lengths import (
     LinVar,
     Row,
@@ -85,7 +85,7 @@ def test_translate_len_atom_pure_constant():
 
 def test_upset_rows_semantics():
     gen = NameGen()
-    s = upset([(1, 3), (0, 0)])
+    s = frozenset([(1, 3), (0, 0)])
     coeffs = {len_var("X"): 1}
     groups = upset_rows(coeffs, 2, sorted(s), gen)  # expression: len(X) + 2
     assert len(groups) == 2

@@ -97,6 +97,17 @@ def test_conjugate_equation_gives_power_family():
         assert "ab" + w == w + "ba"
 
 
+def test_a_ground_match_reuses_a_repeated_power_parameter():
+    # abX = Xab makes X = (ab)^i, so XX = abab matches (ab)^i (ab)^i: the
+    # second power must take the i the first one chose
+    X = Var("X")
+    got = solve(
+        WordEq(concat(Lit("ab"), X), concat(X, Lit("ab"))),
+        WordEq(concat(X, X), Lit("abab")),
+    )
+    assert got == [SolvedForm((("X", (Const("ab"),)),))]
+
+
 def test_crossing_pair_shares_one_parameter():
     # Xa = aY and Ya = Xa make X and Y the same power of a
     forms = solve(

@@ -358,13 +358,17 @@ def test_node_budget_exhaustion(monkeypatch):
 
 def test_the_body_walk_cuts_a_refuted_prefix(monkeypatch):
     # eight conjuncts, every one of which the first two equations refute:
-    # the walk takes two steps, not 48
+    # the walk takes two steps, not 48; the eight prefixes of the words
+    # up to length 2 draw the other eight units
     S, X, Y = Var("S"), Var("X"), Var("Y")
     choice = disj(WordEq(Y, Lit("a")), WordEq(Y, Lit("b")))
     body = conj(WordEq(X, Lit("a")), WordEq(X, Lit("b")), choice, choice, choice, WordEq(S, X))
     s = Sentence(("S",), ("X", "Y"), body, "ab", ())
-    monkeypatch.setattr(errors, "WORK_BUDGET", 2)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10)
     assert enumerate_counterexamples(s, 2) == ["", "a", "b", "aa", "ab", "ba", "bb"]
+    monkeypatch.setattr(errors, "WORK_BUDGET", 9)
+    with pytest.raises(ResourceExhausted, match="work budget exhausted in twocounter"):
+        enumerate_counterexamples(s, 2)
     monkeypatch.setattr(errors, "WORK_BUDGET", 1)
     with pytest.raises(ResourceExhausted, match="work budget exhausted in propagate"):
         enumerate_counterexamples(s, 2)
@@ -666,6 +670,14 @@ def test_positivize_complement_of_a_fixed_word():
     # Exactly the words other than "ab" satisfy the rewritten body.
     assert enumerate_counterexamples(s, 3) == ["ab"]
     assert enumerate_counterexamples(p, 3) == ["ab"]
+
+
+def test_positivize_complement_of_a_fixed_word_on_the_left():
+    # not ("ab" = S) is the same negation as not (S = "ab")
+    s = Sentence(("S",), (), Not(WordEq(Lit("ab"), Var("S"))), "ab", ())
+    mirrored = Sentence(("S",), (), Not(WordEq(Var("S"), Lit("ab"))), "ab", ())
+    assert positivize(s) == positivize(mirrored)
+    assert enumerate_counterexamples(positivize(s), 3) == ["ab"]
 
 
 def test_positivize_helper_avoids_conjoined_siblings():
