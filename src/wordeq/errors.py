@@ -24,8 +24,8 @@ class ResourceExhausted(WordeqError):
 
 # The work units one call may spend over all of its layers: one
 # ``check_sat``, or one bounded validity check of a sentence.  The most
-# measured: 1 437 by a ``check_sat`` call in the tests, 129 by a benchmark
-# solve op; 31 120 by a counterexample search over random sentences, 428
+# measured: 2 039 by a ``check_sat`` call in the tests (the disjunction
+# of eight ground choices), 50 by a benchmark solve op; 31 120 by a counterexample search over random sentences, 428
 # by a benchmark reduction op, 757 compile steps and 546 word-walk and
 # witness units by the test machines at bound 6 (about 91 600 in all at
 # bound 10; at bound 11 they run out); 140 048 compile steps by the

@@ -47,6 +47,13 @@ the next.  A branch that exhausts its peel budget or meets no applicable
 rule is blocked: the other branches still run, and the result is an
 ``OutOfFragment`` that carries the solved forms they found.
 
+Rewriting can resume from a solved form of other equations
+(``to_solved_form(eqs, under=form)``): the form's bindings seed the start
+state, as if its equations had just been rewritten, and only the new
+equations are substituted and rewritten.  The peel steps start afresh
+at ``GROWTH_BUDGET`` in every call, resumed or not.  ``check_sat``
+resumes a choice's equations under each form of its parent prefix.
+
 Every branch state and every way to ground an equation draws one unit
 from the call's work ``Budget``, which ``check_sat`` shares with its other
 layers; running out raises ResourceExhausted and ends the call.
@@ -55,7 +62,7 @@ layers; running out raises ResourceExhausted and ends the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .errors import Budget, UnmappedVariable
 from .paramwords import (
@@ -66,6 +73,8 @@ from .paramwords import (
     Unfixed,
     const_blocks,
     merge_blocks,
+    params_of,
+    parts_of,
     substitute,
 )
 from .terms import Lit, NameGen, StrTerm, Var, WordEq, str_term_vars
@@ -212,16 +221,10 @@ def _simplify(l: Blocks, r: Blocks) -> tuple[Blocks, Blocks] | str | None:
 # rewriting state
 
 
-class _Eq(NamedTuple):
-    """A pending equation: its sides, the variables and parameters they
-    mention and their size (one per unfixed part, the base's length plus
-    one per power, the word's length per constant)."""
-
-    lhs: Blocks
-    rhs: Blocks
-    vars: frozenset[str]
-    params: frozenset[str]
-    size: int
+# A pending equation as a plain tuple: its sides, the sets of variables
+# and parameters they mention, and its size (one per unfixed part, the
+# base's length plus one per power, the word's length per constant).
+_Eq = tuple[Blocks, Blocks, set[str], set[str], int]
 
 
 def _eq(l: Blocks, r: Blocks) -> _Eq:
@@ -239,7 +242,7 @@ def _eq(l: Blocks, r: Blocks) -> _Eq:
                 size += len(it.base) + 1
             else:
                 size += len(it.word)
-    return _Eq(l, r, frozenset(vs), frozenset(ps), size)
+    return l, r, vs, ps, size
 
 
 class _State:
@@ -288,7 +291,7 @@ class _State:
         if Unfixed(name) in value:
             raise AssertionError(f"occurs check: {name} occurs in its own value")
         env = {name: value}
-        self._rewrite(lambda eq: name in eq.vars, lambda s: substitute(s, env))
+        self._rewrite(lambda eq: name in eq[2], lambda s: substitute(s, env))
         self.bindings[name] = value
 
     def _rewrite(
@@ -301,7 +304,7 @@ class _State:
             if not touches(eq):
                 pending.append(eq)
                 continue
-            simple = _simplify(side(eq.lhs), side(eq.rhs))
+            simple = _simplify(side(eq[0]), side(eq[1]))
             if isinstance(simple, str):
                 self.dead, self.pending = simple, []
                 return
@@ -319,7 +322,7 @@ class _State:
                 for b2 in (fn(b) if isinstance(b, Power) and b.param == param else (b,))
             )
 
-        self._rewrite(lambda eq: param in eq.params, apply)
+        self._rewrite(lambda eq: param in eq[3], apply)
         self.bindings = {v: apply(s) for v, s in self.bindings.items()}
 
     def set_param(self, param: str, k: int) -> None:
@@ -333,10 +336,10 @@ class _State:
         vs: set[str] = set()
         ps: set[str] = set()
         size = 0
-        for eq in self.pending:
-            vs |= eq.vars
-            ps |= eq.params
-            size += eq.size
+        for _, _, eq_vs, eq_ps, eq_size in self.pending:
+            vs |= eq_vs
+            ps |= eq_ps
+            size += eq_size
         return (len(vs), len(ps), size)
 
 
@@ -580,6 +583,7 @@ def to_solved_form(
     variables: Iterable[str] = (),
     gen: NameGen | None = None,
     budget: Budget | None = None,
+    under: SolvedForm | None = None,
 ) -> list[SolvedForm] | Unsat | OutOfFragment:
     """Solve a conjunction of word equations.
 
@@ -587,21 +591,38 @@ def to_solved_form(
     even when no equation mentions them.  Every branch state and ground
     match draws from ``budget``, a fresh one when none is given; raises
     ResourceExhausted when it runs out.
+
+    With ``under``, one solved form of other equations, rewriting
+    resumes from it: the instances of the result are exactly the
+    instances of ``under`` that solve ``eqs``.  Its bindings that are not
+    the identity seed the start state, ``eqs`` are substituted under
+    them, and its variables are listed in every form; its names are
+    reserved in ``gen``, and the peel steps start afresh at
+    ``GROWTH_BUDGET``.
     """
     all_vars: set[str] = set(variables)
     start = _State([], {}, GROWTH_BUDGET, budget)
+    env = start.bindings
+    if under is not None:
+        for v, pw in under.bindings:
+            all_vars.add(v)
+            if pw != (Unfixed(v),):
+                env[v] = pw
     for eq in eqs:
         l, r = term_to_side(eq.lhs), term_to_side(eq.rhs)
         all_vars.update(b.part for b in l + r if isinstance(b, Unfixed))
-        simple = _simplify(l, r)
+        simple = _simplify(substitute(l, env), substitute(r, env)) if env else _simplify(l, r)
         if isinstance(simple, str):
             start.dead = simple
         elif simple is not None:
             start.pending.append(_eq(*simple))
+    taken = all_vars
+    if env:
+        taken = all_vars.union(*(params_of(pw) + parts_of(pw) for pw in env.values()))
     if gen is None:
-        gen = NameGen(all_vars)
+        gen = NameGen(taken)
     else:
-        gen.reserve(all_vars)
+        gen.reserve(taken)
 
     stack = [start]
     solved: list[SolvedForm] = []

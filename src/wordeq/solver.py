@@ -7,8 +7,13 @@ its conjunctions depth first, as it walks the product of membership
 boxes.  A prefix of choices and a whole conjunction are decided the same
 way, and a refuted prefix cuts every conjunction below it, across the
 formula's disjunctions and the negations' alternatives alike.  The word
-equations of such a conjunction are rewritten into solved forms, each
-solved form contributes its implied length rows, length atoms translate
+equations of such a conjunction are rewritten into solved forms.  A
+prefix keeps the complete list of its solved forms, and a choice below
+it rewrites only the equations it adds, once under each of them, as
+DPLL(T) pushes a literal onto the state its parent left (Nieuwenhuis,
+Oliveras & Tinelli, *JACM* 2006); a blocked rewrite falls back to the
+whole conjunction.  Each solved form contributes its implied length
+rows, length atoms translate
 to further rows, and the membership atoms become a disjunction of row
 groups that constrain the power parameters of each constrained term
 through exact automaton walks.  Those rows are shared by every group, so
@@ -82,9 +87,13 @@ Verdict = Sat | Unsat | Unsupported
 # the Unsat or Unsupported verdict
 _Decision = tuple[SolvedForm, dict[LinVar, int]] | Unsat | Unsupported
 # an alternative after its own place in formula order, so sorting compares
-# places only; a prefix's alternatives, and their decision or None
+# places only; a prefix: its alternatives, those taken since its solved
+# forms were made, those forms when they are complete (None when unknown
+# or blocked), and its decision or None
 _Alternative = tuple[int, list[Atom]]
-_Prefix = tuple[tuple[_Alternative, ...], _Decision | None]
+_Prefix = tuple[
+    tuple[_Alternative, ...], tuple[_Alternative, ...], list[SolvedForm] | None, _Decision | None
+]
 _CHOSEN: Tree = ("leaf", None)  # decides the prefix: a choice was just made
 
 
@@ -149,10 +158,46 @@ def _shared_rows(sf: SolvedForm, lens: list[LenLeq]) -> list[Row]:
     return rows
 
 
+def _solved_forms(
+    atoms: list[Atom],
+    new: tuple[_Alternative, ...],
+    forms: list[SolvedForm] | None,
+    svars: set[str],
+    gen: NameGen,
+    budget: Budget,
+) -> list[SolvedForm] | Unsat | OutOfFragment:
+    """The solved forms of the word equations among ``atoms``.  With
+    ``forms``, the complete solved forms of all but the ``new``
+    alternatives' equations, only those are rewritten, once under each
+    form, and no call is made when they add none; without ``forms``, or
+    when one of those rewrites is blocked, all of them are rewritten from
+    scratch."""
+    if forms is not None:
+        eqs = [a for _, alt in sorted(new) for a in alt if isinstance(a, WordEq)]
+        if not eqs:
+            return forms
+        resumed: list[SolvedForm] = []
+        for form in forms:
+            solved = to_solved_form(eqs, variables=svars, gen=gen, budget=budget, under=form)
+            if isinstance(solved, OutOfFragment):
+                break
+            if not isinstance(solved, Unsat):
+                resumed += [sf for sf in solved if sf not in resumed]
+        else:
+            return resumed or Unsat()
+    eqs = [a for a in atoms if isinstance(a, WordEq)]
+    return to_solved_form(eqs, variables=svars, gen=gen, budget=budget)
+
+
 def _decide(
-    atoms: list[Atom], svars: set[str], alphabet: str, gen: NameGen, budget: Budget
+    atoms: list[Atom],
+    solved: list[SolvedForm] | Unsat | OutOfFragment,
+    alphabet: str,
+    gen: NameGen,
+    budget: Budget,
 ) -> _Decision:
-    """Decide a conjunction of positive atoms.
+    """Decide a conjunction of positive atoms, given the solved forms of
+    its word equations.
 
     Each solved form makes one ``lia_sat`` call: its shared rows with the
     membership row groups, which are built only as the integer solver
@@ -165,10 +210,8 @@ def _decide(
     bits block only their solved form, while running out of ``budget``
     raises ResourceExhausted and ends the whole call.
     """
-    eqs = [a for a in atoms if isinstance(a, WordEq)]
     lens = [a for a in atoms if isinstance(a, LenLeq)]
     res = [a for a in atoms if isinstance(a, InRe)]
-    solved = to_solved_form(eqs, variables=svars, gen=gen, budget=budget)
     if isinstance(solved, Unsat):
         return solved
     blocked = None
@@ -212,20 +255,24 @@ def _build_model(
     return Sat(strings, ints)
 
 
-def _choices(tree: Tree, forced: list | None) -> Tree:
-    """The tree with ``_CHOSEN`` after every Or with two or more parts.
-    The leaves reached from the root through And nodes alone are moved to
-    ``forced``, which is None below an Or."""
+def _choices(tree: Tree, forced: list | None) -> tuple[Tree, bool]:
+    """The tree with ``_CHOSEN`` after every Or with two or more parts,
+    and whether it has one.  The leaves reached from the root through And
+    nodes alone are moved to ``forced``, which is None below an Or."""
     kind, item = tree
     if kind == "leaf":
         if forced is None:
-            return tree
+            return tree, False
         forced.append(item)
-        return "and", []
-    parts = [_choices(part, None if kind == "or" else forced) for part in item]
+        return ("and", []), False
+    parts, chosen = [], False
+    for part in item:
+        part, has = _choices(part, None if kind == "or" else forced)
+        parts.append(part)
+        chosen = chosen or has
     if kind == "or" and len(parts) > 1:
-        return "and", [(kind, parts), _CHOSEN]
-    return kind, parts
+        return ("and", [(kind, parts), _CHOSEN]), True
+    return (kind, parts), chosen
 
 
 def check_sat(phi: Formula, alphabet: str) -> Verdict:
@@ -241,6 +288,15 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
     order, when a choice is made (a formula disjunct or a negated
     literal's alternative), and a conjunction that no choice decided whole
     at its end.  A refuted prefix cuts every conjunction below it.
+
+    When the formula has a choice, those forced conjuncts' equations are
+    rewritten once before the walk, and Unsat there ends the call.  Each
+    prefix then keeps the complete list of its solved forms: a choice
+    rewrites only the equations its alternatives add, once under each
+    form its parent kept, and one that adds none reuses the parent's
+    forms.  A prefix whose resumed rewrite is blocked, or whose parent's
+    was, is rewritten whole, from scratch.  A formula with no choice is
+    rewritten whole, once, at the end of its one conjunction.
 
     A conjunction that leaves the fragment is blocked: the others still
     run, and the verdict is Unsupported only when none of them is Sat and
@@ -272,19 +328,29 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
 
     def extend(prefix: _Prefix, item: _Alternative | None) -> _Prefix | None:
         budget.draw(1, "normalize")
-        taken, decision = prefix
+        taken, new, forms, decision = prefix
         if item is not None:
-            return taken + (item,), None
+            return taken + (item,), new + (item,), forms, None
         if decision is None:
             atoms = [a for _, alt in sorted(taken) for a in alt]
-            decision = _decide(atoms, svars, alphabet, gen, budget)
-        return None if isinstance(decision, Unsat) else (taken, decision)
+            solved = _solved_forms(atoms, new, forms, svars, gen, budget)
+            decision = _decide(atoms, solved, alphabet, gen, budget)
+            forms = solved if isinstance(solved, list) else None
+        return None if isinstance(decision, Unsat) else (taken, (), forms, decision)
 
     blocked: str | None = None
     try:
         forced: list[_Alternative] = []
-        tree = "and", [_choices(dnf_tree(phi, literal), forced), _CHOSEN]
-        for _, decision in walk(tree, extend, (tuple(forced), None)):
+        tree, chosen = _choices(dnf_tree(phi, literal), forced)
+        forms = None
+        if chosen:
+            atoms = [a for _, alt in sorted(forced) for a in alt]
+            solved = _solved_forms(atoms, (), None, svars, gen, budget)
+            if isinstance(solved, Unsat):
+                return solved
+            forms = solved if isinstance(solved, list) else None
+        start = tuple(forced), (), forms, None
+        for *_, decision in walk(("and", [tree, _CHOSEN]), extend, start):
             if isinstance(decision, tuple):
                 verdict = _build_model(*decision, svars, ivars, alphabet)
                 if not eval_formula(phi, verdict.assignment()):

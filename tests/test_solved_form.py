@@ -16,6 +16,7 @@ from wordeq.paramwords import (
     const_blocks,
     instantiate,
     merge_blocks,
+    params_of,
     parts_of,
 )
 from wordeq.semantics import Assignment, eval_formula
@@ -227,7 +228,7 @@ def recount(l, r):
             size += len(b.base) + 1
         else:
             size += len(b.word)
-    return (l, r, frozenset(vs), frozenset(ps), size)
+    return (l, r, vs, ps, size)
 
 
 def check_random_systems(monkeypatch, transform):
@@ -252,12 +253,12 @@ def check_random_systems(monkeypatch, transform):
         assert st.dead is None
         vs, ps, size = set(), set(), 0
         for eq in st.pending:
-            l, r = eq.lhs, eq.rhs
+            l, r, eq_vs, eq_ps, eq_size = eq
             assert solved_form._simplify(l, r) == (l, r), (l, r)
             assert eq == recount(l, r), eq
-            vs |= eq.vars
-            ps |= eq.params
-            size += eq.size
+            vs |= eq_vs
+            ps |= eq_ps
+            size += eq_size
         assert st.measure() == (len(vs), len(ps), size)
         assert st.measured is None or st.measured == st.measure()
         return step(st, gen)
@@ -298,6 +299,58 @@ def test_exact_solution_sets_on_mirrored_systems(monkeypatch):
     # the templates build X u = v Y but never u X = Y v; read backwards,
     # every straddle takes that shape
     check_random_systems(monkeypatch, lambda eq: WordEq(mirror(eq.lhs), mirror(eq.rhs)))
+
+
+def test_resumed_forms_have_the_solutions_of_the_whole_system():
+    # the forms of the first equations, each resumed with the rest, have
+    # as instances exactly the solutions of the whole system
+    rng = random.Random(412)
+    resumed = 0
+    for _ in range(60):
+        first, rest, names = [], [], set()
+        for eqs in (first, rest):
+            for _ in range(rng.randint(1, 2)):
+                eq, vs = _template_equation(rng, "ab")
+                eqs.append(eq)
+                names.update(vs)
+        gen = NameGen(names)
+        parent = to_solved_form(first, variables=names, gen=gen)
+        if not isinstance(parent, list):
+            continue
+        children = [to_solved_form(rest, variables=names, gen=gen, under=form) for form in parent]
+        if any(isinstance(res, OutOfFragment) for res in children):
+            continue
+        resumed += 1
+        got = set()
+        for sf in (sf for res in children if isinstance(res, list) for sf in res):
+            assert [v for v, _ in sf.bindings] == sorted(names)
+            got |= sf_solutions(sf, "ab", 3)
+        assert got == brute_solutions(first + rest, sorted(names), "ab", 3), (first, rest)
+    assert resumed >= 30
+
+
+def test_a_resumed_equation_can_set_a_power_to_zero(monkeypatch):
+    # under X = a^i, X = "" becomes a^i = "": the empty-side rule sets i to
+    # 0, the one way it meets a power
+    calls = []
+    set_param = solved_form._State.set_param
+    monkeypatch.setattr(
+        solved_form._State,
+        "set_param",
+        lambda st, param, k: calls.append(k) or set_param(st, param, k),
+    )
+    x = Var("X")
+    (form,) = solve(WordEq(concat(Lit("a"), x), concat(x, Lit("a"))))
+    assert form.mapping()["X"] == (Power("a", form.mapping()["X"][0].param),)
+    assert solve(WordEq(x, Lit("")), under=form) == [SolvedForm((("X", ()),))]
+    assert calls == [0]
+    assert solve(WordEq(x, Lit("b")), under=form) == Unsat()
+    assert solve(WordEq(x, Lit("aa")), under=form) == [SolvedForm((("X", (Const("aa"),)),))]
+    # the form's names are taken: a fresh parameter never reuses one
+    y = Var("Y")
+    (both,) = solve(WordEq(concat(Lit("a"), y), concat(y, Lit("a"))), under=form)
+    (px,), (py,) = (params_of(both.mapping()[v]) for v in "XY")
+    assert px != py
 
 
 def test_parameter_maps_reach_bindings_made_before_them(monkeypatch):

@@ -18,6 +18,7 @@ from helpers import (
     random_formula_el,
     random_formula_elr,
     random_regex,
+    random_word,
 )
 from wordeq.automata import param_membership, prog_intersect, regex_to_dfa
 import wordeq.errors as errors
@@ -29,6 +30,7 @@ from wordeq.oracle import NoModelUpTo, brute_force_sat
 from wordeq.paramwords import params_of
 from wordeq.parser import parse_problem
 from wordeq.semantics import Assignment, eval_formula
+from wordeq import solved_form
 from wordeq.solved_form import OutOfFragment, apply_solved_form, to_solved_form
 from wordeq.solver import (
     Sat,
@@ -712,6 +714,16 @@ def test_negation_walk_matches_the_eager_product():
     assert kinds["Sat", "Sat"] > 0 and kinds["Unsat", "Unsat"] > 0
 
 
+def _negations(k, w):
+    """Y = ab, and X_i = w and not(X_i Y = Y X_i) for i < k."""
+    y = Var("Y")
+    parts = [WordEq(y, Lit("ab"))]
+    for i in range(k):
+        x = Var(f"X{i}")
+        parts += [WordEq(x, Lit(w)), Not(WordEq(concat(x, y), concat(y, x)))]
+    return conj(*parts)
+
+
 @pytest.mark.parametrize("unsat", [False, True], ids=["sat", "unsat"])
 def test_negation_prefix_refutes_its_subtree(unsat, monkeypatch):
     # Y = ab, X_i = w and not(X_i Y = Y X_i) for i < 4: each negation has
@@ -725,18 +737,137 @@ def test_negation_prefix_refutes_its_subtree(unsat, monkeypatch):
     monkeypatch.setattr(
         solver, "to_solved_form", lambda *a, **k: calls.append(a) or to_solved_form(*a, **k)
     )
-    k, y = 4, Var("Y")
-    parts = [WordEq(y, Lit("ab"))]
-    for i in range(k):
-        x = Var(f"X{i}")
-        parts.append(WordEq(x, Lit("ab" if unsat else "a")))
-        parts.append(Not(WordEq(concat(x, y), concat(y, x))))
-    verdict = check_sat(conj(*parts), "ab")
+    k = 4
+    verdict = check_sat(_negations(k, "ab" if unsat else "a"), "ab")
     if unsat:
         assert verdict == Unsat()
     else:
         assert verdict == Sat({"Y": "ab", **{f"X{i}": "a" for i in range(k)}}, {})
     assert len(calls) <= 4 * k
+
+
+def _k_disjunction(k):
+    """k disjunctions X_i = a or X_i = b, and a length sum no choice meets."""
+    xs = [Var(f"X{i}") for i in range(k)]
+    parts = [disj(WordEq(x, Lit("a")), WordEq(x, Lit("b"))) for x in xs]
+    return conj(*parts, LenLeq(sum_of(*[(1, Len(x)) for x in xs]), k - 1))
+
+
+def _count_rewriting(monkeypatch):
+    """Counters of the bindings made and of the equations handed to each
+    rewriting call."""
+    import wordeq.solver as solver
+
+    binds, eqs = [0], []
+    bind = solved_form._State.bind
+
+    def counted_bind(st, name, value):
+        binds[0] += 1
+        bind(st, name, value)
+
+    def counted_rewrite(equations, *a, **k):
+        eqs.append(len(equations))
+        return to_solved_form(equations, *a, **k)
+
+    monkeypatch.setattr(solved_form._State, "bind", counted_bind)
+    monkeypatch.setattr(solver, "to_solved_form", counted_rewrite)
+    return binds, eqs
+
+
+def test_a_choice_rewrites_only_the_equations_it_adds(monkeypatch):
+    # the forced Y = ab and X_i = a are rewritten once, before the walk,
+    # and each choice rewrites its own equations under the forms its
+    # parent kept; from scratch, the 12 prefixes made 170 bindings over
+    # 104 equations
+    binds, eqs = _count_rewriting(monkeypatch)
+    verdict = check_sat(_negations(4, "a"), "ab")
+    assert verdict == Sat({"Y": "ab", **{f"X{i}": "a" for i in range(4)}}, {})
+    assert binds[0] <= 30
+    assert sum(eqs) <= 16
+    # a choice between ground equations adds one equation, or none when it
+    # adds a length atom
+    binds[0] = 0
+    eqs.clear()
+    assert check_sat(_k_disjunction(8), "ab") == Unsat()
+    # one call for the forced conjuncts, one for each of the 2^9 - 2 prefixes
+    assert max(eqs) <= 1 and len(eqs) == 2**9 - 1
+    assert binds[0] == sum(eqs)
+
+
+def test_a_choice_can_set_a_parent_power_to_zero(monkeypatch):
+    # a X = X a makes X = a^i before the walk, so the choice X = "" is
+    # rewritten as a^i = "", and the empty-side rule sets i to 0
+    calls = []
+    set_param = solved_form._State.set_param
+    monkeypatch.setattr(
+        solved_form._State,
+        "set_param",
+        lambda st, param, k: calls.append(k) or set_param(st, param, k),
+    )
+    x = Var("X")
+    phi = conj(
+        WordEq(concat(Lit("a"), x), concat(x, Lit("a"))),
+        disj(WordEq(x, Lit("")), WordEq(x, Lit("b"))),
+    )
+    assert check_sat(phi, "ab") == Sat({"X": ""}, {})
+    assert calls == [0]
+
+
+def _resumed_formula(rng):
+    """Forced commutations u X = X v (v a rotation of u) and straddles
+    X u = v Y over X, Y and Z, which make forms with powers and fresh
+    parts, and one or two choices (an Or of two atoms or a negated atom)
+    that bind, ground or bound their variables, in random order."""
+    names = ("X", "Y", "Z")
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        x, y = rng.sample(names, 2)
+        if rng.random() < 0.5:
+            u = random_word(rng, "ab", 3) or "a"
+            cut = rng.randrange(len(u))
+            parts.append(WordEq(concat(Lit(u), Var(x)), concat(Var(x), Lit(u[cut:] + u[:cut]))))
+        else:
+            u, v = random_word(rng, "ab", 2) or "b", random_word(rng, "ab", 2) or "a"
+            parts.append(WordEq(concat(Var(x), Lit(u)), concat(Lit(v), Var(y))))
+
+    def atom():
+        x, y = rng.sample(names, 2)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return WordEq(Var(x), Lit(random_word(rng, "ab", 3)))
+        if kind == 1:
+            return WordEq(Var(x), concat(Lit(random_word(rng, "ab", 2)), Var(y)))
+        if kind == 2:
+            return WordEq(concat(Var(x), Var(y)), Lit(random_word(rng, "ab", 4)))
+        return LenLeq(Len(Var(x)), rng.randint(0, 3))
+
+    for _ in range(rng.randint(1, 2)):
+        parts.append(disj(atom(), atom()) if rng.random() < 0.5 else Not(atom()))
+    rng.shuffle(parts)
+    return conj(*parts)
+
+
+@pytest.mark.parametrize("seed", [626, 627])
+def test_resumed_rewriting_against_the_eager_product(seed):
+    # resuming under parametric forms loses no verdict: each is the eager
+    # reference's, or decides what the reference left blocked (its forced
+    # conjuncts refuted on their own, or a resumed rewrite that finishes
+    # where rewriting from scratch does not).  A Sat model may differ from
+    # the reference's, since the forms are found in another order; every
+    # Sat is re-checked, and no Unsat has a small model
+    rng = random.Random(seed)
+    kinds = Counter()
+    for _ in range(200):
+        phi = _resumed_formula(rng)
+        want, got = _eager_check_sat(phi, "ab"), check_sat(phi, "ab")
+        kinds[type(want).__name__, type(got).__name__] += 1
+        if not isinstance(want, Unsupported):
+            assert type(got) is type(want), phi
+        if isinstance(got, Sat):
+            assert eval_formula(phi, got.assignment()), phi
+        elif isinstance(got, Unsat):
+            assert brute_force_sat(phi, "ab", 3) == NoModelUpTo(3), phi
+    assert kinds["Sat", "Sat"] > 0 and kinds["Unsat", "Unsat"] > 0
 
 
 def test_only_the_returned_branch_builds_its_words(monkeypatch):
@@ -867,16 +998,11 @@ def test_one_budget_spans_the_layers(monkeypatch):
 
 
 def test_a_walk_past_the_budget_is_unsupported(monkeypatch):
-    # k disjunctions X_i = a or X_i = b, and a length sum no choice meets:
-    # every one of the 2^k conjunctions is decided, about 8 * 2^k units
-    def choices(k):
-        xs = [Var(f"X{i}") for i in range(k)]
-        parts = [disj(WordEq(x, Lit("a")), WordEq(x, Lit("b"))) for x in xs]
-        return conj(*parts, LenLeq(sum_of(*[(1, Len(x)) for x in xs]), k - 1))
-
+    # the k-disjunction example: every one of the 2^k conjunctions is
+    # decided, about 8 * 2^k units
     monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
-    assert check_sat(choices(6), "ab") == Unsat()
-    verdict = check_sat(choices(16), "ab")
+    assert check_sat(_k_disjunction(6), "ab") == Unsat()
+    verdict = check_sat(_k_disjunction(16), "ab")
     assert isinstance(verdict, Unsupported)
     assert verdict.reason.startswith("work budget exhausted in ")
 
