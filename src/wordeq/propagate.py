@@ -3,7 +3,8 @@
 A body of word equations under And, Or and Not is walked conjunct by
 conjunct of its disjunctive normal form by ``normalize.walk``, depth
 first, without building that form.  Each equation is compiled once per
-sign when ``normalize.dnf_tree`` builds the body's tree.  Each prefix of
+sign when ``normalize.dnf_tree`` builds the body's tree, and each
+variable's and each constant's block once per body.  Each prefix of
 a conjunct keeps the words of the existentials its equations fix and the
 equations still open.  Adding an equation puts those words into it, then:
 
@@ -24,6 +25,8 @@ bounded by the work it does, not by the size of the normal form.
 At the end of a conjunct, an open equation that shares no variable with
 the universal or with another open equation, and that holds with its
 variables empty, is dropped: empty words witness it within every bound.
+A lone open equation shares no variable with another, so only its own
+test is made.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Iterator
 from .errors import Budget
 from .normalize import Atom, Tree, dnf_tree, walk
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
-from .solved_form import _match_pattern, ground_word, term_to_side
+from .solved_form import MadeBlocks, _match_pattern, ground_word, term_to_side
 from .terms import Formula, WordEq
 
 Eq = tuple[Blocks, Blocks, bool]  # lhs, rhs, positive
@@ -60,15 +63,15 @@ def conjuncts(body: Formula, universal: str, budget: Budget) -> Iterator[list[Eq
     normal form that propagation does not refute, in ``to_dnf``'s order
     and literal order.  Each step of the walk draws one unit from
     ``budget``; running out raises ResourceExhausted."""
-    tree = dnf_tree(body, partial(_compile, universal=universal))
+    tree = dnf_tree(body, partial(_compile, universal=universal, made=({}, {})))
     for _, opened, _, _ in walk(tree, _conjoin, ({}, (), universal, budget)):
         yield _needed(opened)
 
 
-def _compile(atom: Atom, positive: bool, universal: str) -> Tree:
+def _compile(atom: Atom, positive: bool, universal: str, made: MadeBlocks) -> Tree:
     if not isinstance(atom, WordEq):
         raise ValueError("sentence bodies hold equations only")
-    lhs, rhs = term_to_side(atom.lhs), term_to_side(atom.rhs)
+    lhs, rhs = term_to_side(atom.lhs, made), term_to_side(atom.rhs, made)
     names = frozenset(b.part for b in lhs + rhs if isinstance(b, Unfixed))
     return "leaf", _literal(lhs, rhs, positive, names, universal)
 
@@ -156,6 +159,9 @@ def _needed(opened: tuple[_Open, ...]) -> list[Eq]:
     """The equations of a finished conjunct that its witness must be
     searched for.  An equation apart from the universal and from every
     other one, which empty words satisfy, is witnessed within any bound."""
+    if len(opened) == 1:
+        (eq, _, apart), = opened
+        return [] if apart else [eq]
     return [
         eq
         for i, (eq, names, apart) in enumerate(opened)

@@ -83,28 +83,40 @@ from .terms import Lit, NameGen, StrTerm, Var, WordEq, str_term_vars
 GROWTH_BUDGET = 8
 
 
-def term_to_side(t: StrTerm) -> Blocks:
-    """A term as blocks, each variable an unfixed part of its own name."""
+# The blocks a caller has made so far: its unfixed parts by name and its
+# constants by word, apart, because a letter can also name a variable.
+MadeBlocks = tuple[dict[str, Unfixed], dict[str, Const]]
+
+
+def term_to_side(t: StrTerm, made: MadeBlocks | None = None) -> Blocks:
+    """A term as blocks, each variable an unfixed part of its own name.
+    A caller that converts many terms passes ``made``: each block is then
+    made once and looked up there after."""
+    unfixed, consts = made or ({}, {})
     if isinstance(t, Lit):
-        return const_blocks(t.word)
+        return (consts.get(t.word) or consts.setdefault(t.word, Const(t.word)),) if t.word else ()
     if isinstance(t, Var):
-        return (Unfixed(t.name),)
+        return (unfixed.get(t.name) or unfixed.setdefault(t.name, Unfixed(t.name)),)
     out: list[Block] = []
     word = ""  # the constant letters met since the last unfixed part
     for p in t.parts:
         if isinstance(p, Lit):
             word += p.word
             continue
-        for b in (Unfixed(p.name),) if isinstance(p, Var) else term_to_side(p):
+        if isinstance(p, Var):
+            blocks: Blocks = (unfixed.get(p.name) or unfixed.setdefault(p.name, Unfixed(p.name)),)
+        else:
+            blocks = term_to_side(p, (unfixed, consts))
+        for b in blocks:
             if isinstance(b, Const):
                 word += b.word
                 continue
             if word:
-                out.append(Const(word))
+                out.append(consts.get(word) or consts.setdefault(word, Const(word)))
                 word = ""
             out.append(b)
     if word:
-        out.append(Const(word))
+        out.append(consts.get(word) or consts.setdefault(word, Const(word)))
     return tuple(out)
 
 

@@ -26,7 +26,8 @@ under one work ``Budget`` per call: each step of the body walk
 (``propagate``), each prefix of the walk over the universal's values,
 each witness-search call and each way it matches an equation against a
 ground word (``twocounter``) draws one unit, and running out raises
-ResourceExhausted.
+ResourceExhausted.  The walk over the universal's values tests a new
+prefix only against the patterns that can end at its last letter.
 """
 
 from __future__ import annotations
@@ -408,6 +409,17 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
 # ---------------------------------------------------------------------------
 # removing negations
 
+# The free variables of a formula, and the same for each of its parts when
+# it is an And or an Or.
+_Scanned = tuple[set[str], list]
+
+
+def _scan(phi: Formula) -> _Scanned:
+    if isinstance(phi, (And, Or)):
+        parts = [_scan(p) for p in phi.parts]
+        return set().union(*(names for names, _ in parts)), parts
+    return free_vars(phi)[0], []
+
 
 def positivize(s: Sentence) -> Sentence:
     """Replace each negated equation by an equivalent positive disjunction.
@@ -417,6 +429,10 @@ def positivize(s: Sentence) -> Sentence:
     position, or properly extends u.  The trailing free piece uses an
     existential that is not otherwise constrained alongside the negation,
     or a fresh one appended to the existential block.
+
+    The free variables of every part are found once per call, before any
+    part is rewritten; a rewritten part's are known from how it was
+    rewritten, and its siblings avoid the helper it took.
     """
     extra: list[str] = []
     gen = NameGen(s.universals + s.existentials)
@@ -428,7 +444,7 @@ def positivize(s: Sentence) -> Sentence:
         extra.append(gen.fresh("H"))
         return Var(extra[-1])
 
-    def complement(eq: WordEq, taken: set[str]) -> Formula:
+    def complement(eq: WordEq, taken: set[str]) -> tuple[Formula, set[str]]:
         lhs, rhs = eq.lhs, eq.rhs
         if isinstance(rhs, Var) and isinstance(lhs, Lit):
             lhs, rhs = rhs, lhs
@@ -444,31 +460,32 @@ def positivize(s: Sentence) -> Sentence:
                 if a != u[k]
             ]
         options += [WordEq(lhs, concat(Lit(u + a), h)) for a in s.alphabet]
-        return disj(*options)
+        # the last options use the helper when there are letters at all
+        return disj(*options), {lhs.name, h.name} if s.alphabet else {lhs.name}
 
-    def rewrite(phi: Formula, active: set[str]) -> Formula:
+    def rewrite(phi: Formula, active: set[str], scanned: _Scanned) -> tuple[Formula, set[str]]:
+        names, parts = scanned
         if isinstance(phi, WordEq):
-            return phi
+            return phi, names
         if isinstance(phi, Not):
             if not isinstance(phi.inner, WordEq):
                 raise ValueError('only negations of the form not (X = "u") are supported')
             return complement(phi.inner, active)
         if isinstance(phi, Or):
-            return Or(tuple(rewrite(p, active) for p in phi.parts))
+            done = [rewrite(p, active, k) for p, k in zip(phi.parts, parts)]
+            return Or(tuple(new for new, _ in done)), set().union(*(n for _, n in done))
         if not isinstance(phi, And):
             raise ValueError("sentence bodies hold equations only")
-        parts = list(phi.parts)
-        var_sets = [free_vars(p)[0] for p in parts]
+        var_sets = [names for names, _ in parts]
         out = []
-        for i, part in enumerate(parts):
+        for i, part in enumerate(phi.parts):
             others = set().union(*(var_sets[j] for j in range(len(parts)) if j != i))
-            new = rewrite(part, active | others)
             # A helper introduced here is constrained; siblings must avoid it.
-            var_sets[i] = free_vars(new)[0]
+            new, var_sets[i] = rewrite(part, active | others, parts[i])
             out.append(new)
-        return And(tuple(out))
+        return And(tuple(out)), set().union(*var_sets)
 
-    new_body = rewrite(s.body, set())
+    new_body, _ = rewrite(s.body, set(), _scan(s.body))
     if new_body == s.body and not extra:
         return s
     return Sentence(
@@ -669,14 +686,29 @@ def _unpruned(
     The prefixes are walked depth first and no extension of a matched one
     is visited, so no list of the words of one length is built.  Each
     prefix draws one unit from ``budget``.
+
+    A new prefix is tested only against the closed patterns whose last
+    constant ends it.  Its parent matched no closed pattern, so the
+    leftmost place of a pattern's last constant in a prefix it matches
+    ends at the prefix's last letter: ended earlier, it would have
+    matched the parent.  Only ``("", "")`` has an empty last constant,
+    and it matches the empty word.
     """
     if any(_matches(p, "") for p in closed):
         return
+    ending: dict[str, list[_Linear]] = {}
+    for p in closed:
+        ending.setdefault(p[-2], []).append(p)
+    sizes = {len(last) for last in ending}
 
     def extend(prefix: str, letter: str) -> str | None:
         budget.draw(1, "twocounter")
         word = prefix + letter
-        return None if any(_matches(p, word) for p in closed) else word
+        for size in sizes:
+            for p in ending.get(word[-size:], ()):
+                if _matches(p, word):
+                    return None
+        return word
 
     yield from walk_product([alphabet] * length, extend, "")
 

@@ -308,6 +308,34 @@ def is_counterexample(s: twocounter.Sentence, word: str) -> bool:
     return not twocounter._witnessed(body, word, s.alphabet, budget)
 
 
+# The two test machines: deeper runs than the zoo's, which the tests and
+# tests/verdicts.py check positivized.
+
+
+def updown_machine() -> tuple[twocounter.TwoCounterMachine, tuple[str, ...], str]:
+    """Pump counter 1 to two, then drain it; encoding '01b2bb3b4'."""
+    m = twocounter.TwoCounterMachine(
+        ("q0", "q1", "q2", "q3", "q4"), ("0",), "q0", frozenset({"q4"}),
+        ((("q0", "0", "Z", "Z"), ("q1", "stor1", "R")),
+         (("q1", "0", "b", "Z"), ("q2", "stor1", "R")),
+         (("q2", "0", "b", "Z"), ("q3", "stor1", "L")),
+         (("q3", "0", "b", "Z"), ("q4", "stor1", "L"))),
+    )
+    return m, ("0",), "01b2bb3b4"
+
+
+def twocounter_machine() -> tuple[twocounter.TwoCounterMachine, tuple[str, ...], str]:
+    """Load both counters, then drain them; encoding '01b2bc3c4'."""
+    m = twocounter.TwoCounterMachine(
+        ("q0", "q1", "q2", "q3", "q4"), ("0",), "q0", frozenset({"q4"}),
+        ((("q0", "0", "Z", "Z"), ("q1", "stor1", "R")),
+         (("q1", "0", "b", "Z"), ("q2", "stor2", "R")),
+         (("q2", "0", "b", "c"), ("q3", "stor1", "L")),
+         (("q3", "0", "Z", "c"), ("q4", "stor2", "L"))),
+    )
+    return m, ("0",), "01b2bc3c4"
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus, with a known solved fraction
 

@@ -48,7 +48,7 @@ from wordeq.twocounter import (
     simulate,
 )
 
-from helpers import is_counterexample, zoo
+from helpers import is_counterexample, twocounter_machine, updown_machine, zoo
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +423,19 @@ def _kinds(s: Sentence) -> tuple[int, int, int]:
     return len(body.closed), len(body.anchored), len(body.generic)
 
 
+def test_configuration_letters_that_name_variables():
+    # 32 states on a one-letter input take the letters S, U and V, which
+    # also name the sentence's variables; the state whose letter is S is
+    # initial and final and has no rules, so "S" is the one run encoding
+    states = tuple(f"q{i}" for i in range(32))
+    m = TwoCounterMachine(states, ("0",), "q28", frozenset({"q28"}), ())
+    mapping, _ = id_letters(m, 1)
+    assert [mapping[(f"q{i}", 0)] for i in (28, 30, 31)] == ["S", "U", "V"]
+    s = encode(m, ("0",))
+    assert enumerate_counterexamples(s, 2) == ["S"]
+    _assert_search_matches_reference(s, 2, each_word=False)
+
+
 def test_pruned_search_matches_reference_on_the_zoo():
     for m, w in zoo():
         s = encode(m, w)
@@ -502,6 +515,56 @@ def test_prefix_walk_depth_does_not_use_the_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert found == ["b" * n for n in range(101)]
+
+
+def _random_closed_patterns(rng: random.Random) -> list[tuple[str, ...]]:
+    """Closed patterns over "abc": prefix pieces c0 X, single factors
+    X c Y and longer ones c0 X c1 X ... ck X, with constants that overlap
+    themselves; now and then the empty pattern X, which matches every
+    word."""
+    constants = ["a", "b", "c", "aa", "aba", "abab", "aab", "ca", "bcb"]
+
+    def constant() -> str:
+        if rng.random() < 0.5:
+            return rng.choice(constants)
+        return "".join(rng.choices("abc", k=rng.randint(1, 3)))
+
+    patterns = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(8)
+        if kind < 2:
+            patterns.append((constant(), ""))
+        elif kind < 4:
+            patterns.append(("", constant(), ""))
+        elif kind < 7:
+            first = constant() if rng.random() < 0.5 else ""
+            inner = [constant() for _ in range(rng.randint(2, 3))]
+            patterns.append((first, *inner, ""))
+        elif rng.random() < 0.2:
+            patterns.append(("", ""))
+    return patterns
+
+
+def test_unpruned_matches_the_naive_filter_on_random_patterns():
+    # the index tests a prefix only against the patterns whose last
+    # constant ends it; the naive filter tests every pattern against every
+    # prefix, and each prefix the walk visits draws one unit
+    rng = random.Random(5309)
+    words = list(twocounter._iter_words("abc", 7))
+    for _ in range(50):
+        closed = _random_closed_patterns(rng)
+        pruned = {
+            w
+            for w in words
+            if any(twocounter._matches(p, w[:k]) for k in range(len(w) + 1) for p in closed)
+        }
+        for length in range(8):
+            budget = Budget()
+            found = list(twocounter._unpruned(closed, "abc", length, budget))
+            expected = [w for w in words if len(w) == length and w not in pruned]
+            assert found == expected, (closed, length)
+            visited = [w for w in words if 0 < len(w) <= length and w[:-1] not in pruned]
+            assert errors.WORK_BUDGET - budget.left == (0 if "" in pruned else len(visited))
 
 
 def _random_term(rng: random.Random, names, longest: int) -> StrTerm:
@@ -592,32 +655,8 @@ def test_propagation_matches_reference_on_random_sentences(monkeypatch):
     assert min(reached.values()) > 0, reached
 
 
-def _updown_machine() -> tuple[TwoCounterMachine, tuple[str, ...], str]:
-    """Pump counter 1 to two, then drain it; encoding '01b2bb3b4'."""
-    m = TwoCounterMachine(
-        ("q0", "q1", "q2", "q3", "q4"), ("0",), "q0", frozenset({"q4"}),
-        ((("q0", "0", "Z", "Z"), ("q1", "stor1", "R")),
-         (("q1", "0", "b", "Z"), ("q2", "stor1", "R")),
-         (("q2", "0", "b", "Z"), ("q3", "stor1", "L")),
-         (("q3", "0", "b", "Z"), ("q4", "stor1", "L"))),
-    )
-    return m, ("0",), "01b2bb3b4"
-
-
-def _twocounter_machine() -> tuple[TwoCounterMachine, tuple[str, ...], str]:
-    """Load both counters, then drain them; encoding '01b2bc3c4'."""
-    m = TwoCounterMachine(
-        ("q0", "q1", "q2", "q3", "q4"), ("0",), "q0", frozenset({"q4"}),
-        ((("q0", "0", "Z", "Z"), ("q1", "stor1", "R")),
-         (("q1", "0", "b", "Z"), ("q2", "stor2", "R")),
-         (("q2", "0", "b", "c"), ("q3", "stor1", "L")),
-         (("q3", "0", "Z", "c"), ("q4", "stor2", "L"))),
-    )
-    return m, ("0",), "01b2bc3c4"
-
-
 def test_deeper_runs_encode_and_verify():
-    for m, w, expected in (_updown_machine(), _twocounter_machine()):
+    for m, w, expected in (updown_machine(), twocounter_machine()):
         r = simulate(m, w)
         assert isinstance(r, Accepted)
         assert encode_history(m, w, r.history) == expected
@@ -626,13 +665,13 @@ def test_deeper_runs_encode_and_verify():
 
 
 def test_positivized_deeper_runs_are_the_only_counterexamples():
-    for m, w, expected in (_updown_machine(), _twocounter_machine()):
+    for m, w, expected in (updown_machine(), twocounter_machine()):
         assert enumerate_counterexamples(positivize(encode(m, w)), 9) == [expected]
 
 
 def test_mutated_encodings_are_not_counterexamples():
     rng = random.Random(20)
-    for m, w, expected in (_updown_machine(), _twocounter_machine()):
+    for m, w, expected in (updown_machine(), twocounter_machine()):
         s = encode(m, w)
         for _ in range(60):
             kind = rng.randrange(3)
@@ -716,6 +755,42 @@ def test_positivize_draws_a_fresh_helper_past_taken_names():
     assert p.existentials == ("H0", "H3", "H1")
     assert not isinstance(p.body.parts[2], Not)
     assert enumerate_counterexamples(p, 3) == enumerate_counterexamples(s, 3) == ["a"]
+
+
+def _random_negation_body(rng: random.Random, depth: int):
+    """And and Or over equations S = ..., fixed words X = "u" and negations
+    not (X = "u"), the existentials shared between siblings.  A negated
+    existential is conjoined with an equation that makes it a piece of S,
+    so its witnesses are held to the bound whether it is positivized or
+    not."""
+    if depth == 0 or rng.random() < 0.4:
+        word = Lit("".join(rng.choices("ab", k=rng.randint(0, 2))))
+        kind = rng.randrange(4)
+        if kind == 0:
+            return WordEq(Var("S"), _random_term(rng, ["X", "Y", "Z", "a", "b"], 3))
+        if kind == 1:
+            return WordEq(Var(rng.choice("XYZ")), word)
+        name = "S" if kind == 2 else rng.choice("XYZ")
+        negation = Not(WordEq(Var(name), word) if rng.random() < 0.7 else WordEq(word, Var(name)))
+        if name == "S":
+            return negation
+        around = _random_term(rng, ["X", "Y", "Z", "a", "b"], 2)
+        return conj(WordEq(Var("S"), concat(around, Var(name))), negation)
+    parts = [_random_negation_body(rng, depth - 1) for _ in range(2)]
+    return conj(*parts) if rng.random() < 0.5 else disj(*parts)
+
+
+def test_positivize_matches_reference_on_random_bodies():
+    # a helper that a sibling constrains would change the counterexamples
+    rng = random.Random(4111)
+    fresh = 0
+    for _ in range(120):
+        s = Sentence(("S",), ("X", "Y", "Z"), _random_negation_body(rng, 3), "ab", ())
+        p = positivize(s)
+        fresh += len(p.existentials) > len(s.existentials)
+        assert enumerate_counterexamples(p, 3) == _reference_counterexamples(s, 3), s.body
+    # some bodies leave no existential free beside a negation
+    assert fresh > 0
 
 
 def test_positivize_keeps_zoo_verdicts():

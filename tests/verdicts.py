@@ -7,11 +7,14 @@ A dump has one line per solve op: the differential, rewrite and arith
 workloads at seeds 1-3, in the order a benchmark pass runs them, then the
 Boolean sample (300 ``random_boolean_formula`` draws at depth 6, seed 7).
 Each line names the op and gives its verdict kind, then the reason of an
-``Unsupported`` or the model of a ``Sat``.  ``--src`` puts another
-checkout's package first on the import path, so two versions can be
-compared on the same inputs: the generators always come from this
-checkout's ``perfbench/`` and ``tests/helpers.py``, which are only read.
-``--diff`` prints every line that differs and exits 0 either way.
+``Unsupported`` or the model of a ``Sat``.  Then one line per reduction
+op of seed 1 and per test machine of ``tests/helpers.py`` positivized
+at bound 8: its counterexample list, or that its work budget ran out.
+``--src`` puts another checkout's package first on the import path, so
+two versions can be compared on the same inputs: the generators and the
+machines always come from this checkout's ``perfbench/`` and
+``tests/helpers.py``, which are only read.  ``--diff`` prints every line
+that differs and exits 0 either way.
 
 The file is not a test (pytest does not collect it); tier-1 covers the
 same verdicts through the benchmark's checks and the tests' own draws.
@@ -28,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 WORKLOADS = ("differential", "rewrite", "arith")
 BOOLEAN = (7, 6, 300)  # seed, depth, count
+MACHINE_BOUND = 8
 
 
 def _line(name: str, verdict) -> str:
@@ -43,7 +47,7 @@ def dump(src: Path) -> None:
     sys.path[:0] = [str(src), str(ROOT / "perfbench"), str(ROOT / "tests")]
     import wordeq
     import workloads
-    from helpers import random_boolean_formula
+    from helpers import random_boolean_formula, twocounter_machine, updown_machine
 
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -56,6 +60,20 @@ def dump(src: Path) -> None:
     for i in range(count):
         phi = random_boolean_formula(rng, depth)
         print(_line(f"boolean {seed} {i}", wordeq.check_sat(phi, "ab")))
+    seed = SEEDS[0]
+    for i, item in enumerate(workloads.build("reduction", seed)):
+        for _, op in item.ops:
+            out = op()  # the op returns workloads.Exhausted when it runs out
+            found = out if isinstance(out, list) else "ran out"
+            print(f"reduction {seed} {i} {item.label}\t{found}")
+    for machine in (updown_machine, twocounter_machine):
+        m, w, _ = machine()
+        sentence = wordeq.positivize(wordeq.encode(m, w))
+        try:
+            found = wordeq.enumerate_counterexamples(sentence, MACHINE_BOUND)
+        except wordeq.ResourceExhausted as e:
+            found = e
+        print(f"{machine.__name__} {MACHINE_BOUND}\t{found}")
 
 
 def diff(old: Path, new: Path) -> None:
