@@ -7,13 +7,14 @@ its conjunctions depth first, as it walks the product of membership
 boxes.  A prefix of choices and a whole conjunction are decided the same
 way, and a refuted prefix cuts every conjunction below it, across the
 formula's disjunctions and the negations' alternatives alike.  The word
-equations of such a conjunction are rewritten into solved forms.  A
-prefix keeps the complete list of its solved forms, and a choice below
-it rewrites only the equations it adds, once under each of them, as
+equations of such a conjunction are rewritten into solved forms: the
+forced conjuncts' once, before the walk, and then a prefix keeps what its
+rewriting gave, complete or blocked.  A choice below a complete prefix
+rewrites only the equations it adds, once under each of its forms, as
 DPLL(T) pushes a literal onto the state its parent left (Nieuwenhuis,
-Oliveras & Tinelli, *JACM* 2006); a blocked rewrite falls back to the
-whole conjunction.  Each solved form contributes its implied length
-rows, length atoms translate
+Oliveras & Tinelli, *JACM* 2006); a choice that adds none keeps its
+parent's result, and any other rewrites the whole conjunction.  Each
+solved form contributes its implied length rows, length atoms translate
 to further rows, and the membership atoms become a disjunction of row
 groups that constrain the power parameters of each constrained term
 through exact automaton walks.  Those rows are shared by every group, so
@@ -88,12 +89,11 @@ Verdict = Sat | Unsat | Unsupported
 _Decision = tuple[SolvedForm, dict[LinVar, int]] | Unsat | Unsupported
 # an alternative after its own place in formula order, so sorting compares
 # places only; a prefix: its alternatives, those taken since its solved
-# forms were made, those forms when they are complete (None when unknown
-# or blocked), and its decision or None
+# forms were made, what that rewriting gave (the complete list of solved
+# forms, or the OutOfFragment that blocked it), and its decision or None
 _Alternative = tuple[int, list[Atom]]
-_Prefix = tuple[
-    tuple[_Alternative, ...], tuple[_Alternative, ...], list[SolvedForm] | None, _Decision | None
-]
+_Solved = list[SolvedForm] | OutOfFragment
+_Prefix = tuple[tuple[_Alternative, ...], tuple[_Alternative, ...], _Solved, _Decision | None]
 _CHOSEN: Tree = ("leaf", None)  # decides the prefix: a choice was just made
 
 
@@ -161,23 +161,23 @@ def _shared_rows(sf: SolvedForm, lens: list[LenLeq]) -> list[Row]:
 def _solved_forms(
     atoms: list[Atom],
     new: tuple[_Alternative, ...],
-    forms: list[SolvedForm] | None,
+    parent: _Solved,
     svars: set[str],
     gen: NameGen,
     budget: Budget,
 ) -> list[SolvedForm] | Unsat | OutOfFragment:
-    """The solved forms of the word equations among ``atoms``.  With
-    ``forms``, the complete solved forms of all but the ``new``
-    alternatives' equations, only those are rewritten, once under each
-    form, and no call is made when they add none; without ``forms``, or
-    when one of those rewrites is blocked, all of them are rewritten from
-    scratch."""
-    if forms is not None:
-        eqs = [a for _, alt in sorted(new) for a in alt if isinstance(a, WordEq)]
-        if not eqs:
-            return forms
+    """The solved forms of the word equations among ``atoms``, given
+    ``parent``, what rewriting all but the ``new`` alternatives' equations
+    gave.  When those add no equation, that is the answer, complete or
+    blocked.  When ``parent`` is complete, only they are rewritten, once
+    under each of its forms; when it is blocked, or one of those rewrites
+    is, all the equations are rewritten from scratch."""
+    eqs = [a for _, alt in sorted(new) for a in alt if isinstance(a, WordEq)]
+    if not eqs:
+        return parent
+    if isinstance(parent, list):
         resumed: list[SolvedForm] = []
-        for form in forms:
+        for form in parent:
             solved = to_solved_form(eqs, variables=svars, gen=gen, budget=budget, under=form)
             if isinstance(solved, OutOfFragment):
                 break
@@ -255,24 +255,20 @@ def _build_model(
     return Sat(strings, ints)
 
 
-def _choices(tree: Tree, forced: list | None) -> tuple[Tree, bool]:
-    """The tree with ``_CHOSEN`` after every Or with two or more parts,
-    and whether it has one.  The leaves reached from the root through And
-    nodes alone are moved to ``forced``, which is None below an Or."""
+def _choices(tree: Tree, forced: list | None) -> Tree:
+    """The tree with ``_CHOSEN`` after every Or with two or more parts.
+    The leaves reached from the root through And nodes alone are moved to
+    ``forced``, which is None below an Or."""
     kind, item = tree
     if kind == "leaf":
         if forced is None:
-            return tree, False
+            return tree
         forced.append(item)
-        return ("and", []), False
-    parts, chosen = [], False
-    for part in item:
-        part, has = _choices(part, None if kind == "or" else forced)
-        parts.append(part)
-        chosen = chosen or has
+        return ("and", [])
+    parts = [_choices(part, None if kind == "or" else forced) for part in item]
     if kind == "or" and len(parts) > 1:
-        return ("and", [(kind, parts), _CHOSEN]), True
-    return (kind, parts), chosen
+        return ("and", [(kind, parts), _CHOSEN])
+    return (kind, parts)
 
 
 def check_sat(phi: Formula, alphabet: str) -> Verdict:
@@ -289,14 +285,14 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
     literal's alternative), and a conjunction that no choice decided whole
     at its end.  A refuted prefix cuts every conjunction below it.
 
-    When the formula has a choice, those forced conjuncts' equations are
-    rewritten once before the walk, and Unsat there ends the call.  Each
-    prefix then keeps the complete list of its solved forms: a choice
-    rewrites only the equations its alternatives add, once under each
-    form its parent kept, and one that adds none reuses the parent's
+    The forced conjuncts' equations are rewritten once, before the walk,
+    and Unsat there ends the call.  Each prefix then keeps what its
+    rewriting gave, the complete list of its solved forms or the
+    OutOfFragment that blocked it.  A choice that adds no equation keeps
+    its parent's result; one below a complete prefix rewrites only the
+    equations its alternatives add, once under each of the parent's
     forms.  A prefix whose resumed rewrite is blocked, or whose parent's
-    was, is rewritten whole, from scratch.  A formula with no choice is
-    rewritten whole, once, at the end of its one conjunction.
+    was, is rewritten whole, from scratch.
 
     A conjunction that leaves the fragment is blocked: the others still
     run, and the verdict is Unsupported only when none of them is Sat and
@@ -328,28 +324,24 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
 
     def extend(prefix: _Prefix, item: _Alternative | None) -> _Prefix | None:
         budget.draw(1, "normalize")
-        taken, new, forms, decision = prefix
+        taken, new, solved, decision = prefix
         if item is not None:
-            return taken + (item,), new + (item,), forms, None
+            return taken + (item,), new + (item,), solved, None
         if decision is None:
             atoms = [a for _, alt in sorted(taken) for a in alt]
-            solved = _solved_forms(atoms, new, forms, svars, gen, budget)
+            solved = _solved_forms(atoms, new, solved, svars, gen, budget)
             decision = _decide(atoms, solved, alphabet, gen, budget)
-            forms = solved if isinstance(solved, list) else None
-        return None if isinstance(decision, Unsat) else (taken, (), forms, decision)
+        return None if isinstance(decision, Unsat) else (taken, (), solved, decision)
 
     blocked: str | None = None
     try:
         forced: list[_Alternative] = []
-        tree, chosen = _choices(dnf_tree(phi, literal), forced)
-        forms = None
-        if chosen:
-            atoms = [a for _, alt in sorted(forced) for a in alt]
-            solved = _solved_forms(atoms, (), None, svars, gen, budget)
-            if isinstance(solved, Unsat):
-                return solved
-            forms = solved if isinstance(solved, list) else None
-        start = tuple(forced), (), forms, None
+        tree = _choices(dnf_tree(phi, literal), forced)
+        eqs = [a for _, alt in sorted(forced) for a in alt if isinstance(a, WordEq)]
+        solved = to_solved_form(eqs, variables=svars, gen=gen, budget=budget)
+        if isinstance(solved, Unsat):
+            return solved
+        start = tuple(forced), (), solved, None
         for *_, decision in walk(("and", [tree, _CHOSEN]), extend, start):
             if isinstance(decision, tuple):
                 verdict = _build_model(*decision, svars, ivars, alphabet)

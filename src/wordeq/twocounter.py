@@ -424,11 +424,15 @@ def _scan(phi: Formula) -> _Scanned:
 def positivize(s: Sentence) -> Sentence:
     """Replace each negated equation by an equivalent positive disjunction.
 
-    Only negations of the form ``not (X = "u")`` appear; each becomes the
-    exact complement: X is a proper prefix of u, or differs from u at some
-    position, or properly extends u.  The trailing free piece uses an
-    existential that is not otherwise constrained alongside the negation,
-    or a fresh one appended to the existential block.
+    Only negations of the form ``not (X = "u")`` appear; each becomes its
+    complement over all words: X is a proper prefix of u, or differs from
+    u at some position, or properly extends u.  The bounded check holds
+    witnesses to the universal's length but not an option's fixed word,
+    so the counterexamples up to a bound are kept only when every negated
+    existential is a piece of ``S``, as in ``encode``'s sentences.  The
+    trailing free piece uses an existential that is not otherwise
+    constrained alongside the negation, or a fresh one appended to the
+    existential block.
 
     The free variables of every part are found once per call, before any
     part is rewritten; a rewritten part's are known from how it was

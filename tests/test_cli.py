@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wordeq import cli, errors
+from wordeq import cli, errors, solver
 from wordeq.cli import main
 from wordeq.parser import MAX_DEPTH
 
@@ -186,6 +186,35 @@ def test_crash_exits_4_not_unsat(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error: RuntimeError: boom")
     assert "Traceback" in err
+
+
+def test_a_model_that_fails_its_recheck_exits_4(capsys, monkeypatch):
+    # every Sat is evaluated against the formula before it is reported; a
+    # model that fails is an internal error, never a verdict
+    monkeypatch.setattr(solver, "eval_formula", lambda *a: False)
+    code, out, err = run(capsys, "solve", str(SAMPLES / "conjugate.eq"))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: AssertionError: the model ")
+    assert "does not satisfy the formula" in err
+
+
+NO_ASSERT = '(set-alphabet "ab")\n(declare-const X String)\n(declare-const n Int)\n(check-sat)\n'
+DEFAULT_MODEL = '(model\n  (define-fun X () String "")\n  (define-fun n () Int 0)\n)\n'
+
+
+def test_solve_without_asserts_is_sat_with_the_default_model(capsys, tmp_path):
+    path = tmp_path / "none.eq"
+    path.write_text(NO_ASSERT)
+    assert run(capsys, "solve", str(path)) == (0, "sat\n", "")
+    path.write_text(NO_ASSERT + "(get-model)\n")
+    assert run(capsys, "solve", str(path)) == (0, "sat\n" + DEFAULT_MODEL, "")
+
+
+def test_oracle_without_asserts_is_sat_with_the_default_model(capsys, tmp_path):
+    path = tmp_path / "none.eq"
+    path.write_text(NO_ASSERT)
+    assert run(capsys, "oracle", str(path), "--max-len", "2") == (0, "sat\n" + DEFAULT_MODEL, "")
 
 
 def _nested_problem(path: Path, depth: int) -> Path:
@@ -382,6 +411,29 @@ def test_encode_2cm_without_check(capsys):
     code, out, _ = run(capsys, "encode-2cm", str(SAMPLES / "incdec.2cm"), "--input", "0")
     assert code == 0
     assert "counterexample" not in out
+
+
+# reads a and accepts with its head on the second letter, so it accepts
+# no input: a run accepts only with its head back on the first letter
+AB_MACHINE = "states: q0 qf\ninput-alphabet: a b\ninitial: q0\nfinal: qf\nq0 a Z Z -> qf in R\n"
+
+
+def test_encode_2cm_input_letters_may_be_unseparated(capsys, tmp_path):
+    path = tmp_path / "ab.2cm"
+    path.write_text(AB_MACHINE)
+    code, out, _ = run(capsys, "encode-2cm", str(path), "--input", "ab")
+    assert code == 0
+    assert "; letter 3 = state qf, head 1" in out.splitlines()
+    assert run(capsys, "encode-2cm", str(path), "--input", "a b") == (0, out, "")
+    assert run(capsys, "encode-2cm", str(path), "--input", "ba")[1] != out
+
+
+def test_encode_2cm_check_without_counterexample(capsys, tmp_path):
+    path = tmp_path / "ab.2cm"
+    path.write_text(AB_MACHINE)
+    code, out, _ = run(capsys, "encode-2cm", str(path), "--input", "a b", "--check-bound", "4")
+    assert code == 0
+    assert out.splitlines()[-1] == "; no counterexample up to length 4"
 
 
 def test_encode_2cm_rejects_foreign_input(capsys):

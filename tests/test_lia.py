@@ -9,6 +9,7 @@ from helpers import box_has_solution
 import wordeq.errors as errors
 from wordeq.errors import Budget, CoefficientOverflow, ResourceExhausted
 from wordeq.lengths import LinVar, Row, int_var, len_var, param_var
+from wordeq import lia
 from wordeq.lia import lia_sat
 
 
@@ -493,3 +494,19 @@ def test_node_limit_counts_nodes_summed_over_groups(monkeypatch):
     monkeypatch.setattr(errors, "WORK_BUDGET", need - 1)
     with pytest.raises(ResourceExhausted):
         lia_sat(shared, [first, second])
+
+
+def test_model_checks_its_back_substitution():
+    # column 0 was eliminated as 0 = -1 + 0, which no length can be; a
+    # free integer column may take it
+    elims = [(0, -1, {})]
+    with pytest.raises(AssertionError, match="gave column 0 the value -1"):
+        lia._model({}, elims, {x(): 0}, set(), [])
+    assert lia._model({}, elims, {int_var("n"): 0}, {0}, []) == {int_var("n"): -1}
+
+
+def test_model_checks_every_row():
+    rows = [Row({x(): 1}, "le", 3), Row({x(): 1, x("y"): 1}, "eq", 1)]
+    with pytest.raises(AssertionError, match="the model violates the row"):
+        lia._model({0: 2}, [], {x(): 0, x("y"): 1}, set(), rows)
+    assert lia._model({0: 1}, [], {x(): 0, x("y"): 1}, set(), rows) == {x(): 1, x("y"): 0}

@@ -169,6 +169,13 @@ MACHINE_ROWS = [
     (MACHINE + "q0 a Z b -> qf in R\n", 6, "zero-test tags are Z|b and Z|c"),
     (_machine(5, "q0 a Z Z -> qf up R"), 5, "rule actions are in|stor1|stor2 and L|R"),
     (_machine(4, ""), 1, "missing header 'final'"),
+    (_machine(2, "states: q0 qf"), 2, "states given twice"),
+    (_machine(3, "input-alphabet: a"), 3, "input-alphabet given twice"),
+    (_machine(4, "initial: q0"), 4, "initial given twice"),
+    (_machine(3, "initial: q0 qf"), 3, "initial needs exactly one state"),
+    (_machine(5, "final: qf"), 5, "final given twice"),
+    (_machine(5, "x: y"), 5, "unknown header 'x'"),
+    (_machine(5, "q0 a Z Z"), 5, "expected a header or a rule"),
 ]
 
 

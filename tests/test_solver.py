@@ -813,6 +813,24 @@ def test_a_choice_can_set_a_parent_power_to_zero(monkeypatch):
     assert calls == [0]
 
 
+def test_a_blocked_prefix_keeps_its_result(monkeypatch):
+    # a X = P a U leaves the rules' shapes, and the three length choices
+    # add no equation, so every prefix keeps the forced conjunct's blocked
+    # rewrite; rewriting each prefix again made 15 calls
+    import wordeq.solver as solver
+
+    calls = []
+    monkeypatch.setattr(
+        solver, "to_solved_form", lambda *a, **k: calls.append(a) or to_solved_form(*a, **k)
+    )
+    parts = [WordEq(concat(Lit("a"), Var("X")), concat(Var("P"), Lit("a"), Var("U")))]
+    for i in range(3):
+        y = Len(Var(f"Y{i}"))
+        parts.append(disj(LenLeq(y, 0), Not(LenLeq(y, 1))))
+    assert check_sat(conj(*parts), "ab") == Unsupported("no rule applies to the system")
+    assert len(calls) == 1
+
+
 def _resumed_formula(rng):
     """Forced commutations u X = X v (v a rotation of u) and straddles
     X u = v Y over X, Y and Z, which make forms with powers and fresh
