@@ -183,21 +183,13 @@ def dfa_complement(d: Dfa) -> Dfa:
 # automaton back to an expression (used for complementing regexes)
 
 
-def _opt_seq(*parts: Regex | None) -> Regex | None:
-    if any(p is None for p in parts):
-        return None
-    return re_seq(*parts)  # type: ignore[arg-type]
-
-
 def dfa_to_regex(d: Dfa) -> Regex | None:
     """State elimination.  Returns None when the language is empty."""
     n = d.n_states
     start, end = n, n + 1
     edges: dict[tuple[int, int], Regex] = {}
 
-    def add(i: int, j: int, r: Regex | None) -> None:
-        if r is None:
-            return
+    def add(i: int, j: int, r: Regex) -> None:
         cur = edges.get((i, j))
         edges[(i, j)] = r if cur is None else re_alt(cur, r)
 
@@ -219,7 +211,7 @@ def dfa_to_regex(d: Dfa) -> Regex | None:
             edges.pop((k, j))
         for i, rin in incoming:
             for j, rout in outgoing:
-                add(i, j, _opt_seq(rin, loop_star, rout))
+                add(i, j, re_seq(rin, loop_star, rout))
     return edges.get((start, end))
 
 

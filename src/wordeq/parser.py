@@ -408,10 +408,9 @@ def parse_2cm(text: str):
     """Parse the line-based two-counter machine format."""
     from .twocounter import MalformedMachine, TwoCounterMachine
 
-    states: tuple[str, ...] | None = None
-    alphabet: tuple[str, ...] | None = None
-    initial: str | None = None
-    finals: tuple[str, ...] | None = None
+    headers: dict[str, tuple[str, ...] | None] = dict.fromkeys(
+        ("states", "input-alphabet", "initial", "final")
+    )
     rules: dict[tuple[str, ...], tuple[str, ...]] = {}
     # the line of each header and rule, to place a MalformedMachine
     where: dict[str | tuple[str, ...], int] = {}
@@ -423,28 +422,15 @@ def parse_2cm(text: str):
         if ":" in line and "->" not in line:
             key, _, rest = line.partition(":")
             key = key.strip()
-            values = tuple(rest.split())
-            where[key] = lineno
-            if key == "states":
-                if states is not None:
-                    raise ParseError("states given twice", lineno, 1)
-                states = values
-            elif key == "input-alphabet":
-                if alphabet is not None:
-                    raise ParseError("input-alphabet given twice", lineno, 1)
-                alphabet = values
-            elif key == "initial":
-                if initial is not None:
-                    raise ParseError("initial given twice", lineno, 1)
-                if len(values) != 1:
-                    raise ParseError("initial needs exactly one state", lineno, 1)
-                initial = values[0]
-            elif key == "final":
-                if finals is not None:
-                    raise ParseError("final given twice", lineno, 1)
-                finals = values
-            else:
+            if key not in headers:
                 raise ParseError(f"unknown header {key!r}", lineno, 1)
+            if headers[key] is not None:
+                raise ParseError(f"{key} given twice", lineno, 1)
+            values = tuple(rest.split())
+            if key == "initial" and len(values) != 1:
+                raise ParseError("initial needs exactly one state", lineno, 1)
+            headers[key] = values
+            where[key] = lineno
             continue
         if "->" not in line:
             raise ParseError("expected a header or a rule", lineno, 1)
@@ -459,12 +445,10 @@ def parse_2cm(text: str):
         rules[key4] = tuple(right)
         where[key4] = lineno
 
-    headers = {"states": states, "input-alphabet": alphabet, "initial": initial, "final": finals}
     for name, val in headers.items():
         if val is None:
             raise ParseError(f"missing header {name!r}", 1, 1)
-    assert states is not None and alphabet is not None
-    assert initial is not None and finals is not None
+    states, alphabet, (initial,), finals = headers.values()
     try:
         return TwoCounterMachine(
             states=states,

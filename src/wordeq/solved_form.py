@@ -23,8 +23,6 @@ are tried in this order on every pending equation:
 
 * simplify, where an equation is made or changed: cancel shared end
   items and constant letters, drop trivial equations, refute clashes
-* empty side: the other side is forced letterless (variables to the
-  empty word, power parameters to zero)
 * bind: ``X = w`` with ``X`` not in ``w`` binds ``X`` and substitutes
 * commute: ``X u = v X`` with constant ``u``, ``v`` solves into
   ``X = v^i p`` for each split ``v = p q`` with ``q p = u``
@@ -32,7 +30,8 @@ are tried in this order on every pending equation:
   shared fresh variable or grounds both sides at each feasible boundary
   inside ``v``; ``u X = Y v`` is the same equation read as ``Y v = u X``
 * ground: an all-constant side is matched against the pattern on the
-  other side by finite backtracking
+  other side by finite backtracking; an empty side has one match, every
+  variable the empty word and every power parameter zero
 * peel: a power at the head of a side splits into "zero repetitions"
   and "one repetition unrolled", re-parameterizing globally
 
@@ -47,12 +46,15 @@ the next.  A branch that exhausts its peel budget or meets no applicable
 rule is blocked: the other branches still run, and the result is an
 ``OutOfFragment`` that carries the solved forms they found.
 
-Rewriting can resume from a solved form of other equations
-(``to_solved_form(eqs, under=form)``): the form's bindings seed the start
-state, as if its equations had just been rewritten, and only the new
-equations are substituted and rewritten.  The peel steps start afresh
-at ``GROWTH_BUDGET`` in every call, resumed or not.  ``check_sat``
-resumes a choice's equations under each form of its parent prefix.
+Rewriting resumes from solved forms of other equations
+(``to_solved_form(eqs, under=forms)``): each form's bindings seed one
+start state, as if its equations had just been rewritten, and only the
+new equations are substituted and rewritten.  The start states share
+one stack, so the forms, Unsat or blocked reason they lead to make one
+result, as branches do.  A rewrite from scratch resumes under the empty
+form.  The peel steps start afresh
+at ``GROWTH_BUDGET`` in every call.  ``check_sat`` resumes a choice's
+equations under the forms of its parent prefix in one call.
 
 Every branch state and every way to ground an equation draws one unit
 from the call's work ``Budget``, which ``check_sat`` shares with its other
@@ -362,22 +364,6 @@ class _State:
 _Step = tuple[str, object]
 
 
-def _rule_empty(st: _State, idx: int, gen: NameGen) -> _Step | None:
-    l, r = st.pending[idx][:2]
-    if l and r:
-        return None
-    # simplified, the other side has no constant
-    st.pending.pop(idx)
-    for it in l or r:
-        if isinstance(it, Unfixed):
-            if it.part not in st.bindings:
-                st.bind(it.part, ())
-        else:
-            assert isinstance(it, Power)
-            st.set_param(it.param, 0)
-    return ("again", None)
-
-
 def _rule_bind(st: _State, idx: int, gen: NameGen) -> _Step | None:
     l, r = st.pending[idx][:2]
     for own, other in ((l, r), (r, l)):
@@ -549,14 +535,12 @@ def _rule_peel(st: _State, idx: int, gen: NameGen) -> _Step | None:
 
 
 _RULES = (
-    _rule_empty,
     _rule_bind,
     _rule_commute,
     _rule_straddle,
     _rule_ground,
     _rule_peel,
 )
-_BUDGETED = (_rule_peel,)
 
 
 def _step(st: _State, gen: NameGen) -> _Step | None:
@@ -571,7 +555,7 @@ def _step(st: _State, gen: NameGen) -> _Step | None:
             # every unbudgeted step must shrink the system; the measures
             # taken to check it are carried into the states' next steps
             st.measured = None
-            if rule not in _BUDGETED and res[0] != "oof":
+            if rule is not _rule_peel and res[0] != "oof":
                 for after in [st] if res[0] == "again" else res[1]:  # type: ignore[union-attr]
                     after.measured = after.measure()
                     if not after.measured < before:
@@ -595,48 +579,49 @@ def to_solved_form(
     variables: Iterable[str] = (),
     gen: NameGen | None = None,
     budget: Budget | None = None,
-    under: SolvedForm | None = None,
+    under: Iterable[SolvedForm] = (SolvedForm(()),),
 ) -> list[SolvedForm] | Unsat | OutOfFragment:
-    """Solve a conjunction of word equations.
+    """Solve a conjunction of word equations under each of the solved
+    forms ``under`` of other equations, by default the empty one.
 
-    ``variables`` may list names that must appear in every solved form
-    even when no equation mentions them.  Every branch state and ground
+    The instances of the result are exactly the instances of some form of
+    ``under`` that solve ``eqs``.  Each form seeds one start state with
+    its bindings that are not the identity, ``eqs`` are substituted under
+    them, and the first form's branches run first.  ``variables`` may
+    list names that must appear in every solved form even when no
+    equation mentions them; the forms' variables are listed too, and
+    their names are reserved in ``gen``.  Every branch state and ground
     match draws from ``budget``, a fresh one when none is given; raises
     ResourceExhausted when it runs out.
-
-    With ``under``, one solved form of other equations, rewriting
-    resumes from it: the instances of the result are exactly the
-    instances of ``under`` that solve ``eqs``.  Its bindings that are not
-    the identity seed the start state, ``eqs`` are substituted under
-    them, and its variables are listed in every form; its names are
-    reserved in ``gen``, and the peel steps start afresh at
-    ``GROWTH_BUDGET``.
     """
     all_vars: set[str] = set(variables)
-    start = _State([], {}, GROWTH_BUDGET, budget)
-    env = start.bindings
-    if under is not None:
-        for v, pw in under.bindings:
+    sides = [(term_to_side(eq.lhs), term_to_side(eq.rhs)) for eq in eqs]
+    for l, r in sides:
+        all_vars.update(b.part for b in l + r if isinstance(b, Unfixed))
+    work = Budget() if budget is None else budget
+    starts = []
+    for form in under:
+        start = _State([], {}, GROWTH_BUDGET, work)
+        env = start.bindings
+        for v, pw in form.bindings:
             all_vars.add(v)
             if pw != (Unfixed(v),):
                 env[v] = pw
-    for eq in eqs:
-        l, r = term_to_side(eq.lhs), term_to_side(eq.rhs)
-        all_vars.update(b.part for b in l + r if isinstance(b, Unfixed))
-        simple = _simplify(substitute(l, env), substitute(r, env)) if env else _simplify(l, r)
-        if isinstance(simple, str):
-            start.dead = simple
-        elif simple is not None:
-            start.pending.append(_eq(*simple))
-    taken = all_vars
-    if env:
-        taken = all_vars.union(*(params_of(pw) + parts_of(pw) for pw in env.values()))
+        for l, r in sides:
+            simple = _simplify(substitute(l, env), substitute(r, env)) if env else _simplify(l, r)
+            if isinstance(simple, str):
+                start.dead = simple
+            elif simple is not None:
+                start.pending.append(_eq(*simple))
+        starts.append(start)
+    envs = [pw for st in starts for pw in st.bindings.values()]
+    taken = all_vars.union(*(params_of(pw) + parts_of(pw) for pw in envs))
     if gen is None:
         gen = NameGen(taken)
     else:
         gen.reserve(taken)
 
-    stack = [start]
+    stack = starts[::-1]
     solved: list[SolvedForm] = []
     blocked: str | None = None
     while stack:

@@ -10,8 +10,8 @@ formula's disjunctions and the negations' alternatives alike.  The word
 equations of such a conjunction are rewritten into solved forms: the
 forced conjuncts' once, before the walk, and then a prefix keeps what its
 rewriting gave, complete or blocked.  A choice below a complete prefix
-rewrites only the equations it adds, once under each of its forms, as
-DPLL(T) pushes a literal onto the state its parent left (Nieuwenhuis,
+rewrites only the equations it adds, under all of its forms in one call,
+as DPLL(T) pushes a literal onto the state its parent left (Nieuwenhuis,
 Oliveras & Tinelli, *JACM* 2006); a choice that adds none keeps its
 parent's result, and any other rewrites the whole conjunction.  Each
 solved form contributes its implied length rows, length atoms translate
@@ -169,22 +169,16 @@ def _solved_forms(
     """The solved forms of the word equations among ``atoms``, given
     ``parent``, what rewriting all but the ``new`` alternatives' equations
     gave.  When those add no equation, that is the answer, complete or
-    blocked.  When ``parent`` is complete, only they are rewritten, once
-    under each of its forms; when it is blocked, or one of those rewrites
-    is, all the equations are rewritten from scratch."""
+    blocked.  When ``parent`` is complete, only they are rewritten, under
+    all of its forms in one call; when it is blocked, or that rewrite is,
+    all the equations are rewritten from scratch."""
     eqs = [a for _, alt in sorted(new) for a in alt if isinstance(a, WordEq)]
     if not eqs:
         return parent
     if isinstance(parent, list):
-        resumed: list[SolvedForm] = []
-        for form in parent:
-            solved = to_solved_form(eqs, variables=svars, gen=gen, budget=budget, under=form)
-            if isinstance(solved, OutOfFragment):
-                break
-            if not isinstance(solved, Unsat):
-                resumed += [sf for sf in solved if sf not in resumed]
-        else:
-            return resumed or Unsat()
+        solved = to_solved_form(eqs, variables=svars, gen=gen, budget=budget, under=parent)
+        if not isinstance(solved, OutOfFragment):
+            return solved
     eqs = [a for a in atoms if isinstance(a, WordEq)]
     return to_solved_form(eqs, variables=svars, gen=gen, budget=budget)
 
@@ -290,9 +284,9 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
     rewriting gave, the complete list of its solved forms or the
     OutOfFragment that blocked it.  A choice that adds no equation keeps
     its parent's result; one below a complete prefix rewrites only the
-    equations its alternatives add, once under each of the parent's
-    forms.  A prefix whose resumed rewrite is blocked, or whose parent's
-    was, is rewritten whole, from scratch.
+    equations its alternatives add, under all of the parent's forms in
+    one call.  A prefix whose resumed rewrite is blocked, or whose
+    parent's was, is rewritten whole, from scratch.
 
     A conjunction that leaves the fragment is blocked: the others still
     run, and the verdict is Unsupported only when none of them is Sat and

@@ -394,3 +394,37 @@ def generate_corpus(
         path.write_text(text + "\n")
         paths.append(path)
     return paths
+
+
+def random_resumed_formula(rng: random.Random) -> Formula:
+    """Forced commutations u X = X v (v a rotation of u) and straddles
+    X u = v Y over X, Y and Z, which make forms with powers and fresh
+    parts, and one or two choices (an Or of two atoms or a negated atom)
+    that bind, ground or bound their variables, in random order."""
+    names = ("X", "Y", "Z")
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        x, y = rng.sample(names, 2)
+        if rng.random() < 0.5:
+            u = random_word(rng, "ab", 3) or "a"
+            cut = rng.randrange(len(u))
+            parts.append(WordEq(concat(Lit(u), Var(x)), concat(Var(x), Lit(u[cut:] + u[:cut]))))
+        else:
+            u, v = random_word(rng, "ab", 2) or "b", random_word(rng, "ab", 2) or "a"
+            parts.append(WordEq(concat(Var(x), Lit(u)), concat(Lit(v), Var(y))))
+
+    def atom():
+        x, y = rng.sample(names, 2)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return WordEq(Var(x), Lit(random_word(rng, "ab", 3)))
+        if kind == 1:
+            return WordEq(Var(x), concat(Lit(random_word(rng, "ab", 2)), Var(y)))
+        if kind == 2:
+            return WordEq(concat(Var(x), Var(y)), Lit(random_word(rng, "ab", 4)))
+        return LenLeq(Len(Var(x)), rng.randint(0, 3))
+
+    for _ in range(rng.randint(1, 2)):
+        parts.append(disj(atom(), atom()) if rng.random() < 0.5 else Not(atom()))
+    rng.shuffle(parts)
+    return conj(*parts)

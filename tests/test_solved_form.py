@@ -317,7 +317,9 @@ def test_resumed_forms_have_the_solutions_of_the_whole_system():
         parent = to_solved_form(first, variables=names, gen=gen)
         if not isinstance(parent, list):
             continue
-        children = [to_solved_form(rest, variables=names, gen=gen, under=form) for form in parent]
+        children = [
+            to_solved_form(rest, variables=names, gen=gen, under=[form]) for form in parent
+        ]
         if any(isinstance(res, OutOfFragment) for res in children):
             continue
         resumed += 1
@@ -330,8 +332,8 @@ def test_resumed_forms_have_the_solutions_of_the_whole_system():
 
 
 def test_a_resumed_equation_can_set_a_power_to_zero(monkeypatch):
-    # under X = a^i, X = "" becomes a^i = "": the empty-side rule sets i to
-    # 0, the one way it meets a power
+    # under X = a^i, X = "" becomes a^i = "": the ground rule matches the
+    # empty word in one way, which sets i to 0
     calls = []
     set_param = solved_form._State.set_param
     monkeypatch.setattr(
@@ -342,13 +344,13 @@ def test_a_resumed_equation_can_set_a_power_to_zero(monkeypatch):
     x = Var("X")
     (form,) = solve(WordEq(concat(Lit("a"), x), concat(x, Lit("a"))))
     assert form.mapping()["X"] == (Power("a", form.mapping()["X"][0].param),)
-    assert solve(WordEq(x, Lit("")), under=form) == [SolvedForm((("X", ()),))]
+    assert solve(WordEq(x, Lit("")), under=[form]) == [SolvedForm((("X", ()),))]
     assert calls == [0]
-    assert solve(WordEq(x, Lit("b")), under=form) == Unsat()
-    assert solve(WordEq(x, Lit("aa")), under=form) == [SolvedForm((("X", (Const("aa"),)),))]
+    assert solve(WordEq(x, Lit("b")), under=[form]) == Unsat()
+    assert solve(WordEq(x, Lit("aa")), under=[form]) == [SolvedForm((("X", (Const("aa"),)),))]
     # the form's names are taken: a fresh parameter never reuses one
     y = Var("Y")
-    (both,) = solve(WordEq(concat(Lit("a"), y), concat(y, Lit("a"))), under=form)
+    (both,) = solve(WordEq(concat(Lit("a"), y), concat(y, Lit("a"))), under=[form])
     (px,), (py,) = (params_of(both.mapping()[v]) for v in "XY")
     assert px != py
 

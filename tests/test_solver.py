@@ -18,7 +18,7 @@ from helpers import (
     random_formula_el,
     random_formula_elr,
     random_regex,
-    random_word,
+    random_resumed_formula,
 )
 from wordeq.automata import param_membership, prog_intersect, regex_to_dfa
 import wordeq.errors as errors
@@ -796,7 +796,7 @@ def test_a_choice_rewrites_only_the_equations_it_adds(monkeypatch):
 
 def test_a_choice_can_set_a_parent_power_to_zero(monkeypatch):
     # a X = X a makes X = a^i before the walk, so the choice X = "" is
-    # rewritten as a^i = "", and the empty-side rule sets i to 0
+    # rewritten as a^i = "", whose one ground match sets i to 0
     calls = []
     set_param = solved_form._State.set_param
     monkeypatch.setattr(
@@ -831,38 +831,26 @@ def test_a_blocked_prefix_keeps_its_result(monkeypatch):
     assert len(calls) == 1
 
 
-def _resumed_formula(rng):
-    """Forced commutations u X = X v (v a rotation of u) and straddles
-    X u = v Y over X, Y and Z, which make forms with powers and fresh
-    parts, and one or two choices (an Or of two atoms or a negated atom)
-    that bind, ground or bound their variables, in random order."""
-    names = ("X", "Y", "Z")
-    parts = []
-    for _ in range(rng.randint(1, 2)):
-        x, y = rng.sample(names, 2)
-        if rng.random() < 0.5:
-            u = random_word(rng, "ab", 3) or "a"
-            cut = rng.randrange(len(u))
-            parts.append(WordEq(concat(Lit(u), Var(x)), concat(Var(x), Lit(u[cut:] + u[:cut]))))
-        else:
-            u, v = random_word(rng, "ab", 2) or "b", random_word(rng, "ab", 2) or "a"
-            parts.append(WordEq(concat(Var(x), Lit(u)), concat(Lit(v), Var(y))))
+def test_a_choice_resumes_every_parent_form_in_one_call(monkeypatch):
+    # X ab = ab Y has two forms, X = Y = "" and X = ab W, Y = W ab, and
+    # each choice Z_i = a X or Z_i = b Y rewrites its equation under both
+    # in one call; a call per form made 2k + 1
+    import wordeq.solver as solver
 
-    def atom():
-        x, y = rng.sample(names, 2)
-        kind = rng.randrange(4)
-        if kind == 0:
-            return WordEq(Var(x), Lit(random_word(rng, "ab", 3)))
-        if kind == 1:
-            return WordEq(Var(x), concat(Lit(random_word(rng, "ab", 2)), Var(y)))
-        if kind == 2:
-            return WordEq(concat(Var(x), Var(y)), Lit(random_word(rng, "ab", 4)))
-        return LenLeq(Len(Var(x)), rng.randint(0, 3))
-
-    for _ in range(rng.randint(1, 2)):
-        parts.append(disj(atom(), atom()) if rng.random() < 0.5 else Not(atom()))
-    rng.shuffle(parts)
-    return conj(*parts)
+    calls = []
+    monkeypatch.setattr(
+        solver, "to_solved_form", lambda *a, **kw: calls.append(a) or to_solved_form(*a, **kw)
+    )
+    x, y = Var("X"), Var("Y")
+    for k in (1, 2, 3):
+        calls.clear()
+        zs = [Var(f"Z{i}") for i in range(k)]
+        parts = [WordEq(concat(x, Lit("ab")), concat(Lit("ab"), y))]
+        parts += [disj(WordEq(z, concat(Lit("a"), x)), WordEq(z, concat(Lit("b"), y))) for z in zs]
+        assert check_sat(conj(*parts), "ab") == Sat(
+            {"X": "", "Y": "", **{z.name: "a" for z in zs}}, {}
+        )
+        assert len(calls) == k + 1
 
 
 @pytest.mark.parametrize("seed", [626, 627])
@@ -876,7 +864,7 @@ def test_resumed_rewriting_against_the_eager_product(seed):
     rng = random.Random(seed)
     kinds = Counter()
     for _ in range(200):
-        phi = _resumed_formula(rng)
+        phi = random_resumed_formula(rng)
         want, got = _eager_check_sat(phi, "ab"), check_sat(phi, "ab")
         kinds[type(want).__name__, type(got).__name__] += 1
         if not isinstance(want, Unsupported):

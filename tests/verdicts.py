@@ -5,7 +5,9 @@
 
 A dump has one line per solve op: the differential, rewrite and arith
 workloads at seeds 1-3, in the order a benchmark pass runs them, then the
-Boolean sample (300 ``random_boolean_formula`` draws at depth 6, seed 7).
+Boolean sample (300 ``random_boolean_formula`` draws at depth 6, seed 7)
+and the resumed sample (200 ``random_resumed_formula`` draws at each of
+seeds 1-10, whose choices resume rewriting under forms of their parent).
 Each line names the op and gives its verdict kind, then the reason of an
 ``Unsupported`` or the model of a ``Sat``.  Then one line per reduction
 op of seed 1 and per test machine of ``tests/helpers.py`` positivized
@@ -14,7 +16,8 @@ at bound 8: its counterexample list, or that its work budget ran out.
 two versions can be compared on the same inputs: the generators and the
 machines always come from this checkout's ``perfbench/`` and
 ``tests/helpers.py``, which are only read.  ``--diff`` prints every line
-that differs and exits 0 either way.
+that differs; it exits 1 when either dump is empty or the two differ in
+length, as when a run crashed, and 0 otherwise.
 
 The file is not a test (pytest does not collect it); tier-1 covers the
 same verdicts through the benchmark's checks and the tests' own draws.
@@ -31,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 WORKLOADS = ("differential", "rewrite", "arith")
 BOOLEAN = (7, 6, 300)  # seed, depth, count
+RESUMED = (range(1, 11), 200)  # seeds, count per seed
 MACHINE_BOUND = 8
 
 
@@ -47,7 +51,12 @@ def dump(src: Path) -> None:
     sys.path[:0] = [str(src), str(ROOT / "perfbench"), str(ROOT / "tests")]
     import wordeq
     import workloads
-    from helpers import random_boolean_formula, twocounter_machine, updown_machine
+    from helpers import (
+        random_boolean_formula,
+        random_resumed_formula,
+        twocounter_machine,
+        updown_machine,
+    )
 
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -60,6 +69,12 @@ def dump(src: Path) -> None:
     for i in range(count):
         phi = random_boolean_formula(rng, depth)
         print(_line(f"boolean {seed} {i}", wordeq.check_sat(phi, "ab")))
+    seeds, count = RESUMED
+    for seed in seeds:
+        rng = random.Random(seed)
+        for i in range(count):
+            phi = random_resumed_formula(rng)
+            print(_line(f"resumed {seed} {i}", wordeq.check_sat(phi, "ab")))
     seed = SEEDS[0]
     for i, item in enumerate(workloads.build("reduction", seed)):
         for _, op in item.ops:
@@ -76,17 +91,21 @@ def dump(src: Path) -> None:
         print(f"{machine.__name__} {MACHINE_BOUND}\t{found}")
 
 
-def diff(old: Path, new: Path) -> None:
+def diff(old: Path, new: Path) -> int:
+    """Print the lines that differ; 1 when a dump is empty or the two
+    differ in length, else 0."""
     a = old.read_text().splitlines()
     b = new.read_text().splitlines()
-    if len(a) != len(b):
-        print(f"{len(a)} ops in {old}, {len(b)} in {new}")
     changed = 0
     for x, y in zip(a, b):
         if x != y:
             changed += 1
             print(f"- {x}\n+ {y}")
     print(f"{changed} of {min(len(a), len(b))} ops changed")
+    if not a or len(a) != len(b):
+        print(f"{len(a)} ops in {old}, {len(b)} in {new}: a dump is empty or cut short")
+        return 1
+    return 0
 
 
 def main() -> None:
@@ -95,7 +114,7 @@ def main() -> None:
     ap.add_argument("--diff", nargs=2, type=Path, metavar=("OLD", "NEW"))
     args = ap.parse_args()
     if args.diff:
-        diff(*args.diff)
+        sys.exit(diff(*args.diff))
     else:
         dump(args.src.resolve())
 
