@@ -9,7 +9,6 @@ two-counter machines to universally quantified word-equation sentences.
 """
 
 from .errors import (
-    CoefficientOverflow,
     LetterOutsideAlphabet,
     ResourceExhausted,
     UnfixedPartPresent,
@@ -63,7 +62,6 @@ __all__ = [
     "Accepted",
     "Assignment",
     "BoundedVerdict",
-    "CoefficientOverflow",
     "Concat",
     "Formula",
     "InRe",

@@ -50,10 +50,6 @@ class Budget:
         self.left -= n
 
 
-class CoefficientOverflow(WordeqError):
-    """A linear-arithmetic coefficient fell outside the 64-bit range."""
-
-
 class NondeterministicDelta(WordeqError):
     """Two rules of a two-counter machine share the same (state, letter,
     zero-tests) key."""

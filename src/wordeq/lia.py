@@ -45,7 +45,8 @@ is <= b for an inequality and = b for an equality.
 A node only moves the column bounds to its box and repairs the current
 basis.  The repair pivots by Bland's rule (the smallest violating basic
 variable, then the smallest eligible nonbasic one), so it terminates.
-Arithmetic is exact.
+Arithmetic is exact, over integers and fractions of any size, so no row
+is too large to solve.
 """
 
 from __future__ import annotations
@@ -54,26 +55,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .errors import Budget, CoefficientOverflow
+from .errors import Budget
 from .lengths import LinVar, Row
-from .parser import INT64_MAX, INT64_MIN
 
 _ColRow = tuple[dict[int, int], int]  # sparse coeffs over columns, bound
 _Box = dict[int, tuple[int | None, int | None]]  # per-column integer bounds
 # columns, equalities and inequalities of one block
 _Block = tuple[list[int], list[_ColRow], list[_ColRow]]
-
-
-def _validate(rows: list[Row]) -> None:
-    """Each row, divided by the gcd of its coefficients as it will be
-    solved, must fit in 64 bits."""
-    for row in rows:
-        g = gcd(*row.coeffs.values()) or 1
-        for c in row.coeffs.values():
-            if not INT64_MIN <= c // g <= INT64_MAX:
-                raise CoefficientOverflow(f"coefficient {c // g} exceeds 64 bits")
-        if not INT64_MIN <= row.bound // g <= INT64_MAX:
-            raise CoefficientOverflow(f"bound {row.bound // g} exceeds 64 bits")
 
 
 class _Infeasible(Exception):
@@ -414,7 +402,6 @@ def lia_sat(
     """
     if budget is None:
         budget = Budget()
-    _validate(rows)
     col_of: dict[LinVar, int] = {}
     free: set[int] = set()
     _add_columns(rows, col_of, free)
@@ -429,7 +416,6 @@ def lia_sat(
     block_of = {j: i for i, (block, _) in enumerate(shared) for j in block[0]}
 
     for group in groups:
-        _validate(group)
         group_cols, group_free = dict(col_of), set(free)
         _add_columns(group, group_cols, group_free)
         geqs, gles = _column_rows(group, group_cols)

@@ -629,9 +629,7 @@ def to_solved_form(
         st.work.draw(1, "solved_form")
         while st.dead is None:
             if not st.pending:
-                sf = _resolve(st, all_vars)
-                if sf not in solved:
-                    solved.append(sf)
+                solved.append(_resolve(st, all_vars))
                 break
             kind, payload = _step(st, gen) or ("oof", "no rule applies to the system")
             if kind == "oof":

@@ -19,9 +19,10 @@ to further rows, and the membership atoms become a disjunction of row
 groups that constrain the power parameters of each constrained term
 through exact automaton walks.  Those rows are shared by every group, so
 each solved form is one call to the linear solver: it decides the shared
-rows once and pulls the groups one at a time, and each group is built
-only when it is pulled.  A model of the rows is turned back into concrete
-words and re-checked against the original formula before being reported.
+rows once, exactly whatever the size of their coefficients, and pulls
+the groups one at a time, and each group is built only when it is
+pulled.  A model of the rows is turned back into concrete words and
+re-checked against the original formula before being reported.
 Every layer draws from one work ``Budget`` per call, and running out
 makes the whole call Unsupported, naming the layer that ran out.
 """
@@ -34,8 +35,7 @@ from typing import Iterator
 
 from . import parser
 from .automata import Prog, param_membership, prog_intersect, regex_to_dfa
-from .errors import Budget, CoefficientOverflow, LetterOutsideAlphabet, ResourceExhausted
-from .errors import UnfixedPartPresent
+from .errors import Budget, LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
 from .lengths import (
     LinVar,
     Row,
@@ -171,16 +171,18 @@ def _solved_forms(
     gave.  When those add no equation, that is the answer, complete or
     blocked.  When ``parent`` is complete, only they are rewritten, under
     all of its forms in one call; when it is blocked, or that rewrite is,
-    all the equations are rewritten from scratch."""
+    all the equations are rewritten from scratch, unless they were all
+    new: then the parent's one form binds each variable to itself, and
+    the blocked rewrite already was the whole one."""
     eqs = [a for _, alt in sorted(new) for a in alt if isinstance(a, WordEq)]
     if not eqs:
         return parent
+    every = [a for a in atoms if isinstance(a, WordEq)]
     if isinstance(parent, list):
         solved = to_solved_form(eqs, variables=svars, gen=gen, budget=budget, under=parent)
-        if not isinstance(solved, OutOfFragment):
+        if not isinstance(solved, OutOfFragment) or len(eqs) == len(every):
             return solved
-    eqs = [a for a in atoms if isinstance(a, WordEq)]
-    return to_solved_form(eqs, variables=svars, gen=gen, budget=budget)
+    return to_solved_form(every, variables=svars, gen=gen, budget=budget)
 
 
 def _decide(
@@ -200,9 +202,9 @@ def _decide(
     with that model, Unsat when rewriting or the rows of every solved
     form refute the atoms, and otherwise Unsupported for the first reason
     that rewriting or a solved form was blocked; the solved forms that a
-    partly blocked rewriting still found are decided too.  Rows past 64
-    bits block only their solved form, while running out of ``budget``
-    raises ResourceExhausted and ends the whole call.
+    partly blocked rewriting still found are decided too.  A membership
+    over unfixed parts blocks only its solved form, while running out of
+    ``budget`` raises ResourceExhausted and ends the whole call.
     """
     lens = [a for a in atoms if isinstance(a, LenLeq)]
     res = [a for a in atoms if isinstance(a, InRe)]
@@ -221,7 +223,7 @@ def _decide(
                 _regex_row_groups(res, sf, alphabet, gen, budget),
                 budget,
             )
-        except (CoefficientOverflow, _UnfixedMembership) as exc:
+        except _UnfixedMembership as exc:
             blocked = blocked or str(exc)
             continue
         if model is not None:
@@ -286,7 +288,8 @@ def check_sat(phi: Formula, alphabet: str) -> Verdict:
     its parent's result; one below a complete prefix rewrites only the
     equations its alternatives add, under all of the parent's forms in
     one call.  A prefix whose resumed rewrite is blocked, or whose
-    parent's was, is rewritten whole, from scratch.
+    parent's was, is rewritten whole, from scratch, unless none of its
+    equations is its parent's, when the resume was the whole rewrite.
 
     A conjunction that leaves the fragment is blocked: the others still
     run, and the verdict is Unsupported only when none of them is Sat and

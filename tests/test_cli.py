@@ -76,25 +76,30 @@ def test_solve_decides_the_least_64_bit_integer(capsys, tmp_path, bound):
 
 
 @pytest.mark.parametrize(
-    "declare, formula, coefficient",
+    "declare, formula, model",
     [
         # the flipped negation scales -2^63 to 2^63, and m keeps the gcd at 1
-        ("(declare-const n Int)", "(not (<= (* -9223372036854775808 n) (* -3 m)))", 2**63),
+        (
+            "(declare-const n Int)",
+            "(not (<= (* -9223372036854775808 n) (* -3 m)))",
+            "(define-fun m () Int -3074457345618258602)\n  (define-fun n () Int -1)",
+        ),
         # the length of X X is 2 |X|, and m keeps the gcd at 1
         (
             "(declare-const X String)",
             "(<= (* 9223372036854775807 (str.len (str.++ X X))) m)",
-            2**64 - 2,
+            '(define-fun X () String "")\n  (define-fun m () Int 0)',
         ),
     ],
 )
-def test_a_row_past_64_bits_is_unsupported(capsys, tmp_path, declare, formula, coefficient):
-    path = tmp_path / "overflow.eq"
+def test_a_row_past_64_bits_is_decided(capsys, tmp_path, declare, formula, model):
+    path = tmp_path / "wide.eq"
     path.write_text(
-        f'(set-alphabet "ab")\n{declare}\n(declare-const m Int)\n(assert {formula})\n(check-sat)\n'
+        f'(set-alphabet "ab")\n{declare}\n(declare-const m Int)\n(assert {formula})\n'
+        "(check-sat)\n(get-model)\n"
     )
     code, out, _ = run(capsys, "solve", str(path))
-    assert (code, out) == (2, f"unsupported: coefficient {coefficient} exceeds 64 bits\n")
+    assert (code, out) == (0, f"sat\n(model\n  {model}\n)\n")
 
 
 @pytest.mark.parametrize(
@@ -117,8 +122,8 @@ def test_a_row_within_64_bits_after_its_gcd_is_decided(capsys, tmp_path, declare
     assert (code, out) == (0, f"sat\n(model\n  {model}\n)\n")
 
 
-def test_a_row_past_64_bits_blocks_only_its_disjunct(capsys, tmp_path):
-    path = tmp_path / "overflow.eq"
+def test_a_row_past_64_bits_decides_its_disjunct(capsys, tmp_path):
+    path = tmp_path / "wide.eq"
     path.write_text(
         '(set-alphabet "ab")\n(declare-const X String)\n(declare-const Y String)\n'
         "(assert (or (<= (+ (* 9223372036854775807 (str.len (str.++ X X))) (str.len Y)) 5)"
@@ -128,7 +133,7 @@ def test_a_row_past_64_bits_blocks_only_its_disjunct(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", str(path))
     assert (code, out) == (
         0,
-        'sat\n(model\n  (define-fun X () String "a")\n  (define-fun Y () String "")\n)\n',
+        'sat\n(model\n  (define-fun X () String "")\n  (define-fun Y () String "")\n)\n',
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import box_has_solution
 import wordeq.errors as errors
-from wordeq.errors import Budget, CoefficientOverflow, ResourceExhausted
+from wordeq.errors import Budget, ResourceExhausted
 from wordeq.lengths import LinVar, Row, int_var, len_var, param_var
 from wordeq import lia
 from wordeq.lia import lia_sat
@@ -106,26 +106,28 @@ def test_empty_and_constant_rows():
     assert lia_sat([Row({}, "le", -1)]) is None
 
 
-def test_coefficient_overflow_guard():
-    # the range is checked after a row is divided by its coefficients'
-    # gcd, so each overflowing row has a second coefficient of 1
-    with pytest.raises(CoefficientOverflow):
-        lia_sat([Row({x(): 2**64, x("y"): 1}, "eq", 0)])
-    with pytest.raises(CoefficientOverflow):
-        lia_sat([Row({x(): 1}, "le", 2**63)])
-    with pytest.raises(CoefficientOverflow):
-        lia_sat([Row({x(): 1}, "le", -(2**63) - 1)])
-    with pytest.raises(CoefficientOverflow):
-        lia_sat([Row({x(): -(2**63) - 1, x("y"): 1}, "le", 0)])
+def test_rows_past_64_bits_are_solved_exactly():
+    # rows that do not fit in 64 bits, even divided by their gcd
+    y = x("y")
+    assert lia_sat([Row({x(): 2**64, y: 1}, "eq", 0)]) == {x(): 0, y: 0}
+    assert lia_sat([Row({x(): 1}, "le", 2**63)]) == {x(): 0}
+    assert lia_sat([Row({x(): 1}, "le", -(2**63) - 1)]) is None
+    assert lia_sat([Row({x(): -(2**63) - 1, y: 1}, "le", 0)]) == {x(): 0, y: 0}
     # divided by their gcd, these rows are x = 0 and -x <= 0
     assert lia_sat([Row({x(): 2**64}, "eq", 0)]) == {x(): 0}
     assert lia_sat([Row({x(): -(2**63) - 1}, "le", 0)]) == {x(): 0}
-    # -2**63 is in the range, as a coefficient and as a bound
     n = int_var("n")
     for rows in ([Row({n: 1}, "le", -(2**63))], [Row({n: -(2**63)}, "le", -(2**63))]):
         model = lia_sat(rows)
         assert model is not None
         verify(rows, model)
+    # tightened by its gcd 2^70 to n <= -1025
+    assert lia_sat([Row({n: 2**70}, "le", -(2**80) - 1)]) == {n: -1025}
+    # a x + (a + 1) y = 8 a + 5 with a = 2^65 has the one model x = 3, y = 5
+    a = 2**65
+    assert lia_sat([Row({x(): a, y: a + 1}, "eq", 8 * a + 5)]) == {x(): 3, y: 5}
+    # the gcd 3 of the coefficients does not divide 2^70
+    assert lia_sat([Row({x(): 3 * 2**64, y: 3 * 2**65 + 3}, "eq", 2**70)]) is None
 
 
 def test_models_always_verify():

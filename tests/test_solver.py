@@ -794,6 +794,17 @@ def test_a_choice_rewrites_only_the_equations_it_adds(monkeypatch):
     assert binds[0] == sum(eqs)
 
 
+def test_a_blocked_choice_of_only_new_equations_is_rewritten_once(monkeypatch):
+    # with no forced equation, the parent's one form binds each variable
+    # to itself, so resuming under it is the whole rewrite: a blocked
+    # result is kept, not rewritten again from scratch
+    _, eqs = _count_rewriting(monkeypatch)
+    x, y = Var("X"), Var("Y")
+    crossed = WordEq(concat(x, Lit("ab"), y), concat(y, Lit("ba"), x))
+    assert check_sat(disj(crossed, WordEq(x, Lit("b"))), "ab") == Sat({"X": "b", "Y": ""}, {})
+    assert eqs == [0, 1, 1]
+
+
 def test_a_choice_can_set_a_parent_power_to_zero(monkeypatch):
     # a X = X a makes X = a^i before the walk, so the choice X = "" is
     # rewritten as a^i = "", whose one ground match sets i to 0
@@ -874,6 +885,43 @@ def test_resumed_rewriting_against_the_eager_product(seed):
         elif isinstance(got, Unsat):
             assert brute_force_sat(phi, "ab", 3) == NoModelUpTo(3), phi
     assert kinds["Sat", "Sat"] > 0 and kinds["Unsat", "Unsat"] > 0
+
+
+def test_a_rewrite_finds_each_solved_form_once(monkeypatch):
+    # every rule splits a branch on distinct values of a variable or a
+    # parameter, so no two finished branches resolve to the same form,
+    # whether the rewrite starts from scratch or resumes under forms
+    import wordeq.solver as solver
+
+    results = []
+
+    def recorded(*a, **k):
+        results.append(to_solved_form(*a, **k))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "to_solved_form", recorded)
+    rng = random.Random(631)
+    for _ in range(300):
+        check_sat(random_resumed_formula(rng), "ab")
+    for _ in range(100):
+        first, rest, names = [], [], set()
+        for eqs in (first, rest):
+            for _ in range(rng.randint(1, 2)):
+                eq, vs = _template_equation(rng, "ab")
+                eqs.append(eq)
+                names.update(vs)
+        gen = NameGen(names)
+        results.append(to_solved_form(first, variables=names, gen=gen))
+        if isinstance(results[-1], list):
+            results.append(to_solved_form(rest, variables=names, gen=gen, under=results[-1]))
+    several = 0
+    for res in results:
+        forms = res.forms if isinstance(res, OutOfFragment) else res
+        if isinstance(forms, Unsat):
+            continue
+        assert len(set(forms)) == len(forms), forms
+        several += len(forms) > 1
+    assert several >= 100
 
 
 def test_only_the_returned_branch_builds_its_words(monkeypatch):

@@ -16,8 +16,11 @@ at bound 8: its counterexample list, or that its work budget ran out.
 two versions can be compared on the same inputs: the generators and the
 machines always come from this checkout's ``perfbench/`` and
 ``tests/helpers.py``, which are only read.  ``--diff`` prints every line
-that differs; it exits 1 when either dump is empty or the two differ in
-length, as when a run crashed, and 0 otherwise.
+that differs, how many changed and how many of those changed kind, then
+one line per change of kind with its count (such as ``Unsupported →
+Sat: 3``; a reduction line's kind is ``found`` or ``ran out``).  It
+exits 1 when either dump is empty or the two differ in length, as when
+a run crashed, and 0 otherwise.
 
 The file is not a test (pytest does not collect it); tier-1 covers the
 same verdicts through the benchmark's checks and the tests' own draws.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,17 +95,30 @@ def dump(src: Path) -> None:
         print(f"{machine.__name__} {MACHINE_BOUND}\t{found}")
 
 
+def _kind(line: str) -> str:
+    """A verdict line's kind; a reduction line's ``found`` or ``ran out``."""
+    field = line.partition("\t")[2].split("\t")[0]
+    if field in ("Sat", "Unsat", "Unsupported"):
+        return field
+    return "found" if field.startswith("[") else "ran out"
+
+
 def diff(old: Path, new: Path) -> int:
-    """Print the lines that differ; 1 when a dump is empty or the two
-    differ in length, else 0."""
+    """Print the lines that differ and the count of each change of kind;
+    1 when a dump is empty or the two differ in length, else 0."""
     a = old.read_text().splitlines()
     b = new.read_text().splitlines()
     changed = 0
+    moves: Counter[tuple[str, str]] = Counter()
     for x, y in zip(a, b):
         if x != y:
             changed += 1
+            if _kind(x) != _kind(y):
+                moves[_kind(x), _kind(y)] += 1
             print(f"- {x}\n+ {y}")
-    print(f"{changed} of {min(len(a), len(b))} ops changed")
+    print(f"{changed} of {min(len(a), len(b))} ops changed, {sum(moves.values())} in kind")
+    for (x, y), n in sorted(moves.items()):
+        print(f"{x} → {y}: {n}")
     if not a or len(a) != len(b):
         print(f"{len(a)} ops in {old}, {len(b)} in {new}: a dump is empty or cut short")
         return 1
