@@ -7,20 +7,23 @@ The search is exact: it ends on an integer point, on boxes that are all
 refuted, or on the work budget.  Every row is normalised once:
 equalities whose coefficient gcd does not divide the bound are refuted
 and inequalities are tightened by their gcd; an inequality and its exact
-opposite become one equality.  Equalities with a +-1 coefficient are
-then eliminated by exact substitution, and only the rows a substitution
-touched are normalised again.
+opposite become one equality.  Every equality is then eliminated by
+exact substitution, and only the rows a substitution touched are
+normalised again.  An equality with a +-1 coefficient is solved for its
+column.  When none has one, the equality step of the Omega test (Pugh,
+*The Omega Test*, CACM 1992) rewrites a column of the first equality over
+a fresh free column, and so lowers the row's least |coefficient| until
+one is +-1.  The number of such steps is logarithmic in the row's
+coefficients, so they draw no work.
 
-The remaining rows split into independent blocks, the connected
+The remaining inequalities split into independent blocks, the connected
 components of the rows over their columns.  Each block is decided on
 its own by branch and bound, and the first infeasible block refutes the
 call.  A node's box bounds each column.  The start box is [0, inf), or
 (-inf, inf) for a free column, narrowed by the block's one-column
 inequalities, so their bounds can pin a column; a fractional column
 splits the box at its value, and the half nearer zero is explored
-first.  A node is pruned when its box is empty, or when some equality,
-with the columns its box pins moved to the bound, has a bound that the
-gcd of its other coefficients does not divide.  Nothing else cuts the
+first.  A node is pruned when its box is empty.  Nothing else cuts the
 tree: over unbounded columns it may be infinite, and then the work
 budget ends the search.
 
@@ -41,7 +44,7 @@ A block keeps one bounded-variable simplex across all of its nodes
 (Dutertre and de Moura, *A Fast Linear-Arithmetic Solver for DPLL(T)*,
 CAV 2006).  The tableau is built once, with sparse rows and one slack
 per row over two or more columns; a column lies in its box, and a slack
-is <= b for an inequality and = b for an equality.
+is <= the row's bound.
 A node only moves the column bounds to its box and repairs the current
 basis.  The repair pivots by Bland's rule (the smallest violating basic
 variable, then the smallest eligible nonbasic one), so it terminates.
@@ -52,16 +55,16 @@ is too large to solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import Budget
 from .lengths import LinVar, Row
 
 _ColRow = tuple[dict[int, int], int]  # sparse coeffs over columns, bound
 _Box = dict[int, tuple[int | None, int | None]]  # per-column integer bounds
-# columns, equalities and inequalities of one block
-_Block = tuple[list[int], list[_ColRow], list[_ColRow]]
+_Block = tuple[list[int], list[_ColRow]]  # columns and inequalities of one block
 
 
 class _Infeasible(Exception):
@@ -115,7 +118,7 @@ def _substitute(
 def _pair_opposites(eqs: list[_ColRow], les: list[_ColRow]) -> list[_ColRow]:
     """The normalised inequalities without each one whose exact opposite
     is also there: c*x <= b with -c*x <= -b is appended to ``eqs`` as
-    c*x = b, which the equality pruning sees.  Only rows with opposite
+    c*x = b, which elimination then removes.  Only rows with opposite
     bounds are compared."""
     if len(les) < 2:
         return les
@@ -135,36 +138,43 @@ def _pair_opposites(eqs: list[_ColRow], les: list[_ColRow]) -> list[_ColRow]:
 
 
 def _eliminate_units(
-    eqs: list[_ColRow], les: list[_ColRow], free: set[int]
-) -> tuple[list[_ColRow], list[_ColRow], list[tuple[int, int, dict[int, int]]]]:
-    """Remove equalities with a +-1 coefficient by exact substitution.
+    eqs: list[_ColRow], les: list[_ColRow], free: set[int], fresh: Iterator[int]
+) -> tuple[list[_ColRow], list[tuple[int, int, dict[int, int]]]]:
+    """Remove every equality by exact substitution.
 
-    Returns the reduced, normalised system plus the eliminations (column,
-    constant, terms) in the order they were applied; back-substitute in
-    reverse.
+    The first equality with a +-1 coefficient is solved for that column.
+    When no equality has one, one Euclid step is taken on the first: with
+    a_j its least |coefficient|, x_j = b//a_j - sum (a_k//a_j) x_k + t,
+    where t is a fresh free column drawn from ``fresh``, leaves the row
+    a_j t + sum (a_k % a_j) x_k = b % a_j, whose least |coefficient| is
+    smaller, so a unit appears.
+
+    Returns the reduced, normalised inequalities plus the eliminations
+    (column, constant, terms) in the order they were applied;
+    back-substitute in reverse.
     """
     eqs = _normalize_all(eqs, True)
     les = _pair_opposites(eqs, _normalize_all(les, False))
     elims: list[tuple[int, int, dict[int, int]]] = []
-    while True:
-        pick = None
-        for i, (coeffs, b) in enumerate(eqs):
-            units = [j for j, c in coeffs.items() if abs(c) == 1]
-            if units:
-                pick = (i, min(units))
-                break
-        if pick is None:
-            return eqs, les, elims
-        i, j = pick
-        coeffs, b = eqs.pop(i)
-        a = coeffs[j]  # x_j = a*b - sum a*c_k x_k   (a is +-1)
-        const = a * b
-        terms = {k: -a * c for k, c in coeffs.items() if k != j}
+    while eqs:
+        i = next((i for i, (coeffs, _) in enumerate(eqs) if 1 in map(abs, coeffs.values())), 0)
+        coeffs, b = eqs[i]
+        j = min(coeffs, key=lambda k: (abs(coeffs[k]), k))
+        a = coeffs[j]  # x_j = b//a - sum (c_k//a) x_k, plus t unless a is +-1
+        const = b // a
+        terms = {k: -(c // a) for k, c in coeffs.items() if k != j and c // a}
+        if abs(a) == 1:
+            del eqs[i]
+        else:
+            t = next(fresh)
+            terms[t] = 1
+            free.add(t)
         eqs = _substitute(eqs, j, const, terms, True)
         les = _substitute(les, j, const, terms, False)
         if j not in free:  # x_j >= 0 must survive the elimination
             les.extend(_normalize_all([({k: -t for k, t in terms.items()}, const)], False))
         elims.append((j, const, terms))
+    return les, elims
 
 
 class _Simplex:
@@ -177,20 +187,17 @@ class _Simplex:
     its bounds.
     """
 
-    def __init__(self, cols: list[int], eqs: list[_ColRow], les: list[_ColRow]) -> None:
+    def __init__(self, cols: list[int], les: list[_ColRow]) -> None:
         self.lo: dict[int, int | None] = dict.fromkeys(cols, 0)
         self.hi: dict[int, int | None] = dict.fromkeys(cols)
         self.value: dict[int, Fraction] = dict.fromkeys(cols, Fraction(0))
         # coefficients start as ints and become Fractions as pivots divide
         self.rows: dict[int, dict[int, Fraction | int]] = {}
-        slack = cols[-1]
-        for rows, eq in ((eqs, True), (les, False)):
-            for coeffs, b in rows:
-                slack += 1
-                self.lo[slack] = b if eq else None
-                self.hi[slack] = b
-                self.value[slack] = Fraction(0)
-                self.rows[slack] = dict(coeffs)
+        for slack, (coeffs, b) in enumerate(les, cols[-1] + 1):
+            self.lo[slack] = None
+            self.hi[slack] = b
+            self.value[slack] = Fraction(0)
+            self.rows[slack] = dict(coeffs)
 
     def set_bounds(self, j: int, lo: int | None, hi: int | None) -> None:
         """Bound column j to [lo, hi]; a nonbasic column moves inside."""
@@ -263,7 +270,7 @@ class _Simplex:
         self.rows[j] = solved
 
 
-def _blocks(eqs: list[_ColRow], les: list[_ColRow]) -> list[_Block]:
+def _blocks(les: list[_ColRow]) -> list[_Block]:
     """The connected components of the rows over their columns, in the
     order of their smallest column."""
     parent: dict[int, int] = {}
@@ -275,7 +282,7 @@ def _blocks(eqs: list[_ColRow], les: list[_ColRow]) -> list[_Block]:
             j = parent[j]
         return j
 
-    for coeffs, _ in eqs + les:
+    for coeffs, _ in les:
         first, *rest = coeffs
         root = find(first)
         for k in rest:
@@ -283,32 +290,14 @@ def _blocks(eqs: list[_ColRow], les: list[_ColRow]) -> list[_Block]:
 
     blocks: dict[int, _Block] = {}
     for j in sorted(parent):
-        blocks.setdefault(find(j), ([], [], []))[0].append(j)
-    for part, rows in ((1, eqs), (2, les)):
-        for row in rows:
-            blocks[find(next(iter(row[0])))][part].append(row)
+        blocks.setdefault(find(j), ([], []))[0].append(j)
+    for row in les:
+        blocks[find(next(iter(row[0])))][1].append(row)
     return list(blocks.values())
 
 
-def _divisible(eqs: list[_ColRow], box: _Box) -> bool:
-    """Whether every equality, with the columns the box pins moved to its
-    bound, still has a bound divisible by the gcd of its other
-    coefficients (an equality with none left must hold exactly)."""
-    for coeffs, b in eqs:
-        g = 0
-        for j, c in coeffs.items():
-            lo, hi = box[j]
-            if hi is not None and lo == hi:
-                b -= c * lo
-            else:
-                g = gcd(g, c)
-        if b % g != 0 if g else b != 0:
-            return False
-    return True
-
-
 def _solve_block(
-    cols: list[int], eqs: list[_ColRow], les: list[_ColRow], free: set[int], budget: Budget
+    cols: list[int], les: list[_ColRow], free: set[int], budget: Budget
 ) -> dict[int, int] | None:
     """Branch and bound over one block: an integer point of its rows, or
     None."""
@@ -325,14 +314,12 @@ def _solve_block(
             start[j] = (lo, b if hi is None else min(hi, b))
         else:
             start[j] = (-b if lo is None else max(lo, -b), hi)
-    lp = _Simplex(cols, eqs, wide)
+    lp = _Simplex(cols, wide)
     stack = [start]
     while stack:
         budget.draw(1, "lia")
         box = stack.pop()
         if any(lo is not None and hi is not None and lo > hi for lo, hi in box.values()):
-            continue
-        if not _divisible(eqs, box):
             continue
         for j in cols:
             lp.set_bounds(j, *box[j])
@@ -373,12 +360,12 @@ def _column_rows(
 
 
 def _solve_blocks(
-    eqs: list[_ColRow], les: list[_ColRow], free: set[int], budget: Budget
+    les: list[_ColRow], free: set[int], budget: Budget
 ) -> list[tuple[_Block, dict[int, int]]] | None:
     """Each block with its integer point, or None when some block has
     none."""
     solved = []
-    for block in _blocks(eqs, les):
+    for block in _blocks(les):
         found = _solve_block(*block, free, budget)
         if found is None:
             return None
@@ -404,13 +391,14 @@ def lia_sat(
         budget = Budget()
     col_of: dict[LinVar, int] = {}
     free: set[int] = set()
+    fresh = count(-1, -1)  # columns that eliminations add, below the unknowns'
     _add_columns(rows, col_of, free)
     eqs, les = _column_rows(rows, col_of)
     try:
-        eqs, les, elims = _eliminate_units(eqs, les, free)
+        les, elims = _eliminate_units(eqs, les, free, fresh)
     except _Infeasible:
         return None
-    shared = _solve_blocks(eqs, les, free, budget)
+    shared = _solve_blocks(les, free, budget)
     if shared is None:
         return None
     block_of = {j: i for i, (block, _) in enumerate(shared) for j in block[0]}
@@ -425,13 +413,11 @@ def lia_sat(
                 gles = _substitute(gles, j, const, terms, False)
             touched = {block_of[j] for row in geqs + gles for j in row[0] if j in block_of}
             for i in sorted(touched):
-                _, block_eqs, block_les = shared[i][0]
-                geqs += block_eqs
-                gles += block_les
-            geqs, gles, group_elims = _eliminate_units(geqs, gles, group_free)
+                gles += shared[i][0][1]
+            gles, group_elims = _eliminate_units(geqs, gles, group_free, fresh)
         except _Infeasible:
             continue
-        solved = _solve_blocks(geqs, gles, group_free, budget)
+        solved = _solve_blocks(gles, group_free, budget)
         if solved is None:
             continue
         solution = {

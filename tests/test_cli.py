@@ -137,6 +137,25 @@ def test_a_row_past_64_bits_decides_its_disjunct(capsys, tmp_path):
     )
 
 
+def test_an_equality_without_a_unit_coefficient_is_solved(capsys, tmp_path):
+    # the two atoms say 65536|X| = 65537|Y| + 1, whose least model has
+    # |X| = 65536 and |Y| = 65535
+    path = tmp_path / "euclid.eq"
+    path.write_text(
+        '(set-alphabet "a")\n(declare-const X String)\n(declare-const Y String)\n'
+        "(assert (<= (+ (* 65536 (str.len X)) (* -65537 (str.len Y))) 1))\n"
+        "(assert (<= (+ (* -65536 (str.len X)) (* 65537 (str.len Y))) -1))\n"
+        "(check-sat)\n(get-model)\n"
+    )
+    code, out, _ = run(capsys, "solve", str(path))
+    assert (code, out.splitlines()[0]) == (0, "sat")
+    lengths = {
+        name: len(word) for name, word in re.findall(r'\(define-fun (\w+) \(\) String "(a*)"\)', out)
+    }
+    assert lengths.keys() == {"X", "Y"}
+    assert 65536 * lengths["X"] == 65537 * lengths["Y"] + 1
+
+
 def test_solve_unsat(capsys):
     code, out, _ = run(capsys, "solve", str(SAMPLES / "chained_unsat.eq"))
     assert code == 1

@@ -2,6 +2,7 @@
 
 import random
 from itertools import chain, product
+from math import gcd
 
 import pytest
 
@@ -128,6 +129,30 @@ def test_rows_past_64_bits_are_solved_exactly():
     assert lia_sat([Row({x(): a, y: a + 1}, "eq", 8 * a + 5)]) == {x(): 3, y: 5}
     # the gcd 3 of the coefficients does not divide 2^70
     assert lia_sat([Row({x(): 3 * 2**64, y: 3 * 2**65 + 3}, "eq", 2**70)]) is None
+    # no coefficient is +-1, and the least models are past 64 bits
+    assert lia_sat([Row({x(): a, y: -(a + 1)}, "eq", 1)]) == {x(): a, y: a - 1}
+    c = 2**64
+    assert lia_sat([Row({x(): c + 1, y: -c}, "eq", 4 * c + 1)]) == {x(): c + 1, y: c - 2}
+
+
+def test_equalities_over_free_columns_are_sat_when_the_gcd_divides():
+    # over free columns an equality has an integer point exactly when the
+    # gcd of its coefficients divides its bound, however large they are; a
+    # common factor makes some bounds miss it
+    rng = random.Random(606)
+    verdicts = set()
+    for _ in range(300):
+        factor = rng.choice((1, 1, 2, 3, 5))
+        cols = [int_var(f"n{k}") for k in range(rng.randint(2, 3))]
+        coeffs = {v: factor * rng.choice((-1, 1)) * rng.randint(1, 2**62 // factor) for v in cols}
+        bound = rng.randint(-(2**62), 2**62)
+        rows = [Row(coeffs, "eq", bound)]
+        model = lia_sat(rows)
+        assert (model is not None) == (bound % gcd(*coeffs.values()) == 0), rows
+        if model is not None:
+            verify(rows, model)
+        verdicts.add(model is not None)
+    assert verdicts == {True, False}
 
 
 def test_models_always_verify():
@@ -187,7 +212,7 @@ def test_differential_against_box_enumeration():
 
 def frobenius_rows(targets):
     """6|A_j| + 10|B_j| + 15|C_j| = c_j: one block per target.  29 is the
-    Frobenius number of 6, 10 and 15; 31 needs branching to be solved."""
+    Frobenius number of 6, 10 and 15, and 31 = 6 + 10 + 15."""
     return [
         Row({x(f"A{j}"): 6, x(f"B{j}"): 10, x(f"C{j}"): 15}, "eq", c)
         for j, c in enumerate(targets)
@@ -217,8 +242,21 @@ def nodes_needed(rows, monkeypatch):
     raise AssertionError("no work budget up to 10 000 decides the rows")
 
 
+def frobenius_inequalities(j):
+    """6|A_j| + 10|B_j| + 15|C_j| = 31 as two inequalities, so that branch
+    and bound decides it and elimination does not: the upper one also has
+    |D_j|, which 2|D_j| <= 1 pins to 0, so the two are not exact opposites
+    and are not paired into an equality."""
+    a, b, c, d = (x(f"{name}{j}") for name in "ABCD")
+    return [
+        Row({a: -6, b: -10, c: -15}, "le", -31),
+        Row({a: 6, b: 10, c: 15, d: 1}, "le", 31),
+        Row({d: 2}, "le", 1),
+    ]
+
+
 def test_node_limit_counts_nodes_summed_over_blocks(monkeypatch):
-    first, second = ([row] for row in frobenius_rows((31, 31)))
+    first, second = frobenius_inequalities(0), frobenius_inequalities(1)
     need_first, model_first = nodes_needed(first, monkeypatch)
     need_second, model_second = nodes_needed(second, monkeypatch)
     assert need_first > 1 and need_second > 1  # both blocks branch
@@ -380,12 +418,15 @@ def test_groups_differential_against_one_call_per_group(monkeypatch):
     # of one of them until the work budget, lowered here to keep such a
     # case short, runs out and ends the call.  The last system does: its
     # rows force x1 = x3 = 0, but only x3 through a one-column row, so no
-    # box pins x1, and they leave x0 = x2 - 3/2
+    # box pins x1, and they leave x0 = x2 - 3/2.  They are inequalities,
+    # and the second is not the first's exact opposite, so none of them
+    # is eliminated
     monkeypatch.setattr(errors, "WORK_BUDGET", 1000)
     x0, x1, x2, x3 = (len_var(f"x{k}") for k in range(4))
     along_a_ray = (
         [
-            Row({x0: 2, x1: -3, x2: -2}, "eq", -3),
+            Row({x0: 2, x1: -3, x2: -2}, "le", -3),
+            Row({x0: -2, x1: 3, x2: 2, x3: 1}, "le", 3),
             Row({x1: 1, x3: -1}, "le", 0),
             Row({x3: 2}, "le", 1),
         ],
@@ -436,8 +477,8 @@ def test_groups_differential_against_one_call_per_group(monkeypatch):
 
 
 def test_one_column_rows_bound_the_start_box():
-    # 2*x1 <= 1 pins x1 to 0 in the start box, so the equality is left
-    # with 2*x0 - 2*x2 = -3, which no node can divide
+    # eliminating the equality leaves x1 = 1 - 2t for a fresh free t, so
+    # x1 >= 0 and 2*x1 <= 1 become t <= 0 and t >= 1: an empty start box
     x0, x1, x2 = (len_var(f"x{k}") for k in range(3))
     budget = Budget()
     budget.left = 1
@@ -449,8 +490,8 @@ def test_one_column_rows_bound_the_start_box():
 
 
 def test_opposite_inequalities_are_one_equality():
-    # the first two rows say 2*x0 - 3*x1 - 2*x2 = -3, which the root node
-    # cannot divide once 2*x1 <= 1 pins x1 to 0
+    # the first two rows say 2*x0 - 3*x1 - 2*x2 = -3, whose elimination
+    # leaves x1 = 1 - 2t, which no t makes both >= 0 and <= 1/2
     x0, x1, x2 = (len_var(f"x{k}") for k in range(3))
     budget = Budget()
     budget.left = 1
