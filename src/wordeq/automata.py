@@ -11,7 +11,6 @@ progression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd
@@ -29,7 +28,9 @@ from .terms import (
     re_alt,
     re_seq,
     re_star,
+    record,
     regex_letters,
+    setfield,
 )
 
 T = TypeVar("T")
@@ -38,23 +39,31 @@ T = TypeVar("T")
 # machines
 
 
-@dataclass(frozen=True)
+@record
 class Dfa:
     """Total deterministic automaton; transitions[q][i] follows alphabet[i]."""
 
-    alphabet: str
-    transitions: tuple[tuple[int, ...], ...]
-    initial: int
-    accepting: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError(f"alphabet letters must be distinct: {self.alphabet!r}")
-        for row in self.transitions:
-            if len(row) != len(self.alphabet):
+    def __init__(
+        self,
+        alphabet: str,
+        transitions: tuple[tuple[int, ...], ...],
+        initial: int,
+        accepting: frozenset[int],
+    ) -> None:
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError(f"alphabet letters must be distinct: {alphabet!r}")
+        for row in transitions:
+            if len(row) != len(alphabet):
                 raise ValueError(
-                    f"a transition row has {len(row)} entries for {len(self.alphabet)} letters"
+                    f"a transition row has {len(row)} entries for {len(alphabet)} letters"
                 )
+        setfield(self, "alphabet", alphabet)
+        setfield(self, "transitions", transitions)
+        setfield(self, "initial", initial)
+        setfield(self, "accepting", accepting)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.transitions, self.initial, self.accepting))
 
     @cached_property
     def _index(self) -> dict[str, int]:

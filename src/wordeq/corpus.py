@@ -8,30 +8,37 @@ problem files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .parser import ParseError, parse_problem
 from .solved_form import is_solved_equation
-from .terms import WordEq, nodes
+from .terms import WordEq, nodes, record, setfield
 
 
-@dataclass(frozen=True)
+@record
 class FileStats:
-    path: str
-    equations: int
-    solved: int
-    error: str | None = None
+    def __init__(self, path: str, equations: int, solved: int, error: str | None = None) -> None:
+        setfield(self, "path", path)
+        setfield(self, "equations", equations)
+        setfield(self, "solved", solved)
+        setfield(self, "error", error)
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.equations, self.solved, self.error))
 
     @property
     def ratio(self) -> float:
         return self.solved / self.equations if self.equations else 0.0
 
 
-@dataclass(frozen=True)
+@record
 class CorpusStats:
-    per_file: tuple[FileStats, ...]
+    def __init__(self, per_file: tuple[FileStats, ...]) -> None:
+        setfield(self, "per_file", per_file)
+
+    def __hash__(self) -> int:
+        return hash((self.per_file,))
 
     @property
     def files(self) -> int:

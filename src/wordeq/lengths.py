@@ -12,7 +12,6 @@ Everything here produces ``Row`` constraints over ``LinVar`` unknowns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .automata import Prog
@@ -30,30 +29,33 @@ from .terms import (
     StrTerm,
     Sum,
     Var,
+    record,
+    setfield,
 )
 
 
-@dataclass(frozen=True)
+@record
 class LinVar:
-    kind: str  # "len" | "param" | "part" | "ap" | "int"
-    name: str
+    def __init__(self, kind: str, name: str) -> None:
+        if kind not in ("len", "param", "part", "ap", "int"):
+            raise ValueError(f"not a variable kind: {kind!r}")
+        setfield(self, "kind", kind)
+        setfield(self, "name", name)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("len", "param", "part", "ap", "int"):
-            raise ValueError(f"not a variable kind: {self.kind!r}")
+    def __hash__(self) -> int:
+        return hash((self.kind, self.name))
 
 
-@dataclass
+@record
 class Row:
-    """coeffs . x  (=|<=)  bound"""
+    """coeffs . x  (=|<=)  bound; unhashable, as ``coeffs`` is a dict"""
 
-    coeffs: dict[LinVar, int]
-    relation: str  # "eq" | "le"
-    bound: int
-
-    def __post_init__(self) -> None:
-        if self.relation not in ("eq", "le"):
-            raise ValueError(f"not a row relation: {self.relation!r}")
+    def __init__(self, coeffs: dict[LinVar, int], relation: str, bound: int) -> None:
+        if relation not in ("eq", "le"):
+            raise ValueError(f"not a row relation: {relation!r}")
+        setfield(self, "coeffs", coeffs)
+        setfield(self, "relation", relation)
+        setfield(self, "bound", bound)
 
 
 def len_var(name: str) -> LinVar:

@@ -24,7 +24,6 @@ the formula's disjunctions and the negations' alternatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .automata import dfa_complement, dfa_to_regex, regex_to_dfa
@@ -41,7 +40,9 @@ from .terms import (
     Var,
     WordEq,
     concat,
+    record,
     scale,
+    setfield,
     sum_of,
 )
 
@@ -52,10 +53,14 @@ Prefix = TypeVar("Prefix")
 Tree = tuple[str, Any]
 
 
-@dataclass(frozen=True)
+@record
 class Literal:
-    atom: Atom
-    positive: bool
+    def __init__(self, atom: Atom, positive: bool) -> None:
+        setfield(self, "atom", atom)
+        setfield(self, "positive", positive)
+
+    def __hash__(self) -> int:
+        return hash((self.atom, self.positive))
 
 
 def dnf_tree(phi: Formula, leaf: Callable[[Atom, bool], Tree]) -> Tree:

@@ -11,7 +11,6 @@ found first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import parser
@@ -36,18 +35,27 @@ from .terms import (
     Sum,
     Var,
     WordEq,
+    record,
     scan,
+    setfield,
 )
 
 
-@dataclass(frozen=True)
+@record
 class SatWith:
-    model: Assignment
+    """Unhashable, as the model is."""
+
+    def __init__(self, model: Assignment) -> None:
+        setfield(self, "model", model)
 
 
-@dataclass(frozen=True)
+@record
 class NoModelUpTo:
-    bound: int
+    def __init__(self, bound: int) -> None:
+        setfield(self, "bound", bound)
+
+    def __hash__(self) -> int:
+        return hash((self.bound,))
 
 
 BoundedVerdict = SatWith | NoModelUpTo

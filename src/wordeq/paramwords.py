@@ -13,36 +13,44 @@ variable not yet solved, and ``substitute`` is how one is replaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .errors import UnfixedPartPresent
+from .terms import record, setfield
 
 
-@dataclass(frozen=True)
+@record
 class Const:
-    word: str
-
-    def __post_init__(self) -> None:
-        if self.word == "":
+    def __init__(self, word: str) -> None:
+        if word == "":
             raise ValueError("empty constant blocks are dropped on construction")
+        setfield(self, "word", word)
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
 
-@dataclass(frozen=True)
+@record
 class Power:
     """base repeated param times; the parameter ranges over 0, 1, 2, ..."""
 
-    base: str
-    param: str
-
-    def __post_init__(self) -> None:
-        if self.base == "":
+    def __init__(self, base: str, param: str) -> None:
+        if base == "":
             raise ValueError("a power needs a nonempty base")
+        setfield(self, "base", base)
+        setfield(self, "param", param)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.param))
 
 
-@dataclass(frozen=True)
+@record
 class Unfixed:
-    part: str
+    def __init__(self, part: str) -> None:
+        setfield(self, "part", part)
+
+    def __hash__(self) -> int:
+        return hash((self.part,))
 
 
 Block = Union[Const, Power, Unfixed]

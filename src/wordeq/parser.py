@@ -38,7 +38,6 @@ starts a new line, and columns count characters from 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import LetterOutsideAlphabet, NondeterministicDelta, WordeqError
 from .terms import (
@@ -62,6 +61,8 @@ from .terms import (
     re_lit,
     re_seq,
     re_star,
+    record,
+    setfield,
     sum_of,
     Not,
 )
@@ -178,14 +179,28 @@ def _tree(text: str, toks: list[str]) -> list[Item]:
 # problems
 
 
-@dataclass(frozen=True)
+@record
 class Problem:
-    alphabet: str
-    str_vars: tuple[str, ...]
-    int_vars: tuple[str, ...]
-    asserts: tuple[Formula, ...]
-    check_sat: bool
-    get_model: bool
+    def __init__(
+        self,
+        alphabet: str,
+        str_vars: tuple[str, ...],
+        int_vars: tuple[str, ...],
+        asserts: tuple[Formula, ...],
+        check_sat: bool,
+        get_model: bool,
+    ) -> None:
+        setfield(self, "alphabet", alphabet)
+        setfield(self, "str_vars", str_vars)
+        setfield(self, "int_vars", int_vars)
+        setfield(self, "asserts", asserts)
+        setfield(self, "check_sat", check_sat)
+        setfield(self, "get_model", get_model)
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.alphabet, self.str_vars, self.int_vars, self.asserts, self.check_sat, self.get_model)
+        )
 
     def conjunction(self) -> Formula | None:
         return conj(*self.asserts) if self.asserts else None

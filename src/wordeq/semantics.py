@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .automata import regex_match
 from .errors import UnmappedVariable
 from .terms import (
@@ -23,15 +21,21 @@ from .terms import (
     Sum,
     Var,
     WordEq,
+    record,
+    setfield,
 )
 
 
-@dataclass(frozen=True)
+@record
 class Assignment:
-    """Total map for the variables a formula mentions."""
+    """Total map for the variables a formula mentions; unhashable, as its
+    maps are dicts (a new empty one for each map not given)."""
 
-    strings: dict[str, str] = field(default_factory=dict)
-    ints: dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self, strings: dict[str, str] | None = None, ints: dict[str, int] | None = None
+    ) -> None:
+        setfield(self, "strings", {} if strings is None else strings)
+        setfield(self, "ints", {} if ints is None else ints)
 
     def string(self, name: str) -> str:
         try:

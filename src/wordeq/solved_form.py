@@ -63,7 +63,6 @@ layers; running out raises ResourceExhausted and ends the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import Budget, UnmappedVariable
@@ -79,7 +78,7 @@ from .paramwords import (
     parts_of,
     substitute,
 )
-from .terms import Lit, NameGen, StrTerm, Var, WordEq, str_term_vars
+from .terms import Lit, NameGen, StrTerm, Var, WordEq, record, setfield, str_term_vars
 
 # peel steps along any one branch
 GROWTH_BUDGET = 8
@@ -137,31 +136,42 @@ def ground_word(s: Blocks) -> str | None:
 # results
 
 
-@dataclass(frozen=True)
+@record
 class SolvedForm:
     """One binding per variable, each a parametric word."""
 
-    bindings: tuple[tuple[str, Blocks], ...]
+    def __init__(self, bindings: tuple[tuple[str, Blocks], ...]) -> None:
+        setfield(self, "bindings", bindings)
+
+    def __hash__(self) -> int:
+        return hash((self.bindings,))
 
     def mapping(self) -> dict[str, Blocks]:
         return dict(self.bindings)
 
 
-@dataclass(frozen=True)
+@record
 class Unsat:
     """No solution exists: for an equation system here, and for a whole
     formula as the verdict ``solver`` re-exports."""
 
+    def __hash__(self) -> int:
+        return hash(())
 
-@dataclass(frozen=True)
+
+@record
 class OutOfFragment:
     """Some branch left the rules' shapes or ran out of its peel budget,
     for the first-met ``reason``.  ``forms`` are the solved forms the
     other branches found: their instances are solutions, but maybe not
     all."""
 
-    reason: str
-    forms: tuple[SolvedForm, ...]
+    def __init__(self, reason: str, forms: tuple[SolvedForm, ...]) -> None:
+        setfield(self, "reason", reason)
+        setfield(self, "forms", forms)
+
+    def __hash__(self) -> int:
+        return hash((self.reason, self.forms))
 
 
 def is_solved_equation(eq: WordEq) -> bool:

@@ -29,7 +29,6 @@ makes the whole call Unsupported, naming the layer that ran out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
@@ -64,22 +63,31 @@ from .terms import (
     LenLeq,
     NameGen,
     WordEq,
+    record,
     scan,
+    setfield,
 )
 
 
-@dataclass(frozen=True)
+@record
 class Sat:
-    strings: dict[str, str]
-    ints: dict[str, int]
+    """Unhashable, as its maps are dicts."""
+
+    def __init__(self, strings: dict[str, str], ints: dict[str, int]) -> None:
+        setfield(self, "strings", strings)
+        setfield(self, "ints", ints)
 
     def assignment(self) -> Assignment:
         return Assignment(dict(self.strings), dict(self.ints))
 
 
-@dataclass(frozen=True)
+@record
 class Unsupported:
-    reason: str
+    def __init__(self, reason: str) -> None:
+        setfield(self, "reason", reason)
+
+    def __hash__(self) -> int:
+        return hash((self.reason,))
 
 
 Verdict = Sat | Unsat | Unsupported

@@ -1,44 +1,120 @@
 """Core syntax: string terms, length terms, regular expressions, formulas.
 
 Words are plain Python strings; every character is one letter of the
-problem alphabet.  All node types are immutable and hashable, and the
-smart constructors below keep terms in a canonical shape (flattened
-concatenations, merged adjacent literals, no empty pieces) so that
-structural equality is meaningful.
+problem alphabet.  All node types are records (see ``record``):
+immutable and hashable, equal when they are of one class and their
+fields are equal.  The smart constructors below keep terms in a
+canonical shape (flattened concatenations, merged adjacent literals, no
+empty pieces) so that structural equality is meaningful.
+
+To add a node type, write a ``record`` class: an ``__init__`` that sets
+each field once with ``setfield`` and raises ``ValueError`` on a
+malformed value, and a ``__hash__`` that hashes the tuple of its fields.
+Add it to the ``Union`` it belongs to and, if it holds other nodes, to
+``_CHILDREN``, so that ``nodes`` and ``scan`` walk into it.  The record
+contract test (``tests/test_records.py``) wants an example of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Union
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, TypeVar, Union
+
+# ---------------------------------------------------------------------------
+# records
+
+R = TypeVar("R", bound=type)
+
+# A record's __init__ sets each field once through this, since the
+# record's own __setattr__ raises.
+setfield = object.__setattr__
+
+
+def record(cls: R) -> R:
+    """Make ``cls`` an immutable value type, generating no code.
+
+    The class writes its own ``__init__``, whose parameters are its
+    fields in order, and its own ``__hash__``, ``hash((self.a, self.b))``
+    over every field (no ``__hash__`` when a field holds a dict or a
+    list).  This adds ``__match_args__`` (the fields), ``__eq__`` (equal
+    fields within one class; another class gives ``NotImplemented``),
+    ``__repr__`` (``Name(a=..., b=...)``), and a ``__setattr__`` and a
+    ``__delattr__`` that raise ``AttributeError``.  There are no
+    ``__slots__``: ``functools.cached_property`` needs the instance dict.
+    """
+    init = vars(cls).get("__init__")
+    fields = init.__code__.co_varnames[1 : init.__code__.co_argcount] if init else ()
+    key = attrgetter(*fields) if fields else _no_fields
+
+    def __eq__(self: object, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    cls.__match_args__ = fields
+    cls.__eq__ = __eq__
+    cls.__repr__ = _repr
+    cls.__setattr__ = _setattr
+    cls.__delattr__ = _delattr
+    if "__hash__" not in vars(cls):
+        cls.__hash__ = None
+    return cls
+
+
+def _no_fields(_: object) -> tuple[()]:
+    return ()
+
+
+def _repr(self: Any) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _setattr(self: object, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self: object, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
 
 # ---------------------------------------------------------------------------
 # string terms
 
 
-@dataclass(frozen=True)
+@record
 class Lit:
     """A constant word."""
 
-    word: str
+    def __init__(self, word: str) -> None:
+        setfield(self, "word", word)
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     """A string variable."""
 
-    name: str
+    def __init__(self, name: str) -> None:
+        setfield(self, "name", name)
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
+@record
 class Concat:
     """Concatenation of two or more string terms."""
 
-    parts: tuple["StrTerm", ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple[StrTerm, ...]) -> None:
+        if len(parts) < 2:
             raise ValueError("Concat needs at least two parts")
+        setfield(self, "parts", parts)
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
 
 StrTerm = Union[Lit, Var, Concat]
@@ -72,31 +148,47 @@ def concat(*parts: StrTerm) -> StrTerm:
 # length terms
 
 
-@dataclass(frozen=True)
+@record
 class IntConst:
-    value: int
+    def __init__(self, value: int) -> None:
+        setfield(self, "value", value)
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
+@record
 class IntVar:
-    name: str
+    def __init__(self, name: str) -> None:
+        setfield(self, "name", name)
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
+@record
 class Len:
     """Length of a string term."""
 
-    term: StrTerm
+    def __init__(self, term: StrTerm) -> None:
+        setfield(self, "term", term)
+
+    def __hash__(self) -> int:
+        return hash((self.term,))
 
 
-@dataclass(frozen=True)
+@record
 class Sum:
     """Linear combination: sum of coefficient-scaled length terms.
 
     Items never nest another Sum and never carry coefficient zero.
     """
 
-    items: tuple[tuple[int, "LenTerm"], ...]
+    def __init__(self, items: tuple[tuple[int, LenTerm], ...]) -> None:
+        setfield(self, "items", items)
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
 
 
 LenTerm = Union[IntConst, IntVar, Len, Sum]
@@ -132,43 +224,56 @@ def scale(term: LenTerm, factor: int) -> LenTerm:
 # regular expressions (constant languages only: no variables inside)
 
 
-@dataclass(frozen=True)
+@record
 class ReLit:
     """The singleton language of one nonempty constant word."""
 
-    word: str
-
-    def __post_init__(self) -> None:
-        if self.word == "":
+    def __init__(self, word: str) -> None:
+        if word == "":
             raise ValueError("use ReEpsilon for the empty word")
+        setfield(self, "word", word)
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
 
-@dataclass(frozen=True)
+@record
 class ReEpsilon:
     """The language containing only the empty word."""
 
+    def __hash__(self) -> int:
+        return hash(())
 
-@dataclass(frozen=True)
+
+@record
 class ReConcat:
-    parts: tuple["Regex", ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple[Regex, ...]) -> None:
+        if len(parts) < 2:
             raise ValueError("ReConcat needs at least two parts")
+        setfield(self, "parts", parts)
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
+@record
 class ReUnion:
-    parts: tuple["Regex", ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple[Regex, ...]) -> None:
+        if len(parts) < 2:
             raise ValueError("ReUnion needs at least two parts")
+        setfield(self, "parts", parts)
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
+@record
 class ReStar:
-    inner: "Regex"
+    def __init__(self, inner: Regex) -> None:
+        setfield(self, "inner", inner)
+
+    def __hash__(self) -> int:
+        return hash((self.inner,))
 
 
 Regex = Union[ReLit, ReEpsilon, ReConcat, ReUnion, ReStar]
@@ -230,50 +335,70 @@ def re_star(inner: Regex) -> Regex:
 # atoms and formulas
 
 
-@dataclass(frozen=True)
+@record
 class WordEq:
-    lhs: StrTerm
-    rhs: StrTerm
+    def __init__(self, lhs: StrTerm, rhs: StrTerm) -> None:
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.rhs))
 
 
-@dataclass(frozen=True)
+@record
 class LenLeq:
     """term <= bound over the integers."""
 
-    term: LenTerm
-    bound: int
+    def __init__(self, term: LenTerm, bound: int) -> None:
+        setfield(self, "term", term)
+        setfield(self, "bound", bound)
+
+    def __hash__(self) -> int:
+        return hash((self.term, self.bound))
 
 
-@dataclass(frozen=True)
+@record
 class InRe:
-    term: StrTerm
-    regex: Regex
+    def __init__(self, term: StrTerm, regex: Regex) -> None:
+        setfield(self, "term", term)
+        setfield(self, "regex", regex)
+
+    def __hash__(self) -> int:
+        return hash((self.term, self.regex))
 
 
 Atom = Union[WordEq, LenLeq, InRe]
 
 
-@dataclass(frozen=True)
+@record
 class And:
-    parts: tuple["Formula", ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple[Formula, ...]) -> None:
+        if len(parts) < 2:
             raise ValueError("And needs at least two parts")
+        setfield(self, "parts", parts)
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
+@record
 class Or:
-    parts: tuple["Formula", ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple[Formula, ...]) -> None:
+        if len(parts) < 2:
             raise ValueError("Or needs at least two parts")
+        setfield(self, "parts", parts)
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
+@record
 class Not:
-    inner: "Formula"
+    def __init__(self, inner: Formula) -> None:
+        setfield(self, "inner", inner)
+
+    def __hash__(self) -> int:
+        return hash((self.inner,))
 
 
 Formula = Union[Atom, And, Or, Not]
@@ -334,26 +459,31 @@ def scan(root: object, limit: int) -> tuple[set[str], set[str], set[str]] | None
     """(string variables, integer variables, letters) of a formula, term
     or regex, or None when some path from the root passes more than
     ``limit`` nodes that hold other nodes (connectives, atoms, terms,
-    regexes), as the parser counts parentheses.  One walk on an explicit
-    stack, so it is safe on any input; normalization, negation
-    elimination and evaluation recurse and run only after this check."""
+    regexes), as the parser counts parentheses.  One walk over the tree's
+    levels, without recursion, so it is safe on any input; normalization,
+    negation elimination and evaluation recurse and run only after this
+    check."""
     svars: set[str] = set()
     ivars: set[str] = set()
     letters: set[str] = set()
-    stack = [(root, 0)]  # a node and the number of holders above it
-    while stack:
-        node, depth = stack.pop()
-        children = _CHILDREN.get(type(node))
-        if children is not None:
-            if depth == limit:
-                return None
-            stack.extend((kid, depth + 1) for kid in children(node))
-        elif isinstance(node, Var):
-            svars.add(node.name)
-        elif isinstance(node, IntVar):
-            ivars.add(node.name)
-        elif isinstance(node, (Lit, ReLit)):
-            letters.update(node.word)
+    level = [root]  # the nodes with ``depth`` holders above them
+    depth = 0
+    while level:
+        below: list[object] = []
+        for node in level:
+            children = _CHILDREN.get(type(node))
+            if children is not None:
+                if depth == limit:
+                    return None
+                below.extend(children(node))
+            elif isinstance(node, Var):
+                svars.add(node.name)
+            elif isinstance(node, IntVar):
+                ivars.add(node.name)
+            elif isinstance(node, (Lit, ReLit)):
+                letters.update(node.word)
+        level = below
+        depth += 1
     return svars, ivars, letters
 
 

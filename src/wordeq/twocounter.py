@@ -33,7 +33,6 @@ prefix only against the patterns that can end at its last letter.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -56,6 +55,8 @@ from .terms import (
     conj,
     disj,
     free_vars,
+    record,
+    setfield,
 )
 
 
@@ -85,86 +86,101 @@ DeltaKey = tuple[str, str, str, str]  # state, letter, counter-1 tag, counter-2 
 DeltaVal = tuple[str, str, str]  # next state, track, move
 
 
-@dataclass(frozen=True)
+@record
 class TwoCounterMachine:
-    states: tuple[str, ...]
-    input_alphabet: tuple[str, ...]
-    initial: str
-    finals: frozenset[str]
-    rules: tuple[tuple[DeltaKey, DeltaVal], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        input_alphabet: tuple[str, ...],
+        initial: str,
+        finals: frozenset[str],
+        rules: tuple[tuple[DeltaKey, DeltaVal], ...],
+    ) -> None:
         _check(
-            len(set(self.states)) == len(self.states) > 0,
+            len(set(states)) == len(states) > 0,
             "states must be distinct and nonempty",
             "states",
         )
         _check(
-            len(set(self.input_alphabet)) == len(self.input_alphabet) > 0,
+            len(set(input_alphabet)) == len(input_alphabet) > 0,
             "input letters must be distinct and nonempty",
             "input-alphabet",
         )
-        _check("end" not in self.input_alphabet, "'end' is reserved", "input-alphabet")
-        _check(
-            self.initial in self.states,
-            f"initial state {self.initial!r} is not declared",
-            "initial",
-        )
-        _check(self.finals <= set(self.states), "final states must be declared", "final")
+        _check("end" not in input_alphabet, "'end' is reserved", "input-alphabet")
+        _check(initial in states, f"initial state {initial!r} is not declared", "initial")
+        _check(finals <= set(states), "final states must be declared", "final")
         seen: set[DeltaKey] = set()
-        letters = set(self.input_alphabet) | {"end"}
-        for (q, a, t1, t2), (q2, track, move) in self.rules:
+        letters = set(input_alphabet) | {"end"}
+        for (q, a, t1, t2), (q2, track, move) in rules:
             key = (q, a, t1, t2)
             if key in seen:
                 raise NondeterministicDelta(f"duplicate rule for {key}")
             seen.add(key)
-            _check(
-                q in self.states and q2 in self.states,
-                f"rule for {key} uses an undeclared state",
-                key,
-            )
+            _check(q in states and q2 in states, f"rule for {key} uses an undeclared state", key)
             _check(a in letters, f"rule letter {a!r} is not in the input alphabet", key)
             _check(t1 in ("Z", "b") and t2 in ("Z", "c"), "zero-test tags are Z|b and Z|c", key)
             _check(
                 track in TRACKS and move in MOVES, "rule actions are in|stor1|stor2 and L|R", key
             )
+        setfield(self, "states", states)
+        setfield(self, "input_alphabet", input_alphabet)
+        setfield(self, "initial", initial)
+        setfield(self, "finals", finals)
+        setfield(self, "rules", rules)
+
+    def __hash__(self) -> int:
+        return hash((self.states, self.input_alphabet, self.initial, self.finals, self.rules))
 
     @cached_property
     def delta(self) -> dict[DeltaKey, DeltaVal]:
         return dict(self.rules)
 
 
-@dataclass(frozen=True)
+@record
 class MachineId:
     """One configuration: state, head position, and both counter values."""
 
-    state: str
-    head: int
-    counter1: int
-    counter2: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, state: str, head: int, counter1: int, counter2: int) -> None:
         _check(
-            self.head >= 0 and self.counter1 >= 0 and self.counter2 >= 0,
+            head >= 0 and counter1 >= 0 and counter2 >= 0,
             "head position and counters must be nonnegative",
         )
+        setfield(self, "state", state)
+        setfield(self, "head", head)
+        setfield(self, "counter1", counter1)
+        setfield(self, "counter2", counter2)
+
+    def __hash__(self) -> int:
+        return hash((self.state, self.head, self.counter1, self.counter2))
 
 
-@dataclass(frozen=True)
+@record
 class Accepted:
-    steps: int
-    history: tuple[MachineId, ...]
+    def __init__(self, steps: int, history: tuple[MachineId, ...]) -> None:
+        setfield(self, "steps", steps)
+        setfield(self, "history", history)
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.history))
 
 
-@dataclass(frozen=True)
+@record
 class Rejected:
-    steps: int
-    reason: str
+    def __init__(self, steps: int, reason: str) -> None:
+        setfield(self, "steps", steps)
+        setfield(self, "reason", reason)
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.reason))
 
 
-@dataclass(frozen=True)
+@record
 class StillRunning:
-    steps: int
+    def __init__(self, steps: int) -> None:
+        setfield(self, "steps", steps)
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
 
 
 def _check_input(m: TwoCounterMachine, w: tuple[str, ...]) -> None:
@@ -259,15 +275,26 @@ def encode_history(
 # the sentence
 
 
-@dataclass(frozen=True)
+@record
 class Sentence:
     """Prenex sentence: for all universals, there exist existentials with body."""
 
-    universals: tuple[str, ...]
-    existentials: tuple[str, ...]
-    body: Formula
-    alphabet: str
-    legend: tuple[tuple[str, str, int], ...]
+    def __init__(
+        self,
+        universals: tuple[str, ...],
+        existentials: tuple[str, ...],
+        body: Formula,
+        alphabet: str,
+        legend: tuple[tuple[str, str, int], ...],
+    ) -> None:
+        setfield(self, "universals", universals)
+        setfield(self, "existentials", existentials)
+        setfield(self, "body", body)
+        setfield(self, "alphabet", alphabet)
+        setfield(self, "legend", legend)
+
+    def __hash__(self) -> int:
+        return hash((self.universals, self.existentials, self.body, self.alphabet, self.legend))
 
 
 def _clamp(x: int, lo: int, hi: int) -> int:
@@ -505,14 +532,22 @@ def positivize(s: Sentence) -> Sentence:
 # bounded validity
 
 
-@dataclass(frozen=True)
+@record
 class Counterexample:
-    word: str
+    def __init__(self, word: str) -> None:
+        setfield(self, "word", word)
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
 
-@dataclass(frozen=True)
+@record
 class NoCounterexampleUpTo:
-    max_len: int
+    def __init__(self, max_len: int) -> None:
+        setfield(self, "max_len", max_len)
+
+    def __hash__(self) -> int:
+        return hash((self.max_len,))
 
 
 # The constants c0, ..., ck of a linear pattern c0 X1 c1 ... Xk ck, where
@@ -520,7 +555,7 @@ class NoCounterexampleUpTo:
 _Linear = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class _Body:
     """A sentence body in disjunctive normal form, its conjuncts split by
     how a value of the universal is tested against them.
@@ -539,12 +574,20 @@ class _Body:
     not hold to the bound either.  A pattern that ends in a variable
     (``closed``) matches every extension of a word it matches.  The other
     conjuncts (``generic``) go to the witness search, each once.
+    Unhashable, as its conjunct lists are lists.
     """
 
-    universal: str
-    closed: list[_Linear]
-    anchored: list[_Linear]
-    generic: list[tuple[_Eq, ...]]
+    def __init__(
+        self,
+        universal: str,
+        closed: list[_Linear],
+        anchored: list[_Linear],
+        generic: list[tuple[_Eq, ...]],
+    ) -> None:
+        setfield(self, "universal", universal)
+        setfield(self, "closed", closed)
+        setfield(self, "anchored", anchored)
+        setfield(self, "generic", generic)
 
 
 def _iter_words(alphabet: str, max_len: int) -> Iterator[str]:

@@ -4,7 +4,6 @@ They need no oracle, so they also cover inputs the oracle cannot decide.
 """
 
 import random
-from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -37,9 +36,10 @@ def rebuild(node, rewrite):
     """Rebuild a term bottom-up, applying ``rewrite`` to every node."""
     if isinstance(node, tuple):
         return tuple(rebuild(x, rewrite) for x in node)
-    if not is_dataclass(node):
+    fields = getattr(type(node), "__match_args__", None)
+    if fields is None:
         return node
-    parts = {f.name: rebuild(getattr(node, f.name), rewrite) for f in fields(node)}
+    parts = {name: rebuild(getattr(node, name), rewrite) for name in fields}
     return rewrite(type(node)(**parts))
 
 
