@@ -75,9 +75,11 @@ def int_var(name: str) -> LinVar:
 
 
 def _add(coeffs: dict[LinVar, int], var: LinVar, c: int) -> None:
-    coeffs[var] = coeffs.get(var, 0) + c
-    if coeffs[var] == 0:
-        del coeffs[var]
+    total = coeffs.get(var, 0) + c
+    if total:
+        coeffs[var] = total
+    else:
+        coeffs.pop(var, None)
 
 
 def paramword_length(w: Blocks) -> tuple[dict[LinVar, int], int]:

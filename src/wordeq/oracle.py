@@ -177,18 +177,18 @@ def brute_force_sat(
     int_choices = list(range(int_bound + 1))
     budget = node_budget
     for profile in product(range(len_bound + 1), repeat=len(snames)):
-        budget -= 1
         if budget <= 0:
             raise ResourceExhausted("oracle enumeration budget exceeded")
+        budget -= 1
         lens = dict(zip(snames, profile))
         if _profile_value(phi, lens, int_bound, re_lengths, filter_alphabet) is False:
             continue
         for combo in product(*(words(ln) for ln in profile)):
             strings = dict(zip(snames, combo))
             for ints in product(int_choices, repeat=len(inames)):
-                budget -= 1
                 if budget <= 0:
                     raise ResourceExhausted("oracle enumeration budget exceeded")
+                budget -= 1
                 asg = Assignment(strings=strings, ints=dict(zip(inames, ints)))
                 if eval_formula(phi, asg):
                     return SatWith(model=asg)

@@ -54,7 +54,6 @@ from .terms import (
     concat,
     conj,
     disj,
-    free_vars,
     record,
     setfield,
 )
@@ -436,17 +435,6 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
 # ---------------------------------------------------------------------------
 # removing negations
 
-# The free variables of a formula, and the same for each of its parts when
-# it is an And or an Or.
-_Scanned = tuple[set[str], list]
-
-
-def _scan(phi: Formula) -> _Scanned:
-    if isinstance(phi, (And, Or)):
-        parts = [_scan(p) for p in phi.parts]
-        return set().union(*(names for names, _ in parts)), parts
-    return free_vars(phi)[0], []
-
 
 def positivize(s: Sentence) -> Sentence:
     """Replace each negated equation by an equivalent positive disjunction.
@@ -456,68 +444,46 @@ def positivize(s: Sentence) -> Sentence:
     u at some position, or properly extends u.  The bounded check holds
     witnesses to the universal's length but not an option's fixed word,
     so the counterexamples up to a bound are kept only when every negated
-    existential is a piece of ``S``, as in ``encode``'s sentences.  The
-    trailing free piece uses an existential that is not otherwise
-    constrained alongside the negation, or a fresh one appended to the
-    existential block.
-
-    The free variables of every part are found once per call, before any
-    part is rewritten; a rewritten part's are known from how it was
-    rewritten, and its siblings avoid the helper it took.
+    existential is a piece of ``S``, as in ``encode``'s sentences.  Each
+    negation's trailing free piece is its own fresh existential, appended
+    to the existential block; none is drawn when the alphabet is empty.
     """
     extra: list[str] = []
     gen = NameGen(s.universals + s.existentials)
 
-    def pick_helper(taken: set[str]) -> Var:
-        for name in s.existentials + tuple(extra):
-            if name not in taken:
-                return Var(name)
-        extra.append(gen.fresh("H"))
-        return Var(extra[-1])
-
-    def complement(eq: WordEq, taken: set[str]) -> tuple[Formula, set[str]]:
+    def complement(eq: WordEq) -> Formula:
         lhs, rhs = eq.lhs, eq.rhs
         if isinstance(rhs, Var) and isinstance(lhs, Lit):
             lhs, rhs = rhs, lhs
         if not (isinstance(lhs, Var) and isinstance(rhs, Lit)):
             raise ValueError('only negations of the form not (X = "u") are supported')
         u = rhs.word
-        h = pick_helper(taken | {lhs.name})
         options: list[Formula] = [WordEq(lhs, Lit(u[:k])) for k in range(len(u))]
-        for k in range(len(u)):
-            options += [
-                WordEq(lhs, concat(Lit(u[:k] + a), h))
-                for a in s.alphabet
-                if a != u[k]
-            ]
-        options += [WordEq(lhs, concat(Lit(u + a), h)) for a in s.alphabet]
-        # the last options use the helper when there are letters at all
-        return disj(*options), {lhs.name, h.name} if s.alphabet else {lhs.name}
+        if s.alphabet:
+            extra.append(gen.fresh("H"))
+            h = Var(extra[-1])
+            for k in range(len(u)):
+                options += [
+                    WordEq(lhs, concat(Lit(u[:k] + a), h))
+                    for a in s.alphabet
+                    if a != u[k]
+                ]
+            options += [WordEq(lhs, concat(Lit(u + a), h)) for a in s.alphabet]
+        return disj(*options)
 
-    def rewrite(phi: Formula, active: set[str], scanned: _Scanned) -> tuple[Formula, set[str]]:
-        names, parts = scanned
+    def rewrite(phi: Formula) -> Formula:
         if isinstance(phi, WordEq):
-            return phi, names
+            return phi
         if isinstance(phi, Not):
             if not isinstance(phi.inner, WordEq):
                 raise ValueError('only negations of the form not (X = "u") are supported')
-            return complement(phi.inner, active)
-        if isinstance(phi, Or):
-            done = [rewrite(p, active, k) for p, k in zip(phi.parts, parts)]
-            return Or(tuple(new for new, _ in done)), set().union(*(n for _, n in done))
-        if not isinstance(phi, And):
+            return complement(phi.inner)
+        if not isinstance(phi, (And, Or)):
             raise ValueError("sentence bodies hold equations only")
-        var_sets = [names for names, _ in parts]
-        out = []
-        for i, part in enumerate(phi.parts):
-            others = set().union(*(var_sets[j] for j in range(len(parts)) if j != i))
-            # A helper introduced here is constrained; siblings must avoid it.
-            new, var_sets[i] = rewrite(part, active | others, parts[i])
-            out.append(new)
-        return And(tuple(out)), set().union(*var_sets)
+        return type(phi)(tuple(rewrite(p) for p in phi.parts))
 
-    new_body, _ = rewrite(s.body, set(), _scan(s.body))
-    if new_body == s.body and not extra:
+    new_body = rewrite(s.body)
+    if new_body == s.body:
         return s
     return Sentence(
         universals=s.universals,

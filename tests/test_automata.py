@@ -238,3 +238,6 @@ def test_param_membership_rejects_unfixed_and_foreign_letters():
         param_membership(merge_blocks([Unfixed("y")]), d)
     with pytest.raises(LetterOutsideAlphabet):
         param_membership(merge_blocks([Const("c")]), d)
+    with pytest.raises(LetterOutsideAlphabet):
+        regex_to_dfa(ReLit("c"), "ab")
+    assert d.accepts("ab") and not d.accepts("abc")

@@ -121,6 +121,14 @@ def test_enumeration_budget_is_enforced():
         )
 
 
+def test_enumeration_budget_lets_exactly_its_nodes_run():
+    # one profile node and one assignment node
+    phi = WordEq(Lit("a"), Lit("a"))
+    assert isinstance(brute_force_sat(phi, "ab", 0, node_budget=2), SatWith)
+    with pytest.raises(ResourceExhausted):
+        brute_force_sat(phi, "ab", 0, node_budget=1)
+
+
 def _deep_membership(depth):
     """X in a regex of alternating stars and concatenations whose longest
     path holds ``depth`` nodes that hold others, the membership included."""

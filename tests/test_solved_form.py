@@ -8,7 +8,7 @@ import pytest
 from helpers import _template_equation
 import wordeq.errors as errors
 from wordeq import solved_form
-from wordeq.errors import Budget, ResourceExhausted
+from wordeq.errors import Budget, ResourceExhausted, UnmappedVariable
 from wordeq.paramwords import (
     Const,
     Power,
@@ -205,6 +205,8 @@ def test_apply_solved_form():
     sf = SolvedForm((("X", merge_blocks([Power("a", "i")])),))
     w = apply_solved_form(sf, concat(Lit("b"), Var("X"), Lit("b")))
     assert w == merge_blocks([Const("b"), Power("a", "i"), Const("b")])
+    with pytest.raises(UnmappedVariable):
+        apply_solved_form(sf, concat(Var("X"), Var("Y")))
 
 
 def mirror(t):

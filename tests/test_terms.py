@@ -122,6 +122,8 @@ def test_re_alt_dedups_keeps_order():
     r = re_alt(ReLit("a"), ReLit("b"), ReLit("a"))
     assert r == ReUnion((ReLit("a"), ReLit("b")))
     assert re_alt(ReLit("a"), ReLit("a")) == ReLit("a")
+    with pytest.raises(ValueError):
+        re_alt()
 
 
 def test_re_star_idempotent():
@@ -144,6 +146,8 @@ def test_conj_disj_flatten():
     assert disj(disj(a, b), c) == Or((a, b, c))
     with pytest.raises(ValueError):
         conj()
+    with pytest.raises(ValueError):
+        disj()
 
 
 def test_str_term_vars():

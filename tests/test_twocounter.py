@@ -130,6 +130,8 @@ def test_machine_and_sentence_checks_raise_under_optimize():
         "expect(ValueError, lambda: t.positivize(t.Sentence(('S',), ('X',), neg, 'ab', ())))\n"
         "member = t.Sentence(('S',), (), InRe(Var('S'), re_lit('a')), 'ab', ())\n"
         "expect(ValueError, lambda: t.positivize(member))\n"
+        "negated_member = t.Sentence(('S',), (), Not(member.body), 'ab', ())\n"
+        "expect(ValueError, lambda: t.positivize(negated_member))\n"
         "expect(ValueError, lambda: t.enumerate_counterexamples(member, 1))\n"
     )
     src = str(Path(wordeq.__file__).resolve().parent.parent)
@@ -149,6 +151,7 @@ def test_machine_and_sentence_checks_raise_under_optimize():
         "MalformedMachine the input word is not over the input alphabet",
         'ValueError only negations of the form not (X = "u") are supported',
         "ValueError sentence bodies hold equations only",
+        'ValueError only negations of the form not (X = "u") are supported',
         "ValueError sentence bodies hold equations only",
     ]
 
@@ -725,21 +728,22 @@ def test_positivize_helper_avoids_conjoined_siblings():
         Not(WordEq(Var("S"), Lit("a"))),
     )
     p = positivize(Sentence(("S",), ("T", "W"), body, "ab", ()))
-    assert p.existentials == ("T", "W")
+    assert p.existentials == ("T", "W", "H0")
     rewritten = p.body.parts[1]
-    assert "W" in free_vars(rewritten)[0]
+    assert free_vars(rewritten)[0] == {"S", "H0"}
     assert "T" not in free_vars(rewritten)[0]
 
 
-def test_positivize_reuses_helper_across_disjuncts():
+def test_positivize_gives_each_negation_its_own_helper():
     body = disj(
         Not(WordEq(Var("S"), Lit("a"))),
         Not(WordEq(Var("S"), Lit("b"))),
     )
     p = positivize(Sentence(("S",), ("T",), body, "ab", ()))
-    assert p.existentials == ("T",)
-    for branch in p.body.parts:
-        assert free_vars(branch)[0] == {"S", "T"}
+    assert p.existentials == ("T", "H0", "H1")
+    first, second = p.body.parts
+    assert free_vars(first)[0] == {"S", "H0"}
+    assert free_vars(second)[0] == {"S", "H1"}
 
 
 def test_positivize_draws_a_fresh_helper_past_taken_names():
@@ -797,7 +801,9 @@ def test_positivize_keeps_zoo_verdicts():
     for m, w in zoo()[:1] + zoo()[2:3]:
         s = encode(m, w)
         p = positivize(s)
-        assert p.existentials == s.existentials
+        assert p.existentials[: len(s.existentials)] == s.existentials
+        added = set(p.existentials[len(s.existentials) :])
+        assert added and not added & set(s.universals + s.existentials)
         r = simulate(m, w)
         assert isinstance(r, Accepted)
         enc = encode_history(m, w, r.history)
