@@ -1,6 +1,8 @@
 """Linear length abstractions of solved forms and length atoms.
 
-Everything here produces ``Row`` constraints over ``LinVar`` unknowns:
+Everything here produces ``Row`` constraints over ``LinVar`` unknowns.
+An unknown is the tuple ``(kind, name)``, so it hashes and compares as a
+tuple, in C; ``lia`` numbers its columns in that tuple order.  The kinds:
 
 * ``len``   the length of a problem string variable
 * ``param`` a power parameter from a solved form
@@ -12,6 +14,7 @@ Everything here produces ``Row`` constraints over ``LinVar`` unknowns:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from .automata import Prog
@@ -34,16 +37,23 @@ from .terms import (
 )
 
 
-@record
-class LinVar:
-    def __init__(self, kind: str, name: str) -> None:
+class LinVar(tuple[str, str]):
+    """An unknown, the tuple ``(kind, name)``; the kind is checked."""
+
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    name = property(itemgetter(1))
+
+    def __new__(cls, kind: str, name: str) -> LinVar:
         if kind not in ("len", "param", "part", "ap", "int"):
             raise ValueError(f"not a variable kind: {kind!r}")
-        setfield(self, "kind", kind)
-        setfield(self, "name", name)
+        return tuple.__new__(cls, (kind, name))
 
-    def __hash__(self) -> int:
-        return hash((self.kind, self.name))
+    def __getnewargs__(self) -> tuple[str, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"LinVar(kind={self.kind!r}, name={self.name!r})"
 
 
 @record

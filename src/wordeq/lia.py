@@ -18,14 +18,18 @@ coefficients, so they draw no work.
 
 The remaining inequalities split into independent blocks, the connected
 components of the rows over their columns.  Each block is decided on
-its own by branch and bound, and the first infeasible block refutes the
-call.  A node's box bounds each column.  The start box is [0, inf), or
-(-inf, inf) for a free column, narrowed by the block's one-column
-inequalities, so their bounds can pin a column; a fractional column
-splits the box at its value, and the half nearer zero is explored
-first.  A node is pruned when its box is empty.  Nothing else cuts the
-tree: over unbounded columns it may be infinite, and then the work
-budget ends the search.
+its own, and the first infeasible block refutes the call.  A block's
+start box is [0, inf) for each column, or (-inf, inf) for a free one,
+narrowed by the block's one-column inequalities, so their bounds can pin
+a column.  A block with no row over two columns is one column, and its
+start box decides it: the box's point nearest zero, or none when the box
+is empty.  It draws the one unit of a branch-and-bound root and builds
+no simplex.  Every other block is decided by branch and bound from its
+start box.  A node's box bounds each column; a fractional column splits
+the box at its value, and the half nearer zero is explored first.  A
+node is pruned when its box is empty.  Nothing else cuts the tree: over
+unbounded columns it may be infinite, and then the work budget ends the
+search.
 
 A call may also take a disjunction of row groups that all share its
 rows.  The shared rows are normalised, eliminated, split and solved once,
@@ -33,7 +37,9 @@ and an infeasible shared block refutes the call before any group is
 pulled.  Each group, pulled one at a time, gets the shared eliminations
 substituted in; then only its rows and the shared blocks they touch are
 eliminated and searched again, while the untouched blocks keep their
-shared solution.  The first group with a model ends the call.
+shared solution.  A group with no rows is the shared rows alone: their
+solution is its model, and nothing is eliminated or solved again.  The
+first group with a model ends the call.
 
 Every branch-and-bound node, over all blocks and groups, draws one unit
 from the call's ``Budget``, which ``check_sat`` shares with its other
@@ -172,7 +178,9 @@ def _eliminate_units(
         eqs = _substitute(eqs, j, const, terms, True)
         les = _substitute(les, j, const, terms, False)
         if j not in free:  # x_j >= 0 must survive the elimination
-            les.extend(_normalize_all([({k: -t for k, t in terms.items()}, const)], False))
+            row = _normalize(({k: -t for k, t in terms.items()}, const), False)
+            if row is not None:
+                les.append(row)
         elims.append((j, const, terms))
     return les, elims
 
@@ -314,6 +322,12 @@ def _solve_block(
             start[j] = (lo, b if hi is None else min(hi, b))
         else:
             start[j] = (-b if lo is None else max(lo, -b), hi)
+    if not wide:  # one column: the root alone, at its box's point nearest zero
+        budget.draw(1, "lia")
+        [(j, (lo, hi))] = start.items()
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        return {j: lo if lo is not None and lo > 0 else hi if hi is not None and hi < 0 else 0}
     lp = _Simplex(cols, wide)
     stack = [start]
     while stack:
@@ -341,7 +355,7 @@ def _add_columns(rows: list[Row], col_of: dict[LinVar, int], free: set[int]) -> 
     """Give each unknown of the rows that has no column yet the next one,
     in (kind, name) order; the columns of ``int`` unknowns join ``free``."""
     new = {v for r in rows for v in r.coeffs if v not in col_of}
-    for v in sorted(new, key=lambda v: (v.kind, v.name)):
+    for v in sorted(new):
         if v.kind == "int":
             free.add(len(col_of))
         col_of[v] = len(col_of)
@@ -404,6 +418,9 @@ def lia_sat(
     block_of = {j: i for i, (block, _) in enumerate(shared) for j in block[0]}
 
     for group in groups:
+        if not group:
+            solution = {j: v for _, found in shared for j, v in found.items()}
+            return _model(solution, elims, col_of, free, rows)
         group_cols, group_free = dict(col_of), set(free)
         _add_columns(group, group_cols, group_free)
         geqs, gles = _column_rows(group, group_cols)

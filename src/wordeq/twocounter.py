@@ -447,11 +447,16 @@ def positivize(s: Sentence) -> Sentence:
     existential is a piece of ``S``, as in ``encode``'s sentences.  Each
     negation's trailing free piece is its own fresh existential, appended
     to the existential block; none is drawn when the alphabet is empty.
+
+    Over the empty alphabet, ``not (X = "")`` has no option: it is false.
+    An Or drops it and an And that holds it is false; when that makes the
+    whole body false, no positive body can say so, and ``ValueError`` is
+    raised.
     """
     extra: list[str] = []
     gen = NameGen(s.universals + s.existentials)
 
-    def complement(eq: WordEq) -> Formula:
+    def complement(eq: WordEq) -> Formula | None:
         lhs, rhs = eq.lhs, eq.rhs
         if isinstance(rhs, Var) and isinstance(lhs, Lit):
             lhs, rhs = rhs, lhs
@@ -469,9 +474,10 @@ def positivize(s: Sentence) -> Sentence:
                     if a != u[k]
                 ]
             options += [WordEq(lhs, concat(Lit(u + a), h)) for a in s.alphabet]
-        return disj(*options)
+        return disj(*options) if options else None
 
-    def rewrite(phi: Formula) -> Formula:
+    def rewrite(phi: Formula) -> Formula | None:
+        """The positive form of ``phi``, or None when it is false."""
         if isinstance(phi, WordEq):
             return phi
         if isinstance(phi, Not):
@@ -480,9 +486,17 @@ def positivize(s: Sentence) -> Sentence:
             return complement(phi.inner)
         if not isinstance(phi, (And, Or)):
             raise ValueError("sentence bodies hold equations only")
-        return type(phi)(tuple(rewrite(p) for p in phi.parts))
+        parts = [rewrite(p) for p in phi.parts]
+        kept = tuple(p for p in parts if p is not None)
+        if len(kept) == len(parts):
+            return type(phi)(kept)
+        if isinstance(phi, And) or not kept:
+            return None
+        return disj(*kept)
 
     new_body = rewrite(s.body)
+    if new_body is None:
+        raise ValueError("the body is false: it has no positive form")
     if new_body == s.body:
         return s
     return Sentence(

@@ -1,6 +1,9 @@
 """Length abstraction: rows implied by bindings and atoms."""
 
+import copy
 import random
+
+import pytest
 
 from helpers import random_solved_form
 from wordeq.automata import upset_member
@@ -19,6 +22,23 @@ from wordeq.lengths import (
 )
 from wordeq.paramwords import Const, Power, Unfixed, instantiate, merge_blocks
 from wordeq.terms import IntConst, IntVar, Len, LenLeq, Lit, NameGen, Var, concat, sum_of
+
+
+def test_an_unknown_is_the_tuple_of_its_kind_and_name():
+    v = len_var("X")
+    assert v == ("len", "X") and hash(v) == hash(("len", "X"))
+    assert (v.kind, v.name) == ("len", "X") and type(v) is LinVar
+    assert repr(v) == "LinVar(kind='len', name='X')"
+    assert copy.deepcopy({v: 1}) == {v: 1} and type(copy.copy(v)) is LinVar
+    # lia numbers columns in this order, (kind, name)
+    unknowns = [param_var("a"), int_var("z"), len_var("b"), len_var("a")]
+    assert sorted(unknowns) == [int_var("z"), len_var("a"), len_var("b"), param_var("a")]
+    with pytest.raises(AttributeError):
+        v.kind = "int"
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    with pytest.raises(ValueError, match="not a variable kind"):
+        LinVar("word", "X")
 
 
 def test_paramword_length_golden():

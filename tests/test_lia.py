@@ -553,3 +553,78 @@ def test_model_checks_every_row():
     with pytest.raises(AssertionError, match="the model violates the row"):
         lia._model({0: 2}, [], {x(): 0, x("y"): 1}, set(), rows)
     assert lia._model({0: 1}, [], {x(): 0, x("y"): 1}, set(), rows) == {x(): 1, x("y"): 0}
+
+
+# ---------------------------------------------------------------------------
+# one-column blocks and groups with no rows
+
+
+def nearest_zero(rows, v, cap):
+    """The point of the rows nearest zero, by enumerate_block over |v| <= d
+    for d = 0, 1, ..., cap, or None."""
+    for d in range(cap + 1):
+        found = enumerate_block(rows + [Row({v: 1}, "le", d), Row({v: -1}, "le", d)], [v], cap)
+        if found is not None:
+            return found[v]
+    return None
+
+
+def test_one_column_blocks_against_box_enumeration():
+    # each unknown has only rows over itself, so each is a block of one
+    # column, decided at the root from its box; bounds stay inside the cap,
+    # so the enumeration sees every point nearest zero.  An unknown with
+    # only a zero row has no block and takes 0
+    rng = random.Random(605)
+    kinds = [len_var, param_var, part_var_maker, int_var]
+    cap = 8
+    seen = set()
+    for case in range(400):
+        unknowns = [rng.choice(kinds)(f"u{k}") for k in range(rng.randint(1, 4))]
+        rows, want, blocks = [], {}, 0
+        for v in unknowns:
+            own = [
+                Row({v: rng.choice((-3, -2, -1, 1, 2, 3))}, "le", rng.randint(-6, 6))
+                for _ in range(rng.randint(0, 3))
+            ]
+            rows += own or [Row({v: 0}, "le", 0)]
+            want[v] = nearest_zero(own, v, cap)
+            # an upper and a lower row that meet at one point are one
+            # equality, which elimination solves without a block
+            his = {r.bound // c for r in own for c in r.coeffs.values() if c > 0}
+            los = {-(r.bound // -c) for r in own for c in r.coeffs.values() if c < 0}
+            blocks += bool(own) and not his & los
+            lo = max(los, default=None if v.kind == "int" else 0)
+            hi = min(his, default=None)
+            if lo is not None and hi is not None and lo > hi:
+                seen.add("empty")
+            elif lo is not None and lo == hi:
+                seen.add("one point")
+            elif lo is None and hi is None:
+                seen.add("unbounded")
+            elif hi is None or lo is None:
+                seen.add("half-bounded" + (" below zero" if (hi if lo is None else lo) < 0 else ""))
+        rng.shuffle(rows)
+        budget = Budget()
+        model = lia_sat(rows, budget=budget)
+        if None in want.values():
+            assert model is None, (case, rows)
+            continue
+        assert model == want, (case, rows)
+        # one unit per block: the root of its branch and bound
+        assert Budget().left - budget.left == blocks, (case, rows)
+    assert seen == {"empty", "one point", "unbounded", "half-bounded", "half-bounded below zero"}
+
+
+def test_a_group_with_no_rows_is_the_shared_rows_alone():
+    rng = random.Random(606)
+    systems = [frobenius_rows((31,)), frobenius_rows((29, 31))]
+    systems += [rows for rows, _ in random_shared_systems(rng, 200)]
+    for rows in systems:
+        extra = Row({x("extra"): 1}, "le", -1)
+        results = []
+        for groups in ([[]], [[], [extra]]):
+            budget = Budget()
+            results.append((decided(lambda: lia_sat(rows, groups, budget)), budget.left))
+        budget = Budget()
+        alone = decided(lambda: lia_sat(rows, budget=budget))
+        assert results == [(alone, budget.left)] * 2, rows

@@ -107,7 +107,6 @@ EXAMPLES = [
     Power("ab", "p0"),
     Unfixed("X"),
     Dfa("ab", ((0, 1), (1, 1)), 0, frozenset({1})),
-    LinVar("len", "X"),
     Row({LinVar("len", "X"): 1}, "le", 3),
     Assignment({"X": "a"}, {"n": 1}),
     Literal(EQ, False),
@@ -195,7 +194,8 @@ def test_defaults_of_optional_fields():
     assert a == Assignment({}, {}) and a.strings is not b.strings
 
 
-# the checks each record makes on construction, and what they raise
+# the checks each record (and LinVar, a tuple) makes on construction, and
+# what they raise
 MALFORMED = [
     (lambda: Concat((X,)), ValueError),
     (lambda: ReLit(""), ValueError),

@@ -17,6 +17,8 @@ from wordeq.paramwords import const_blocks
 from wordeq.solved_form import term_to_side
 from wordeq.terms import (
     Concat,
+    Len,
+    LenLeq,
     Lit,
     Not,
     StrTerm,
@@ -759,6 +761,43 @@ def test_positivize_draws_a_fresh_helper_past_taken_names():
     assert p.existentials == ("H0", "H3", "H1")
     assert not isinstance(p.body.parts[2], Not)
     assert enumerate_counterexamples(p, 3) == enumerate_counterexamples(s, 3) == ["a"]
+
+
+def test_positivize_a_negation_with_no_option_is_false():
+    # over the empty alphabet "" is the only word, so not (S = "") is
+    # false: an Or drops it, an And that holds it is false, and a body
+    # that is false has no positive form
+    empty = WordEq(Var("S"), Lit(""))
+    never = Not(empty)
+    for body in (never, conj(never, empty)):
+        s = Sentence(("S",), (), body, "", ())
+        assert enumerate_counterexamples(s, 3) == [""]
+        with pytest.raises(ValueError, match="the body is false"):
+            positivize(s)
+    for body, kept in [
+        (disj(never, empty), empty),
+        (disj(conj(never, empty), empty), empty),
+        (disj(never, empty, WordEq(Var("S"), Var("X"))), disj(empty, WordEq(Var("S"), Var("X")))),
+    ]:
+        s = Sentence(("S",), ("X",), body, "", ())
+        p = positivize(s)
+        assert p.body == kept and p.existentials == ("X",)
+        for bound in range(4):
+            assert enumerate_counterexamples(p, bound) == enumerate_counterexamples(s, bound) == []
+
+
+def test_positivize_and_the_search_refuse_bodies_of_other_shapes():
+    S, X, Y = Var("S"), Var("X"), Var("Y")
+    short = LenLeq(Len(X), 1)
+    for body in (Not(WordEq(concat(X, Y), Lit("a"))), Not(short)):
+        with pytest.raises(ValueError, match=r'only negations of the form not \(X = "u"\)'):
+            positivize(Sentence(("S",), ("X", "Y"), body, "ab", ()))
+    with pytest.raises(ValueError, match="sentence bodies hold equations only"):
+        positivize(Sentence(("S",), ("X",), disj(WordEq(S, X), short), "ab", ()))
+    with pytest.raises(ValueError, match="one universal variable is supported"):
+        enumerate_counterexamples(Sentence(("S", "T"), (), WordEq(S, Var("T")), "ab", ()), 1)
+    with pytest.raises(ValueError, match="sentence bodies hold equations only"):
+        enumerate_counterexamples(Sentence(("S",), ("X",), short, "ab", ()), 1)
 
 
 def _random_negation_body(rng: random.Random, depth: int):

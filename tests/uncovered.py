@@ -1,6 +1,7 @@
 """List the statements of ``src/wordeq`` that the tier-1 tests never run.
 
-    python tests/uncovered.py
+    python tests/uncovered.py > uncovered.txt
+    python tests/uncovered.py --diff OLD.txt NEW.txt
 
 It runs the tier-1 suite in this process under ``sys.settrace``, with
 ``test_criterion_2_oracle_differential`` deselected (it is most of the
@@ -16,14 +17,21 @@ to the line before its body).  Docstrings and other lone constants,
 package is imported under the trace, so its module-level statements
 count; code that the tests run in a subprocess does not.
 
+``--diff`` reads two such listings, say of a merge base and of a change,
+and prints each statement that the second lists and the first does not.
+Statements are matched by file and text, since line numbers shift; a
+text listed twice in one file counts twice.
+
 The file is not a test (pytest does not collect it).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,7 +91,40 @@ def trace_tests() -> tuple[int, dict[str, set[int]]]:
     return int(code), ran
 
 
+def listed(path: Path) -> list[tuple[str, str, str]]:
+    """The (file, first line, text) of each statement a listing names."""
+    out = []
+    file = None
+    for line in path.read_text().splitlines():
+        if line.startswith("src/") and line.endswith(" never ran"):
+            file = line.split(":")[0]
+        elif file and line.startswith("  ") and line.split(maxsplit=1)[0].isdigit():
+            first, text = line.split(maxsplit=1)
+            out.append((file, first, text))
+    return out
+
+
+def diff(old: Path, new: Path) -> int:
+    """Print each statement listed in ``new`` and not in ``old``."""
+    left = Counter((file, text) for file, _, text in listed(old))
+    added = []
+    for file, first, text in listed(new):
+        if left[file, text]:
+            left[file, text] -= 1
+        else:
+            added.append(f"{file}:{first}  {text}")
+    print(f"{len(added)} statements listed in {new} and not in {old}")
+    for line in added:
+        print(f"  {line}")
+    return 0
+
+
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--diff", nargs=2, type=Path, metavar=("OLD", "NEW"))
+    args = ap.parse_args()
+    if args.diff:
+        return diff(*args.diff)
     code, ran = trace_tests()
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
