@@ -19,9 +19,10 @@ compiled pattern returns them as strings, and the tree, read whole before
 any directive, holds their indices: a list is ``[k, item, ...]`` whose
 ``(`` is token k.  Positions are computed only for an error, from the
 token's offset, when the tokens are walked once more; that walk raises
-the text's first token error instead, if it has one.  A length atom
-``(<= l r)`` is read as ``l - r <= 0`` with its constants moved into the
-bound.
+the text's first token error instead, if it has one.  A leaf token
+is read once per text.  A length term is its nonzero coefficients by
+term, each ``+`` and ``*`` merging and dropping zeros as ``terms.sum_of``
+does; ``(<= l r)`` is ``l - r <= 0``, its constants moved into the bound.
 
 Machine files are line based::
 
@@ -63,7 +64,6 @@ from .terms import (
     re_star,
     record,
     setfield,
-    sum_of,
     Not,
 )
 
@@ -215,6 +215,11 @@ class _ProblemReader:
         self.sorts: dict[str, str] = {}  # each declared name's sort, in order
         self.asserts: list[Formula] = []
         self.flags: set[str] = set()  # "check-sat", "get-model"
+        # each token that read without error as a string leaf, and as a length
+        # leaf (a dict, only read); neither is ever false, and the alphabet and
+        # the sorts never change once set
+        self.str_leaves: dict[str, StrTerm] = {}
+        self.len_leaves: dict[str, dict[LenTerm, int]] = {}
 
     def fail(self, e: Item, message: str, cls: type = ParseError) -> ParseError:
         return _error(self.text, e if type(e) is int else e[0], message, cls)
@@ -252,48 +257,60 @@ class _ProblemReader:
     def str_term(self, e: Item) -> StrTerm:
         if type(e) is int:
             t = self.toks[e]
-            sort = self.sorts.get(t)
-            if sort == "String":
-                return Var(t)
-            word = self.string(e)
-            if word is not None:
-                return Lit(self.check_word(word, e))
-            if sort == "Int":
-                raise self.fail(e, f"{t} is an Int variable, not a String", SortError)
-            if _symbol(t) is None:
-                raise self.fail(e, "expected a string term", SortError)
-            raise self.fail(e, f"undeclared variable {t}", UndeclaredVariable)
+            return self.str_leaves.get(t) or self.str_leaves.setdefault(t, self.str_leaf(e, t))
         if self.head(e) == "str.++":
             return concat(*(self.str_term(x) for x in self.some(e, "str.++")))
         raise self.fail(e, "expected a string term", SortError)
 
-    def len_term(self, e: Item) -> LenTerm:
+    def str_leaf(self, k: int, t: str) -> StrTerm:
+        sort = self.sorts.get(t)
+        if sort == "String":
+            return Var(t)
+        word = self.string(k)
+        if word is not None:
+            return Lit(self.check_word(word, k))
+        if sort == "Int":
+            raise self.fail(k, f"{t} is an Int variable, not a String", SortError)
+        if _symbol(t) is None:
+            raise self.fail(k, "expected a string term", SortError)
+        raise self.fail(k, f"undeclared variable {t}", UndeclaredVariable)
+
+    def len_term(self, e: Item) -> dict[LenTerm, int]:
+        """Nonzero coefficients by term, merged as ``terms.sum_of`` would."""
         if type(e) is int:
             t = self.toks[e]
-            sort = self.sorts.get(t)
-            if sort == "Int":
-                return IntVar(t)
-            if _INT.fullmatch(t):
-                return IntConst(self.integer(e))
-            if sort == "String":
-                raise self.fail(e, f"{t} is a String variable, not an Int", SortError)
-            if t[0] == '"':
-                raise self.fail(e, "expected an integer term", SortError)
-            raise self.fail(e, f"undeclared variable {t}", UndeclaredVariable)
+            return self.len_leaves.get(t) or self.len_leaves.setdefault(t, {self.len_leaf(e, t): 1})
         head = self.head(e)
         if head == "str.len":
             if len(e) != 3:
                 raise self.fail(e, "str.len needs exactly one argument")
-            return Len(self.str_term(e[2]))
+            return {Len(self.str_term(e[2])): 1}
         if head == "+":
-            return sum_of(*((1, self.len_term(x)) for x in self.some(e, "+")))
+            merged: dict[LenTerm, int] = {}
+            for x in self.some(e, "+"):
+                for t, c in self.len_term(x).items():
+                    merged[t] = merged.get(t, 0) + c
+            return {t: c for t, c in merged.items() if c}
         if head == "*":
             if len(e) != 4:
                 raise self.fail(e, "* needs a coefficient and a term")
             if not _INT.fullmatch(self.atom(e[2]) or ""):
                 raise self.fail(e, "the coefficient of * must be an integer literal", SortError)
-            return sum_of((self.integer(e[2]), self.len_term(e[3])))
+            c, coeffs = self.integer(e[2]), self.len_term(e[3])
+            return {t: c * k for t, k in coeffs.items() if c}
         raise self.fail(e, "expected an integer term", SortError)
+
+    def len_leaf(self, k: int, t: str) -> LenTerm:
+        sort = self.sorts.get(t)
+        if sort == "Int":
+            return IntVar(t)
+        if _INT.fullmatch(t):
+            return IntConst(self.integer(k))
+        if sort == "String":
+            raise self.fail(k, f"{t} is a String variable, not an Int", SortError)
+        if t[0] == '"':
+            raise self.fail(k, "expected an integer term", SortError)
+        raise self.fail(k, f"undeclared variable {t}", UndeclaredVariable)
 
     def regex(self, e: Item) -> Regex:
         if type(e) is int:
@@ -328,15 +345,18 @@ class _ProblemReader:
         if head == "<=":
             if len(e) != 4:
                 raise self.fail(e, "<= needs exactly two arguments")
-            diff = sum_of((1, self.len_term(e[2])), (-1, self.len_term(e[3])))
-            items = diff.items if isinstance(diff, Sum) else ((1, diff),)
-            bound = -sum(c * t.value for c, t in items if isinstance(t, IntConst))
+            merged = dict(self.len_term(e[2]))
+            for t, c in self.len_term(e[3]).items():
+                merged[t] = merged.get(t, 0) - c
+            bound = -sum(c * t.value for t, c in merged.items() if type(t) is IntConst)
             if not (INT64_MIN <= bound <= INT64_MAX):
                 raise self.fail(e, "length bound outside the 64-bit range")
-            terms = [i for i in items if not isinstance(i[1], IntConst)]
+            terms = [(c, t) for t, c in merged.items() if c and type(t) is not IntConst]
             if not all(INT64_MIN <= c <= INT64_MAX for c, _ in terms):
                 raise self.fail(e, "length coefficient outside the 64-bit range")
-            return LenLeq(sum_of(*terms), bound)
+            if len(terms) == 1 and terms[0][0] == 1:
+                return LenLeq(terms[0][1], bound)
+            return LenLeq(Sum(tuple(terms)) if terms else IntConst(0), bound)
         if head == "str.in.re":
             if len(e) != 4:
                 raise self.fail(e, "str.in.re needs a term and a regex")
@@ -430,7 +450,7 @@ def parse_2cm(text: str):
     # the line of each header and rule, to place a MalformedMachine
     where: dict[str | tuple[str, ...], int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -30,6 +30,7 @@ from wordeq.terms import (
     IntVar,
     Len,
     LenLeq,
+    LenTerm,
     Lit,
     NameGen,
     Not,
@@ -41,6 +42,7 @@ from wordeq.terms import (
     ReUnion,
     Regex,
     StrTerm,
+    Sum,
     conj,
     disj,
     free_vars,
@@ -295,6 +297,17 @@ def reference_to_dnf(phi: Formula) -> list[list[Literal]]:
         return [[Literal(f, True)]]
 
     return dnf(nnf(phi, True))
+
+
+def sum_of_len_leq(lhs: LenTerm, rhs: LenTerm) -> LenLeq:
+    """The atom ``lhs <= rhs`` built with ``terms.sum_of``: ``lhs - rhs``
+    merged, its constants moved into the bound and the rest summed again.
+    The parser sums a length atom in place and must give this atom, item
+    order included.  The 64-bit checks are the parser's own."""
+    diff = sum_of((1, lhs), (-1, rhs))
+    items = diff.items if isinstance(diff, Sum) else ((1, diff),)
+    bound = -sum(c * t.value for c, t in items if isinstance(t, IntConst))
+    return LenLeq(sum_of(*(i for i in items if not isinstance(i[1], IntConst))), bound)
 
 
 def is_counterexample(s: twocounter.Sentence, word: str) -> bool:

@@ -9,7 +9,10 @@ Boolean sample (300 ``random_boolean_formula`` draws at depth 6, seed 7)
 and the resumed sample (200 ``random_resumed_formula`` draws at each of
 seeds 1-10, whose choices resume rewriting under forms of their parent).
 Each line names the op and gives its verdict kind, then the reason of an
-``Unsupported`` or the model of a ``Sat``.  Then one line per reduction
+``Unsupported`` or the model of a ``Sat``.  A solve op's line ends with
+the CRC-32 (eight hex digits) of the ``repr`` of the formula the op
+parsed, so a change in what the problem reader builds shows as a changed
+line even where the verdict stays.  Then one line per reduction
 op of seed 1 and per test machine of ``tests/helpers.py`` positivized
 at bound 8: its counterexample list, or that its work budget ran out.
 ``--src`` puts another checkout's package first on the import path, so
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -67,7 +71,9 @@ def dump(src: Path) -> None:
             for i, item in enumerate(workloads.build(workload, seed)):
                 for kind, op in item.ops:
                     if kind == "solve":
-                        print(_line(f"{workload} {seed} {i} {item.label}", op()[1]))
+                        phi, verdict = op()
+                        line = _line(f"{workload} {seed} {i} {item.label}", verdict)
+                        print(f"{line}\t{zlib.crc32(repr(phi).encode()):08x}")
     seed, depth, count = BOOLEAN
     rng = random.Random(seed)
     for i in range(count):
