@@ -62,9 +62,6 @@ class Dfa:
         setfield(self, "initial", initial)
         setfield(self, "accepting", accepting)
 
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.transitions, self.initial, self.accepting))
-
     @cached_property
     def _index(self) -> dict[str, int]:
         return {ch: i for i, ch in enumerate(self.alphabet)}

@@ -159,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute-force bounded search")
     p_oracle.add_argument("file")
     p_oracle.add_argument("--max-len", type=_natural, required=True)
-    p_oracle.add_argument("--max-int", type=_natural, default=8)
+    p_oracle.add_argument(
+        "--max-int", type=_natural, default=8, metavar="M", help="try the integers -M to M"
+    )
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     p_analyze = sub.add_parser("analyze", help="solved-form counts over files")

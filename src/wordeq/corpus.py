@@ -24,9 +24,6 @@ class FileStats:
         setfield(self, "solved", solved)
         setfield(self, "error", error)
 
-    def __hash__(self) -> int:
-        return hash((self.path, self.equations, self.solved, self.error))
-
     @property
     def ratio(self) -> float:
         return self.solved / self.equations if self.equations else 0.0
@@ -36,9 +33,6 @@ class FileStats:
 class CorpusStats:
     def __init__(self, per_file: tuple[FileStats, ...]) -> None:
         setfield(self, "per_file", per_file)
-
-    def __hash__(self) -> int:
-        return hash((self.per_file,))
 
     @property
     def files(self) -> int:

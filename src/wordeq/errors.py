@@ -36,12 +36,13 @@ WORK_BUDGET = 200_000
 
 class Budget:
     """The work units left to one call, which every layer it reaches
-    draws from; running out ends the call."""
+    draws from; running out ends the call.  ``size`` defaults to
+    ``WORK_BUDGET`` as it is at the call."""
 
     __slots__ = ("left",)
 
-    def __init__(self) -> None:
-        self.left = WORK_BUDGET
+    def __init__(self, size: int | None = None) -> None:
+        self.left = WORK_BUDGET if size is None else size
 
     def draw(self, n: int, layer: str) -> None:
         """Spend n units, or raise ResourceExhausted naming the layer."""

@@ -60,6 +60,8 @@ class LinVar(tuple[str, str]):
 class Row:
     """coeffs . x  (=|<=)  bound; unhashable, as ``coeffs`` is a dict"""
 
+    __hash__ = None
+
     def __init__(self, coeffs: dict[LinVar, int], relation: str, bound: int) -> None:
         if relation not in ("eq", "le"):
             raise ValueError(f"not a row relation: {relation!r}")

@@ -59,9 +59,6 @@ class Literal:
         setfield(self, "atom", atom)
         setfield(self, "positive", positive)
 
-    def __hash__(self) -> int:
-        return hash((self.atom, self.positive))
-
 
 def dnf_tree(phi: Formula, leaf: Callable[[Atom, bool], Tree]) -> Tree:
     """``phi`` in negation normal form, as an And/Or tree whose literals

@@ -2,11 +2,11 @@
 
 The reference implementation for differential tests: try every assignment
 of words up to a length bound (shortest first, letters in the given order,
-first variable most significant) and integers in [0, int_bound], returning
-the first satisfying assignment.  The only shortcut is a three-valued
-length check per length profile, which skips whole blocks of assignments
-that cannot work for length reasons alone; it never changes which model is
-found first.
+first variable most significant) and integers 0, 1, ..., int_bound, -1,
+..., -int_bound, returning the first satisfying assignment.  The only
+shortcut is a three-valued length check per length profile, which skips
+whole blocks of assignments that cannot work for length reasons alone; it
+never changes which model is found first.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import product
 
 from . import parser
 from .automata import Prog, length_set, regex_to_dfa, upset_member
-from .errors import ResourceExhausted
+from .errors import Budget, ResourceExhausted
 from .semantics import Assignment, eval_formula
 from .terms import (
     And,
@@ -45,6 +45,8 @@ from .terms import (
 class SatWith:
     """Unhashable, as the model is."""
 
+    __hash__ = None
+
     def __init__(self, model: Assignment) -> None:
         setfield(self, "model", model)
 
@@ -53,9 +55,6 @@ class SatWith:
 class NoModelUpTo:
     def __init__(self, bound: int) -> None:
         setfield(self, "bound", bound)
-
-    def __hash__(self) -> int:
-        return hash((self.bound,))
 
 
 BoundedVerdict = SatWith | NoModelUpTo
@@ -68,7 +67,7 @@ def _term_len_interval(
     if isinstance(t, IntConst):
         return t.value, t.value
     if isinstance(t, IntVar):
-        return 0, int_bound
+        return -int_bound, int_bound
     if isinstance(t, Len):
         ln = _str_len(t.term, lens)
         return ln, ln
@@ -152,10 +151,14 @@ def brute_force_sat(
     int_bound: int = 8,
     node_budget: int = 5_000_000,
 ) -> BoundedVerdict:
-    """First satisfying assignment with words over sigma up to len_bound.
+    """First satisfying assignment with words over sigma up to len_bound
+    and integers from -int_bound to int_bound.
 
-    A formula nested deeper than the parser accepts raises
-    ``ResourceExhausted`` before any recursive walk (see ``terms.scan``)."""
+    Each length profile and each assignment tried draws one unit from a
+    budget of ``node_budget``; running out raises ``ResourceExhausted``
+    (``work budget exhausted in oracle``).  A formula nested deeper than
+    the parser accepts raises ``ResourceExhausted`` before any recursive
+    walk (see ``terms.scan``)."""
     if len(set(sigma)) != len(sigma):
         raise ValueError(f"alphabet letters must be distinct: {sigma!r}")
     scanned = scan(phi, parser.MAX_DEPTH)
@@ -174,21 +177,17 @@ def brute_force_sat(
             words_by_len[ln] = ["".join(t) for t in product(sigma, repeat=ln)]
         return words_by_len[ln]
 
-    int_choices = list(range(int_bound + 1))
-    budget = node_budget
+    int_choices = [*range(int_bound + 1), *range(-1, -int_bound - 1, -1)]
+    draw = Budget(node_budget).draw
     for profile in product(range(len_bound + 1), repeat=len(snames)):
-        if budget <= 0:
-            raise ResourceExhausted("oracle enumeration budget exceeded")
-        budget -= 1
+        draw(1, "oracle")
         lens = dict(zip(snames, profile))
         if _profile_value(phi, lens, int_bound, re_lengths, filter_alphabet) is False:
             continue
         for combo in product(*(words(ln) for ln in profile)):
             strings = dict(zip(snames, combo))
             for ints in product(int_choices, repeat=len(inames)):
-                if budget <= 0:
-                    raise ResourceExhausted("oracle enumeration budget exceeded")
-                budget -= 1
+                draw(1, "oracle")
                 asg = Assignment(strings=strings, ints=dict(zip(inames, ints)))
                 if eval_formula(phi, asg):
                     return SatWith(model=asg)

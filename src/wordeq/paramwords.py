@@ -26,9 +26,6 @@ class Const:
             raise ValueError("empty constant blocks are dropped on construction")
         setfield(self, "word", word)
 
-    def __hash__(self) -> int:
-        return hash((self.word,))
-
 
 @record
 class Power:
@@ -40,17 +37,11 @@ class Power:
         setfield(self, "base", base)
         setfield(self, "param", param)
 
-    def __hash__(self) -> int:
-        return hash((self.base, self.param))
-
 
 @record
 class Unfixed:
     def __init__(self, part: str) -> None:
         setfield(self, "part", part)
-
-    def __hash__(self) -> int:
-        return hash((self.part,))
 
 
 Block = Union[Const, Power, Unfixed]

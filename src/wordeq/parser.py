@@ -197,11 +197,6 @@ class Problem:
         setfield(self, "check_sat", check_sat)
         setfield(self, "get_model", get_model)
 
-    def __hash__(self) -> int:
-        return hash(
-            (self.alphabet, self.str_vars, self.int_vars, self.asserts, self.check_sat, self.get_model)
-        )
-
     def conjunction(self) -> Formula | None:
         return conj(*self.asserts) if self.asserts else None
 

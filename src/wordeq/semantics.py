@@ -31,6 +31,8 @@ class Assignment:
     """Total map for the variables a formula mentions; unhashable, as its
     maps are dicts (a new empty one for each map not given)."""
 
+    __hash__ = None
+
     def __init__(
         self, strings: dict[str, str] | None = None, ints: dict[str, int] | None = None
     ) -> None:

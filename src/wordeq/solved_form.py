@@ -143,9 +143,6 @@ class SolvedForm:
     def __init__(self, bindings: tuple[tuple[str, Blocks], ...]) -> None:
         setfield(self, "bindings", bindings)
 
-    def __hash__(self) -> int:
-        return hash((self.bindings,))
-
     def mapping(self) -> dict[str, Blocks]:
         return dict(self.bindings)
 
@@ -154,9 +151,6 @@ class SolvedForm:
 class Unsat:
     """No solution exists: for an equation system here, and for a whole
     formula as the verdict ``solver`` re-exports."""
-
-    def __hash__(self) -> int:
-        return hash(())
 
 
 @record
@@ -169,9 +163,6 @@ class OutOfFragment:
     def __init__(self, reason: str, forms: tuple[SolvedForm, ...]) -> None:
         setfield(self, "reason", reason)
         setfield(self, "forms", forms)
-
-    def __hash__(self) -> int:
-        return hash((self.reason, self.forms))
 
 
 def is_solved_equation(eq: WordEq) -> bool:
@@ -187,23 +178,6 @@ def apply_solved_form(sf: SolvedForm, t: StrTerm) -> Blocks:
         if isinstance(b, Unfixed) and b.part not in env:
             raise UnmappedVariable(f"no binding for {b.part!r}")
     return substitute(s, env)
-
-
-def render_solved_form(sf: SolvedForm) -> str:
-    def render_word(w: Blocks) -> str:
-        if not w:
-            return '""'
-        bits = []
-        for b in w:
-            if isinstance(b, Const):
-                bits.append(b.word)
-            elif isinstance(b, Power):
-                bits.append(f"({b.base})^{b.param}")
-            else:
-                bits.append(f"<{b.part}>")
-        return " ".join(bits)
-
-    return "\n".join(f"{v} = {render_word(w)}" for v, w in sf.bindings)
 
 
 def _common_prefix_len(a: str, b: str) -> int:

@@ -73,6 +73,8 @@ from .terms import (
 class Sat:
     """Unhashable, as its maps are dicts."""
 
+    __hash__ = None
+
     def __init__(self, strings: dict[str, str], ints: dict[str, int]) -> None:
         setfield(self, "strings", strings)
         setfield(self, "ints", ints)
@@ -85,9 +87,6 @@ class Sat:
 class Unsupported:
     def __init__(self, reason: str) -> None:
         setfield(self, "reason", reason)
-
-    def __hash__(self) -> int:
-        return hash((self.reason,))
 
 
 Verdict = Sat | Unsat | Unsupported

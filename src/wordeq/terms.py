@@ -2,17 +2,18 @@
 
 Words are plain Python strings; every character is one letter of the
 problem alphabet.  All node types are records (see ``record``):
-immutable and hashable, equal when they are of one class and their
-fields are equal.  The smart constructors below keep terms in a
-canonical shape (flattened concatenations, merged adjacent literals, no
-empty pieces) so that structural equality is meaningful.
+immutable, equal when they are of one class and their fields are
+equal, and hashed by those fields.  The smart constructors below keep
+terms in a canonical shape (flattened concatenations, merged adjacent
+literals, no empty pieces) so that structural equality is meaningful.
 
 To add a node type, write a ``record`` class: an ``__init__`` that sets
 each field once with ``setfield`` and raises ``ValueError`` on a
-malformed value, and a ``__hash__`` that hashes the tuple of its fields.
-Add it to the ``Union`` it belongs to and, if it holds other nodes, to
-``_CHILDREN``, so that ``nodes`` and ``scan`` walk into it.  The record
-contract test (``tests/test_records.py``) wants an example of it.
+malformed value, and ``__hash__ = None`` in its body when a field holds
+a dict or a list.  Add it to the ``Union`` it belongs to and, if it
+holds other nodes, to ``_CHILDREN``, so that ``nodes`` and ``scan`` walk
+into it.  The record contract test (``tests/test_records.py``) wants an
+example of it.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ def record(cls: R) -> R:
     """Make ``cls`` an immutable value type, generating no code.
 
     The class writes its own ``__init__``, whose parameters are its
-    fields in order, and its own ``__hash__``, ``hash((self.a, self.b))``
-    over every field (no ``__hash__`` when a field holds a dict or a
-    list).  This adds ``__match_args__`` (the fields), ``__eq__`` (equal
-    fields within one class; another class gives ``NotImplemented``),
-    ``__repr__`` (``Name(a=..., b=...)``), and a ``__setattr__`` and a
-    ``__delattr__`` that raise ``AttributeError``.  There are no
+    fields in order.  This adds ``__match_args__`` (the fields),
+    ``__eq__`` (equal fields within one class; another class gives
+    ``NotImplemented``), ``__hash__`` (the hash of what ``__eq__``
+    compares: the field itself for one field, the tuple of the fields
+    for more, ``()`` for none), ``__repr__`` (``Name(a=..., b=...)``),
+    and a ``__setattr__`` and a ``__delattr__`` that raise
+    ``AttributeError``.  A class whose body sets ``__hash__ = None`` (a
+    field holds a dict or a list) stays unhashable.  There are no
     ``__slots__``: ``functools.cached_property`` needs the instance dict.
     """
     init = vars(cls).get("__init__")
@@ -51,13 +54,16 @@ def record(cls: R) -> R:
             return key(self) == key(other)
         return NotImplemented
 
+    def __hash__(self: object) -> int:
+        return hash(key(self))
+
     cls.__match_args__ = fields
     cls.__eq__ = __eq__
+    if "__hash__" not in vars(cls):
+        cls.__hash__ = __hash__
     cls.__repr__ = _repr
     cls.__setattr__ = _setattr
     cls.__delattr__ = _delattr
-    if "__hash__" not in vars(cls):
-        cls.__hash__ = None
     return cls
 
 
@@ -89,9 +95,6 @@ class Lit:
     def __init__(self, word: str) -> None:
         setfield(self, "word", word)
 
-    def __hash__(self) -> int:
-        return hash((self.word,))
-
 
 @record
 class Var:
@@ -99,9 +102,6 @@ class Var:
 
     def __init__(self, name: str) -> None:
         setfield(self, "name", name)
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
 
 @record
@@ -112,9 +112,6 @@ class Concat:
         if len(parts) < 2:
             raise ValueError("Concat needs at least two parts")
         setfield(self, "parts", parts)
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
 
 StrTerm = Union[Lit, Var, Concat]
@@ -153,17 +150,11 @@ class IntConst:
     def __init__(self, value: int) -> None:
         setfield(self, "value", value)
 
-    def __hash__(self) -> int:
-        return hash((self.value,))
-
 
 @record
 class IntVar:
     def __init__(self, name: str) -> None:
         setfield(self, "name", name)
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
 
 @record
@@ -172,9 +163,6 @@ class Len:
 
     def __init__(self, term: StrTerm) -> None:
         setfield(self, "term", term)
-
-    def __hash__(self) -> int:
-        return hash((self.term,))
 
 
 @record
@@ -186,9 +174,6 @@ class Sum:
 
     def __init__(self, items: tuple[tuple[int, LenTerm], ...]) -> None:
         setfield(self, "items", items)
-
-    def __hash__(self) -> int:
-        return hash((self.items,))
 
 
 LenTerm = Union[IntConst, IntVar, Len, Sum]
@@ -233,16 +218,10 @@ class ReLit:
             raise ValueError("use ReEpsilon for the empty word")
         setfield(self, "word", word)
 
-    def __hash__(self) -> int:
-        return hash((self.word,))
-
 
 @record
 class ReEpsilon:
     """The language containing only the empty word."""
-
-    def __hash__(self) -> int:
-        return hash(())
 
 
 @record
@@ -252,9 +231,6 @@ class ReConcat:
             raise ValueError("ReConcat needs at least two parts")
         setfield(self, "parts", parts)
 
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
 
 @record
 class ReUnion:
@@ -263,17 +239,11 @@ class ReUnion:
             raise ValueError("ReUnion needs at least two parts")
         setfield(self, "parts", parts)
 
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
 
 @record
 class ReStar:
     def __init__(self, inner: Regex) -> None:
         setfield(self, "inner", inner)
-
-    def __hash__(self) -> int:
-        return hash((self.inner,))
 
 
 Regex = Union[ReLit, ReEpsilon, ReConcat, ReUnion, ReStar]
@@ -341,9 +311,6 @@ class WordEq:
         setfield(self, "lhs", lhs)
         setfield(self, "rhs", rhs)
 
-    def __hash__(self) -> int:
-        return hash((self.lhs, self.rhs))
-
 
 @record
 class LenLeq:
@@ -353,18 +320,12 @@ class LenLeq:
         setfield(self, "term", term)
         setfield(self, "bound", bound)
 
-    def __hash__(self) -> int:
-        return hash((self.term, self.bound))
-
 
 @record
 class InRe:
     def __init__(self, term: StrTerm, regex: Regex) -> None:
         setfield(self, "term", term)
         setfield(self, "regex", regex)
-
-    def __hash__(self) -> int:
-        return hash((self.term, self.regex))
 
 
 Atom = Union[WordEq, LenLeq, InRe]
@@ -377,9 +338,6 @@ class And:
             raise ValueError("And needs at least two parts")
         setfield(self, "parts", parts)
 
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
 
 @record
 class Or:
@@ -388,17 +346,11 @@ class Or:
             raise ValueError("Or needs at least two parts")
         setfield(self, "parts", parts)
 
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
 
 @record
 class Not:
     def __init__(self, inner: Formula) -> None:
         setfield(self, "inner", inner)
-
-    def __hash__(self) -> int:
-        return hash((self.inner,))
 
 
 Formula = Union[Atom, And, Or, Not]

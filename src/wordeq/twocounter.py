@@ -127,9 +127,6 @@ class TwoCounterMachine:
         setfield(self, "finals", finals)
         setfield(self, "rules", rules)
 
-    def __hash__(self) -> int:
-        return hash((self.states, self.input_alphabet, self.initial, self.finals, self.rules))
-
     @cached_property
     def delta(self) -> dict[DeltaKey, DeltaVal]:
         return dict(self.rules)
@@ -149,18 +146,12 @@ class MachineId:
         setfield(self, "counter1", counter1)
         setfield(self, "counter2", counter2)
 
-    def __hash__(self) -> int:
-        return hash((self.state, self.head, self.counter1, self.counter2))
-
 
 @record
 class Accepted:
     def __init__(self, steps: int, history: tuple[MachineId, ...]) -> None:
         setfield(self, "steps", steps)
         setfield(self, "history", history)
-
-    def __hash__(self) -> int:
-        return hash((self.steps, self.history))
 
 
 @record
@@ -169,17 +160,11 @@ class Rejected:
         setfield(self, "steps", steps)
         setfield(self, "reason", reason)
 
-    def __hash__(self) -> int:
-        return hash((self.steps, self.reason))
-
 
 @record
 class StillRunning:
     def __init__(self, steps: int) -> None:
         setfield(self, "steps", steps)
-
-    def __hash__(self) -> int:
-        return hash((self.steps,))
 
 
 def _check_input(m: TwoCounterMachine, w: tuple[str, ...]) -> None:
@@ -291,9 +276,6 @@ class Sentence:
         setfield(self, "body", body)
         setfield(self, "alphabet", alphabet)
         setfield(self, "legend", legend)
-
-    def __hash__(self) -> int:
-        return hash((self.universals, self.existentials, self.body, self.alphabet, self.legend))
 
 
 def _clamp(x: int, lo: int, hi: int) -> int:
@@ -517,17 +499,11 @@ class Counterexample:
     def __init__(self, word: str) -> None:
         setfield(self, "word", word)
 
-    def __hash__(self) -> int:
-        return hash((self.word,))
-
 
 @record
 class NoCounterexampleUpTo:
     def __init__(self, max_len: int) -> None:
         setfield(self, "max_len", max_len)
-
-    def __hash__(self) -> int:
-        return hash((self.max_len,))
 
 
 # The constants c0, ..., ck of a linear pattern c0 X1 c1 ... Xk ck, where
@@ -556,6 +532,8 @@ class _Body:
     conjuncts (``generic``) go to the witness search, each once.
     Unhashable, as its conjunct lists are lists.
     """
+
+    __hash__ = None
 
     def __init__(
         self,

@@ -206,6 +206,26 @@ def random_solved_form(rng: random.Random, sigma: str = "ab") -> SolvedForm:
     return SolvedForm(bindings=tuple(bindings))
 
 
+def render_solved_form(sf: SolvedForm) -> str:
+    """One line per binding: ``X = (ab)^i0 a``, an unfixed part as
+    ``<y>`` and the empty word as ``""``."""
+
+    def render_word(w: Blocks) -> str:
+        if not w:
+            return '""'
+        bits = []
+        for b in w:
+            if isinstance(b, Const):
+                bits.append(b.word)
+            elif isinstance(b, Power):
+                bits.append(f"({b.base})^{b.param}")
+            else:
+                bits.append(f"<{b.part}>")
+        return " ".join(bits)
+
+    return "\n".join(f"{v} = {render_word(w)}" for v, w in sf.bindings)
+
+
 # ---------------------------------------------------------------------------
 # the length-only control arm
 

@@ -362,6 +362,21 @@ def test_oracle_reports_no_model(capsys):
     assert out == "no model up to length 4\n"
 
 
+def test_oracle_and_solve_agree_on_a_negative_integer(capsys, tmp_path):
+    # -7 <= n <= -5: the oracle tries -1, -2, ... after 0 ... 8, as solve
+    # reads Int over all the integers
+    path = tmp_path / "negative.eq"
+    path.write_text(
+        '(set-alphabet "ab")\n(declare-const n Int)\n'
+        "(assert (<= n -5))\n(assert (<= (* -1 n) 7))\n(check-sat)\n(get-model)\n"
+    )
+    model = "(model\n  (define-fun n () Int -5)\n)\n"
+    assert run(capsys, "solve", str(path)) == (0, "sat\n" + model, "")
+    assert run(capsys, "oracle", str(path), "--max-len", "4") == (0, "sat\n" + model, "")
+    code, out, _ = run(capsys, "oracle", str(path), "--max-len", "4", "--max-int", "4")
+    assert (code, out) == (1, "no model up to length 4\n")
+
+
 def test_analyze_table_and_tsv(capsys, tmp_path):
     good = tmp_path / "good.eq"
     good.write_text(

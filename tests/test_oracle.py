@@ -11,6 +11,7 @@ from wordeq.parser import MAX_DEPTH
 from wordeq.semantics import Assignment, eval_formula
 from wordeq.terms import (
     InRe,
+    IntConst,
     IntVar,
     Len,
     LenLeq,
@@ -97,6 +98,26 @@ def test_integer_variables_enumerate_up_to_int_bound():
     assert eval_formula(sat, r.model)
 
 
+def test_integer_variables_range_over_both_signs():
+    n = IntVar("n")
+    # -7 <= n <= -5: 0 ... 8 come first, then -1, -2, ...
+    phi = conj(LenLeq(n, -5), LenLeq(sum_of((-1, n)), 7))
+    assert brute_force_sat(phi, "ab", 0) == SatWith(Assignment(ints={"n": -5}))
+    assert brute_force_sat(phi, "ab", 0, int_bound=4) == NoModelUpTo(0)
+    # |X| + n <= -1 holds only for a negative n, so the length filter must
+    # not rule out the profile |X| = 2
+    phi = conj(WordEq(X, Lit("ab")), LenLeq(sum_of((1, Len(X)), (1, n)), -1))
+    assert brute_force_sat(phi, "ab", 2) == SatWith(Assignment({"X": "ab"}, {"n": -3}))
+
+
+def test_constants_in_a_length_sum():
+    # |X| + 2 <= 3 and |X| >= 1: only the profile |X| = 1 passes the filter
+    phi = conj(
+        LenLeq(sum_of((1, Len(X)), (1, IntConst(2))), 3), LenLeq(sum_of((-1, Len(X))), -1)
+    )
+    assert brute_force_sat(phi, "ab", 3) == SatWith(Assignment({"X": "a"}))
+
+
 def test_letters_outside_sigma_never_appear_in_models():
     assert brute_force_sat(WordEq(X, Lit("c")), "ab", 3) == NoModelUpTo(3)
     # The length filter must handle regexes over foreign letters too.
@@ -125,7 +146,7 @@ def test_enumeration_budget_lets_exactly_its_nodes_run():
     # one profile node and one assignment node
     phi = WordEq(Lit("a"), Lit("a"))
     assert isinstance(brute_force_sat(phi, "ab", 0, node_budget=2), SatWith)
-    with pytest.raises(ResourceExhausted):
+    with pytest.raises(ResourceExhausted, match="^work budget exhausted in oracle$"):
         brute_force_sat(phi, "ab", 0, node_budget=1)
 
 

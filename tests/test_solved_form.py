@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from helpers import _template_equation
+from helpers import _template_equation, render_solved_form
 import wordeq.errors as errors
 from wordeq import solved_form
 from wordeq.errors import Budget, ResourceExhausted, UnmappedVariable
@@ -26,7 +26,6 @@ from wordeq.solved_form import (
     Unsat,
     apply_solved_form,
     is_solved_equation,
-    render_solved_form,
     to_solved_form,
 )
 from wordeq.terms import Lit, NameGen, Var, WordEq, concat, conj
