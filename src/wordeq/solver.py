@@ -13,11 +13,12 @@ rewriting gave, complete or blocked.  A choice below a complete prefix
 rewrites only the equations it adds, under all of its forms in one call,
 as DPLL(T) pushes a literal onto the state its parent left (Nieuwenhuis,
 Oliveras & Tinelli, *JACM* 2006); a choice that adds none keeps its
-parent's result, and any other rewrites the whole conjunction.  Each
-solved form contributes its implied length rows, length atoms translate
-to further rows, and the membership atoms become a disjunction of row
-groups that constrain the power parameters of each constrained term
-through exact automaton walks.  Those rows are shared by every group, so
+parent's result, and any other rewrites the whole conjunction.  Under a
+solved form each variable's length is a linear form over the form's
+parameters and part lengths, so each length atom is read through it as
+one row, and the membership atoms become a disjunction of row groups
+that constrain the power parameters of each constrained term through
+exact automaton walks.  The length rows are shared by every group, so
 each solved form is one call to the linear solver: it decides the shared
 rows once, exactly whatever the size of their coefficients, and pulls
 the groups one at a time, and each group is built only when it is
@@ -38,13 +39,13 @@ from .errors import Budget, LetterOutsideAlphabet, ResourceExhausted, UnfixedPar
 from .lengths import (
     LinVar,
     Row,
-    implied_length_constraints,
     int_var,
     param_var,
     part_var,
     translate_len_atom,
     upset_rows,
 )
+from .lengths import implied_length_constraints  # noqa: F401  perfbench/spans.py wraps it by name
 from .lia import lia_sat
 from .normalize import Atom, Tree, dnf_tree, eliminate_negations, walk, walk_product
 from .normalize import to_dnf  # noqa: F401  perfbench/spans.py wraps solver.to_dnf by name
@@ -157,14 +158,6 @@ def _merge_box(prefix: dict[str, Prog], box: dict[str, Prog]) -> dict[str, Prog]
     return merged
 
 
-def _shared_rows(sf: SolvedForm, lens: list[LenLeq]) -> list[Row]:
-    """The rows every membership group of a solved form shares: its
-    implied length rows and the length atoms."""
-    rows = implied_length_constraints(sf)
-    rows.extend(translate_len_atom(a) for a in lens)
-    return rows
-
-
 def _solved_forms(
     atoms: list[Atom],
     new: tuple[_Alternative, ...],
@@ -202,16 +195,17 @@ def _decide(
     """Decide a conjunction of positive atoms, given the solved forms of
     its word equations.
 
-    Each solved form makes one ``lia_sat`` call: its shared rows with the
-    membership row groups, which are built only as the integer solver
-    pulls them, so a solved form whose shared rows clash never builds
-    one.  The decision is the first solved form whose rows have a model,
-    with that model, Unsat when rewriting or the rows of every solved
-    form refute the atoms, and otherwise Unsupported for the first reason
-    that rewriting or a solved form was blocked; the solved forms that a
-    partly blocked rewriting still found are decided too.  A membership
-    over unfixed parts blocks only its solved form, while running out of
-    ``budget`` raises ResourceExhausted and ends the whole call.
+    Each solved form makes one ``lia_sat`` call: the length atoms read
+    through it, as rows every group shares, with the membership row
+    groups, which are built only as the integer solver pulls them, so a
+    solved form whose length rows clash never builds one.  The decision
+    is the first solved form whose rows have a model, with that model,
+    Unsat when rewriting or the rows of every solved form refute the
+    atoms, and otherwise Unsupported for the first reason that rewriting
+    or a solved form was blocked; the solved forms that a partly blocked
+    rewriting still found are decided too.  A membership over unfixed
+    parts blocks only its solved form, while running out of ``budget``
+    raises ResourceExhausted and ends the whole call.
     """
     lens = [a for a in atoms if isinstance(a, LenLeq)]
     res = [a for a in atoms if isinstance(a, InRe)]
@@ -226,7 +220,7 @@ def _decide(
             sf = SolvedForm(tuple((v, substitute(pw, empty)) for v, pw in sf.bindings))
         try:
             model = lia_sat(
-                _shared_rows(sf, lens),
+                [translate_len_atom(a, sf) for a in lens],
                 _regex_row_groups(res, sf, alphabet, gen, budget),
                 budget,
             )

@@ -17,6 +17,7 @@ from pathlib import Path
 from wordeq import twocounter
 from wordeq.automata import dfa_complement, length_set, regex_to_dfa
 from wordeq.errors import Budget
+from wordeq.lengths import Row, int_var, len_var
 from wordeq.normalize import Literal
 from wordeq.paramwords import Blocks, Const, Power, Unfixed, merge_blocks
 from wordeq.printer import print_problem
@@ -328,6 +329,34 @@ def sum_of_len_leq(lhs: LenTerm, rhs: LenTerm) -> LenLeq:
     items = diff.items if isinstance(diff, Sum) else ((1, diff),)
     bound = -sum(c * t.value for c, t in items if isinstance(t, IntConst))
     return LenLeq(sum_of(*(i for i in items if not isinstance(i[1], IntConst))), bound)
+
+
+def definitional_len_atom(atom: LenLeq) -> Row:
+    """A length atom as one <= row with each variable's length its own
+    ``len`` unknown, the reference for ``translate_len_atom``: with a
+    form's ``implied_length_constraints`` it has a model exactly when
+    ``translate_len_atom(atom, sf)`` has."""
+    coeffs: dict = {}
+    const = 0
+
+    def walk(t, scale: int) -> None:
+        nonlocal const
+        if isinstance(t, (IntConst, Lit)):
+            const += scale * (t.value if isinstance(t, IntConst) else len(t.word))
+        elif isinstance(t, (IntVar, Var)):
+            v = int_var(t.name) if isinstance(t, IntVar) else len_var(t.name)
+            coeffs[v] = coeffs.get(v, 0) + scale
+        elif isinstance(t, Len):
+            walk(t.term, scale)
+        elif isinstance(t, Sum):
+            for c, item in t.items:
+                walk(item, scale * c)
+        else:  # a concatenation
+            for part in t.parts:
+                walk(part, scale)
+
+    walk(atom.term, 1)
+    return Row({v: c for v, c in coeffs.items() if c}, "le", atom.bound - const)
 
 
 def is_counterexample(s: twocounter.Sentence, word: str) -> bool:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import random_solved_form
+from helpers import definitional_len_atom, random_solved_form, random_word
 from wordeq.automata import upset_member
 from wordeq.lengths import (
     LinVar,
@@ -16,11 +16,13 @@ from wordeq.lengths import (
     param_var,
     paramword_length,
     part_var,
-    term_length,
     translate_len_atom,
     upset_rows,
 )
-from wordeq.paramwords import Const, Power, Unfixed, instantiate, merge_blocks
+from wordeq.lia import lia_sat
+from wordeq.paramwords import Const, Power, Unfixed, instantiate, merge_blocks, params_of, parts_of
+from wordeq.semantics import Assignment, eval_formula
+from wordeq.solved_form import SolvedForm
 from wordeq.terms import IntConst, IntVar, Len, LenLeq, Lit, NameGen, Var, concat, sum_of
 
 
@@ -49,18 +51,8 @@ def test_paramword_length_golden():
     assert paramword_length(()) == ({}, 0)
 
 
-def test_term_length_golden():
-    t = concat(Lit("ab"), Var("X"), Lit("c"), Var("X"))
-    coeffs, const = term_length(t)
-    assert coeffs == {len_var("X"): 2}
-    assert const == 3
-    assert term_length(Lit("")) == ({}, 0)
-
-
 def test_implied_rows_golden():
     sf_bindings = (("X", merge_blocks([Power("ab", "i"), Const("a")])),)
-    from wordeq.solved_form import SolvedForm
-
     (row,) = implied_length_constraints(SolvedForm(sf_bindings))
     assert row.relation == "eq"
     assert row.coeffs == {len_var("X"): 1, param_var("i"): -2}
@@ -87,20 +79,70 @@ def test_implied_rows_hold_on_instances():
 
 
 def test_translate_len_atom():
+    # X -> (ab)^i W, so len("ab" X) = 2 + 2i + |W|
+    sf = SolvedForm((("X", merge_blocks([Power("ab", "i"), Unfixed("W")])),))
     atom = LenLeq(
         sum_of((1, Len(concat(Lit("ab"), Var("X")))), (-2, IntVar("n")), (3, IntConst(1))),
         7,
     )
-    row = translate_len_atom(atom)
+    row = translate_len_atom(atom, sf)
     assert row.relation == "le"
-    assert row.coeffs == {len_var("X"): 1, int_var("n"): -2}
+    assert row.coeffs == {param_var("i"): 2, part_var("W"): 1, int_var("n"): -2}
     # constants fold into the bound: 7 - 2 - 3
     assert row.bound == 2
 
 
 def test_translate_len_atom_pure_constant():
-    row = translate_len_atom(LenLeq(IntConst(5), 3))
+    row = translate_len_atom(LenLeq(IntConst(5), 3), SolvedForm(()))
     assert row.coeffs == {} and row.bound == -2
+
+
+def _random_len_atom(rng, svars):
+    """One to three items, each with a coefficient of either sign: an int
+    variable, a constant, or the length of a concatenation of literals
+    and string variables, which may repeat."""
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            term = IntVar(rng.choice("nm"))
+        elif kind == 1:
+            term = IntConst(rng.randint(-3, 5))
+        else:
+            parts = [
+                Var(rng.choice(svars)) if rng.random() < 0.7 else Lit(random_word(rng, "ab", 3))
+                for _ in range(rng.randint(1, 4))
+            ]
+            term = Len(concat(*parts))
+        items.append((rng.choice((-3, -2, -1, 1, 2, 3)), term))
+    return LenLeq(sum_of(*items), rng.randint(-6, 8))
+
+
+# 37 was drawn from while the test was written; 3701 was held out
+@pytest.mark.parametrize("seed", [37, 3701])
+def test_atoms_read_through_the_form_agree_with_the_definitional_rows(seed):
+    rng = random.Random(seed)
+    counts = {"sat": 0, "unsat": 0}
+    for _ in range(300):
+        sf = random_solved_form(rng)
+        svars = [v for v, _ in sf.bindings]
+        for _ in range(2):
+            atoms = [_random_len_atom(rng, svars) for _ in range(rng.randint(1, 3))]
+            model = lia_sat([translate_len_atom(a, sf) for a in atoms])
+            reference = implied_length_constraints(sf) + [definitional_len_atom(a) for a in atoms]
+            assert (model is None) == (lia_sat(reference) is None), (sf, atoms)
+            counts["unsat" if model is None else "sat"] += 1
+            if model is None:
+                continue
+            assert all(v.kind in ("param", "part", "int") for v in model)
+            mapping = sf.mapping()
+            params = {p: model.get(param_var(p), 0) for w in mapping.values() for p in params_of(w)}
+            parts = {y: "a" * model.get(part_var(y), 0) for w in mapping.values() for y in parts_of(w)}
+            strings = {v: instantiate(w, params, parts) for v, w in mapping.items()}
+            ints = {n: model.get(int_var(n), 0) for n in "nm"}
+            for atom in atoms:
+                assert eval_formula(atom, Assignment(strings, ints)), (sf, atom, model)
+    assert min(counts.values()) > 100, counts
 
 
 def test_upset_rows_semantics():

@@ -108,6 +108,18 @@ def test_a_ground_match_reuses_a_repeated_power_parameter():
     assert got == [SolvedForm((("X", (Const("ab"),)),))]
 
 
+def test_the_match_cap_holds_inside_a_power():
+    # (ab)^i X against ababab: i = 0..3, X the rest, so four matches, and
+    # a lower cap gives up from within the power's loop
+    pattern = (Power("ab", "i"), Unfixed("X"))
+    for cap in range(4):
+        assert solved_form._match_pattern(pattern, "ababab", cap) is None, cap
+    got = solved_form._match_pattern(pattern, "ababab", 4)
+    assert got == [({"X": "ab" * (3 - i)}, {"i": i}) for i in range(4)]
+    with pytest.raises(ResourceExhausted, match="work budget exhausted in solved_form"):
+        solved_form._drawn_matches(pattern, "ababab", Budget(3), "solved_form")
+
+
 def test_crossing_pair_shares_one_parameter():
     # Xa = aY and Ya = Xa make X and Y the same power of a
     forms = solve(

@@ -23,7 +23,7 @@ from helpers import (
 from wordeq.automata import param_membership, prog_intersect, regex_to_dfa
 import wordeq.errors as errors
 from wordeq.errors import Budget, LetterOutsideAlphabet, ResourceExhausted, UnfixedPartPresent
-from wordeq.lengths import implied_length_constraints, param_var, translate_len_atom, upset_rows
+from wordeq.lengths import param_var, translate_len_atom, upset_rows
 from wordeq.lia import lia_sat
 from wordeq.normalize import eliminate_negations, to_dnf
 from wordeq.oracle import NoModelUpTo, brute_force_sat
@@ -564,6 +564,30 @@ def test_membership_product_sat_only_at_its_last_group(monkeypatch):
     assert len(calls) == 1
 
 
+def test_no_len_unknown_reaches_the_integer_solver(monkeypatch):
+    # a length atom is read through its solved form, so no integer call
+    # has a variable's length as its own unknown, nor the equality that
+    # would define it; the groups are checked as they are pulled
+    import wordeq.solver as solver
+
+    kinds = Counter()
+
+    def tally(rows):
+        for row in rows:
+            kinds.update(v.kind for v in row.coeffs)
+        return rows
+
+    monkeypatch.setattr(
+        solver, "lia_sat", lambda rows, groups, budget: lia_sat(tally(rows), map(tally, groups), budget)
+    )
+    rng = random.Random(41)
+    for generator in (random_formula_el, random_formula_elr):
+        for _ in range(150):
+            check_sat(generator(rng), "ab")
+    assert set(kinds) <= {"param", "part", "int", "ap"}, kinds
+    assert kinds["param"] and kinds["part"], kinds
+
+
 def test_only_memberships_over_unfixed_parts_block_their_branch(monkeypatch):
     import wordeq.solver as solver
 
@@ -657,8 +681,7 @@ def _eager_check_sat(phi, alphabet):
                 blocked = blocked or solved.reason
                 solved = solved.forms
             for sf in solved:
-                rows = implied_length_constraints(sf)
-                rows.extend(translate_len_atom(a) for a in lens)
+                rows = [translate_len_atom(a, sf) for a in lens]
                 try:
                     model = lia_sat(rows, _regex_row_groups(res, sf, alphabet, gen, Budget()))
                 except (ResourceExhausted, solver._UnfixedMembership) as exc:
