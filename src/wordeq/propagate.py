@@ -60,19 +60,40 @@ _Prefix = tuple[dict[str, Blocks], tuple[_Open, ...], str, Budget]
 
 def conjuncts(body: Formula, universal: str, budget: Budget) -> Iterator[list[Eq]]:
     """The equations left in each conjunct of the body's disjunctive
-    normal form that propagation does not refute, in ``to_dnf``'s order
-    and literal order.  Each step of the walk draws one unit from
+    normal form that propagation does not refute, in ``to_dnf``'s order.
+    Within a conjunct the literals come leaves first (``_leaves_first``),
+    not in the body's order.  Each step of the walk draws one unit from
     ``budget``; running out raises ResourceExhausted."""
-    tree = dnf_tree(body, partial(_compile, universal=universal, made=({}, {})))
+    tree = _leaves_first(dnf_tree(body, partial(_compile, universal=universal, made=({}, {}))))
     for _, opened, _, _ in walk(tree, _conjoin, ({}, (), universal, budget)):
         yield _needed(opened)
+
+
+def _leaves_first(tree: Tree) -> Tree:
+    """The tree with each And's leaves, those of the Ands it holds among
+    them, before its Ors, the Ors in their order.  The walk conjoins a
+    leaf before an Or once, and one after it once per branch; a
+    conjunction commutes, so only the literal order inside each
+    conjunct changes, not which conjuncts come out or in what order."""
+    kind, item = tree
+    if kind == "leaf":
+        return tree
+    parts = [part if part[0] == "leaf" else _leaves_first(part) for part in item]
+    if kind == "or":
+        return kind, parts
+    leaves: list[Tree] = []
+    ors: list[Tree] = []
+    for part in parts:
+        for p in part[1] if part[0] == "and" else (part,):
+            (leaves if p[0] == "leaf" else ors).append(p)
+    return kind, leaves + ors
 
 
 def _compile(atom: Atom, positive: bool, universal: str, made: MadeBlocks) -> Tree:
     if not isinstance(atom, WordEq):
         raise ValueError("sentence bodies hold equations only")
     lhs, rhs = term_to_side(atom.lhs, made), term_to_side(atom.rhs, made)
-    names = frozenset(b.part for b in lhs + rhs if isinstance(b, Unfixed))
+    names = frozenset([b.part for b in lhs + rhs if isinstance(b, Unfixed)])
     return "leaf", _literal(lhs, rhs, positive, names, universal)
 
 
@@ -121,22 +142,19 @@ def _substituted(eq: _Open, env: dict[str, Blocks], universal: str) -> _Literal:
 def _literal(
     lhs: Blocks, rhs: Blocks, positive: bool, names: frozenset[str], universal: str
 ) -> _Literal:
-    """An equation as an open one, and what it settles on its own."""
-    settled = _settle(lhs, rhs, positive, names, universal)
-    apart = (
-        settled is None
-        and universal not in names
-        and (_constants(lhs) == _constants(rhs)) == positive
-    )
+    """An equation as an open one, and what it settles on its own.  One
+    that mentions the universal settles nothing and is not apart."""
+    if universal in names:
+        return ((lhs, rhs, positive), names, False), None
+    settled = _settle(lhs, rhs, positive, names)
+    apart = settled is None and (_constants(lhs) == _constants(rhs)) == positive
     return ((lhs, rhs, positive), names, apart), settled
 
 
-def _settle(
-    lhs: Blocks, rhs: Blocks, positive: bool, names: frozenset[str], universal: str
-) -> _Settled:
+def _settle(lhs: Blocks, rhs: Blocks, positive: bool, names: frozenset[str]) -> _Settled:
     if not names:
         return {} if (lhs == rhs) == positive else False
-    if not positive or universal in names:
+    if not positive:
         return None
     target, pattern = ground_word(rhs), lhs
     if target is None:
@@ -152,7 +170,7 @@ def _settle(
 
 
 def _constants(side: Blocks) -> str:
-    return "".join(b.word for b in side if isinstance(b, Const))
+    return "".join([b.word for b in side if isinstance(b, Const)])
 
 
 def _needed(opened: tuple[_Open, ...]) -> list[Eq]:

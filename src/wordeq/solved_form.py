@@ -63,6 +63,7 @@ layers; running out raises ResourceExhausted and ends the call.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import Budget, UnmappedVariable
@@ -105,10 +106,12 @@ def term_to_side(t: StrTerm, made: MadeBlocks | None = None) -> Blocks:
             word += p.word
             continue
         if isinstance(p, Var):
-            blocks: Blocks = (unfixed.get(p.name) or unfixed.setdefault(p.name, Unfixed(p.name)),)
-        else:
-            blocks = term_to_side(p, (unfixed, consts))
-        for b in blocks:
+            if word:
+                out.append(consts.get(word) or consts.setdefault(word, Const(word)))
+                word = ""
+            out.append(unfixed.get(p.name) or unfixed.setdefault(p.name, Unfixed(p.name)))
+            continue
+        for b in term_to_side(p, (unfixed, consts)):
             if isinstance(b, Const):
                 word += b.word
                 continue
@@ -143,7 +146,9 @@ class SolvedForm:
     def __init__(self, bindings: tuple[tuple[str, Blocks], ...]) -> None:
         setfield(self, "bindings", bindings)
 
+    @cached_property
     def mapping(self) -> dict[str, Blocks]:
+        """The bindings by variable, built once per form; read only."""
         return dict(self.bindings)
 
 
@@ -172,7 +177,7 @@ def is_solved_equation(eq: WordEq) -> bool:
 
 def apply_solved_form(sf: SolvedForm, t: StrTerm) -> Blocks:
     """The parametric word a term denotes under a solved form."""
-    env = dict(sf.bindings)
+    env = sf.mapping
     s = term_to_side(t)
     for b in s:
         if isinstance(b, Unfixed) and b.part not in env:

@@ -246,7 +246,7 @@ def _build_model(
             params[p] = lia_model.get(param_var(p), 0)
         for part in parts_of(pw):
             part_words[part] = alphabet[:1] * lia_model.get(part_var(part), 0)
-    mapping = sf.mapping()
+    mapping = sf.mapping
     strings = {v: instantiate(mapping[v], params, part_words) for v in sorted(svars)}
     ints = {n: lia_model.get(int_var(n), 0) for n in sorted(ivars)}
     return Sat(strings, ints)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import string
 from functools import cached_property
+from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import Budget, NondeterministicDelta, WordeqError
@@ -325,21 +326,25 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
     # the tails of those runs and are forced into b* / c* by the commutation
     # equations conjoined below.
     violations: list[Formula] = []
+    # S2 is one configuration letter: one formula in every context, so the
+    # body is compiled with one leaf per letter
+    any_letter = disj(*[WordEq(S2, Lit(s)) for s in sigma0])
     for q in m.states:
         for h in range(n):
             for g1 in (False, True):
                 for g2 in (False, True):
-                    cur = mapping[(q, h)]
-                    pat: list[StrTerm] = [Lit(cur)]
+                    pat: list[StrTerm] = [S1, Lit(mapping[(q, h)])]
                     if g1:
                         pat += [b, U]
                     if g2:
                         pat += [c, V]
+                    # S1 and the current block: every defect below starts so
+                    start = concat(*pat)
                     row = m.delta.get((q, w[h], "b" if g1 else "Z", "c" if g2 else "Z"))
                     if row is None:
                         # Stuck context: any further block is a defect.
                         violations += [
-                            WordEq(S, concat(S1, *pat, Lit(s), S4)) for s in sigma0
+                            WordEq(S, concat(start, Lit(s), S4)) for s in sigma0
                         ]
                         continue
                     q3, track, move = row
@@ -358,30 +363,30 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
                     # Wrong successor letter.
                     violations.append(
                         conj(
-                            disj(*[WordEq(S2, Lit(s)) for s in sigma0]),
-                            WordEq(S, concat(S1, *pat, S2, S4)),
+                            any_letter,
+                            WordEq(S, concat(start, S2, S4)),
                             Not(WordEq(S2, nxt)),
                         )
                     )
                     # b-run too long / too short.
-                    violations.append(WordEq(S, concat(S1, *pat, nxt, *run1, b, S4)))
+                    violations.append(WordEq(S, concat(start, nxt, *run1, b, S4)))
                     if run1:
                         violations.append(
                             conj(
                                 WordEq(concat(*run1), concat(S2, b, S3)),
                                 disj(
-                                    WordEq(S, concat(S1, *pat, nxt, S2, c, S4)),
+                                    WordEq(S, concat(start, nxt, S2, c, S4)),
                                     *[
-                                        WordEq(S, concat(S1, *pat, nxt, S2, Lit(s), S4))
+                                        WordEq(S, concat(start, nxt, S2, Lit(s), S4))
                                         for s in sigma0
                                     ],
-                                    WordEq(S, concat(S1, *pat, nxt, S2)),
+                                    WordEq(S, concat(start, nxt, S2)),
                                 ),
                             )
                         )
                     # c-run too long / too short (after an exact b-run).
                     violations.append(
-                        WordEq(S, concat(S1, *pat, nxt, *run1, *run2, c, S4))
+                        WordEq(S, concat(start, nxt, *run1, *run2, c, S4))
                     )
                     if run2:
                         violations.append(
@@ -390,11 +395,11 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
                                 disj(
                                     *[
                                         WordEq(
-                                            S, concat(S1, *pat, nxt, *run1, S2, Lit(s), S4)
+                                            S, concat(start, nxt, *run1, S2, Lit(s), S4)
                                         )
                                         for s in sigma0
                                     ],
-                                    WordEq(S, concat(S1, *pat, nxt, *run1, S2)),
+                                    WordEq(S, concat(start, nxt, *run1, S2)),
                                 ),
                             )
                         )
@@ -529,7 +534,10 @@ class _Body:
     existentials take their fixed words, which the witness search does
     not hold to the bound either.  A pattern that ends in a variable
     (``closed``) matches every extension of a word it matches.  The other
-    conjuncts (``generic``) go to the witness search, each once.
+    conjuncts (``generic``) go to the witness search, each as often as
+    the walk yields it: equal ones are not merged, as the walk yields
+    none twice on encoded bodies and hashing them costs more than it
+    saves.
     Unhashable, as its conjunct lists are lists.
     """
 
@@ -550,8 +558,6 @@ class _Body:
 
 def _iter_words(alphabet: str, max_len: int) -> Iterator[str]:
     """All words up to a length, shortest first, letters in alphabet order."""
-    from itertools import product
-
     for ln in range(max_len + 1):
         for tup in product(alphabet, repeat=ln):
             yield "".join(tup)
@@ -611,10 +617,9 @@ def _linear(eq: _Eq, universal: str) -> _Linear | None:
     """The constants of ``S = c0 X1 c1 ... Xk ck``, or None when the
     equation is not of that form."""
     lhs, rhs, positive = eq
-    alone = (Unfixed(universal),)
-    if rhs == alone:
+    if _alone(rhs, universal):
         lhs, rhs = rhs, lhs
-    if not positive or lhs != alone:
+    if not positive or not _alone(lhs, universal):
         return None
     parts = [""]
     seen: set[str] = set()
@@ -629,6 +634,11 @@ def _linear(eq: _Eq, universal: str) -> _Linear | None:
         if len(parts) == 1 or parts[-1]:
             parts.append("")
     return tuple(parts)
+
+
+def _alone(side: Blocks, universal: str) -> bool:
+    """Is the side the universal alone?"""
+    return len(side) == 1 and isinstance(side[0], Unfixed) and side[0].part == universal
 
 
 def _matches(pattern: _Linear, word: str) -> bool:
@@ -668,7 +678,7 @@ def _compiled_body(s: Sentence, budget: Budget) -> _Body:
         universal,
         list(dict.fromkeys(closed)),
         list(dict.fromkeys(anchored)),
-        list(dict.fromkeys(generic)),
+        generic,
     )
 
 

@@ -8,8 +8,10 @@ op's draw is what its budgets spent.  One line per workload gives its op
 count, the largest draw of one op (with that op's name) and the total:
 the solve ops of the differential, rewrite and arith workloads at seeds
 1-3, in the order a benchmark pass runs them, then the reduction ops of
-seed 1.  A budget that ran out counts what it spent before the draw
-that failed.  ``--src`` puts another checkout's package first on the
+seed 1.  A last line gives the compile draw of the largest encodable
+machine (60 stuck states on a one-letter input, as in
+``test_the_largest_machines_compile_within_the_budget``).  A budget that
+ran out counts what it spent before the draw that failed.  ``--src`` puts another checkout's package first on the
 import path, so two versions can be compared on the same inputs; the
 generators always come from this checkout's ``perfbench/``, which is
 only read.
@@ -62,6 +64,11 @@ def report(src: Path) -> None:
         largest, name = max(draws)
         total = sum(n for n, _ in draws)
         print(f"{workload}\t{len(draws)} {kind} ops\tlargest {largest} ({name})\ttotal {total}")
+    states = tuple(f"q{i}" for i in range(60))
+    machine = wordeq.twocounter.TwoCounterMachine(states, ("0",), "q0", frozenset({"q1"}), ())
+    budget = Recorded()
+    wordeq.twocounter._compiled_body(wordeq.twocounter.encode(machine, ("0",)), budget)
+    print(f"compile\t60-state stuck machine\tdrew {budget.size - budget.left}")
 
 
 def main() -> None:

@@ -97,8 +97,8 @@ def test_criterion_1_worked_examples():
     # One-variable conjugation: the solution family is (ab)^i a.
     t = clock()
     (sf,) = to_solved_form([CONJUGATE])
-    p = sf.mapping()["X"][0].param
-    assert sf.mapping()["X"] == (Power("ab", p), Const("a"))
+    p = sf.mapping["X"][0].param
+    assert sf.mapping["X"] == (Power("ab", p), Const("a"))
     assert clock() - t < 1.0
 
     # Conjugation plus membership and a length cap: two models survive.
@@ -126,7 +126,7 @@ def test_criterion_1_worked_examples():
     )
     assert isinstance(forms, list) and forms
     for form in forms:
-        x, y = form.mapping()["X"], form.mapping()["Y"]
+        x, y = form.mapping["X"], form.mapping["Y"]
         assert x == y
         assert len(x) == 1
         assert isinstance(x[0], Power) and x[0].base == "a"

@@ -135,7 +135,7 @@ def test_atoms_read_through_the_form_agree_with_the_definitional_rows(seed):
             if model is None:
                 continue
             assert all(v.kind in ("param", "part", "int") for v in model)
-            mapping = sf.mapping()
+            mapping = sf.mapping
             params = {p: model.get(param_var(p), 0) for w in mapping.values() for p in params_of(w)}
             parts = {y: "a" * model.get(part_var(y), 0) for w in mapping.values() for y in parts_of(w)}
             strings = {v: instantiate(w, params, parts) for v, w in mapping.items()}

@@ -78,7 +78,7 @@ def test_is_solved_equation():
 def test_definition_is_its_own_solved_form():
     # X = aYbZa stays a single binding with the other variables unfixed
     (sf,) = solve(WordEq(Var("X"), concat(Lit("a"), Var("Y"), Lit("b"), Var("Z"), Lit("a"))))
-    m = sf.mapping()
+    m = sf.mapping
     assert m["X"] == merge_blocks(
         [Const("a"), Unfixed("Y"), Const("b"), Unfixed("Z"), Const("a")]
     )
@@ -89,11 +89,11 @@ def test_definition_is_its_own_solved_form():
 def test_conjugate_equation_gives_power_family():
     # abX = Xba forces X = (ab)^i a
     (sf,) = solve(WordEq(concat(Lit("ab"), Var("X")), concat(Var("X"), Lit("ba"))))
-    assert sf.mapping()["X"][:1] == (Power("ab", sf.mapping()["X"][0].param),)
-    param = sf.mapping()["X"][0].param
-    assert sf.mapping()["X"] == merge_blocks([Power("ab", param), Const("a")])
+    assert sf.mapping["X"][:1] == (Power("ab", sf.mapping["X"][0].param),)
+    param = sf.mapping["X"][0].param
+    assert sf.mapping["X"] == merge_blocks([Power("ab", param), Const("a")])
     for i in range(5):
-        w = instantiate(sf.mapping()["X"], {param: i})
+        w = instantiate(sf.mapping["X"], {param: i})
         assert "ab" + w == w + "ba"
 
 
@@ -129,16 +129,16 @@ def test_crossing_pair_shares_one_parameter():
     assert isinstance(forms, list)
     seen = set()
     for sf in forms:
-        x, y = sf.mapping()["X"], sf.mapping()["Y"]
+        x, y = sf.mapping["X"], sf.mapping["Y"]
         assert x == y
         assert len(x) == 1 and isinstance(x[0], Power)
         assert x[0].base == "a"
         seen.add(x[0].param)
     # one shared parameter per form: X and Y grow in lockstep
     for sf in forms:
-        p = sf.mapping()["X"][0].param
+        p = sf.mapping["X"][0].param
         for i in range(4):
-            v = instantiate(sf.mapping()["X"], {p: i})
+            v = instantiate(sf.mapping["X"], {p: i})
             assert v == "a" * i
 
 
@@ -179,11 +179,11 @@ def test_crossed_variables_leave_the_fragment():
 
 def test_trivial_systems():
     (sf,) = solve(WordEq(Var("X"), Var("X")))
-    assert sf.mapping()["X"] == (Unfixed("X"),)
+    assert sf.mapping["X"] == (Unfixed("X"),)
     (sf,) = solve(WordEq(Lit("ab"), Lit("ab")), variables=["X"])
-    assert sf.mapping()["X"] == (Unfixed("X"),)
+    assert sf.mapping["X"] == (Unfixed("X"),)
     (sf,) = solve(WordEq(Var("X"), Lit("")))
-    assert sf.mapping()["X"] == ()
+    assert sf.mapping["X"] == ()
 
 
 def test_chained_definitions_substitute_through():
@@ -356,7 +356,7 @@ def test_a_resumed_equation_can_set_a_power_to_zero(monkeypatch):
     )
     x = Var("X")
     (form,) = solve(WordEq(concat(Lit("a"), x), concat(x, Lit("a"))))
-    assert form.mapping()["X"] == (Power("a", form.mapping()["X"][0].param),)
+    assert form.mapping["X"] == (Power("a", form.mapping["X"][0].param),)
     assert solve(WordEq(x, Lit("")), under=[form]) == [SolvedForm((("X", ()),))]
     assert calls == [0]
     assert solve(WordEq(x, Lit("b")), under=[form]) == Unsat()
@@ -364,7 +364,7 @@ def test_a_resumed_equation_can_set_a_power_to_zero(monkeypatch):
     # the form's names are taken: a fresh parameter never reuses one
     y = Var("Y")
     (both,) = solve(WordEq(concat(Lit("a"), y), concat(y, Lit("a"))), under=[form])
-    (px,), (py,) = (params_of(both.mapping()[v]) for v in "XY")
+    (px,), (py,) = (params_of(both.mapping[v]) for v in "XY")
     assert px != py
 
 
@@ -399,7 +399,7 @@ def test_long_binding_chain_composes_to_its_closed_form():
     n = 300
     x = [Var(f"X{i}") for i in range(n + 1)]
     (sf,) = solve(*(WordEq(x[i], concat(Lit("ab"), x[i + 1])) for i in range(n)))
-    m = sf.mapping()
+    m = sf.mapping
     assert len(m) == n + 1
     for i in range(n + 1):
         assert m[f"X{i}"] == const_blocks("ab" * (n - i)) + (Unfixed(f"X{n}"),)
@@ -420,7 +420,7 @@ def test_a_binding_rewrites_only_the_equations_that_mention_it(monkeypatch):
     n = 200
     x = [Var(f"X{i}") for i in range(n + 1)]
     (sf,) = solve(*(WordEq(x[i], concat(Lit("ab"), x[i + 1])) for i in reversed(range(n))))
-    assert sf.mapping()["X0"] == const_blocks("ab" * n) + (Unfixed(f"X{n}"),)
+    assert sf.mapping["X0"] == const_blocks("ab" * n) + (Unfixed(f"X{n}"),)
     assert calls <= 4 * n
 
 

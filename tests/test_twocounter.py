@@ -388,8 +388,8 @@ def test_the_largest_machines_compile_within_the_budget():
     s = encode(m, ("0",))
     budget = Budget()
     body = twocounter._compiled_body(s, budget)
-    assert errors.WORK_BUDGET - budget.left == 43_328
-    assert len(body.closed) + len(body.anchored) + len(body.generic) > 14_000
+    assert errors.WORK_BUDGET - budget.left == 14_530
+    assert (len(body.closed), len(body.anchored), len(body.generic)) == (3_664, 62, 10_800)
 
 
 def _reference_counterexamples(s: Sentence, max_len: int) -> list[str]:
@@ -631,6 +631,66 @@ def _random_propagation_sentence(rng: random.Random) -> Sentence:
         conj(*(literal() for _ in range(rng.randint(1, 4)))) for _ in range(rng.randint(1, 3))
     ]
     return Sentence(("S",), ("X", "Y", "Z", "U"), disj(*conjuncts), "ab", ())
+
+
+def _random_nested_sentence(rng: random.Random, depth: int = 3) -> Sentence:
+    """Bodies with Or inside And inside Or, ``depth`` levels deep, whose
+    leaves mix equations fixing an existential, negated equations and
+    equations over U."""
+
+    def word() -> Lit:
+        return Lit("".join(rng.choices("ab", k=rng.randint(0, 2))))
+
+    def leaf():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return WordEq(Var(rng.choice("XYZ")), word())
+        if kind == 1:
+            return Not(WordEq(Var(rng.choice("XYZ")), word()))
+        if kind == 2:
+            return WordEq(concat(Var("U"), word()), concat(word(), Var("U")))
+        return WordEq(Var("S"), _random_term(rng, ["X", "Y", "Z", "U", "a", "b"], 4))
+
+    def node(level: int, under_and: bool):
+        if level == 0:
+            return leaf()
+        parts = [node(level - 1, not under_and) for _ in range(rng.randint(1, 2))]
+        parts += [leaf() for _ in range(rng.randint(0, 2))]
+        rng.shuffle(parts)
+        return disj(*parts) if under_and else conj(*parts)
+
+    return Sentence(("S",), ("X", "Y", "Z", "U"), node(depth, True), "ab", ())
+
+
+def test_leaves_first_is_exact_on_deeper_nesting():
+    # each And's leaves are conjoined before its Ors; the conjuncts, and
+    # so the counterexamples, are those of the body's own literal order
+    rng = random.Random(38)
+    for _ in range(150):
+        _assert_search_matches_reference(_random_nested_sentence(rng, rng.randint(3, 4)), 3)
+
+
+def test_the_commutations_are_conjoined_once_per_body(monkeypatch):
+    # U b = b U and V c = c V sit beside the Or of the step violations, so
+    # the walk conjoins each once, not once per violation
+    met: list = []
+    conjoin = propagate._conjoin
+    monkeypatch.setattr(
+        propagate,
+        "_conjoin",
+        lambda prefix, literal: met.append(literal[0][0]) or conjoin(prefix, literal),
+    )
+    U, V, b, c = Var("U"), Var("V"), Lit("b"), Lit("c")
+    commutations = [
+        (term_to_side(concat(U, b)), term_to_side(concat(b, U)), True),
+        (term_to_side(concat(V, c)), term_to_side(concat(c, V)), True),
+    ]
+    for m, w in zoo():
+        for s in (encode(m, w), positivize(encode(m, w))):
+            met.clear()
+            for _ in propagate.conjuncts(s.body, "S", Budget()):
+                pass
+            assert [met.count(eq) for eq in commutations] == [1, 1]
 
 
 def test_propagation_matches_reference_on_random_sentences(monkeypatch):
