@@ -111,9 +111,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _split_input(raw: str, alphabet: tuple[str, ...]) -> list[str]:
     tokens = raw.replace(",", " ").split()
-    if tokens and all(t in alphabet for t in tokens):
+    if all(t in alphabet for t in tokens):
         return tokens
-    if raw and all(ch in alphabet for ch in raw):
+    if all(ch in alphabet for ch in raw):
         return list(raw)
     raise WordeqError(f"input {raw!r} is not over the machine alphabet {alphabet}")
 

@@ -25,12 +25,12 @@ class ResourceExhausted(WordeqError):
 # The work units one call may spend over all of its layers: one
 # ``check_sat``, or one bounded validity check of a sentence.  The most
 # measured: 2 039 by a ``check_sat`` call in the tests (the disjunction
-# of eight ground choices), 50 by a benchmark solve op; 31 120 by a
-# counterexample search over random sentences, 292 by a benchmark
+# of eight ground choices), 50 by a benchmark solve op; 34 830 by a
+# counterexample search over random sentences, 256 by a benchmark
 # reduction op; 38 050 compile steps by the largest encodable machines
 # (60 configuration letters, a rule for every key; 140 048 before the
 # body walk conjoined an And's leaves before its Ors), which positivized
-# need about 1.9 million and run out.
+# need 1 823 410 and run out.
 WORK_BUDGET = 200_000
 
 

@@ -176,13 +176,15 @@ def _constants(side: Blocks) -> str:
 def _needed(opened: tuple[_Open, ...]) -> list[Eq]:
     """The equations of a finished conjunct that its witness must be
     searched for.  An equation apart from the universal and from every
-    other one, which empty words satisfy, is witnessed within any bound."""
+    other one, which empty words satisfy, is witnessed within any bound.
+    One pass finds the names that two open equations share."""
     if len(opened) == 1:
         (eq, _, apart), = opened
         return [] if apart else [eq]
-    return [
-        eq
-        for i, (eq, names, apart) in enumerate(opened)
-        if not apart
-        or any(j != i and not names.isdisjoint(other) for j, (_, other, _) in enumerate(opened))
-    ]
+    seen: set[str] = set()
+    shared: set[str] = set()
+    for _, names, _ in opened:
+        if not names.isdisjoint(seen):
+            shared |= names & seen
+        seen |= names
+    return [eq for eq, names, apart in opened if not apart or not names.isdisjoint(shared)]

@@ -23,11 +23,13 @@ malformed counter blocks, and step violations.
 
 The bounded validity check compiles the body and searches for witnesses
 under one work ``Budget`` per call: each step of the body walk
-(``propagate``), each prefix of the walk over the universal's values,
+(``propagate``), each word the walk over the universal's values makes,
 each witness-search call and each way it matches an equation against a
 ground word (``twocounter``) draws one unit, and running out raises
-ResourceExhausted.  The walk over the universal's values tests a new
-prefix only against the patterns that can end at its last letter.
+ResourceExhausted.  The walk over the universal's values makes its
+words once, level by level, each from a shorter one that no closed
+pattern matched, and tests a new word only against the patterns that
+can end at its last letter and then for a witness.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import Budget, NondeterministicDelta, WordeqError
-from .normalize import walk_product
 from .paramwords import Blocks, Const, Unfixed, const_blocks, substitute
 from .propagate import Eq as _Eq, conjuncts
 from .solved_form import _drawn_matches, ground_word
 from .terms import (
     And,
+    Concat,
     Formula,
     Lit,
     NameGen,
@@ -283,6 +285,16 @@ def _clamp(x: int, lo: int, hi: int) -> int:
     return min(max(x, lo), hi)
 
 
+def _then(head: Concat, letter: str, tail: Var) -> Concat:
+    """``concat(head, Lit(letter), tail)`` for a head that ``concat`` made
+    and a nonempty letter: only the letter and the head's last part can
+    merge, so the head is not flattened again."""
+    parts = head.parts
+    if isinstance(parts[-1], Lit):
+        return Concat(parts[:-1] + (Lit(parts[-1].word + letter), tail))
+    return Concat(parts + (Lit(letter), tail))
+
+
 def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
     """Build the sentence whose counterexamples are the accepting run encodings.
 
@@ -343,9 +355,7 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
                     row = m.delta.get((q, w[h], "b" if g1 else "Z", "c" if g2 else "Z"))
                     if row is None:
                         # Stuck context: any further block is a defect.
-                        violations += [
-                            WordEq(S, concat(start, Lit(s), S4)) for s in sigma0
-                        ]
+                        violations += [WordEq(S, _then(start, s, S4)) for s in sigma0]
                         continue
                     q3, track, move = row
                     d = 1 if move == "R" else -1
@@ -371,16 +381,14 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
                     # b-run too long / too short.
                     violations.append(WordEq(S, concat(start, nxt, *run1, b, S4)))
                     if run1:
+                        head = concat(start, nxt, S2)
                         violations.append(
                             conj(
                                 WordEq(concat(*run1), concat(S2, b, S3)),
                                 disj(
-                                    WordEq(S, concat(start, nxt, S2, c, S4)),
-                                    *[
-                                        WordEq(S, concat(start, nxt, S2, Lit(s), S4))
-                                        for s in sigma0
-                                    ],
-                                    WordEq(S, concat(start, nxt, S2)),
+                                    WordEq(S, _then(head, "c", S4)),
+                                    *[WordEq(S, _then(head, s, S4)) for s in sigma0],
+                                    WordEq(S, head),
                                 ),
                             )
                         )
@@ -389,17 +397,13 @@ def encode(m: TwoCounterMachine, word: tuple[str, ...] | list[str]) -> Sentence:
                         WordEq(S, concat(start, nxt, *run1, *run2, c, S4))
                     )
                     if run2:
+                        head = concat(start, nxt, *run1, S2)
                         violations.append(
                             conj(
                                 WordEq(concat(*run2), concat(S2, c, S3)),
                                 disj(
-                                    *[
-                                        WordEq(
-                                            S, concat(start, nxt, *run1, S2, Lit(s), S4)
-                                        )
-                                        for s in sigma0
-                                    ],
-                                    WordEq(S, concat(start, nxt, *run1, S2)),
+                                    *[WordEq(S, _then(head, s, S4)) for s in sigma0],
+                                    WordEq(S, head),
                                 ),
                             )
                         )
@@ -692,22 +696,26 @@ def _witnessed(body: _Body, word: str, alphabet: str, budget: Budget) -> bool:
     )
 
 
-def _unpruned(
-    closed: list[_Linear], alphabet: str, length: int, budget: Budget
+def _unmatched(
+    closed: list[_Linear], alphabet: str, max_len: int, budget: Budget
 ) -> Iterator[str]:
-    """The words of one length that have no prefix a closed pattern
-    matches, in alphabet order.
+    """The words up to a length that have no prefix a closed pattern
+    matches, shortest first, letters in alphabet order.
 
-    The prefixes are walked depth first and no extension of a matched one
-    is visited, so no list of the words of one length is built.  Each
-    prefix draws one unit from ``budget``.
+    The words are made level by level, each one letter longer than a word
+    of the level before that no pattern matched, and no extension of a
+    matched word is made.  Each word made draws one unit from ``budget``,
+    so every prefix is drawn once over all lengths.  Only the level being
+    extended and the one being made are kept, and not the last, so what
+    is kept is bounded by the draws.  The words come out as they are
+    made: a caller that stops early makes no more of them.
 
-    A new prefix is tested only against the closed patterns whose last
+    A new word is tested only against the closed patterns whose last
     constant ends it.  Its parent matched no closed pattern, so the
-    leftmost place of a pattern's last constant in a prefix it matches
-    ends at the prefix's last letter: ended earlier, it would have
-    matched the parent.  Only ``("", "")`` has an empty last constant,
-    and it matches the empty word.
+    leftmost place of a pattern's last constant in a word it matches
+    ends at the word's last letter: ended earlier, it would have matched
+    the parent.  Only ``("", "")`` has an empty last constant, and it
+    matches the empty word.
     """
     if any(_matches(p, "") for p in closed):
         return
@@ -716,16 +724,26 @@ def _unpruned(
         ending.setdefault(p[-2], []).append(p)
     sizes = {len(last) for last in ending}
 
-    def extend(prefix: str, letter: str) -> str | None:
-        budget.draw(1, "twocounter")
-        word = prefix + letter
+    def matched(word: str) -> bool:
         for size in sizes:
             for p in ending.get(word[-size:], ()):
                 if _matches(p, word):
-                    return None
-        return word
+                    return True
+        return False
 
-    yield from walk_product([alphabet] * length, extend, "")
+    yield ""
+    level = [""]
+    for length in range(1, max_len + 1):
+        kept: list[str] = []
+        for prefix in level:
+            for letter in alphabet:
+                budget.draw(1, "twocounter")
+                word = prefix + letter
+                if not matched(word):
+                    if length < max_len:
+                        kept.append(word)
+                    yield word
+        level = kept
 
 
 def _counterexamples(s: Sentence, max_len: int, limit: int | None) -> list[str]:
@@ -734,13 +752,12 @@ def _counterexamples(s: Sentence, max_len: int, limit: int | None) -> list[str]:
     budget = Budget()
     body = _compiled_body(s, budget)
     found: list[str] = []
-    for length in range(max_len + 1):
-        for word in _unpruned(body.closed, s.alphabet, length, budget):
-            if _witnessed(body, word, s.alphabet, budget):
-                continue
-            found.append(word)
-            if limit is not None and len(found) >= limit:
-                return found
+    for word in _unmatched(body.closed, s.alphabet, max_len, budget):
+        if _witnessed(body, word, s.alphabet, budget):
+            continue
+        found.append(word)
+        if limit is not None and len(found) >= limit:
+            return found
     return found
 
 

@@ -359,6 +359,21 @@ def definitional_len_atom(atom: LenLeq) -> Row:
     return Row({v: c for v, c in coeffs.items() if c}, "le", atom.bound - const)
 
 
+def pairwise_needed(opened) -> list:
+    """``propagate._needed`` by comparing every pair of open equations:
+    an equation is kept unless it is apart and shares no name with any
+    other one."""
+    if len(opened) == 1:
+        (eq, _, apart), = opened
+        return [] if apart else [eq]
+    return [
+        eq
+        for i, (eq, names, apart) in enumerate(opened)
+        if not apart
+        or any(j != i and not names.isdisjoint(other) for j, (_, other, _) in enumerate(opened))
+    ]
+
+
 def is_counterexample(s: twocounter.Sentence, word: str) -> bool:
     """Does the word defeat every existential witness choice of the
     sentence?  One word, checked as ``enumerate_counterexamples`` checks

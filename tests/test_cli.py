@@ -481,6 +481,13 @@ def test_encode_2cm_rejects_foreign_input(capsys):
     assert "error:" in err
 
 
+def test_encode_2cm_reports_an_empty_input_as_empty(capsys):
+    # the empty word is over every alphabet: encode refuses it as empty
+    code, out, err = run(capsys, "encode-2cm", str(SAMPLES / "incdec.2cm"), "--input", "")
+    assert (code, out) == (3, "")
+    assert err.strip().endswith("the input word must be nonempty")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wordeq", "solve", str(SAMPLES / "conjugate.eq")],

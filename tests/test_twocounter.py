@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from wordeq import errors, propagate, twocounter
 from wordeq.errors import Budget, ResourceExhausted
 from wordeq.normalize import to_dnf
 from wordeq.paramwords import const_blocks
+from wordeq.printer import print_formula
 from wordeq.solved_form import term_to_side
 from wordeq.terms import (
     Concat,
@@ -50,7 +52,13 @@ from wordeq.twocounter import (
     simulate,
 )
 
-from helpers import is_counterexample, twocounter_machine, updown_machine, zoo
+from helpers import (
+    is_counterexample,
+    pairwise_needed,
+    twocounter_machine,
+    updown_machine,
+    zoo,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +304,29 @@ def test_encode_body_contains_expected_clauses():
     )
 
 
+def _printed(s: Sentence) -> str:
+    exists = " ".join(s.existentials)
+    return f"; alphabet {s.alphabet}\n(forall (S) (exists ({exists}) {print_formula(s.body)}))"
+
+
+def test_encoded_zoo_sentences_are_pinned():
+    # the CRC-32 of each zoo machine's sentence as printed, encoded then
+    # positivized: a change in how encode builds its terms must not change
+    # the sentence
+    pinned = [
+        0x318AAC2F, 0x4E365BD0,
+        0xDA24030F, 0x9BC1B1FE,
+        0xBE6E8302, 0xAF688205,
+        0x31E67C9F, 0xF890BEE6,
+        0x66707AF9, 0xACCAA3B7,
+    ]
+    got = []
+    for m, w in zoo():
+        s = encode(m, w)
+        got += [zlib.crc32(_printed(t).encode()) for t in (s, positivize(s))]
+    assert got == pinned
+
+
 def test_encode_rejects_bad_inputs():
     z1, _ = zoo()[0]
     with pytest.raises(MalformedMachine):
@@ -363,15 +394,15 @@ def test_node_budget_exhaustion(monkeypatch):
 
 def test_the_body_walk_cuts_a_refuted_prefix(monkeypatch):
     # eight conjuncts, every one of which the first two equations refute:
-    # the walk takes two steps, not 48; the eight prefixes of the words
-    # up to length 2 draw the other eight units
+    # the walk takes two steps, not 48; the six words of lengths 1 and 2
+    # draw the other six units
     S, X, Y = Var("S"), Var("X"), Var("Y")
     choice = disj(WordEq(Y, Lit("a")), WordEq(Y, Lit("b")))
     body = conj(WordEq(X, Lit("a")), WordEq(X, Lit("b")), choice, choice, choice, WordEq(S, X))
     s = Sentence(("S",), ("X", "Y"), body, "ab", ())
-    monkeypatch.setattr(errors, "WORK_BUDGET", 10)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 8)
     assert enumerate_counterexamples(s, 2) == ["", "a", "b", "aa", "ab", "ba", "bb"]
-    monkeypatch.setattr(errors, "WORK_BUDGET", 9)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 7)
     with pytest.raises(ResourceExhausted, match="work budget exhausted in twocounter"):
         enumerate_counterexamples(s, 2)
     monkeypatch.setattr(errors, "WORK_BUDGET", 1)
@@ -550,10 +581,11 @@ def _random_closed_patterns(rng: random.Random) -> list[tuple[str, ...]]:
     return patterns
 
 
-def test_unpruned_matches_the_naive_filter_on_random_patterns():
-    # the index tests a prefix only against the patterns whose last
-    # constant ends it; the naive filter tests every pattern against every
-    # prefix, and each prefix the walk visits draws one unit
+def test_the_level_walk_matches_the_naive_filter_on_random_patterns():
+    # the index tests a word only against the patterns whose last constant
+    # ends it; the naive filter tests every pattern against every prefix.
+    # The walk makes each prefix once over all lengths, and each one it
+    # makes draws one unit
     rng = random.Random(5309)
     words = list(twocounter._iter_words("abc", 7))
     for _ in range(50):
@@ -563,13 +595,31 @@ def test_unpruned_matches_the_naive_filter_on_random_patterns():
             for w in words
             if any(twocounter._matches(p, w[:k]) for k in range(len(w) + 1) for p in closed)
         }
-        for length in range(8):
+        for max_len in range(8):
             budget = Budget()
-            found = list(twocounter._unpruned(closed, "abc", length, budget))
-            expected = [w for w in words if len(w) == length and w not in pruned]
-            assert found == expected, (closed, length)
-            visited = [w for w in words if 0 < len(w) <= length and w[:-1] not in pruned]
+            found = list(twocounter._unmatched(closed, "abc", max_len, budget))
+            expected = [w for w in words if len(w) <= max_len and w not in pruned]
+            assert found == expected, (closed, max_len)
+            visited = [w for w in words if 0 < len(w) <= max_len and w[:-1] not in pruned]
             assert errors.WORK_BUDGET - budget.left == (0 if "" in pruned else len(visited))
+
+
+def test_the_first_counterexample_ends_the_walk(monkeypatch):
+    # every word up to length 1 and "aa" match an anchored pattern, so
+    # "ab" is the first counterexample: the check makes "a" and "b", then
+    # "aa" and "ab", and not "ba" or "bb"; listing every counterexample
+    # makes all six
+    S, X = Var("S"), Var("X")
+    anchored = [WordEq(S, Lit(w)) for w in ("", "a", "b", "aa")]
+    body = disj(*anchored, WordEq(S, concat(X, Lit("ba"))))
+    s = Sentence(("S",), ("X",), body, "ab", ())
+    assert _kinds(s) == (0, 5, 0)
+    drawn = _drawn(monkeypatch)
+    assert bounded_validity_check(s, 2) == Counterexample("ab")
+    assert drawn.count((1, "twocounter")) == 4
+    drawn.clear()
+    assert enumerate_counterexamples(s, 2) == ["ab", "bb"]
+    assert drawn.count((1, "twocounter")) == 6
 
 
 def _random_term(rng: random.Random, names, longest: int) -> StrTerm:
@@ -691,6 +741,33 @@ def test_the_commutations_are_conjoined_once_per_body(monkeypatch):
             for _ in propagate.conjuncts(s.body, "S", Budget()):
                 pass
             assert [met.count(eq) for eq in commutations] == [1, 1]
+
+
+def test_needed_matches_the_pairwise_reference():
+    # random conjuncts of one to six open equations over a few names:
+    # repeated and disjoint names, apart and not apart; each equation is
+    # a distinct token, so the order kept is checked too
+    for seed in (39, 3901):
+        rng = random.Random(seed)
+        met = {"single": 0, "shared apart": 0, "lone apart": 0, "empty names": 0}
+        for _ in range(2_000):
+            opened = tuple(
+                (
+                    ((), (i,), True),
+                    frozenset(rng.sample("SXYZUV", rng.randint(0, 3))),
+                    rng.random() < 0.6,
+                )
+                for i in range(rng.randint(1, 6))
+            )
+            got = propagate._needed(opened)
+            assert got == pairwise_needed(opened), opened
+            kept = set(got)
+            met["single"] += len(opened) == 1
+            met["empty names"] += any(not names for _, names, _ in opened)
+            for eq, names, apart in opened:
+                if apart and len(opened) > 1:
+                    met["shared apart" if eq in kept else "lone apart"] += 1
+        assert min(met.values()) > 0, met
 
 
 def test_propagation_matches_reference_on_random_sentences(monkeypatch):
